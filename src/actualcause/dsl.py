@@ -48,6 +48,11 @@ _TOKEN_RE = re.compile(
 
 _RESERVED = {"if"}
 
+# Deepest nesting an expression may have, counted both in open brackets and
+# negations while parsing and in the depth of the finished tree.  Parsing and
+# every tree walk recurse, so without a limit deep input ends in RecursionError.
+MAX_DEPTH = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens: list[tuple[str, str]] = []
@@ -70,11 +75,19 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+def _to_int(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError as err:  # more digits than int() converts
+        raise ParseError(f"integer too long in {where!r}") from err
+
+
 class _ExprParser:
     def __init__(self, text: str) -> None:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> tuple[str, str] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -97,91 +110,122 @@ class _ExprParser:
             return token[1]
         return None
 
-    # grammar, loosest binding first
+    # Grammar, loosest binding first.  Each rule returns the parsed tree and
+    # its depth; `node` and `enter` enforce MAX_DEPTH.
     def parse(self) -> Expr:
-        expr = self.or_expr()
+        expr, _ = self.or_expr()
         if self.peek() is not None:
             raise ParseError(
                 f"trailing input {self.tokens[self.pos:]} in {self.text!r}"
             )
         return expr
 
-    def or_expr(self) -> Expr:
-        expr = self.and_expr()
+    def too_deep(self) -> ParseError:
+        return ParseError(f"expression nests deeper than {MAX_DEPTH} levels in {self.text!r}")
+
+    def node(self, expr: Expr, *child_depths: int) -> tuple[Expr, int]:
+        depth = 1 + max(child_depths, default=0)
+        if depth > MAX_DEPTH:
+            raise self.too_deep()
+        return expr, depth
+
+    def enter(self) -> None:
+        """Open a bracket or negation, which the parser recurses into."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise self.too_deep()
+
+    def or_expr(self) -> tuple[Expr, int]:
+        expr, depth = self.and_expr()
         while self.at_op("|"):
             self.take()
-            expr = Or(expr, self.and_expr())
-        return expr
+            rhs, rhs_depth = self.and_expr()
+            expr, depth = self.node(Or(expr, rhs), depth, rhs_depth)
+        return expr, depth
 
-    def and_expr(self) -> Expr:
-        expr = self.cmp_expr()
+    def and_expr(self) -> tuple[Expr, int]:
+        expr, depth = self.cmp_expr()
         while self.at_op("&"):
             self.take()
-            expr = And(expr, self.cmp_expr())
-        return expr
+            rhs, rhs_depth = self.cmp_expr()
+            expr, depth = self.node(And(expr, rhs), depth, rhs_depth)
+        return expr, depth
 
-    def cmp_expr(self) -> Expr:
-        expr = self.sum_expr()
+    def cmp_expr(self) -> tuple[Expr, int]:
+        expr, depth = self.sum_expr()
         op = self.at_op("==", "!=", ">=", "<=", ">", "<")
         if op is not None:
             self.take()
-            expr = Cmp(op, expr, self.sum_expr())
-        return expr
+            rhs, rhs_depth = self.sum_expr()
+            expr, depth = self.node(Cmp(op, expr, rhs), depth, rhs_depth)
+        return expr, depth
 
-    def sum_expr(self) -> Expr:
-        expr = self.prod_expr()
+    def sum_expr(self) -> tuple[Expr, int]:
+        expr, depth = self.prod_expr()
         while True:
             op = self.at_op("+", "-")
             if op is None:
-                return expr
+                return expr, depth
             self.take()
-            expr = Arith(op, expr, self.prod_expr())
+            rhs, rhs_depth = self.prod_expr()
+            expr, depth = self.node(Arith(op, expr, rhs), depth, rhs_depth)
 
-    def prod_expr(self) -> Expr:
-        expr = self.unary_expr()
+    def prod_expr(self) -> tuple[Expr, int]:
+        expr, depth = self.unary_expr()
         while True:
             op = self.at_op("*", "/", "%")
             if op is None:
-                return expr
+                return expr, depth
             self.take()
-            expr = Arith(op, expr, self.unary_expr())
+            rhs, rhs_depth = self.unary_expr()
+            expr, depth = self.node(Arith(op, expr, rhs), depth, rhs_depth)
 
-    def unary_expr(self) -> Expr:
+    def unary_expr(self) -> tuple[Expr, int]:
         if self.at_op("~"):
             self.take()
-            return Not(self.unary_expr())
+            self.enter()
+            operand, depth = self.unary_expr()
+            self.nesting -= 1
+            return self.node(Not(operand), depth)
         return self.atom()
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         token = self.take()
         kind, text = token
         if kind == "int":
-            return Const(int(text))
+            return self.node(Const(_to_int(text, self.text)))
         if kind == "name":
-            return Var(text)
+            return self.node(Var(text))
         if kind == "op" and text == "(":
+            self.enter()
             inner = self.or_expr()
             self.expect_op(")")
+            self.nesting -= 1
             return inner
         if kind == "op" and text == "{":
-            return self.piecewise()
+            self.enter()
+            inner = self.piecewise()
+            self.nesting -= 1
+            return inner
         raise ParseError(f"unexpected token {text!r} in {self.text!r}")
 
-    def piecewise(self) -> Expr:
+    def piecewise(self) -> tuple[Expr, int]:
         cases: list[tuple[Expr, Expr]] = []
+        depths: list[int] = []
         while True:
-            value = self.or_expr()
+            value, value_depth = self.or_expr()
             token = self.take()
             if token != ("if", "if"):
                 raise ParseError(
                     f"expected 'if' after piecewise value, found {token[1]!r} "
                     f"in {self.text!r}"
                 )
-            guard = self.or_expr()
+            guard, guard_depth = self.or_expr()
             cases.append((value, guard))
+            depths += (value_depth, guard_depth)
             token = self.take()
             if token == ("op", "}"):
-                return Piecewise(tuple(cases))
+                return self.node(Piecewise(tuple(cases)), *depths)
             if token != ("op", ","):
                 raise ParseError(
                     f"expected ',' or '}}' in piecewise, found {token[1]!r} "
@@ -237,7 +281,7 @@ def _parse_int(text: str, what: str) -> int:
     text = text.strip()
     if not _INT_RE.fullmatch(text):
         raise ParseError(f"expected integer for {what}, found {text!r}")
-    return int(text)
+    return _to_int(text, what)
 
 
 def _parse_name(text: str, what: str) -> str:
@@ -328,7 +372,10 @@ def parse_case(text: str) -> BenchCase:
         values = tuple(_parse_int(v, f"domain of {name}") for v in inner.split(","))
         if name in domains:
             raise ParseError(f"duplicate domain for {name!r}")
-        domains[name] = Domain(values)
+        try:
+            domains[name] = Domain(values)
+        except ModelError as err:
+            raise ParseError(f"domain for {name!r}: {err}") from err
 
     defaults: dict[str, int] = {}
     for item in _split_items(fields.get("defaults", "")):

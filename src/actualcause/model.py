@@ -3,15 +3,15 @@
 A model is a finite set of variables, one total equation per variable, and a
 finite integer domain per variable.  There are no exogenous variables:
 context is absorbed into constant equations, and the initial/derived
-partition is always computed from the equations, never stored.
+partition is always computed from the equations, never declared.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .expr import EvaluationError, Expr, substitute
 
@@ -139,12 +139,15 @@ EMPTY_PLAN = InterventionPlan()
 
 
 class Model:
-    """A validated structural model.
+    """A validated structural model, compiled at construction.
 
     Validation is eager: construction fails on unknown references, cycles,
     missing domains, out-of-domain constants, non-exhaustive piecewise
     equations, and equations whose value can leave the variable's domain for
-    some setting of its parents.
+    some setting of its parents.  Validation already evaluates every equation
+    at every setting of its parents; those values are kept as one flat table
+    per variable, indexed by the mixed-radix code of the parent values (last
+    parent in sorted order varies fastest), and `lookup` reads them.
     """
 
     def __init__(
@@ -152,7 +155,6 @@ class Model:
         variables: Sequence[str],
         equations: Mapping[str, Expr],
         domains: Mapping[str, Domain] | None = None,
-        dependent: Sequence[str] = (),
     ) -> None:
         self.variables: tuple[str, ...] = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
@@ -174,27 +176,35 @@ class Model:
                 f"domains declared for unknown variable(s): {sorted(domains)}"
             )
         self.domains: dict[str, Domain] = full
-        self.dependent: tuple[str, ...] = tuple(dependent)
-        for var in self.dependent:
-            if var not in self.domains:
-                raise UnknownVariableError(f"dependent set names unknown variable {var!r}")
+        # value -> position in the domain, per variable
+        self._index: dict[str, dict[int, int]] = {
+            v: {value: i for i, value in enumerate(full[v])} for v in self.variables
+        }
+        self._parents: dict[str, frozenset[str]] = {
+            v: expr.variables() for v, expr in self.equations.items()
+        }
+        self._parent_tuple: dict[str, tuple[str, ...]] = {
+            v: tuple(sorted(parents)) for v, parents in self._parents.items()
+        }
+        self._initial = frozenset(v for v in self.variables if not self._parents[v])
+        self._derived = frozenset(self.variables) - self._initial
         self._validate_references()
         self._order = self._toposort()
-        self._validate_totality()
+        self._tables = {v: self._compile(v) for v in self.variables}
 
     # -- construction helpers -------------------------------------------------
 
     def _validate_references(self) -> None:
         known = set(self.variables)
-        for var, expr in self.equations.items():
-            loose = expr.variables() - known
+        for var, parents in self._parents.items():
+            loose = parents - known
             if loose:
                 raise UnknownVariableError(
                     f"equation for {var!r} references unknown variable(s) {sorted(loose)}"
                 )
 
     def _toposort(self) -> tuple[str, ...]:
-        remaining = {v: set(self.parents(v)) for v in self.variables}
+        remaining = {v: set(self._parents[v]) for v in self.variables}
         order: list[str] = []
         placed: set[str] = set()
         while remaining:
@@ -209,37 +219,51 @@ class Model:
                 del remaining[var]
         return tuple(order)
 
-    def _validate_totality(self) -> None:
-        for var in self.variables:
-            expr = self.equations[var]
-            parents = self.parent_tuple(var)
-            for combo in itertools.product(*(self.domains[p].values for p in parents)):
-                env = dict(zip(parents, combo))
-                try:
-                    value = expr.evaluate(env)
-                except EvaluationError as err:
-                    if "no true guard" in str(err):
-                        raise NonExhaustivePiecewiseError(
-                            f"equation for {var!r} has no true guard at {env}"
-                        ) from err
-                    raise ModelError(
-                        f"equation for {var!r} fails at {env}: {err}"
+    def _compile(self, var: str) -> list[int]:
+        """The value table of one equation, validated for totality."""
+        expr = self.equations[var]
+        parents = self._parent_tuple[var]
+        size = 1
+        for parent in parents:
+            size *= len(self.domains[parent])
+        if size > ENUMERATION_CAP:
+            raise SearchTooLargeError(
+                f"equation for {var!r} has {size} parent settings, cap {ENUMERATION_CAP}"
+            )
+        table: list[int] = []
+        for combo in itertools.product(*(self.domains[p].values for p in parents)):
+            env = dict(zip(parents, combo))
+            try:
+                value = expr.evaluate(env)
+            except EvaluationError as err:
+                if "no true guard" in str(err):
+                    raise NonExhaustivePiecewiseError(
+                        f"equation for {var!r} has no true guard at {env}"
                     ) from err
-                if value not in self.domains[var]:
-                    raise DomainError(
-                        f"equation for {var!r} yields {value} outside domain "
-                        f"{self.domains[var].values} at {env}"
-                    )
+                raise ModelError(
+                    f"equation for {var!r} fails at {env}: {err}"
+                ) from err
+            if value not in self._index[var]:
+                raise DomainError(
+                    f"equation for {var!r} yields {value} outside domain "
+                    f"{self.domains[var].values} at {env}"
+                )
+            table.append(value)
+        return table
 
     # -- structure ------------------------------------------------------------
 
     def parents(self, var: str) -> frozenset[str]:
-        if var not in self.equations:
-            raise UnknownVariableError(f"unknown variable {var!r}")
-        return self.equations[var].variables()
+        try:
+            return self._parents[var]
+        except KeyError:
+            raise UnknownVariableError(f"unknown variable {var!r}") from None
 
     def parent_tuple(self, var: str) -> tuple[str, ...]:
-        return tuple(sorted(self.parents(var)))
+        try:
+            return self._parent_tuple[var]
+        except KeyError:
+            raise UnknownVariableError(f"unknown variable {var!r}") from None
 
     def topological_order(self) -> tuple[str, ...]:
         return self._order
@@ -251,35 +275,41 @@ class Model:
         seen: set[str] = set()
         frontier = list(seeds)
         for var in frontier:
-            if var not in self.equations:
+            if var not in self._parents:
                 raise UnknownVariableError(f"unknown variable {var!r}")
         while frontier:
             var = frontier.pop()
-            for parent in self.parents(var):
+            for parent in self._parents[var]:
                 if parent not in seen:
                     seen.add(parent)
                     frontier.append(parent)
         return frozenset(seen)
 
     def initial_variables(self) -> frozenset[str]:
-        return frozenset(v for v in self.variables if not self.parents(v))
+        return self._initial
 
     def derived_variables(self) -> frozenset[str]:
-        return frozenset(v for v in self.variables if self.parents(v))
-
-    def initial_partition(self) -> tuple[frozenset[str], frozenset[str]]:
-        return self.initial_variables(), self.derived_variables()
+        return self._derived
 
     def is_initial(self, var: str) -> bool:
         return not self.parents(var)
 
     def check_value(self, var: str, value: int) -> None:
-        if var not in self.domains:
+        if var not in self._index:
             raise UnknownVariableError(f"unknown variable {var!r}")
-        if value not in self.domains[var]:
+        if value not in self._index[var]:
             raise DomainError(
                 f"value {value} outside domain {self.domains[var].values} of {var!r}"
             )
+
+    def lookup(self, var: str, values: Mapping[str, int]) -> int:
+        """The equation of `var` at the parent values found in `values`, which
+        must hold an in-domain value for every parent."""
+        code = 0
+        for parent in self._parent_tuple[var]:
+            index = self._index[parent]
+            code = code * len(index) + index[values[parent]]
+        return self._tables[var][code]
 
     # -- equality / hashing ----------------------------------------------------
 
@@ -290,7 +320,6 @@ class Model:
             self.variables == other.variables
             and self.equations == other.equations
             and self.domains == other.domains
-            and self.dependent == other.dependent
         )
 
     def __repr__(self) -> str:
@@ -350,8 +379,8 @@ def solve(
     plan: InterventionPlan = EMPTY_PLAN,
     overrides: Mapping[str, int] | Iterable[Event] = (),
 ) -> Assignment:
-    """Evaluate every variable: pinned ones take their pins, the rest follow
-    their equations in topological order."""
+    """Evaluate every variable: pinned ones take their pins, the rest read
+    their value tables in topological order."""
     model = scenario.model
     pins = plan.pins()
     if isinstance(overrides, Mapping):
@@ -366,10 +395,7 @@ def solve(
         model.check_value(var, value)
     out: Assignment = {}
     for var in model.topological_order():
-        if var in pins:
-            out[var] = pins[var]
-        else:
-            out[var] = model.equations[var].evaluate(out)
+        out[var] = pins[var] if var in pins else model.lookup(var, out)
     return {v: out[v] for v in model.variables}
 
 
@@ -418,5 +444,4 @@ def reduced_model(model: Model, removed: Mapping[str, int]) -> Model:
     keep = [v for v in model.variables if v not in removed]
     equations = {v: substitute(model.equations[v], removed) for v in keep}
     domains = {v: model.domains[v] for v in keep}
-    dependent = tuple(v for v in model.dependent if v not in removed)
-    return Model(keep, equations, domains, dependent)
+    return Model(keep, equations, domains)

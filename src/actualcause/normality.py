@@ -102,10 +102,11 @@ def rank(
         raise UnknownVariableError(
             f"rank of {var!r} is missing parent value(s) {missing}"
         )
-    env = {p: parent_values[p] for p in parents}
-    if model.equations[var].evaluate(env) == value:
+    for parent in parents:
+        model.check_value(parent, parent_values[parent])
+    if model.lookup(var, parent_values) == value:
         return TOP
-    return _deviant(value, tuple(env[p] for p in parents))
+    return _deviant(value, tuple(parent_values[p] for p in parents))
 
 
 def _component(witness: Rank, actual: Rank) -> str:
@@ -250,11 +251,9 @@ def _free_rank(reduced: Scenario, var: str, values: Mapping[str, int]) -> Rank:
         if values[var] == reduced.defaults[var]:
             return TOP
         return _deviant(values[var])
-    parents = model.parent_tuple(var)
-    env = {p: values[p] for p in parents}
-    if model.equations[var].evaluate(env) == values[var]:
+    if model.lookup(var, values) == values[var]:
         return TOP
-    return _deviant(values[var], tuple(env[p] for p in parents))
+    return _deviant(values[var], tuple(values[p] for p in model.parent_tuple(var)))
 
 
 def _roaming_vars(scenario: Scenario, pinned: frozenset[str], effect_var: str) -> list[str]:

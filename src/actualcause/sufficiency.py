@@ -107,11 +107,16 @@ def minimal_sufficient_sets(
     cap: int = ENUMERATION_CAP,
 ) -> list[SufficiencyWitness]:
     """All inclusion-minimal sufficient plans over actual-valued events,
-    ordered by size then variable tuple."""
+    ordered by size then variable tuple.
+
+    Only ancestors of the effect are candidates.  The effect's value depends
+    on its ancestors alone, so adding a non-ancestor to a plan never changes
+    whether it is sufficient, and a non-ancestor is never in a minimal plan.
+    """
     model = scenario.model
     model.check_value(effect.var, effect.value)
     actual = scenario.actual()
-    candidates = sorted(v for v in model.variables if v != effect.var)
+    candidates = sorted(model.ancestors(effect.var))
     passing: list[frozenset[str]] = []
     witnesses: list[SufficiencyWitness] = []
     for size in range(len(candidates) + 1):

@@ -56,6 +56,13 @@ class TestCheck:
         assert result.exit_code == 2
         assert "parse error" in result.output
 
+    def test_malformed_domain_exits_two(self, runner, tmp_path):
+        bad = tmp_path / "bad.case"
+        bad.write_text("case 1\nmode reliable\nformulas: e=1\ndomains: e:{0,1,1}\n")
+        result = runner.invoke(main, ["check", str(bad)])
+        assert result.exit_code == 2
+        assert "domain for 'e'" in result.output
+
     def test_missing_file_rejected(self, runner):
         assert runner.invoke(main, ["check", "no-such.case"]).exit_code == 2
 

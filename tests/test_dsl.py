@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actualcause import Event, ParseError, parse_case, serialize_case
 
@@ -88,6 +90,16 @@ def test_cells_are_bare_names_at_actual_values():
         ("case 1\nmode reliable\nformulas: a=1; e=a\nintuition: z\n", "z"),
         ("case 1\nmode reliable\n", "formulas"),
         ("case 1\nmode sometimes\nformulas: a=1; e=a\n", "mode"),
+        pytest.param(
+            "case 1\nformulas: e=1\ndomains: e:{0,1,1}\n",
+            "domain for 'e'",
+            id="duplicate-domain-value",
+        ),
+        pytest.param(
+            "case 1\nformulas: a=1; e=" + " | ".join(["a"] * 2000) + "\n",
+            "nests deeper",
+            id="deep-disjunction",
+        ),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -124,3 +136,37 @@ def test_corpus_identity(corpus_path):
         assert parse_case(text) == case, f"round-trip mismatch in {case_file.name}"
         # The shipped files are canonical: serialize reproduces them byte-for-byte.
         assert text == original, f"{case_file.name} is not in canonical form"
+
+
+_EXPRESSION_TEXT = st.one_of(
+    st.text(alphabet="ab e019~&|()+-*/%{}<>=!,;:if", max_size=40),
+    # one short fragment repeated, for deep nesting and long chains
+    st.text(alphabet="a1~&|(){}+ if,", min_size=1, max_size=4).map(lambda t: t * 300),
+)
+_DOMAIN_TEXT = st.lists(st.integers(-2, 3), max_size=4).map(
+    lambda values: ",".join(map(str, values))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_arbitrary_text_raises_only_parse_error(text):
+    try:
+        parse_case(text)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(formula=_EXPRESSION_TEXT, domain=_DOMAIN_TEXT, default=_EXPRESSION_TEXT)
+def test_arbitrary_case_fields_raise_only_parse_error(formula, domain, default):
+    text = (
+        "case 1\nmode reliable\n"
+        f"formulas: a={formula}; b=a; e=b\n"
+        f"domains: a:{{{domain}}}\n"
+        f"defaults: a={default}\n"
+    )
+    try:
+        parse_case(text)
+    except ParseError:
+        pass

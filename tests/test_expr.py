@@ -20,6 +20,7 @@ from actualcause import (
     parse_expression,
     substitute,
 )
+from actualcause.dsl import MAX_DEPTH
 
 
 @pytest.mark.parametrize(
@@ -83,11 +84,23 @@ def test_precedence_structure():
         "{1 if }",
         "",
         "a b",
+        pytest.param("(" * 600 + "a" + ")" * 600, id="600-parentheses"),
+        pytest.param("~" * 2000 + "a", id="2000-negations"),
+        pytest.param("9" * 5000, id="5000-digit-integer"),
     ],
 )
 def test_parse_errors(source):
     with pytest.raises(ParseError):
         parse_expression(source)
+
+
+def test_depth_limit_is_inclusive():
+    assert parse_expression("(" * MAX_DEPTH + "a" + ")" * MAX_DEPTH) == Var("a")
+    assert parse_expression("~" * (MAX_DEPTH - 1) + "a").render().endswith("~a")
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse_expression("~" * MAX_DEPTH + "a")
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse_expression("(" * (MAX_DEPTH + 1) + "a" + ")" * (MAX_DEPTH + 1))
 
 
 def test_evaluate_unbound_variable():

@@ -120,6 +120,26 @@ class TestModelValidation:
         second = make_scenario("a=1; e=a").model
         assert first == second
 
+    def test_lookup_reads_the_value_table(self):
+        scenario = make_scenario(
+            "a=0; b=2; e={a + b if a < 2, 0 if 1}",
+            domains={"a": (0, 1, 2), "b": (0, 2), "e": (0, 1, 2, 3)},
+        )
+        model = scenario.model
+        for a in (0, 1, 2):
+            for b in (0, 2):
+                env = {"a": a, "b": b}
+                assert model.lookup("e", env) == model.equations["e"].evaluate(env)
+        assert model.lookup("a", {}) == 0
+
+    def test_value_table_size_is_capped(self):
+        from actualcause import SearchTooLargeError
+
+        names = [f"x{i}" for i in range(21)]
+        formulas = "; ".join(f"{name}=0" for name in names)
+        with pytest.raises(SearchTooLargeError):
+            make_scenario(f"{formulas}; e={' | '.join(names)}")
+
     def test_check_value(self):
         model = make_scenario("a=1; e=a", domains={"a": (0, 1, 2), "e": (0, 1, 2)}).model
         model.check_value("a", 2)

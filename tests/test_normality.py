@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from actualcause import (
+    DomainError,
     Event,
     InterventionPlan,
     ModelError,
@@ -44,6 +45,11 @@ class TestRank:
         assert conforming.level > deviant.level
         # A deviant value is indexed by the parent context it deviates in.
         assert deviant.value == 0 and deviant.context == (1, 0)
+
+    def test_parent_value_outside_domain(self):
+        scenario = make_scenario("a=1; d=0; e=a & ~d")
+        with pytest.raises(DomainError):
+            rank(scenario, "e", 1, {"a": 2, "d": 0})
 
     def test_general_mode_ranks_by_default(self):
         scenario = make_scenario("a=1; d=0; e=a & ~d", mode="general")

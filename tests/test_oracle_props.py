@@ -26,11 +26,11 @@ from conftest import make_scenario
 def test_solve_matches_model_solver():
     for _, scenario in scenario_stream(seed=17, count=50):
         assert oracle_solve(scenario, {}) == solve(scenario)
-        # pin the first variable at every domain value in turn
-        var = scenario.model.variables[0]
-        for value in scenario.model.domains[var].values:
-            plan = InterventionPlan(value_set=frozenset({Event(var, value)}))
-            assert oracle_solve(scenario, {var: value}) == solve(scenario, plan)
+        # pin each variable at every domain value in turn
+        for var in scenario.model.variables:
+            for value in scenario.model.domains[var].values:
+                plan = InterventionPlan(value_set=frozenset({Event(var, value)}))
+                assert oracle_solve(scenario, {var: value}) == solve(scenario, plan)
 
 
 def test_is_sufficient_hand_cases():

@@ -17,6 +17,7 @@ from actualcause import (
     minimal_sufficient_sets,
     restricted_scenario,
 )
+from actualcause.oracle import oracle_minimal_sufficient_sets
 from actualcause.randmodel import random_effect, scenario_stream
 
 from conftest import make_scenario
@@ -100,6 +101,18 @@ class TestMinimalSufficientSets:
         scenario = make_scenario("a=0; e=~a")
         (witness,) = minimal_sufficient_sets(scenario, Event("e", 1))
         assert witness.plan.value_set == frozenset({Event("a", 0)})
+
+    @pytest.mark.parametrize("mode", ["reliable", "general"])
+    def test_non_ancestors_never_appear(self, mode):
+        # z (initial) and w (derived) are not ancestors of e.
+        scenario = make_scenario("a=1; z=1; b=a; w=z & a; e=b", mode=mode)
+        effect = Event("e", 1)
+        witnesses = minimal_sufficient_sets(scenario, effect)
+        expected = [["a"], ["b"]] if mode == "reliable" else [["b"]]
+        assert var_sets(witnesses) == expected
+        assert [w.plan.value_set for w in witnesses] == oracle_minimal_sufficient_sets(
+            scenario, effect
+        )
 
     def test_wide_domain_case(self, corpus_cases):
         # Independently brute-forced reference answer for the largest
@@ -186,3 +199,13 @@ class TestProperties:
             for i, first in enumerate(sets):
                 for second in sets[i + 1 :]:
                     assert not first < second and not second < first
+
+    @pytest.mark.parametrize("mode", ["reliable", "general"])
+    def test_matches_oracle_for_every_variable(self, mode):
+        # Ancestor pruning matters most on intermediate targets, so every
+        # variable's actual event is checked, not only the deepest one.
+        for _, scenario in scenario_stream(seed=23, count=80, max_vars=7, mode=mode):
+            for var in scenario.model.variables:
+                effect = Event(var, scenario.actual_value(var))
+                engine = [w.plan.value_set for w in minimal_sufficient_sets(scenario, effect)]
+                assert engine == oracle_minimal_sufficient_sets(scenario, effect)
