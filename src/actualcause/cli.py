@@ -162,3 +162,7 @@ def verify(models: int, seed: int, max_vars: int) -> None:
     click.echo(report.render(), nl=False)
     click.echo(f"completed in {time.perf_counter() - start:.2f}s", err=True)
     sys.exit(0 if report.passed else 1)
+
+
+if __name__ == "__main__":
+    main()

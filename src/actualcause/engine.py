@@ -30,6 +30,7 @@ from .sufficiency import (
     SufficiencyWitness,
     direct_cause_graph,
     minimal_sufficient_sets,
+    successor_map,
 )
 
 __all__ = [
@@ -92,7 +93,8 @@ class _PlanRecord:
 
 
 class ScenarioAnalysis:
-    """Everything computed once per (scenario, effect, options) triple."""
+    """The verdicts for one (scenario, effect, options) triple; the searches
+    behind them are memoized on the scenario and shared across options."""
 
     def __init__(
         self,
@@ -151,14 +153,7 @@ class ScenarioAnalysis:
             for var in record.certified:
                 self.certified.setdefault(var, record)
         self.graph: dict[str, frozenset[str]] = direct_cause_graph(scenario, cap)
-        self.successors: dict[str, list[str]] = {
-            v: [] for v in scenario.model.variables
-        }
-        for child, parents in self.graph.items():
-            for parent in parents:
-                self.successors[parent].append(child)
-        for key in self.successors:
-            self.successors[key].sort()
+        self.successors: dict[str, tuple[str, ...]] = successor_map(scenario, cap)
 
     # -- chains ---------------------------------------------------------------
 
@@ -236,31 +231,15 @@ class ScenarioAnalysis:
     def _member_of_passing_plan(self, cause_var: str, vertex: str) -> bool:
         """Plan-membership continuity: the cause belongs to some minimal
         sufficient, abnormality-passing plan for the intermediate vertex."""
-        cache = getattr(self, "_membership_cache", None)
-        if cache is None:
-            cache = {}
-            self._membership_cache = cache
-        key = (cause_var, vertex)
-        if key not in cache:
-            target = Event(vertex, self.scenario.actual_value(vertex))
-            ok = False
-            for witness in minimal_sufficient_sets(
-                self.scenario, target, self.options.enumeration_cap
-            ):
-                plan_vars = witness.plan.pinned_vars()
-                if cause_var not in plan_vars:
-                    continue
-                verdict = plan_abnormality(
-                    self.scenario,
-                    plan_vars,
-                    target,
-                    cap=self.options.enumeration_cap,
-                )
-                if verdict.passed:
-                    ok = True
-                    break
-            cache[key] = ok
-        return cache[key]
+        target = Event(vertex, self.scenario.actual_value(vertex))
+        cap = self.options.enumeration_cap
+        for witness in minimal_sufficient_sets(self.scenario, target, cap):
+            plan_vars = witness.plan.pinned_vars()
+            if cause_var in plan_vars and plan_abnormality(
+                self.scenario, plan_vars, target, cap=cap
+            ).passed:
+                return True
+        return False
 
     # -- verdicts ---------------------------------------------------------------
 

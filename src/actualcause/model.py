@@ -9,9 +9,10 @@ partition is always computed from the equations, never declared.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TypeVar
 
 from .expr import EvaluationError, Expr, substitute
 
@@ -31,6 +32,7 @@ __all__ = [
     "UnknownVariableError",
     "enumerate_settings",
     "event_set",
+    "memoized",
     "render_events",
     "satisfies",
     "solve",
@@ -40,6 +42,8 @@ __all__ = [
 ENUMERATION_CAP = 1 << 20
 
 Assignment = dict[str, int]
+
+T = TypeVar("T")
 
 
 class ModelError(Exception):
@@ -191,6 +195,8 @@ class Model:
         self._validate_references()
         self._order = self._toposort()
         self._tables = {v: self._compile(v) for v in self.variables}
+        # strict ancestors of single variables, filled as they are asked for
+        self._ancestor_sets: dict[str, frozenset[str]] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -271,7 +277,13 @@ class Model:
     def ancestors(self, seeds: Iterable[str] | str) -> frozenset[str]:
         """Strict ancestors of the seed variable(s)."""
         if isinstance(seeds, str):
-            seeds = (seeds,)
+            found = self._ancestor_sets.get(seeds)
+            if found is None:
+                found = self._ancestor_sets[seeds] = self._walk_up((seeds,))
+            return found
+        return self._walk_up(seeds)
+
+    def _walk_up(self, seeds: Iterable[str]) -> frozenset[str]:
         seen: set[str] = set()
         frontier = list(seeds)
         for var in frontier:
@@ -328,7 +340,10 @@ class Model:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A model with normality defaults, a solve mode, and intention pairs."""
+    """A model with normality defaults, a solve mode, and intention pairs.
+
+    Neither it nor its model may be mutated after construction: the actual
+    world and the memoized search results are kept for its lifetime."""
 
     model: Model
     mode: str = "reliable"
@@ -360,6 +375,11 @@ class Scenario:
     def _actual(self) -> Assignment:
         return solve(self)
 
+    @cached_property
+    def _memo(self) -> dict[tuple, object]:
+        # filled by `memoized`; not a field, so eq, repr and replace ignore it
+        return {}
+
     def actual(self) -> Assignment:
         return dict(self._actual)
 
@@ -372,6 +392,17 @@ class Scenario:
         if var not in self.model.domains:
             raise UnknownVariableError(f"unknown variable {var!r}")
         return self.defaults[var]
+
+
+def memoized(scenario: Scenario, compute: Callable[..., T], *args: Hashable) -> T:
+    """`compute(scenario, *args)`, computed on the first call with these
+    arguments and read from the scenario's memo afterwards.  Callers copy a
+    mutable result before handing it out."""
+    key = (compute, *args)
+    memo = scenario._memo
+    if key not in memo:
+        memo[key] = compute(scenario, *args)
+    return memo[key]
 
 
 def solve(

@@ -25,6 +25,7 @@ from .model import (
     Scenario,
     UnknownVariableError,
     enumerate_settings,
+    memoized,
     reduced_model,
     solve,
 )
@@ -281,14 +282,29 @@ def plan_abnormality(
     variant "set-level": any contrast vector differing from the actual one.
     variant "single-event": only vectors differing from actual exactly at
     `focus`; certification then has no default clause.
+
+    The result is memoized per scenario and arguments.
     """
+    pins = frozenset(plan_vars)
+    args = (pins, effect, variant, focus, certification, cap)
+    return memoized(scenario, _plan_abnormality, *args)
+
+
+def _plan_abnormality(
+    scenario: Scenario,
+    pins: frozenset[str],
+    effect: Event,
+    variant: str,
+    focus: str | None,
+    certification: str,
+    cap: int,
+) -> PlanAbnormality:
     if variant not in ("set-level", "single-event"):
         raise ModelError(f"unknown abnormality variant {variant!r}")
     if variant == "single-event" and focus is None:
         raise ModelError("single-event abnormality needs a focus variable")
     model = scenario.model
     actual = scenario.actual()
-    pins = frozenset(plan_vars)
     ordered_pins = [v for v in model.variables if v in pins]
     if len(ordered_pins) != len(pins):
         unknown = pins - set(model.variables)

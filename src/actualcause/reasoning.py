@@ -24,9 +24,11 @@ from .model import (
     render_events,
 )
 from .sufficiency import (
-    direct_cause_graph,
+    NoParentsError,
+    direct_cause_sets,
     is_sufficient,
     minimal_sufficient_sets,
+    successor_map,
 )
 
 __all__ = [
@@ -76,37 +78,21 @@ def _member_check(net: CauseNet, member: Event) -> None:
         )
 
 
-def _successor_map(scenario: Scenario, cap: int) -> dict[str, list[str]]:
-    graph = direct_cause_graph(scenario, cap)
-    successors: dict[str, list[str]] = {v: [] for v in scenario.model.variables}
-    for child, parents in graph.items():
-        for parent in parents:
-            successors[parent].append(child)
-    for key in successors:
-        successors[key].sort()
-    return successors
-
-
-def _chains(
-    successors: dict[str, list[str]], start: str, goal: str
-) -> list[tuple[str, ...]]:
-    """Every direct-cause chain from start to goal, in lexicographic order."""
-    if start == goal:
-        return [(start,)]
-    out: list[tuple[str, ...]] = []
-    stack: list[str] = [start]
-
-    def walk(vertex: str) -> None:
-        for succ in successors[vertex]:
-            stack.append(succ)
-            if succ == goal:
-                out.append(tuple(stack))
-            else:
-                walk(succ)
-            stack.pop()
-
-    walk(start)
-    return out
+def _chain_counts(
+    scenario: Scenario, successors: dict[str, tuple[str, ...]], goal: str
+) -> tuple[dict[str, int], dict[str, int]]:
+    """For every variable, the number of direct-cause chains from it to the
+    goal and the sum of their edge counts; the goal itself has one chain of
+    length zero.  One pass over the reverse topological order."""
+    count: dict[str, int] = {}
+    length: dict[str, int] = {}
+    for var in reversed(scenario.model.topological_order()):
+        if var == goal:
+            count[var], length[var] = 1, 0
+            continue
+        count[var] = sum(count[succ] for succ in successors[var])
+        length[var] = sum(length[succ] + count[succ] for succ in successors[var])
+    return count, length
 
 
 def cause_nets(
@@ -121,17 +107,11 @@ def cause_nets(
     model = scenario.model
     if depth_limit is None:
         depth_limit = len(model.variables)
-    from .sufficiency import NoParentsError, direct_cause_sets
-
     if model.is_initial(effect.var):
         raise NoParentsError(f"{effect.var!r} has no parents")
-    dc_cache: dict[str, list[frozenset[Event]]] = {}
 
     def dc_sets(var: str) -> list[frozenset[Event]]:
-        if var not in dc_cache:
-            target = Event(var, scenario.actual_value(var))
-            dc_cache[var] = direct_cause_sets(scenario, target, cap)
-        return dc_cache[var]
+        return direct_cause_sets(scenario, Event(var, scenario.actual_value(var)), cap)
 
     nets: list[CauseNet] = []
     seen: set[frozenset[Event]] = set()
@@ -192,23 +172,25 @@ def interpolate(
     cap: int = ENUMERATION_CAP,
 ) -> CauseNet:
     """Replace a member by its successors on every direct-cause chain from
-    the member to the effect.  A member adjacent to the effect pulls the
-    effect itself into the net (where it is trivially sufficient)."""
+    the member to the effect: the successors from which the effect is
+    reachable.  A member adjacent to the effect pulls the effect itself into
+    the net (where it is trivially sufficient)."""
     _require_reliable(scenario)
     net = _as_net(net)
     _member_check(net, member)
     if member.var == effect.var:
         return net
-    successors = _successor_map(scenario, cap)
-    chains = _chains(successors, member.var, effect.var)
-    if not chains:
+    successors = successor_map(scenario, cap)
+    count, _ = _chain_counts(scenario, successors, effect.var)
+    step = {
+        Event(var, scenario.actual_value(var))
+        for var in successors[member.var]
+        if count[var]
+    }
+    if not step:
         raise NoChainError(
             f"{member.render()} has no direct-cause chain to {effect.render()}"
         )
-    step: set[Event] = set()
-    for chain in chains:
-        var = chain[1]
-        step.add(Event(var, scenario.actual_value(var)))
     events = (net.events - {member}) | step
     _verify_sufficient(scenario, events, effect, "interpolation", cap)
     return CauseNet(
@@ -284,22 +266,20 @@ def distance(
 ) -> float:
     """Mean edge count over every (member, chain) pair, where the chains of
     a member are all its direct-cause chains to the effect and the effect
-    itself contributes a single chain of length zero."""
+    itself contributes a single chain of length zero.  The chains are
+    counted, not enumerated, so the cost is linear in the graph's size."""
     _require_reliable(scenario)
     net = _as_net(net)
     if not net.events:
         raise ReasoningError("distance of an empty net is undefined")
-    successors = _successor_map(scenario, cap)
-    lengths: list[int] = []
+    count, length = _chain_counts(scenario, successor_map(scenario, cap), effect.var)
+    chains = total = 0
     for member in sorted(net.events):
-        if member.var == effect.var:
-            lengths.append(0)
-            continue
-        chains = _chains(successors, member.var, effect.var)
-        if not chains:
+        if not count[member.var]:
             raise NoChainError(
                 f"{member.render()} has no direct-cause chain to "
                 f"{effect.render()}"
             )
-        lengths.extend(len(chain) - 1 for chain in chains)
-    return sum(lengths) / len(lengths)
+        chains += count[member.var]
+        total += length[member.var]
+    return total / chains

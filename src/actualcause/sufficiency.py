@@ -5,6 +5,9 @@ however the unconstrained background varies.  In reliable mode every derived
 variable outside the pins follows its equation and only the remaining
 initial variables roam; in general mode only the declared function set
 follows its equations and everything else roams.
+
+Sufficient sets, direct causes and the direct-cause graph are memoized per
+scenario and arguments; each call returns a fresh copy.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .model import (
     Scenario,
     UnknownVariableError,
     enumerate_settings,
+    memoized,
     satisfies,
 )
 from .normality import plan_abnormality
@@ -36,6 +40,7 @@ __all__ = [
     "is_sufficient",
     "minimal_sufficient_sets",
     "restricted_scenario",
+    "successor_map",
 ]
 
 
@@ -87,14 +92,15 @@ def is_sufficient(
     cap: int = ENUMERATION_CAP,
 ) -> bool:
     """Does pinning the plan's events force the effect under every roaming
-    background?"""
+    background?  Only the roaming ancestors of the effect are enumerated: the
+    others cannot change it."""
     model = scenario.model
     model.check_value(effect.var, effect.value)
     _check_actual_pins(scenario, plan)
     pins = plan.pins()
     if effect.var in pins:
         return pins[effect.var] == effect.value
-    roaming = _roaming_vars(scenario, plan, effect.var)
+    roaming = _roaming_vars(scenario, plan, effect.var) & model.ancestors(effect.var)
     for background in enumerate_settings(model, roaming, cap):
         if not satisfies(scenario, plan, background, (effect,)):
             return False
@@ -113,6 +119,12 @@ def minimal_sufficient_sets(
     on its ancestors alone, so adding a non-ancestor to a plan never changes
     whether it is sufficient, and a non-ancestor is never in a minimal plan.
     """
+    return list(memoized(scenario, _minimal_sufficient_sets, effect, cap))
+
+
+def _minimal_sufficient_sets(
+    scenario: Scenario, effect: Event, cap: int
+) -> list[SufficiencyWitness]:
     model = scenario.model
     model.check_value(effect.var, effect.value)
     actual = scenario.actual()
@@ -162,6 +174,10 @@ def direct_cause_sets(
 ) -> list[frozenset[Event]]:
     """Minimal robust parent sets of the target that also pass the
     abnormality screen, in canonical order."""
+    return list(memoized(scenario, _direct_cause_sets, target, cap))
+
+
+def _direct_cause_sets(scenario: Scenario, target: Event, cap: int) -> list[frozenset[Event]]:
     model = scenario.model
     model.check_value(target.var, target.value)
     if model.is_initial(target.var):
@@ -200,6 +216,10 @@ def direct_cause_graph(
 ) -> dict[str, frozenset[str]]:
     """Incoming direct-cause edges for every derived variable, at the actual
     world: graph[y] is the set of x with an edge x -> y."""
+    return dict(memoized(scenario, _direct_cause_graph, cap))
+
+
+def _direct_cause_graph(scenario: Scenario, cap: int) -> dict[str, frozenset[str]]:
     model = scenario.model
     graph: dict[str, frozenset[str]] = {}
     for var in model.variables:
@@ -212,3 +232,20 @@ def direct_cause_graph(
             members.update(ev.var for ev in group)
         graph[var] = frozenset(members)
     return graph
+
+
+def successor_map(
+    scenario: Scenario,
+    cap: int = ENUMERATION_CAP,
+) -> dict[str, tuple[str, ...]]:
+    """Outgoing direct-cause edges for every variable, at the actual world:
+    successors[x] lists, in sorted order, every y with an edge x -> y."""
+    return dict(memoized(scenario, _successor_map, cap))
+
+
+def _successor_map(scenario: Scenario, cap: int) -> dict[str, tuple[str, ...]]:
+    successors: dict[str, list[str]] = {v: [] for v in scenario.model.variables}
+    for child, parents in direct_cause_graph(scenario, cap).items():
+        for parent in parents:
+            successors[parent].append(child)
+    return {var: tuple(sorted(children)) for var, children in successors.items()}

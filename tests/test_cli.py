@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -122,3 +126,18 @@ class TestVerify:
         assert result.exit_code == 0
         assert "verification:" in result.output
         assert "result:" in result.output
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "actualcause.cli", "--help"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("Usage: ")

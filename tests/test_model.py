@@ -113,7 +113,12 @@ class TestModelValidation:
         assert model.is_initial("a") and not model.is_initial("b")
         assert model.parents("e") == frozenset({"b", "c"})
         assert model.ancestors("e") == frozenset({"a", "b", "c"})
+        assert model.ancestors("e") is model.ancestors("e")  # kept once computed
         assert model.ancestors("a") == frozenset()
+        assert model.ancestors(["b", "e"]) == frozenset({"a", "b", "c"})
+        for _ in range(2):
+            with pytest.raises(UnknownVariableError):
+                model.ancestors("z")
 
     def test_value_semantics(self):
         first = make_scenario("a=1; e=a").model
