@@ -28,9 +28,8 @@ from .normality import AbnormalityWitness, PlanAbnormality, plan_abnormality
 from .sufficiency import (
     ActualityError,
     SufficiencyWitness,
-    direct_cause_graph,
+    direct_cause_parents,
     minimal_sufficient_sets,
-    successor_map,
 )
 
 __all__ = [
@@ -53,7 +52,6 @@ class EngineOptions:
     abnormality_variant: str = "3"  # "3" | "3prime"
     apply_intentional_rule: bool = True
     continuity: str = "plan-membership"  # | "chain-certified"
-    certification: str = "flip-or-default"  # | "membership"
     enumeration_cap: int = ENUMERATION_CAP
 
     def __post_init__(self) -> None:
@@ -65,8 +63,6 @@ class EngineOptions:
             )
         if self.continuity not in ("chain-certified", "plan-membership"):
             raise ModelError(f"unknown continuity rule {self.continuity!r}")
-        if self.certification not in ("flip-or-default", "membership"):
-            raise ModelError(f"unknown certification rule {self.certification!r}")
 
 
 DEFAULT_OPTIONS = EngineOptions()
@@ -112,13 +108,7 @@ class ScenarioAnalysis:
         self.plans: list[_PlanRecord] = []
         for witness in self.sufficiency:
             plan_vars = witness.plan.pinned_vars()
-            base = plan_abnormality(
-                scenario,
-                plan_vars,
-                effect,
-                certification=options.certification,
-                cap=cap,
-            )
+            base = plan_abnormality(scenario, plan_vars, effect, cap=cap)
             if options.abnormality_variant == "3prime":
                 singles: dict[str, AbnormalityWitness] = {}
                 certified: set[str] = set()
@@ -152,81 +142,53 @@ class ScenarioAnalysis:
         for record in self.plans:
             for var in record.certified:
                 self.certified.setdefault(var, record)
-        self.graph: dict[str, frozenset[str]] = direct_cause_graph(scenario, cap)
-        self.successors: dict[str, tuple[str, ...]] = successor_map(scenario, cap)
 
     # -- chains ---------------------------------------------------------------
 
     def chain_for(self, var: str) -> tuple[str, ...] | None:
         """Shortest (then lexicographically first) direct-cause chain from
         var to the effect whose intermediate vertices all satisfy the active
-        continuity rule."""
+        continuity rule.
+
+        A breadth-first search backward from the effect gives each vertex its
+        edge count to the effect over admissible vertices; the chain then
+        walks from var, each step taking the smallest vertex one edge closer.
+        Only the effect and its ancestors are visited."""
         goal = self.effect.var
         if var == goal:
             return (var,)
+        cap = self.options.enumeration_cap
 
         def admissible(vertex: str) -> bool:
             if self.options.continuity == "chain-certified":
                 return vertex in self.certified
             return self._member_of_passing_plan(var, vertex)
 
-        # breadth-first layering over admissible intermediates
-        dist: dict[str, int] = {var: 0}
-        frontier = [var]
-        while frontier and goal not in dist:
-            nxt: list[str] = []
+        dist: dict[str, int] = {goal: 0}
+        parents: dict[str, frozenset[str]] = {}
+        frontier = [goal]
+        while frontier and var not in dist:
+            layer: list[str] = []
             for vertex in frontier:
-                for succ in self.successors[vertex]:
-                    if succ in dist:
-                        continue
-                    if succ != goal and not admissible(succ):
-                        continue
-                    dist[succ] = dist[vertex] + 1
-                    nxt.append(succ)
-            frontier = nxt
-        if goal not in dist:
+                parents[vertex] = direct_cause_parents(self.scenario, vertex, cap)
+                for parent in parents[vertex]:
+                    if parent not in dist and (parent == var or admissible(parent)):
+                        dist[parent] = dist[vertex] + 1
+                        layer.append(parent)
+            frontier = layer
+        if var not in dist:
             return None
-        # walk forward choosing the smallest next vertex on a shortest path
         path = [var]
-        here = var
-        while here != goal:
-            step = None
-            for succ in self.successors[here]:
-                if succ == goal and dist[goal] == dist[here] + 1:
-                    step = succ
-                    break
-                if (
-                    succ in dist
-                    and dist[succ] == dist[here] + 1
-                    and succ != goal
-                    and admissible(succ)
-                    and self._reaches(succ, dist)
-                ):
-                    step = succ
-                    break
-            if step is None:  # pragma: no cover - dist guarantees a step
-                return None
-            path.append(step)
-            here = step
+        while path[-1] != goal:
+            here = path[-1]
+            path.append(
+                min(
+                    vertex
+                    for vertex, near in parents.items()
+                    if here in near and dist[vertex] == dist[here] - 1
+                )
+            )
         return tuple(path)
-
-    def _reaches(self, vertex: str, dist: dict[str, int]) -> bool:
-        """Is vertex on some shortest admissible path to the goal?"""
-        goal = self.effect.var
-        want = dist[goal]
-        frontier = {vertex}
-        depth = dist[vertex]
-        while frontier and depth < want:
-            depth += 1
-            nxt: set[str] = set()
-            for here in frontier:
-                for succ in self.successors[here]:
-                    if dist.get(succ) == depth:
-                        nxt.add(succ)
-            if goal in nxt and depth == want:
-                return True
-            frontier = nxt
-        return goal in frontier
 
     def _member_of_passing_plan(self, cause_var: str, vertex: str) -> bool:
         """Plan-membership continuity: the cause belongs to some minimal

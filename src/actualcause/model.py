@@ -117,20 +117,14 @@ def render_events(events: Iterable[Event]) -> str:
 
 @dataclass(frozen=True)
 class InterventionPlan:
-    """Pins (value set) plus variables explicitly left on their equations."""
+    """The events a plan pins (its value set)."""
 
     value_set: frozenset[Event] = frozenset()
-    function_set: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         pinned = [ev.var for ev in self.value_set]
         if len(set(pinned)) != len(pinned):
             raise DomainError(f"plan pins a variable twice: {sorted(pinned)}")
-        overlap = set(pinned) & self.function_set
-        if overlap:
-            raise DomainError(
-                f"plan pins and frees the same variable(s): {sorted(overlap)}"
-            )
 
     def pins(self) -> Assignment:
         return {ev.var: ev.value for ev in self.value_set}
@@ -191,7 +185,6 @@ class Model:
             v: tuple(sorted(parents)) for v, parents in self._parents.items()
         }
         self._initial = frozenset(v for v in self.variables if not self._parents[v])
-        self._derived = frozenset(self.variables) - self._initial
         self._validate_references()
         self._order = self._toposort()
         self._tables = {v: self._compile(v) for v in self.variables}
@@ -300,9 +293,6 @@ class Model:
     def initial_variables(self) -> frozenset[str]:
         return self._initial
 
-    def derived_variables(self) -> frozenset[str]:
-        return self._derived
-
     def is_initial(self, var: str) -> bool:
         return not self.parents(var)
 
@@ -392,6 +382,17 @@ class Scenario:
         if var not in self.model.domains:
             raise UnknownVariableError(f"unknown variable {var!r}")
         return self.defaults[var]
+
+    def roaming_vars(self, pinned: frozenset[str], effect_var: str) -> frozenset[str]:
+        """The variables a search over backgrounds lets vary while the pins
+        hold: the initial variables in reliable mode (derived ones follow
+        their equations), every variable in general mode; never the pins or
+        the effect."""
+        if self.mode == "reliable":
+            pool = self.model.initial_variables()
+        else:
+            pool = frozenset(self.model.variables)
+        return pool - pinned - {effect_var}
 
 
 def memoized(scenario: Scenario, compute: Callable[..., T], *args: Hashable) -> T:

@@ -36,7 +36,6 @@ __all__ = [
     "PlanAbnormality",
     "PlanNotSufficientError",
     "Rank",
-    "abnormality_ok",
     "compare",
     "intrinsic_scenario",
     "plan_abnormality",
@@ -257,23 +256,12 @@ def _free_rank(reduced: Scenario, var: str, values: Mapping[str, int]) -> Rank:
     return _deviant(values[var], tuple(values[p] for p in model.parent_tuple(var)))
 
 
-def _roaming_vars(scenario: Scenario, pinned: frozenset[str], effect_var: str) -> list[str]:
-    model = scenario.model
-    if scenario.mode == "reliable":
-        pool = model.initial_variables()
-    else:
-        pool = frozenset(model.variables)
-    keep = pool - pinned - {effect_var}
-    return [v for v in model.variables if v in keep]
-
-
 def plan_abnormality(
     scenario: Scenario,
     plan_vars: Iterable[str],
     effect: Event,
     variant: str = "set-level",
     focus: str | None = None,
-    certification: str = "flip-or-default",
     cap: int = ENUMERATION_CAP,
 ) -> PlanAbnormality:
     """Search contrasts over the plan variables (and free background pins)
@@ -286,8 +274,7 @@ def plan_abnormality(
     The result is memoized per scenario and arguments.
     """
     pins = frozenset(plan_vars)
-    args = (pins, effect, variant, focus, certification, cap)
-    return memoized(scenario, _plan_abnormality, *args)
+    return memoized(scenario, _plan_abnormality, pins, effect, variant, focus, cap)
 
 
 def _plan_abnormality(
@@ -296,7 +283,6 @@ def _plan_abnormality(
     effect: Event,
     variant: str,
     focus: str | None,
-    certification: str,
     cap: int,
 ) -> PlanAbnormality:
     if variant not in ("set-level", "single-event"):
@@ -312,7 +298,7 @@ def _plan_abnormality(
     reduced, _removed = _reduce(scenario, pins)
     kept = reduced.model.variables
     actual_ranks = {v: _free_rank(reduced, v, actual) for v in kept}
-    roaming = _roaming_vars(scenario, pins, effect.var)
+    roaming = scenario.roaming_vars(pins, effect.var)
 
     passed = False
     first_witness: AbnormalityWitness | None = None
@@ -354,41 +340,13 @@ def _plan_abnormality(
                     )
 
     certified: set[str] = set(flipped)
-    if variant == "set-level" and certification == "flip-or-default" and passed:
+    if variant == "set-level" and passed:
         for var in ordered_pins:
             if actual[var] == scenario.defaults[var]:
                 certified.add(var)
-    if certification == "membership" and passed:
-        certified = set(ordered_pins)
     return PlanAbnormality(
         passed=passed,
         witness=first_witness,
         certified=frozenset(certified),
     )
 
-
-def abnormality_ok(
-    scenario: Scenario,
-    plan: InterventionPlan,
-    effect: Event,
-    variant: str = "set-level",
-    focus: str | None = None,
-    cap: int = ENUMERATION_CAP,
-) -> tuple[bool, AbnormalityWitness | None]:
-    """Public wrapper: does the plan admit an admissible effect-breaking
-    contrast, and the first such witness in canonical order."""
-    for ev in plan.value_set:
-        if scenario.actual_value(ev.var) != ev.value:
-            raise ModelError(
-                f"plan pins {ev.render()} away from the actual value "
-                f"{scenario.actual_value(ev.var)}"
-            )
-    result = plan_abnormality(
-        scenario,
-        plan.pinned_vars(),
-        effect,
-        variant=variant,
-        focus=focus,
-        cap=cap,
-    )
-    return result.passed, result.witness

@@ -25,10 +25,10 @@ from .model import (
 )
 from .sufficiency import (
     NoParentsError,
+    direct_cause_parents,
     direct_cause_sets,
     is_sufficient,
     minimal_sufficient_sets,
-    successor_map,
 )
 
 __all__ = [
@@ -79,20 +79,24 @@ def _member_check(net: CauseNet, member: Event) -> None:
 
 
 def _chain_counts(
-    scenario: Scenario, successors: dict[str, tuple[str, ...]], goal: str
-) -> tuple[dict[str, int], dict[str, int]]:
-    """For every variable, the number of direct-cause chains from it to the
-    goal and the sum of their edge counts; the goal itself has one chain of
-    length zero.  One pass over the reverse topological order."""
-    count: dict[str, int] = {}
-    length: dict[str, int] = {}
+    scenario: Scenario, goal: str, cap: int
+) -> tuple[dict[str, int], dict[str, int], dict[str, list[str]]]:
+    """For every variable with a direct-cause chain to the goal: the number
+    of such chains, the sum of their edge counts, and its successors on
+    them.  The goal itself has one chain of length zero.  One pass over the
+    reverse topological order pushes each on-chain vertex's counts to its
+    direct-cause parents, so only the goal and its ancestors are read."""
+    count = {goal: 1}
+    length = {goal: 0}
+    onward: dict[str, list[str]] = {}
     for var in reversed(scenario.model.topological_order()):
-        if var == goal:
-            count[var], length[var] = 1, 0
+        if var not in count:
             continue
-        count[var] = sum(count[succ] for succ in successors[var])
-        length[var] = sum(length[succ] + count[succ] for succ in successors[var])
-    return count, length
+        for parent in direct_cause_parents(scenario, var, cap):
+            count[parent] = count.get(parent, 0) + count[var]
+            length[parent] = length.get(parent, 0) + length[var] + count[var]
+            onward.setdefault(parent, []).append(var)
+    return count, length, onward
 
 
 def cause_nets(
@@ -180,13 +184,8 @@ def interpolate(
     _member_check(net, member)
     if member.var == effect.var:
         return net
-    successors = successor_map(scenario, cap)
-    count, _ = _chain_counts(scenario, successors, effect.var)
-    step = {
-        Event(var, scenario.actual_value(var))
-        for var in successors[member.var]
-        if count[var]
-    }
+    _, _, onward = _chain_counts(scenario, effect.var, cap)
+    step = {Event(var, scenario.actual_value(var)) for var in onward.get(member.var, ())}
     if not step:
         raise NoChainError(
             f"{member.render()} has no direct-cause chain to {effect.render()}"
@@ -272,10 +271,10 @@ def distance(
     net = _as_net(net)
     if not net.events:
         raise ReasoningError("distance of an empty net is undefined")
-    count, length = _chain_counts(scenario, successor_map(scenario, cap), effect.var)
+    count, length, _ = _chain_counts(scenario, effect.var, cap)
     chains = total = 0
     for member in sorted(net.events):
-        if not count[member.var]:
+        if member.var not in count:
             raise NoChainError(
                 f"{member.render()} has no direct-cause chain to "
                 f"{effect.render()}"

@@ -3,11 +3,11 @@
 A plan's pinned events are sufficient for an effect when the effect holds
 however the unconstrained background varies.  In reliable mode every derived
 variable outside the pins follows its equation and only the remaining
-initial variables roam; in general mode only the declared function set
-follows its equations and everything else roams.
+initial variables roam; in general mode every variable outside the pins
+roams.
 
-Sufficient sets, direct causes and the direct-cause graph are memoized per
-scenario and arguments; each call returns a fresh copy.
+Sufficient sets and direct causes are memoized per scenario and arguments;
+each call returns a fresh copy.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ __all__ = [
     "NoParentsError",
     "SufficiencyWitness",
     "direct_cause_graph",
+    "direct_cause_parents",
     "direct_cause_sets",
     "is_direct_cause",
     "is_sufficient",
     "minimal_sufficient_sets",
     "restricted_scenario",
-    "successor_map",
 ]
 
 
@@ -73,18 +73,6 @@ def _check_actual_pins(scenario: Scenario, plan: InterventionPlan) -> None:
             )
 
 
-def _roaming_vars(
-    scenario: Scenario, plan: InterventionPlan, effect_var: str
-) -> frozenset[str]:
-    model = scenario.model
-    pinned = plan.pinned_vars()
-    if scenario.mode == "reliable":
-        follow = model.derived_variables() - pinned
-    else:
-        follow = plan.function_set
-    return frozenset(model.variables) - pinned - follow - {effect_var}
-
-
 def is_sufficient(
     scenario: Scenario,
     plan: InterventionPlan,
@@ -100,7 +88,9 @@ def is_sufficient(
     pins = plan.pins()
     if effect.var in pins:
         return pins[effect.var] == effect.value
-    roaming = _roaming_vars(scenario, plan, effect.var) & model.ancestors(effect.var)
+    roaming = scenario.roaming_vars(plan.pinned_vars(), effect.var) & model.ancestors(
+        effect.var
+    )
     for background in enumerate_settings(model, roaming, cap):
         if not satisfies(scenario, plan, background, (effect,)):
             return False
@@ -145,7 +135,7 @@ def _minimal_sufficient_sets(
                 witnesses.append(
                     SufficiencyWitness(
                         plan=plan,
-                        robust_vars=_roaming_vars(scenario, plan, effect.var),
+                        robust_vars=scenario.roaming_vars(subset, effect.var),
                     )
                 )
     return witnesses
@@ -210,42 +200,26 @@ def is_direct_cause(
     return any(cause in group for group in direct_cause_sets(scenario, target, cap))
 
 
+def direct_cause_parents(
+    scenario: Scenario,
+    var: str,
+    cap: int = ENUMERATION_CAP,
+) -> frozenset[str]:
+    """Incoming direct-cause edges of one variable at the actual world: every
+    x in some direct-cause set of var (none when var is initial)."""
+    if scenario.model.is_initial(var):
+        return frozenset()
+    target = Event(var, scenario.actual_value(var))
+    return frozenset(
+        ev.var for group in direct_cause_sets(scenario, target, cap) for ev in group
+    )
+
+
 def direct_cause_graph(
     scenario: Scenario,
     cap: int = ENUMERATION_CAP,
 ) -> dict[str, frozenset[str]]:
-    """Incoming direct-cause edges for every derived variable, at the actual
-    world: graph[y] is the set of x with an edge x -> y."""
-    return dict(memoized(scenario, _direct_cause_graph, cap))
-
-
-def _direct_cause_graph(scenario: Scenario, cap: int) -> dict[str, frozenset[str]]:
+    """Incoming direct-cause edges for every variable, at the actual world:
+    graph[y] is the set of x with an edge x -> y."""
     model = scenario.model
-    graph: dict[str, frozenset[str]] = {}
-    for var in model.variables:
-        if model.is_initial(var):
-            graph[var] = frozenset()
-            continue
-        target = Event(var, scenario.actual_value(var))
-        members: set[str] = set()
-        for group in direct_cause_sets(scenario, target, cap):
-            members.update(ev.var for ev in group)
-        graph[var] = frozenset(members)
-    return graph
-
-
-def successor_map(
-    scenario: Scenario,
-    cap: int = ENUMERATION_CAP,
-) -> dict[str, tuple[str, ...]]:
-    """Outgoing direct-cause edges for every variable, at the actual world:
-    successors[x] lists, in sorted order, every y with an edge x -> y."""
-    return dict(memoized(scenario, _successor_map, cap))
-
-
-def _successor_map(scenario: Scenario, cap: int) -> dict[str, tuple[str, ...]]:
-    successors: dict[str, list[str]] = {v: [] for v in scenario.model.variables}
-    for child, parents in direct_cause_graph(scenario, cap).items():
-        for parent in parents:
-            successors[parent].append(child)
-    return {var: tuple(sorted(children)) for var, children in successors.items()}
+    return {var: direct_cause_parents(scenario, var, cap) for var in model.variables}

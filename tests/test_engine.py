@@ -31,7 +31,7 @@ class TestEngineOptions:
             {"mode": "bogus"},
             {"abnormality_variant": "4"},
             {"continuity": "none"},
-            {"certification": "maybe"},
+            {"abnormality_variant": "single-event"},
         ],
     )
     def test_rejects_unknown_settings(self, kwargs):
@@ -183,4 +183,4 @@ class TestAnalyze:
         assert analysis.effect == Event("e", 1)
         assert analysis.verdict_for(Event("a", 1)).is_cause
         assert analysis.chain_for("a") == ("a", "b", "e")
-        assert set(analysis.graph) == {"a", "b", "e"}
+        assert analysis.chain_for("e") == ("e",)

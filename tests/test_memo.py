@@ -1,10 +1,11 @@
 """The per-scenario memo: exactness, copies, fresh memos, and compute-once.
 
-Minimal sufficient sets, direct-cause sets, the direct-cause graph, its
-successor map and plan abnormality are computed once per scenario and
-argument tuple.  These tests check that sharing one scenario gives the same
-answers as a fresh scenario per call, that callers cannot corrupt the memo,
-and that no memo key is ever computed twice on one scenario.
+Minimal sufficient sets, direct-cause sets and plan abnormality are
+computed once per scenario and argument tuple.  These tests check that
+sharing one scenario gives the same answers as a fresh scenario per call,
+that callers cannot corrupt the memo, and that no memo key is ever computed
+twice on one scenario.  The chain searches that read the memo are checked
+against brute-force chain enumeration.
 """
 
 from __future__ import annotations
@@ -39,14 +40,12 @@ from actualcause import (
 )
 from actualcause import normality, sufficiency
 from actualcause.randmodel import random_effect, random_scenario, scenario_stream
-from actualcause.sufficiency import successor_map
 
 from conftest import corpus_dir, make_scenario
 
 NETS_KEPT = 20
 OPTION_SETS = (
     EngineOptions(abnormality_variant="3prime"),
-    EngineOptions(certification="membership"),
     EngineOptions(continuity="chain-certified"),
 )
 
@@ -94,7 +93,6 @@ class TestCopies:
             lambda: minimal_sufficient_sets(scenario, effect),
             lambda: direct_cause_sets(scenario, target),
             lambda: direct_cause_graph(scenario),
-            lambda: successor_map(scenario),
         ]
         for call in calls:
             first = call()
@@ -102,14 +100,6 @@ class TestCopies:
             assert first == expected and first is not expected
             first.clear()
             assert call() == expected
-
-    def test_analysis_successors_are_a_copy(self):
-        scenario = make_scenario("a=1; b=a; e=b")
-        analysis = analyze(scenario, Event("e", 1))
-        analysis.successors["a"] = ()
-        analysis.graph.clear()
-        assert successor_map(scenario)["a"] == ("b",)
-        assert direct_cause_graph(scenario)["b"] == frozenset({"a"})
 
 
 def test_replace_starts_with_an_empty_memo():
@@ -129,17 +119,12 @@ def test_memo_keys_hold_every_argument():
     scenario = make_scenario("a=1; b=1; e=a & b")
     effect = Event("e", 1)
     results = {
-        (variant, focus, certification): plan_abnormality(
-            scenario, ("a", "b"), effect, variant, focus, certification
-        )
+        (variant, focus): plan_abnormality(scenario, ("a", "b"), effect, variant, focus)
         for variant, focus in (("set-level", None), ("single-event", "a"))
-        for certification in ("flip-or-default", "membership")
     }
-    for (variant, focus, certification), result in results.items():
+    for (variant, focus), result in results.items():
         fresh = dataclasses.replace(scenario)
-        assert result == plan_abnormality(
-            fresh, ("a", "b"), effect, variant, focus, certification
-        )
+        assert result == plan_abnormality(fresh, ("a", "b"), effect, variant, focus)
     assert minimal_sufficient_sets(scenario, effect)
     with pytest.raises(SearchTooLargeError):
         minimal_sufficient_sets(scenario, effect, cap=1)
@@ -232,6 +217,56 @@ def test_chain_counts_match_enumeration_on_a_lattice():
     check_against_brute_force(scenario, random_effect(scenario))
 
 
+CHAIN_OPTIONS = tuple(
+    EngineOptions(continuity=continuity, abnormality_variant=variant)
+    for continuity in ("plan-membership", "chain-certified")
+    for variant in ("3", "3prime")
+)
+
+
+def brute_chain(analysis, successors, var: str) -> tuple[str, ...] | None:
+    """The shortest, then lexicographically smallest, chain from var to the
+    effect whose intermediate vertices all pass the continuity rule."""
+    scenario = analysis.scenario
+
+    def admissible(vertex: str) -> bool:
+        if analysis.options.continuity == "chain-certified":
+            return vertex in analysis.certified
+        target = Event(vertex, scenario.actual_value(vertex))
+        return any(
+            var in witness.plan.pinned_vars()
+            and plan_abnormality(scenario, witness.plan.pinned_vars(), target).passed
+            for witness in minimal_sufficient_sets(scenario, target)
+        )
+
+    chains = [
+        chain
+        for chain in brute_chains(successors, var, analysis.effect.var)
+        if all(admissible(vertex) for vertex in chain[1:-1])
+    ]
+    return min(chains, key=lambda chain: (len(chain), chain), default=None)
+
+
+def check_chains_against_brute_force(scenario, effect) -> None:
+    successors = brute_successors(scenario)
+    for options in CHAIN_OPTIONS:
+        analysis = analyze(scenario, effect, options)
+        for var in scenario.model.variables:
+            expected = brute_chain(analysis, successors, var)
+            assert analysis.chain_for(var) == expected, (options, var)
+
+
+def test_chains_match_enumeration_on_random_models():
+    for _, scenario in scenario_stream(37, 60, max_vars=7):
+        check_chains_against_brute_force(scenario, random_effect(scenario))
+
+
+def test_chains_match_enumeration_on_the_corpus():
+    for path in sorted(corpus_dir().glob("*.case")):
+        case = parse_case(path.read_text(encoding="utf-8"))
+        check_chains_against_brute_force(case.scenario, case.effect)
+
+
 # ---------------------------------------------------------------------------
 # Compute-once regression gate
 # ---------------------------------------------------------------------------
@@ -239,8 +274,6 @@ def test_chain_counts_match_enumeration_on_a_lattice():
 UNCACHED = (
     (sufficiency, "_minimal_sufficient_sets"),
     (sufficiency, "_direct_cause_sets"),
-    (sufficiency, "_direct_cause_graph"),
-    (sufficiency, "_successor_map"),
     (normality, "_plan_abnormality"),
 )
 

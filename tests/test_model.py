@@ -53,23 +53,13 @@ class TestEvent:
 
 class TestInterventionPlan:
     def test_pins_and_vars(self):
-        plan = InterventionPlan(
-            value_set=frozenset({Event("a", 1), Event("b", 0)}),
-            function_set=frozenset({"c"}),
-        )
+        plan = InterventionPlan(value_set=frozenset({Event("a", 1), Event("b", 0)}))
         assert plan.pins() == {"a": 1, "b": 0}
         assert plan.pinned_vars() == frozenset({"a", "b"})
 
     def test_rejects_conflicting_pins(self):
         with pytest.raises(DomainError):
             InterventionPlan(value_set=frozenset({Event("a", 0), Event("a", 1)}))
-
-    def test_rejects_pin_free_overlap(self):
-        with pytest.raises(DomainError):
-            InterventionPlan(
-                value_set=frozenset({Event("a", 0)}),
-                function_set=frozenset({"a"}),
-            )
 
     def test_empty_plan(self):
         assert EMPTY_PLAN.pins() == {}

@@ -8,12 +8,10 @@ import pytest
 from actualcause import (
     DomainError,
     Event,
-    InterventionPlan,
     ModelError,
     OrderResult,
     PlanNotSufficientError,
     UnknownVariableError,
-    abnormality_ok,
     compare,
     intrinsic_scenario,
     plan_abnormality,
@@ -152,14 +150,6 @@ class TestPlanAbnormality:
         assert result.passed
         assert result.certified == frozenset({"a"})
 
-    def test_membership_certification(self):
-        scenario = make_scenario("a=1; d=0; e=a & ~d")
-        result = plan_abnormality(
-            scenario, ("a", "d"), Event("e", 1), certification="membership"
-        )
-        assert result.passed
-        assert result.certified == frozenset({"a", "d"})
-
     def test_failed_screen_has_no_witness(self):
         # A lone at-default member cannot break the effect abnormally.
         scenario = make_scenario("a=0; e=~a")
@@ -175,15 +165,3 @@ class TestPlanAbnormality:
         result = plan_abnormality(scenario, ("a",), Event("e", 1))
         assert result.passed
         assert result.witness.background == frozenset({Event("c", 0)})
-
-    def test_abnormality_ok_wrapper(self):
-        scenario = make_scenario("a=1; d=0; e=a & ~d")
-        plan = InterventionPlan(
-            value_set=frozenset({Event("a", 1), Event("d", 0)})
-        )
-        passed, witness = abnormality_ok(scenario, plan, Event("e", 1))
-        assert passed and witness is not None
-        failed, missing = abnormality_ok(
-            scenario, plan, Event("e", 1), variant="single-event", focus="d"
-        )
-        assert not failed and missing is None
