@@ -5,15 +5,16 @@ the contrast set componentwise away from its actual values, hold a freeze
 set at its actual values, let everything else follow its equations, and
 require the effect to break in a world no less normal than the actual one.
 
-Normality is judged inside the intrinsically reduced model (strict
-ancestors of the contrast set dropped, their actual values substituted)
+Normality is judged inside the intrinsic reduction (strict ancestors of the
+contrast set dropped, their actual values substituted), which
+`normality.Reduction` reads from the parent's tables without building it,
 over every kept variable except the effect.  Pinned variables -- contrast
-members and freezes alike -- sit at Top when pinned at their default and
-at a tolerated middle level otherwise; unpinned variables rank Top when
-they are initial-in-the-reduction at their default or derived and obeying
-their reduced equation, and otherwise carry their value (and parent
-context) as a deviation, distinct deviations being incomparable.  The
-actual world is ranked by the same unpinned rule, so a middle-level pin is
+members and freezes alike -- sit at Top when pinned at their default and at
+a tolerated middle level otherwise; unpinned variables rank Top when they
+are initial-in-the-reduction at their default or derived and obeying their
+reduced equation, and otherwise carry their value (and their kept parents'
+values) as a deviation, distinct deviations being incomparable.  The actual
+world is ranked by the same unpinned rule, so a middle-level pin is
 admissible exactly where actuality itself deviates.
 
 Under that lattice most of the search collapses: a contrast member can
@@ -42,16 +43,7 @@ from .model import (
     SearchTooLargeError,
     solve,
 )
-from .normality import (
-    MID,
-    TOP,
-    OrderResult,
-    Rank,
-    _aggregate,
-    _component,
-    _free_rank,
-    _reduce,
-)
+from .normality import MID, TOP, Rank, Reduction
 from .sufficiency import ActualityError
 
 __all__ = [
@@ -137,12 +129,9 @@ def hph_causes(
     )
 
 
-def _pinned_rank(value: int, default: int) -> Rank:
+def _pinned_rank(value: int, actual_value: int, default: int) -> Rank:
+    """A pinned value ranks Top at its default only, else Mid."""
     return TOP if value == default else MID
-
-
-def _initial_in_reduction(scenario: Scenario, var: str, removed: frozenset[str]) -> bool:
-    return scenario.model.parents(var) <= removed
 
 
 def _find_witness(
@@ -155,17 +144,14 @@ def _find_witness(
     domain order (defaults first), freeze sets by size then position."""
     model = scenario.model
     actual = scenario.actual()
-    reduced, removed_values = _reduce(scenario, contrast_set)
-    removed = frozenset(removed_values)
-    kept = [v for v in reduced.model.variables if v != effect.var]
-    actual_ranks = {v: _free_rank(reduced, v, actual) for v in kept}
+    reduction = Reduction(scenario, contrast_set)
 
     ordered = [v for v in model.variables if v in contrast_set]
     choices: list[list[int]] = []
     for var in ordered:
         default = scenario.defaults[var]
         legal = [default] if default in model.domains[var] else []
-        if _initial_in_reduction(scenario, var, removed):
+        if var in reduction.initial:
             legal.extend(
                 value
                 for value in model.domains[var]
@@ -181,9 +167,9 @@ def _find_witness(
         if var != effect.var
         and var not in contrast_set
         and (
-            var in removed
+            var in reduction.removed
             or actual[var] == scenario.defaults[var]
-            or _initial_in_reduction(scenario, var, removed)
+            or var in reduction.initial
         )
     ]
 
@@ -203,17 +189,9 @@ def _find_witness(
                 world = solve(scenario, overrides=overrides)
                 if world[effect.var] == effect.value:
                     continue
-                parts = []
-                for var in kept:
-                    if var in overrides:
-                        witness_rank = _pinned_rank(
-                            world[var], scenario.defaults[var]
-                        )
-                    else:
-                        witness_rank = _free_rank(reduced, var, world)
-                    parts.append(_component(witness_rank, actual_ranks[var]))
-                verdict = _aggregate(parts)
-                if verdict in (OrderResult.EQUAL, OrderResult.GREATER_OR_EQUAL):
+                if reduction.no_less_normal(
+                    world, overrides, _pinned_rank, unranked=effect.var
+                ):
                     return HPHWitness(
                         contrast=frozenset(
                             Event(v, contrast[v]) for v in ordered

@@ -8,13 +8,16 @@ inside the intrinsically reduced scenario and adds a pin-aware middle level:
 a pinned variable sits at Top when pinned at its actual or default value and
 at Mid otherwise, so that off-default, off-actual contrasts are tolerated
 exactly when the actual side deviates too.
+
+The reduction is read from the scenario's value tables (`Reduction`), not
+built; its `no_less_normal` also serves the contrastive comparator.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Container, Iterable, Mapping
 
 from .model import (
     ENUMERATION_CAP,
@@ -36,6 +39,7 @@ __all__ = [
     "PlanAbnormality",
     "PlanNotSufficientError",
     "Rank",
+    "Reduction",
     "compare",
     "intrinsic_scenario",
     "plan_abnormality",
@@ -164,26 +168,70 @@ def compare(
 # ---------------------------------------------------------------------------
 
 
-def _reduce(scenario: Scenario, kept_pins: frozenset[str]) -> tuple[Scenario, dict[str, int]]:
-    """Remove the strict ancestors of the pinned variables (minus the pins
-    themselves), substituting their actual values into remaining equations."""
-    model = scenario.model
-    removed_vars = model.ancestors(kept_pins) - kept_pins
-    removed = {v: scenario.actual_value(v) for v in sorted(removed_vars)}
-    small = reduced_model(model, removed)
-    defaults = {v: scenario.defaults[v] for v in small.variables}
-    intentions = tuple(
-        (i, a)
-        for i, a in scenario.intentions
-        if i in small.domains and a in small.domains and i in small.parents(a)
-    )
-    reduced = Scenario(
-        model=small,
-        mode=scenario.mode,
-        defaults=defaults,
-        intentions=intentions,
-    )
-    return reduced, removed
+class Reduction:
+    """The intrinsic reduction of a scenario at a pin set, read from the
+    scenario's own value tables rather than built.
+
+    The strict ancestors of the pins, minus the pins, are removed and held at
+    their actual values.  Substitution never simplifies, so a kept variable is
+    initial in the reduction exactly when it has no kept parents, and then ranks
+    Top at its default.  Any other kept variable ranks Top when it obeys its own
+    table, read with the removed parents at their actual values (never the
+    world's); a deviation's context is its kept parents' values.
+    """
+
+    def __init__(self, scenario: Scenario, pins: frozenset[str]) -> None:
+        model = scenario.model
+        removed = model.ancestors(pins) - pins
+        self.scenario = scenario
+        self.actual = scenario.actual()
+        self.removed = {v: self.actual[v] for v in sorted(removed)}
+        # lists: tuple(generator) resizes, so freed tuples pile up on another size's free list
+        self.kept = [v for v in model.variables if v not in removed]
+        self.kept_parents = {
+            v: [p for p in model.parent_tuple(v) if p not in removed] for v in self.kept
+        }
+        self.initial = frozenset(v for v in self.kept if not self.kept_parents[v])
+        self.actual_ranks = {v: self._rank(v, self.actual) for v in self.kept}
+
+    def free_rank(self, var: str, world: Mapping[str, int]) -> Rank:
+        """Rank of the kept variable `var` in `world`, free of any pin."""
+        return self._rank(var, self._reduced(world))
+
+    def _reduced(self, world: Mapping[str, int]) -> dict[str, int]:
+        return {**world, **self.removed}
+
+    def _rank(self, var: str, values: Mapping[str, int]) -> Rank:
+        value = values[var]
+        if var in self.initial:
+            return TOP if value == self.scenario.defaults[var] else _deviant(value)
+        if self.scenario.model.lookup(var, values) == value:
+            return TOP
+        return _deviant(value, tuple(values[p] for p in self.kept_parents[var]))
+
+    def no_less_normal(
+        self,
+        world: Mapping[str, int],
+        pinned: Container[str],
+        pin_rank: Callable[[int, int, int], Rank],
+        unranked: str | None = None,
+    ) -> bool:
+        """Whether `world` is at least as normal as the actual world (EQUAL or
+        GREATER_OR_EQUAL) over the kept variables but `unranked`, that is, no
+        variable ranks lower or incomparably.  A pinned variable ranks by
+        `pin_rank(value, actual value, default)`, any other by its free rank."""
+        values = self._reduced(world)
+        defaults = self.scenario.defaults
+        for var in self.kept:
+            if var == unranked:
+                continue
+            if var in pinned:
+                found = pin_rank(world[var], self.actual[var], defaults[var])
+            else:
+                found = self._rank(var, values)
+            if _component(found, self.actual_ranks[var]) not in ("eq", "gt"):
+                return False
+        return True
 
 
 def intrinsic_scenario(
@@ -210,8 +258,15 @@ def intrinsic_scenario(
                 f"cause set {sorted(ev.render() for ev in events)} is not "
                 f"sufficient for {effect.render()}"
             )
-    reduced, _ = _reduce(scenario, frozenset(ev.var for ev in events))
-    return reduced
+    removed = Reduction(scenario, frozenset(ev.var for ev in events)).removed
+    small = reduced_model(scenario.model, removed)
+    defaults = {v: scenario.defaults[v] for v in small.variables}
+    intentions = tuple(
+        (i, a)
+        for i, a in scenario.intentions
+        if i in small.domains and a in small.domains and i in small.parents(a)
+    )
+    return Scenario(small, scenario.mode, defaults, intentions)
 
 
 # ---------------------------------------------------------------------------
@@ -240,20 +295,10 @@ class PlanAbnormality:
 
 
 def _pin_rank(value: int, actual_value: int, default_value: int) -> Rank:
+    """A pinned value ranks Top at its actual or default value, else Mid."""
     if value == actual_value or value == default_value:
         return TOP
     return MID
-
-
-def _free_rank(reduced: Scenario, var: str, values: Mapping[str, int]) -> Rank:
-    model = reduced.model
-    if model.is_initial(var):
-        if values[var] == reduced.defaults[var]:
-            return TOP
-        return _deviant(values[var])
-    if model.lookup(var, values) == values[var]:
-        return TOP
-    return _deviant(values[var], tuple(values[p] for p in model.parent_tuple(var)))
 
 
 def plan_abnormality(
@@ -295,9 +340,7 @@ def _plan_abnormality(
     if len(ordered_pins) != len(pins):
         unknown = pins - set(model.variables)
         raise UnknownVariableError(f"unknown plan variable(s) {sorted(unknown)}")
-    reduced, _removed = _reduce(scenario, pins)
-    kept = reduced.model.variables
-    actual_ranks = {v: _free_rank(reduced, v, actual) for v in kept}
+    reduction = Reduction(scenario, pins)
     roaming = scenario.roaming_vars(pins, effect.var)
 
     passed = False
@@ -315,17 +358,7 @@ def _plan_abnormality(
             world = solve(scenario, overrides=overrides)
             if world[effect.var] == effect.value:
                 continue
-            parts = []
-            for var in kept:
-                if var in overrides:
-                    witness_rank = _pin_rank(
-                        world[var], actual[var], scenario.defaults[var]
-                    )
-                else:
-                    witness_rank = _free_rank(reduced, var, world)
-                parts.append(_component(witness_rank, actual_ranks[var]))
-            verdict = _aggregate(parts)
-            if verdict in (OrderResult.EQUAL, OrderResult.GREATER_OR_EQUAL):
+            if reduction.no_less_normal(world, overrides, _pin_rank):
                 passed = True
                 flipped.update(delta)
                 if first_witness is None:

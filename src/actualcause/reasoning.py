@@ -21,6 +21,7 @@ from .model import (
     InterventionPlan,
     ModelError,
     Scenario,
+    memoized,
     render_events,
 )
 from .sufficiency import (
@@ -78,14 +79,21 @@ def _member_check(net: CauseNet, member: Event) -> None:
         )
 
 
-def _chain_counts(
-    scenario: Scenario, goal: str, cap: int
-) -> tuple[dict[str, int], dict[str, int], dict[str, list[str]]]:
+ChainCounts = tuple[dict[str, int], dict[str, int], dict[str, list[str]]]
+
+
+def _chain_counts(scenario: Scenario, goal: str, cap: int) -> ChainCounts:
     """For every variable with a direct-cause chain to the goal: the number
     of such chains, the sum of their edge counts, and its successors on
-    them.  The goal itself has one chain of length zero.  One pass over the
-    reverse topological order pushes each on-chain vertex's counts to its
-    direct-cause parents, so only the goal and its ancestors are read."""
+    them.  The goal itself has one chain of length zero.  Memoized per
+    scenario and arguments; callers only read the dicts."""
+    return memoized(scenario, _count_chains, goal, cap)
+
+
+def _count_chains(scenario: Scenario, goal: str, cap: int) -> ChainCounts:
+    """One pass over the reverse topological order pushes each on-chain
+    vertex's counts to its direct-cause parents, so only the goal and its
+    ancestors are read."""
     count = {goal: 1}
     length = {goal: 0}
     onward: dict[str, list[str]] = {}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from actualcause import ActualityError, Event, ModelError, hph_causes
 from actualcause.oracle import oracle_hph_vars
-from actualcause.randmodel import random_effect, random_scenario
+from actualcause.randmodel import random_effect, random_scenario, scenario_stream
 
 from conftest import make_scenario
 
@@ -99,3 +99,14 @@ def test_agrees_with_brute_force_on_random_models(seed):
         return
     effect = random_effect(scenario)
     assert hph_causes(scenario, effect).vars() == oracle_hph_vars(scenario, effect)
+
+
+def test_agrees_with_brute_force_on_a_random_stream():
+    queries = 0
+    for index, scenario in scenario_stream(41, 120, max_vars=7):
+        for var in scenario.model.variables[-2:]:
+            effect = Event(var, scenario.actual_value(var))
+            expected = oracle_hph_vars(scenario, effect)
+            assert hph_causes(scenario, effect).vars() == expected, (index, var)
+            queries += 1
+    assert queries == 240

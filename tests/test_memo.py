@@ -38,7 +38,7 @@ from actualcause import (
     parse_case,
     plan_abnormality,
 )
-from actualcause import normality, sufficiency
+from actualcause import normality, reasoning, sufficiency
 from actualcause.randmodel import random_effect, random_scenario, scenario_stream
 
 from conftest import corpus_dir, make_scenario
@@ -275,6 +275,7 @@ UNCACHED = (
     (sufficiency, "_minimal_sufficient_sets"),
     (sufficiency, "_direct_cause_sets"),
     (normality, "_plan_abnormality"),
+    (reasoning, "_count_chains"),
 )
 
 
@@ -300,6 +301,9 @@ def test_no_memo_key_is_computed_twice(monkeypatch):
         hph_causes(case.scenario, case.effect)
     for _, scenario in scenario_stream(1, 3, max_vars=7):
         net_queries(lambda: scenario, random_effect(scenario))
+    # the three random queries never count chains; this one does
+    lattice = make_scenario("a=1; b=a; c=a & b; d=b | c; f=c & d; e=d & f & b")
+    net_queries(lambda: lattice, Event("e", 1))
 
     assert {name for _, name, _ in computed} == {name for _, name in UNCACHED}
     repeated = [key for key, count in computed.items() if count > 1]

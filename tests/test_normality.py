@@ -3,6 +3,8 @@ per-plan abnormality screen."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from actualcause import (
@@ -17,6 +19,9 @@ from actualcause import (
     plan_abnormality,
     rank,
 )
+from actualcause import normality
+from actualcause.normality import Reduction
+from actualcause.randmodel import scenario_stream
 
 from conftest import make_scenario
 
@@ -165,3 +170,66 @@ class TestPlanAbnormality:
         result = plan_abnormality(scenario, ("a",), Event("e", 1))
         assert result.passed
         assert result.witness.background == frozenset({Event("c", 0)})
+
+
+def reference_rank(reduced, var, world):
+    """The free rank of `var` in `world`, read from the built reduced model:
+    (True, None, ()) for Top, else (False, value, parent values)."""
+    model = reduced.model
+    value = world[var]
+    if model.is_initial(var):
+        top = value == reduced.defaults[var]
+        context = ()
+    else:
+        top = model.lookup(var, world) == value
+        context = tuple(world[p] for p in model.parent_tuple(var))
+    return (True, None, ()) if top else (False, value, context)
+
+
+def rank_key(found):
+    return (True, None, ()) if found.is_top() else (False, found.value, found.context)
+
+
+def pin_sets(scenario):
+    """(effect, pins) for every set of one or two ancestors of a variable,
+    the effect being that variable at its actual value."""
+    for var in scenario.model.variables:
+        ancestors = sorted(scenario.model.ancestors(var))
+        for size in (1, 2):
+            for pins in itertools.combinations(ancestors, size):
+                yield Event(var, scenario.actual_value(var)), pins
+
+
+class TestReduction:
+    """The read-only reduction ranks exactly as the built intrinsic
+    scenario does, on the actual world and on every world the abnormality
+    screen solves."""
+
+    def test_ranks_match_the_built_reduction(self, monkeypatch):
+        worlds: list[dict[str, int]] = []
+
+        def recording_solve(*args, **kwargs):
+            world = solve(*args, **kwargs)
+            worlds.append(world)
+            return world
+
+        solve = normality.solve
+        monkeypatch.setattr(normality, "solve", recording_solve)
+        checked = 0
+        for mode in ("reliable", "general"):
+            for _, scenario in scenario_stream(43, 25, max_vars=7, mode=mode):
+                actual = scenario.actual()
+                for effect, pins in pin_sets(scenario):
+                    events = [Event(p, actual[p]) for p in pins]
+                    reduced = intrinsic_scenario(scenario, events, effect, check=False)
+                    reduction = Reduction(scenario, frozenset(pins))
+                    assert tuple(reduction.kept) == reduced.model.variables
+                    assert reduction.initial == reduced.model.initial_variables()
+                    worlds.clear()
+                    plan_abnormality(scenario, pins, effect)
+                    for world in [actual, *worlds]:
+                        for var in reduction.kept:
+                            found = rank_key(reduction.free_rank(var, world))
+                            assert found == reference_rank(reduced, var, world)
+                            checked += 1
+        assert checked > 10_000
