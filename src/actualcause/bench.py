@@ -219,30 +219,16 @@ def _render_markdown(report: BenchReport) -> str:
             "{contrastive} | {recorded_contrastive} | "
             "{recorded_alternative} | {contrastive_match} |".format(**row)
         )
-    deviations = [
-        result for result in report.results if result.printed_deviation
-    ]
     lines.append("")
     lines.append("## Contrastive deviations from the recorded column")
+    deviations = _deviations(report)
     if not deviations:
         lines.append("")
         lines.append("none")
-    for result in deviations:
-        case = result.case
-        recorded = result.recorded_contrastive
+    for headline, details in deviations:
         lines.append("")
-        lines.append(
-            f"- {case.id}: computed {_set_text(result.contrastive)}, "
-            f"recorded {_set_text(recorded)}"
-        )
-        missing = (recorded or frozenset()) - result.contrastive
-        if missing:
-            lines.append(
-                f"  - recorded but not derivable: {_set_text(missing)} "
-                "(no contrast set admits an admissible witness)"
-            )
-        for verdict in result.contrastive_verdicts:
-            lines.append(f"  - {_witness_text(case.effect, verdict)}")
+        lines.append(f"- {headline}")
+        lines.extend(f"  - {detail}" for detail in details)
     return "\n".join(lines) + "\n"
 
 
@@ -256,28 +242,32 @@ def _witness_text(effect: Event, verdict: HPHVerdict) -> str:
     )
 
 
-def _deviation_lines(report: BenchReport) -> list[str]:
-    lines = ["deviations from the recorded contrastive column:"]
-    deviations = [r for r in report.results if r.printed_deviation]
-    if not deviations:
-        lines.append("  none")
-        return lines
-    for result in deviations:
+def _deviations(report: BenchReport) -> list[tuple[str, list[str]]]:
+    """Each case whose contrastive set differs from the recorded column: a
+    headline, then why the recorded events are missing and each computed
+    event's witness."""
+    out = []
+    for result in report.results:
+        if not result.printed_deviation:
+            continue
         case = result.case
         recorded = result.recorded_contrastive
-        lines.append(
-            f"  {case.id}: computed {_set_text(result.contrastive)}, "
-            f"recorded {_set_text(recorded)}"
-        )
+        details = []
         missing = (recorded or frozenset()) - result.contrastive
         if missing:
-            lines.append(
-                f"    recorded but not derivable: {_set_text(missing)} "
+            details.append(
+                f"recorded but not derivable: {_set_text(missing)} "
                 "(no contrast set admits an admissible witness)"
             )
-        for verdict in result.contrastive_verdicts:
-            lines.append(f"    {_witness_text(case.effect, verdict)}")
-    return lines
+        details.extend(
+            _witness_text(case.effect, verdict) for verdict in result.contrastive_verdicts
+        )
+        headline = (
+            f"{case.id}: computed {_set_text(result.contrastive)}, "
+            f"recorded {_set_text(recorded)}"
+        )
+        out.append((headline, details))
+    return out
 
 
 def _render_plain(report: BenchReport) -> str:
@@ -291,7 +281,13 @@ def _render_plain(report: BenchReport) -> str:
             f"contrastive={row['contrastive']} "
             f"contrastive-match={row['contrastive_match']}"
         )
-    lines.extend(_deviation_lines(report))
+    lines.append("deviations from the recorded contrastive column:")
+    deviations = _deviations(report)
+    if not deviations:
+        lines.append("  none")
+    for headline, details in deviations:
+        lines.append(f"  {headline}")
+        lines.extend(f"    {detail}" for detail in details)
     lines.append(
         "total={cases} primary-mismatches={primary_mismatches} "
         "contrastive-raw={contrastive_raw_mismatches} "

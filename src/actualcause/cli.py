@@ -2,13 +2,14 @@
 
 Exit codes for ``check``: 0 when the computed causes match the recorded
 intuition (or no intuition is recorded), 1 on a mismatch, 2 on a parse
-error, 3 when a search exceeds the enumeration cap.
+error, 3 when a search exceeds ENUMERATION_CAP.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -16,7 +17,7 @@ import click
 from .bench import render_report, run_bench
 from .comparators import hph_causes
 from .dsl import ParseError, parse_case
-from .engine import EngineOptions, intentional_causes
+from .engine import EngineOptions, analyze, intentional_causes
 from .model import Event, SearchTooLargeError
 from .verification import run_verify
 
@@ -56,7 +57,7 @@ def main() -> None:
     "--mode",
     type=click.Choice(["reliable", "general"]),
     default=None,
-    help="Override the scenario's declared mode.",
+    help="Override the scenario's declared mode (primary definition only).",
 )
 @click.option("--verbose", is_flag=True, help="Show witnesses and chains.")
 def check(case_file: str, definition: str, variant: str, mode: str | None, verbose: bool) -> None:
@@ -67,16 +68,16 @@ def check(case_file: str, definition: str, variant: str, mode: str | None, verbo
         click.echo(f"parse error: {err}", err=True)
         sys.exit(2)
 
-    options = EngineOptions(mode=mode, abnormality_variant=variant)
+    options = EngineOptions(abnormality_variant=variant)
+    # the mode override applies to the primary definition only
+    scenario = case.scenario if mode is None else replace(case.scenario, mode=mode)
     mismatch = False
     try:
         if definition in ("primary", "all"):
-            causes = intentional_causes(case.scenario, case.effect, options)
+            causes = intentional_causes(scenario, case.effect, options)
             click.echo(f"causes: {_fmt(causes)}")
             if verbose:
-                from .engine import analyze
-
-                analysis = analyze(case.scenario, case.effect, options)
+                analysis = analyze(scenario, case.effect, options)
                 for var in sorted(analysis.scenario.model.variables):
                     if var == case.effect.var:
                         continue

@@ -81,11 +81,7 @@ class HPHResult:
         return frozenset(ev.var for ev in self.events)
 
 
-def hph_causes(
-    scenario: Scenario,
-    effect: Event,
-    cap: int = ENUMERATION_CAP,
-) -> HPHResult:
+def hph_causes(scenario: Scenario, effect: Event) -> HPHResult:
     """Members of minimal contrast sets admitting an admissible witness."""
     model = scenario.model
     model.check_value(effect.var, effect.value)
@@ -107,7 +103,7 @@ def hph_causes(
             contrast_set = frozenset(combo)
             if any(small <= contrast_set for small in minimal):
                 continue
-            witness = _find_witness(scenario, contrast_set, effect, cap)
+            witness = _find_witness(scenario, contrast_set, effect)
             if witness is None:
                 continue
             minimal.append(contrast_set)
@@ -135,10 +131,7 @@ def _pinned_rank(value: int, actual_value: int, default: int) -> Rank:
 
 
 def _find_witness(
-    scenario: Scenario,
-    contrast_set: frozenset[str],
-    effect: Event,
-    cap: int,
+    scenario: Scenario, contrast_set: frozenset[str], effect: Event
 ) -> HPHWitness | None:
     """First admissible witness in canonical order: contrast vectors in
     domain order (defaults first), freeze sets by size then position."""
@@ -174,10 +167,10 @@ def _find_witness(
     ]
 
     size = (2 ** len(freeze_pool)) * math.prod(len(c) for c in choices)
-    if size > cap:
+    if size > ENUMERATION_CAP:
         raise SearchTooLargeError(
             f"contrast search over {sorted(contrast_set)} has {size} "
-            f"candidate worlds, cap {cap}"
+            f"candidate worlds, cap {ENUMERATION_CAP}"
         )
 
     for vector in itertools.product(*choices):
@@ -186,7 +179,7 @@ def _find_witness(
             for frozen_combo in itertools.combinations(freeze_pool, count):
                 overrides = dict(contrast)
                 overrides.update({v: actual[v] for v in frozen_combo})
-                world = solve(scenario, overrides=overrides)
+                world = solve(scenario, overrides)
                 if world[effect.var] == effect.value:
                     continue
                 if reduction.no_less_normal(

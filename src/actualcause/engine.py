@@ -15,22 +15,11 @@ the candidate, with no default clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass
 
-from .model import (
-    ENUMERATION_CAP,
-    Event,
-    ModelError,
-    Scenario,
-)
-from .normality import AbnormalityWitness, PlanAbnormality, plan_abnormality
-from .sufficiency import (
-    ActualityError,
-    SufficiencyWitness,
-    direct_cause_parents,
-    minimal_sufficient_sets,
-)
+from .model import Event, ModelError, Scenario
+from .normality import AbnormalityWitness, plan_abnormality
+from .sufficiency import ActualityError, direct_cause_parents, minimal_sufficient_sets
 
 __all__ = [
     "CauseVerdict",
@@ -48,15 +37,11 @@ __all__ = [
 class EngineOptions:
     """Engine configuration.  The defaults are the shipped semantics."""
 
-    mode: str | None = None  # None follows the scenario's own mode
     abnormality_variant: str = "3"  # "3" | "3prime"
     apply_intentional_rule: bool = True
     continuity: str = "plan-membership"  # | "chain-certified"
-    enumeration_cap: int = ENUMERATION_CAP
 
     def __post_init__(self) -> None:
-        if self.mode not in (None, "reliable", "general"):
-            raise ModelError(f"unknown mode {self.mode!r}")
         if self.abnormality_variant not in ("3", "3prime"):
             raise ModelError(
                 f"unknown abnormality variant {self.abnormality_variant!r}"
@@ -81,11 +66,9 @@ class CauseVerdict:
 
 @dataclass(frozen=True)
 class _PlanRecord:
-    witness: SufficiencyWitness
-    abnormality: PlanAbnormality
-    # per-variable certification under the active variant
-    certified: frozenset[str]
-    single_witnesses: Mapping[str, AbnormalityWitness] | None = None
+    events: frozenset[Event]
+    # the abnormality witness of each variable the active variant certifies
+    witnesses: dict[str, AbnormalityWitness]
 
 
 class ScenarioAnalysis:
@@ -101,46 +84,26 @@ class ScenarioAnalysis:
         self.scenario = scenario
         self.effect = effect
         self.options = options
-        cap = options.enumeration_cap
-        self.sufficiency: list[SufficiencyWitness] = minimal_sufficient_sets(
-            scenario, effect, cap
-        )
         self.plans: list[_PlanRecord] = []
-        for witness in self.sufficiency:
-            plan_vars = witness.plan.pinned_vars()
-            base = plan_abnormality(scenario, plan_vars, effect, cap=cap)
+        for events in minimal_sufficient_sets(scenario, effect):
+            plan_vars = frozenset(ev.var for ev in events)
+            witnesses: dict[str, AbnormalityWitness] = {}
             if options.abnormality_variant == "3prime":
-                singles: dict[str, AbnormalityWitness] = {}
-                certified: set[str] = set()
+                # each variable needs its own single-event witness
                 for var in sorted(plan_vars):
                     narrow = plan_abnormality(
-                        scenario,
-                        plan_vars,
-                        effect,
-                        variant="single-event",
-                        focus=var,
-                        cap=cap,
+                        scenario, plan_vars, effect, variant="single-event", focus=var
                     )
                     if narrow.passed:
-                        certified.add(var)
-                        if narrow.witness is not None:
-                            singles[var] = narrow.witness
-                record = _PlanRecord(
-                    witness=witness,
-                    abnormality=base,
-                    certified=frozenset(certified),
-                    single_witnesses=singles,
-                )
+                        witnesses[var] = narrow.witness
             else:
-                record = _PlanRecord(
-                    witness=witness,
-                    abnormality=base,
-                    certified=base.certified if base.passed else frozenset(),
-                )
-            self.plans.append(record)
+                base = plan_abnormality(scenario, plan_vars, effect)
+                if base.passed:
+                    witnesses = dict.fromkeys(base.certified, base.witness)
+            self.plans.append(_PlanRecord(events=events, witnesses=witnesses))
         self.certified: dict[str, _PlanRecord] = {}
         for record in self.plans:
-            for var in record.certified:
+            for var in record.witnesses:
                 self.certified.setdefault(var, record)
 
     # -- chains ---------------------------------------------------------------
@@ -157,7 +120,6 @@ class ScenarioAnalysis:
         goal = self.effect.var
         if var == goal:
             return (var,)
-        cap = self.options.enumeration_cap
 
         def admissible(vertex: str) -> bool:
             if self.options.continuity == "chain-certified":
@@ -170,7 +132,7 @@ class ScenarioAnalysis:
         while frontier and var not in dist:
             layer: list[str] = []
             for vertex in frontier:
-                parents[vertex] = direct_cause_parents(self.scenario, vertex, cap)
+                parents[vertex] = direct_cause_parents(self.scenario, vertex)
                 for parent in parents[vertex]:
                     if parent not in dist and (parent == var or admissible(parent)):
                         dist[parent] = dist[vertex] + 1
@@ -194,11 +156,10 @@ class ScenarioAnalysis:
         """Plan-membership continuity: the cause belongs to some minimal
         sufficient, abnormality-passing plan for the intermediate vertex."""
         target = Event(vertex, self.scenario.actual_value(vertex))
-        cap = self.options.enumeration_cap
-        for witness in minimal_sufficient_sets(self.scenario, target, cap):
-            plan_vars = witness.plan.pinned_vars()
+        for events in minimal_sufficient_sets(self.scenario, target):
+            plan_vars = frozenset(ev.var for ev in events)
             if cause_var in plan_vars and plan_abnormality(
-                self.scenario, plan_vars, target, cap=cap
+                self.scenario, plan_vars, target
             ).passed:
                 return True
         return False
@@ -225,31 +186,19 @@ class ScenarioAnalysis:
                 cause=cause,
                 effect=self.effect,
                 is_cause=False,
-                plan=record.witness.plan.value_set,
-                witness=self._witness_for(record, cause.var),
+                plan=record.events,
+                witness=record.witnesses[cause.var],
                 reason="certified, but no certified chain reaches the effect",
             )
         return CauseVerdict(
             cause=cause,
             effect=self.effect,
             is_cause=True,
-            plan=record.witness.plan.value_set,
-            witness=self._witness_for(record, cause.var),
+            plan=record.events,
+            witness=record.witnesses[cause.var],
             chain=chain,
             reason="certified with chain " + " -> ".join(chain),
         )
-
-    @staticmethod
-    def _witness_for(record: _PlanRecord, var: str) -> AbnormalityWitness | None:
-        if record.single_witnesses is not None:
-            return record.single_witnesses.get(var, record.abnormality.witness)
-        return record.abnormality.witness
-
-
-def _effective(scenario: Scenario, options: EngineOptions) -> Scenario:
-    if options.mode is None or options.mode == scenario.mode:
-        return scenario
-    return replace(scenario, mode=options.mode)
 
 
 def analyze(
@@ -257,7 +206,6 @@ def analyze(
     effect: Event,
     options: EngineOptions = DEFAULT_OPTIONS,
 ) -> ScenarioAnalysis:
-    scenario = _effective(scenario, options)
     if scenario.actual_value(effect.var) != effect.value:
         raise ActualityError(
             f"effect {effect.render()} is not the actual value "
@@ -305,7 +253,6 @@ def intentional_causes(
     raw = causes_of(scenario, effect, options)
     if not options.apply_intentional_rule:
         return raw
-    scenario = _effective(scenario, options)
     reported = set(raw)
     for intention_var, action_var in scenario.intentions:
         if effect.var in (intention_var, action_var):

@@ -23,7 +23,6 @@ __all__ = [
     "Domain",
     "DomainError",
     "Event",
-    "InterventionPlan",
     "Model",
     "ModelError",
     "NonExhaustivePiecewiseError",
@@ -34,7 +33,6 @@ __all__ = [
     "event_set",
     "memoized",
     "render_events",
-    "satisfies",
     "solve",
 ]
 
@@ -67,7 +65,7 @@ class NonExhaustivePiecewiseError(ModelError):
 
 
 class SearchTooLargeError(ModelError):
-    """An enumeration would exceed the configured cap."""
+    """An enumeration would exceed ENUMERATION_CAP."""
 
 
 @dataclass(frozen=True)
@@ -113,27 +111,6 @@ def event_set(assignment: Mapping[str, int]) -> frozenset[Event]:
 def render_events(events: Iterable[Event]) -> str:
     inner = ", ".join(ev.render() for ev in sorted(events))
     return "{" + inner + "}"
-
-
-@dataclass(frozen=True)
-class InterventionPlan:
-    """The events a plan pins (its value set)."""
-
-    value_set: frozenset[Event] = frozenset()
-
-    def __post_init__(self) -> None:
-        pinned = [ev.var for ev in self.value_set]
-        if len(set(pinned)) != len(pinned):
-            raise DomainError(f"plan pins a variable twice: {sorted(pinned)}")
-
-    def pins(self) -> Assignment:
-        return {ev.var: ev.value for ev in self.value_set}
-
-    def pinned_vars(self) -> frozenset[str]:
-        return frozenset(ev.var for ev in self.value_set)
-
-
-EMPTY_PLAN = InterventionPlan()
 
 
 class Model:
@@ -406,23 +383,11 @@ def memoized(scenario: Scenario, compute: Callable[..., T], *args: Hashable) -> 
     return memo[key]
 
 
-def solve(
-    scenario: Scenario,
-    plan: InterventionPlan = EMPTY_PLAN,
-    overrides: Mapping[str, int] | Iterable[Event] = (),
-) -> Assignment:
+def solve(scenario: Scenario, pins: Mapping[str, int] | None = None) -> Assignment:
     """Evaluate every variable: pinned ones take their pins, the rest read
     their value tables in topological order."""
     model = scenario.model
-    pins = plan.pins()
-    if isinstance(overrides, Mapping):
-        extra = dict(overrides)
-    else:
-        extra = {ev.var: ev.value for ev in overrides}
-    for var, value in extra.items():
-        if var in pins and pins[var] != value:
-            raise DomainError(f"conflicting pins for {var!r}: {pins[var]} vs {value}")
-    pins.update(extra)
+    pins = pins or {}
     for var, value in pins.items():
         model.check_value(var, value)
     out: Assignment = {}
@@ -431,27 +396,12 @@ def solve(
     return {v: out[v] for v in model.variables}
 
 
-def satisfies(
-    scenario: Scenario,
-    plan: InterventionPlan,
-    overrides: Mapping[str, int] | Iterable[Event],
-    target: Iterable[Event],
-) -> bool:
-    """Solve under the plan plus overrides and test the target events."""
-    result = solve(scenario, plan, overrides)
-    return all(result[ev.var] == ev.value for ev in target)
-
-
-def enumerate_settings(
-    model: Model,
-    variables: Iterable[str],
-    cap: int = ENUMERATION_CAP,
-) -> Iterator[Assignment]:
+def enumerate_settings(model: Model, variables: Iterable[str]) -> Iterator[Assignment]:
     """All assignments over the given variables, in deterministic order.
 
     Variables iterate in model declaration order; values in domain order.
     Raises SearchTooLargeError before yielding anything if the product of the
-    domain sizes exceeds the cap.
+    domain sizes exceeds ENUMERATION_CAP.
     """
     wanted = set(variables)
     loose = wanted - set(model.variables)
@@ -461,9 +411,9 @@ def enumerate_settings(
     size = 1
     for var in ordered:
         size *= len(model.domains[var])
-    if size > cap:
+    if size > ENUMERATION_CAP:
         raise SearchTooLargeError(
-            f"assignment space over {ordered} has {size} settings, cap {cap}"
+            f"assignment space over {ordered} has {size} settings, cap {ENUMERATION_CAP}"
         )
     for combo in itertools.product(*(model.domains[v].values for v in ordered)):
         yield dict(zip(ordered, combo))

@@ -20,10 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Mapping
 
 from .model import (
-    ENUMERATION_CAP,
     Assignment,
     Event,
-    InterventionPlan,
     ModelError,
     Scenario,
     UnknownVariableError,
@@ -252,8 +250,7 @@ def intrinsic_scenario(
     if check:
         from .sufficiency import is_sufficient
 
-        plan = InterventionPlan(value_set=events)
-        if not is_sufficient(scenario, plan, effect):
+        if not is_sufficient(scenario, events, effect):
             raise PlanNotSufficientError(
                 f"cause set {sorted(ev.render() for ev in events)} is not "
                 f"sufficient for {effect.render()}"
@@ -307,7 +304,6 @@ def plan_abnormality(
     effect: Event,
     variant: str = "set-level",
     focus: str | None = None,
-    cap: int = ENUMERATION_CAP,
 ) -> PlanAbnormality:
     """Search contrasts over the plan variables (and free background pins)
     for a world that breaks the effect no less normally than actuality.
@@ -319,7 +315,7 @@ def plan_abnormality(
     The result is memoized per scenario and arguments.
     """
     pins = frozenset(plan_vars)
-    return memoized(scenario, _plan_abnormality, pins, effect, variant, focus, cap)
+    return memoized(scenario, _plan_abnormality, pins, effect, variant, focus)
 
 
 def _plan_abnormality(
@@ -328,7 +324,6 @@ def _plan_abnormality(
     effect: Event,
     variant: str,
     focus: str | None,
-    cap: int,
 ) -> PlanAbnormality:
     if variant not in ("set-level", "single-event"):
         raise ModelError(f"unknown abnormality variant {variant!r}")
@@ -347,15 +342,15 @@ def _plan_abnormality(
     first_witness: AbnormalityWitness | None = None
     flipped: set[str] = set()
 
-    for contrast in enumerate_settings(model, ordered_pins, cap):
+    for contrast in enumerate_settings(model, ordered_pins):
         delta = [v for v in ordered_pins if contrast[v] != actual[v]]
         if not delta:
             continue
         if variant == "single-event" and delta != [focus]:
             continue
-        for background in enumerate_settings(model, roaming, cap):
+        for background in enumerate_settings(model, roaming):
             overrides = {**contrast, **background}
-            world = solve(scenario, overrides=overrides)
+            world = solve(scenario, overrides)
             if world[effect.var] == effect.value:
                 continue
             if reduction.no_less_normal(world, overrides, _pin_rank):

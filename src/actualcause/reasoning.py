@@ -16,9 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .model import (
-    ENUMERATION_CAP,
     Event,
-    InterventionPlan,
     ModelError,
     Scenario,
     memoized,
@@ -82,15 +80,15 @@ def _member_check(net: CauseNet, member: Event) -> None:
 ChainCounts = tuple[dict[str, int], dict[str, int], dict[str, list[str]]]
 
 
-def _chain_counts(scenario: Scenario, goal: str, cap: int) -> ChainCounts:
+def _chain_counts(scenario: Scenario, goal: str) -> ChainCounts:
     """For every variable with a direct-cause chain to the goal: the number
     of such chains, the sum of their edge counts, and its successors on
     them.  The goal itself has one chain of length zero.  Memoized per
-    scenario and arguments; callers only read the dicts."""
-    return memoized(scenario, _count_chains, goal, cap)
+    scenario and goal; callers only read the dicts."""
+    return memoized(scenario, _count_chains, goal)
 
 
-def _count_chains(scenario: Scenario, goal: str, cap: int) -> ChainCounts:
+def _count_chains(scenario: Scenario, goal: str) -> ChainCounts:
     """One pass over the reverse topological order pushes each on-chain
     vertex's counts to its direct-cause parents, so only the goal and its
     ancestors are read."""
@@ -100,7 +98,7 @@ def _count_chains(scenario: Scenario, goal: str, cap: int) -> ChainCounts:
     for var in reversed(scenario.model.topological_order()):
         if var not in count:
             continue
-        for parent in direct_cause_parents(scenario, var, cap):
+        for parent in direct_cause_parents(scenario, var):
             count[parent] = count.get(parent, 0) + count[var]
             length[parent] = length.get(parent, 0) + length[var] + count[var]
             onward.setdefault(parent, []).append(var)
@@ -111,7 +109,6 @@ def cause_nets(
     scenario: Scenario,
     effect: Event,
     depth_limit: int | None = None,
-    cap: int = ENUMERATION_CAP,
 ) -> list[CauseNet]:
     """Closure of the effect's direct-cause sets under member replacement by
     the member's own direct-cause sets, breadth first, deduplicated."""
@@ -123,7 +120,7 @@ def cause_nets(
         raise NoParentsError(f"{effect.var!r} has no parents")
 
     def dc_sets(var: str) -> list[frozenset[Event]]:
-        return direct_cause_sets(scenario, Event(var, scenario.actual_value(var)), cap)
+        return direct_cause_sets(scenario, Event(var, scenario.actual_value(var)))
 
     nets: list[CauseNet] = []
     seen: set[frozenset[Event]] = set()
@@ -166,10 +163,8 @@ def _verify_sufficient(
     events: frozenset[Event],
     effect: Event,
     operation: str,
-    cap: int,
 ) -> None:
-    plan = InterventionPlan(value_set=events)
-    if not is_sufficient(scenario, plan, effect, cap):
+    if not is_sufficient(scenario, events, effect):
         raise ReasoningError(
             f"{operation} produced {render_events(events)}, which is not "
             f"sufficient for {effect.render()}"
@@ -181,7 +176,6 @@ def interpolate(
     net: CauseNet | frozenset[Event],
     member: Event,
     effect: Event,
-    cap: int = ENUMERATION_CAP,
 ) -> CauseNet:
     """Replace a member by its successors on every direct-cause chain from
     the member to the effect: the successors from which the effect is
@@ -192,14 +186,14 @@ def interpolate(
     _member_check(net, member)
     if member.var == effect.var:
         return net
-    _, _, onward = _chain_counts(scenario, effect.var, cap)
+    _, _, onward = _chain_counts(scenario, effect.var)
     step = {Event(var, scenario.actual_value(var)) for var in onward.get(member.var, ())}
     if not step:
         raise NoChainError(
             f"{member.render()} has no direct-cause chain to {effect.render()}"
         )
     events = (net.events - {member}) | step
-    _verify_sufficient(scenario, events, effect, "interpolation", cap)
+    _verify_sufficient(scenario, events, effect, "interpolation")
     return CauseNet(
         events=events,
         provenance=net.provenance
@@ -212,7 +206,6 @@ def extrapolate(
     net: CauseNet | frozenset[Event],
     member: Event,
     effect: Event,
-    cap: int = ENUMERATION_CAP,
 ) -> CauseNet:
     """Replace a member by its first eligible minimal sufficient set: the
     canonical order is size then variable tuple, and a set is eligible when
@@ -222,8 +215,7 @@ def extrapolate(
     net = _as_net(net)
     _member_check(net, member)
     chosen: frozenset[Event] | None = None
-    for witness in minimal_sufficient_sets(scenario, member, cap):
-        events = witness.plan.value_set
+    for events in minimal_sufficient_sets(scenario, member):
         if not events:
             continue
         if member.var in {ev.var for ev in events}:
@@ -237,7 +229,7 @@ def extrapolate(
             + (f"extrapolate {member.render()} -> identity",),
         )
     events = (net.events - {member}) | chosen
-    _verify_sufficient(scenario, events, effect, "extrapolation", cap)
+    _verify_sufficient(scenario, events, effect, "extrapolation")
     return CauseNet(
         events=events,
         provenance=net.provenance
@@ -250,18 +242,17 @@ def flank(
     net: CauseNet | frozenset[Event],
     member: Event,
     effect: Event,
-    cap: int = ENUMERATION_CAP,
 ) -> CauseNet:
     """Interpolate the member, then extrapolate each newly added member
     once (in canonical event order)."""
     net = _as_net(net)
     _member_check(net, member)
-    stepped = interpolate(scenario, net, member, effect, cap)
+    stepped = interpolate(scenario, net, member, effect)
     added = stepped.events - (net.events - {member})
     out = stepped
     for event in sorted(added):
         if event in out.events:
-            out = extrapolate(scenario, out, event, effect, cap)
+            out = extrapolate(scenario, out, event, effect)
     return out
 
 
@@ -269,7 +260,6 @@ def distance(
     scenario: Scenario,
     net: CauseNet | frozenset[Event],
     effect: Event,
-    cap: int = ENUMERATION_CAP,
 ) -> float:
     """Mean edge count over every (member, chain) pair, where the chains of
     a member are all its direct-cause chains to the effect and the effect
@@ -279,7 +269,7 @@ def distance(
     net = _as_net(net)
     if not net.events:
         raise ReasoningError("distance of an empty net is undefined")
-    count, length, _ = _chain_counts(scenario, effect.var, cap)
+    count, length, _ = _chain_counts(scenario, effect.var)
     chains = total = 0
     for member in sorted(net.events):
         if member.var not in count:

@@ -1,10 +1,10 @@
 """Sufficient sets and direct causes.
 
-A plan's pinned events are sufficient for an effect when the effect holds
-however the unconstrained background varies.  In reliable mode every derived
-variable outside the pins follows its equation and only the remaining
-initial variables roam; in general mode every variable outside the pins
-roams.
+A set of actual events is sufficient for an effect when pinning them forces
+the effect however the unconstrained background varies.  In reliable mode
+every derived variable outside the pins follows its equation and only the
+remaining initial variables roam; in general mode every variable outside the
+pins roams.
 
 Sufficient sets and direct causes are memoized per scenario and arguments;
 each call returns a fresh copy.
@@ -13,27 +13,24 @@ each call returns a fresh copy.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable
 
 from .expr import Const
 from .model import (
-    ENUMERATION_CAP,
     Event,
-    InterventionPlan,
     Model,
     ModelError,
     Scenario,
     UnknownVariableError,
     enumerate_settings,
     memoized,
-    satisfies,
+    solve,
 )
 from .normality import plan_abnormality
 
 __all__ = [
     "ActualityError",
     "NoParentsError",
-    "SufficiencyWitness",
     "direct_cause_graph",
     "direct_cause_parents",
     "direct_cause_sets",
@@ -52,93 +49,68 @@ class NoParentsError(ModelError):
     """Direct causes were requested for an initial variable."""
 
 
-@dataclass(frozen=True)
-class SufficiencyWitness:
-    """A sufficiency-passing plan together with the background it survived."""
-
-    plan: InterventionPlan
-    robust_vars: frozenset[str]
-
-    def events(self) -> frozenset[Event]:
-        return self.plan.value_set
-
-
-def _check_actual_pins(scenario: Scenario, plan: InterventionPlan) -> None:
-    for ev in plan.value_set:
+def _actual_pins(scenario: Scenario, events: Iterable[Event]) -> dict[str, int]:
+    """The events as a pin map; each must be at its actual value, so no
+    variable can be pinned twice."""
+    pins: dict[str, int] = {}
+    for ev in events:
         scenario.model.check_value(ev.var, ev.value)
         if scenario.actual_value(ev.var) != ev.value:
             raise ActualityError(
                 f"plan pins {ev.render()} but the actual value is "
                 f"{scenario.actual_value(ev.var)}"
             )
+        pins[ev.var] = ev.value
+    return pins
 
 
-def is_sufficient(
-    scenario: Scenario,
-    plan: InterventionPlan,
-    effect: Event,
-    cap: int = ENUMERATION_CAP,
-) -> bool:
-    """Does pinning the plan's events force the effect under every roaming
+def is_sufficient(scenario: Scenario, events: Iterable[Event], effect: Event) -> bool:
+    """Does pinning the events force the effect under every roaming
     background?  Only the roaming ancestors of the effect are enumerated: the
     others cannot change it."""
     model = scenario.model
     model.check_value(effect.var, effect.value)
-    _check_actual_pins(scenario, plan)
-    pins = plan.pins()
+    pins = _actual_pins(scenario, events)
     if effect.var in pins:
         return pins[effect.var] == effect.value
-    roaming = scenario.roaming_vars(plan.pinned_vars(), effect.var) & model.ancestors(
+    roaming = scenario.roaming_vars(frozenset(pins), effect.var) & model.ancestors(
         effect.var
     )
-    for background in enumerate_settings(model, roaming, cap):
-        if not satisfies(scenario, plan, background, (effect,)):
+    for background in enumerate_settings(model, roaming):
+        if solve(scenario, {**pins, **background})[effect.var] != effect.value:
             return False
     return True
 
 
-def minimal_sufficient_sets(
-    scenario: Scenario,
-    effect: Event,
-    cap: int = ENUMERATION_CAP,
-) -> list[SufficiencyWitness]:
-    """All inclusion-minimal sufficient plans over actual-valued events,
-    ordered by size then variable tuple.
+def minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozenset[Event]]:
+    """All inclusion-minimal sufficient sets of actual events, ordered by
+    size then variable tuple.
 
     Only ancestors of the effect are candidates.  The effect's value depends
-    on its ancestors alone, so adding a non-ancestor to a plan never changes
-    whether it is sufficient, and a non-ancestor is never in a minimal plan.
+    on its ancestors alone, so adding a non-ancestor to a set never changes
+    whether it is sufficient, and a non-ancestor is never in a minimal set.
     """
-    return list(memoized(scenario, _minimal_sufficient_sets, effect, cap))
+    return list(memoized(scenario, _minimal_sufficient_sets, effect))
 
 
-def _minimal_sufficient_sets(
-    scenario: Scenario, effect: Event, cap: int
-) -> list[SufficiencyWitness]:
+def _minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozenset[Event]]:
     model = scenario.model
     model.check_value(effect.var, effect.value)
     actual = scenario.actual()
     candidates = sorted(model.ancestors(effect.var))
     passing: list[frozenset[str]] = []
-    witnesses: list[SufficiencyWitness] = []
+    found: list[frozenset[Event]] = []
     for size in range(len(candidates) + 1):
         for combo in itertools.combinations(candidates, size):
             subset = frozenset(combo)
             # Any superset of a sufficient set cannot be minimal.
             if any(small <= subset for small in passing):
                 continue
-            plan = InterventionPlan(
-                value_set=frozenset(Event(v, actual[v]) for v in combo)
-            )
-            if is_sufficient(scenario, plan, effect, cap):
+            events = frozenset(Event(v, actual[v]) for v in combo)
+            if is_sufficient(scenario, events, effect):
                 passing.append(subset)
-                witnesses.append(
-                    SufficiencyWitness(
-                        plan=plan,
-                        robust_vars=scenario.roaming_vars(subset, effect.var),
-                    )
-                )
-    return witnesses
+                found.append(events)
+    return found
 
 
 def restricted_scenario(scenario: Scenario, target: str) -> Scenario:
@@ -157,17 +129,13 @@ def restricted_scenario(scenario: Scenario, target: str) -> Scenario:
     return Scenario(model=small, mode=scenario.mode, defaults=defaults)
 
 
-def direct_cause_sets(
-    scenario: Scenario,
-    target: Event,
-    cap: int = ENUMERATION_CAP,
-) -> list[frozenset[Event]]:
+def direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Event]]:
     """Minimal robust parent sets of the target that also pass the
     abnormality screen, in canonical order."""
-    return list(memoized(scenario, _direct_cause_sets, target, cap))
+    return list(memoized(scenario, _direct_cause_sets, target))
 
 
-def _direct_cause_sets(scenario: Scenario, target: Event, cap: int) -> list[frozenset[Event]]:
+def _direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Event]]:
     model = scenario.model
     model.check_value(target.var, target.value)
     if model.is_initial(target.var):
@@ -178,48 +146,30 @@ def _direct_cause_sets(scenario: Scenario, target: Event, cap: int) -> list[froz
             f"{scenario.actual_value(target.var)}"
         )
     small = restricted_scenario(scenario, target.var)
-    result: list[frozenset[Event]] = []
-    for witness in minimal_sufficient_sets(small, target, cap):
-        verdict = plan_abnormality(
-            small, witness.plan.pinned_vars(), target, cap=cap
-        )
-        if verdict.passed:
-            result.append(witness.plan.value_set)
-    return result
+    return [
+        events
+        for events in minimal_sufficient_sets(small, target)
+        if plan_abnormality(small, {ev.var for ev in events}, target).passed
+    ]
 
 
-def is_direct_cause(
-    scenario: Scenario,
-    cause: Event,
-    target: Event,
-    cap: int = ENUMERATION_CAP,
-) -> bool:
+def is_direct_cause(scenario: Scenario, cause: Event, target: Event) -> bool:
     """Membership in some direct-cause set of the target."""
     if scenario.model.is_initial(target.var):
         return False
-    return any(cause in group for group in direct_cause_sets(scenario, target, cap))
+    return any(cause in group for group in direct_cause_sets(scenario, target))
 
 
-def direct_cause_parents(
-    scenario: Scenario,
-    var: str,
-    cap: int = ENUMERATION_CAP,
-) -> frozenset[str]:
+def direct_cause_parents(scenario: Scenario, var: str) -> frozenset[str]:
     """Incoming direct-cause edges of one variable at the actual world: every
     x in some direct-cause set of var (none when var is initial)."""
     if scenario.model.is_initial(var):
         return frozenset()
     target = Event(var, scenario.actual_value(var))
-    return frozenset(
-        ev.var for group in direct_cause_sets(scenario, target, cap) for ev in group
-    )
+    return frozenset(ev.var for group in direct_cause_sets(scenario, target) for ev in group)
 
 
-def direct_cause_graph(
-    scenario: Scenario,
-    cap: int = ENUMERATION_CAP,
-) -> dict[str, frozenset[str]]:
+def direct_cause_graph(scenario: Scenario) -> dict[str, frozenset[str]]:
     """Incoming direct-cause edges for every variable, at the actual world:
     graph[y] is the set of x with an edge x -> y."""
-    model = scenario.model
-    return {var: direct_cause_parents(scenario, var, cap) for var in model.variables}
+    return {var: direct_cause_parents(scenario, var) for var in scenario.model.variables}

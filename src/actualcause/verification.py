@@ -122,7 +122,7 @@ def _oracle_section(models: int, seed: int, max_vars: int) -> Section:
     for index, scenario in scenario_stream(seed, models, max_vars):
         tag = f"seed={seed}/{index}"
         effect = random_effect(scenario)
-        mine = [w.plan.value_set for w in minimal_sufficient_sets(scenario, effect)]
+        mine = minimal_sufficient_sets(scenario, effect)
         reference = oracle_minimal_sufficient_sets(scenario, effect)
         section.checked += 1
         if mine != reference:

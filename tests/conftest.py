@@ -14,6 +14,16 @@ def corpus_dir() -> Path:
     return Path(str(importlib.resources.files("actualcause"))) / "corpus"
 
 
+# 22 initial xi=0 feed 11 two-input ANDs, and e=~(y0|...|y10) is 1.  The
+# effect has 2**22 settings of its initial ancestors, past ENUMERATION_CAP =
+# 2**20, yet no equation has more than 11 parents, so the model itself builds.
+WIDE_FORMULAS = "; ".join(
+    [f"x{i}=0" for i in range(22)]
+    + [f"y{i}=x{2 * i} & x{2 * i + 1}" for i in range(11)]
+    + ["e=~(" + " | ".join(f"y{i}" for i in range(11)) + ")"]
+)
+
+
 def make_scenario(
     formulas: str,
     domains: dict[str, tuple[int, ...]] | None = None,

@@ -13,6 +13,8 @@ from click.testing import CliRunner
 
 from actualcause.cli import main
 
+from conftest import WIDE_FORMULAS
+
 
 @pytest.fixture()
 def runner():
@@ -66,6 +68,13 @@ class TestCheck:
         result = runner.invoke(main, ["check", str(bad)])
         assert result.exit_code == 2
         assert "domain for 'e'" in result.output
+
+    def test_search_too_large_exits_three(self, runner, tmp_path):
+        wide = tmp_path / "wide.case"
+        wide.write_text(f"case 1\nmode reliable\nformulas: {WIDE_FORMULAS}\n")
+        result = runner.invoke(main, ["check", str(wide)])
+        assert result.exit_code == 3
+        assert "search too large" in result.output
 
     def test_missing_file_rejected(self, runner):
         assert runner.invoke(main, ["check", "no-such.case"]).exit_code == 2

@@ -3,6 +3,8 @@ intention rule."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from actualcause import (
@@ -28,7 +30,6 @@ class TestEngineOptions:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"mode": "bogus"},
             {"abnormality_variant": "4"},
             {"continuity": "none"},
             {"abnormality_variant": "single-event"},
@@ -88,7 +89,7 @@ class TestChainModel:
         general = make_scenario("a=1; b=a; e=b", mode="general")
         assert cause_strings(general, Event("e", 1)) == ["b=1"]
         assert cause_strings(
-            reliable, Event("e", 1), EngineOptions(mode="general")
+            dataclasses.replace(reliable, mode="general"), Event("e", 1)
         ) == ["b=1"]
         assert cause_strings(reliable, Event("e", 1)) == ["a=1", "b=1"]
 

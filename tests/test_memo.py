@@ -41,7 +41,7 @@ from actualcause import (
 from actualcause import normality, reasoning, sufficiency
 from actualcause.randmodel import random_effect, random_scenario, scenario_stream
 
-from conftest import corpus_dir, make_scenario
+from conftest import WIDE_FORMULAS, corpus_dir, make_scenario
 
 NETS_KEPT = 20
 OPTION_SETS = (
@@ -126,8 +126,12 @@ def test_memo_keys_hold_every_argument():
         fresh = dataclasses.replace(scenario)
         assert result == plan_abnormality(fresh, ("a", "b"), effect, variant, focus)
     assert minimal_sufficient_sets(scenario, effect)
+    # a search past ENUMERATION_CAP raises before it tries a setting, and
+    # leaves no memo entry behind
+    wide = make_scenario(WIDE_FORMULAS)
     with pytest.raises(SearchTooLargeError):
-        minimal_sufficient_sets(scenario, effect, cap=1)
+        minimal_sufficient_sets(wide, Event("e", 1))
+    assert wide._memo == {}
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +238,9 @@ def brute_chain(analysis, successors, var: str) -> tuple[str, ...] | None:
             return vertex in analysis.certified
         target = Event(vertex, scenario.actual_value(vertex))
         return any(
-            var in witness.plan.pinned_vars()
-            and plan_abnormality(scenario, witness.plan.pinned_vars(), target).passed
-            for witness in minimal_sufficient_sets(scenario, target)
+            var in {ev.var for ev in events}
+            and plan_abnormality(scenario, {ev.var for ev in events}, target).passed
+            for events in minimal_sufficient_sets(scenario, target)
         )
 
     chains = [

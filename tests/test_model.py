@@ -8,8 +8,8 @@ from actualcause import (
     CycleError,
     Domain,
     DomainError,
+    ENUMERATION_CAP,
     Event,
-    InterventionPlan,
     ModelError,
     NonExhaustivePiecewiseError,
     UnknownVariableError,
@@ -18,9 +18,7 @@ from actualcause import (
     render_events,
     solve,
 )
-from actualcause.model import EMPTY_PLAN, satisfies
-
-from conftest import make_scenario
+from conftest import WIDE_FORMULAS, make_scenario
 
 
 class TestDomain:
@@ -49,21 +47,6 @@ class TestEvent:
         assert events == frozenset({Event("a", 1), Event("b", 2)})
         assert render_events(events) == "{a=1, b=2}"
         assert render_events(()) == "{}"
-
-
-class TestInterventionPlan:
-    def test_pins_and_vars(self):
-        plan = InterventionPlan(value_set=frozenset({Event("a", 1), Event("b", 0)}))
-        assert plan.pins() == {"a": 1, "b": 0}
-        assert plan.pinned_vars() == frozenset({"a", "b"})
-
-    def test_rejects_conflicting_pins(self):
-        with pytest.raises(DomainError):
-            InterventionPlan(value_set=frozenset({Event("a", 0), Event("a", 1)}))
-
-    def test_empty_plan(self):
-        assert EMPTY_PLAN.pins() == {}
-        assert EMPTY_PLAN.pinned_vars() == frozenset()
 
 
 class TestModelValidation:
@@ -186,24 +169,20 @@ class TestSolve:
 
     def test_pinned_solve(self):
         scenario = make_scenario("a=1; b=a; e=a & b")
-        plan = InterventionPlan(value_set=frozenset({Event("b", 0)}))
-        assert solve(scenario, plan) == {"a": 1, "b": 0, "e": 0}
+        assert solve(scenario, {"b": 0}) == {"a": 1, "b": 0, "e": 0}
 
     def test_overrides_mapping_and_events(self):
         scenario = make_scenario("a=1; b=a; e=a & b")
-        assert solve(scenario, EMPTY_PLAN, {"a": 0}) == {"a": 0, "b": 0, "e": 0}
-        assert solve(scenario, EMPTY_PLAN, [Event("a", 0)])["e"] == 0
+        assert solve(scenario, {"a": 0}) == {"a": 0, "b": 0, "e": 0}
+        pins = {event.var: event.value for event in [Event("a", 0)]}
+        assert solve(scenario, pins)["e"] == 0
 
     def test_pin_out_of_domain(self):
         scenario = make_scenario("a=1; b=a; e=a & b")
         with pytest.raises(DomainError):
-            solve(scenario, InterventionPlan(value_set=frozenset({Event("b", 7)})))
-
-    def test_satisfies(self):
-        scenario = make_scenario("a=1; b=a; e=a & b")
-        assert satisfies(scenario, EMPTY_PLAN, {}, [Event("e", 1)])
-        assert satisfies(scenario, EMPTY_PLAN, {"a": 0}, [Event("e", 0)])
-        assert not satisfies(scenario, EMPTY_PLAN, {"a": 0}, [Event("e", 1)])
+            solve(scenario, {"b": 7})
+        with pytest.raises(UnknownVariableError):
+            solve(scenario, {"z": 0})
 
 
 class TestEnumerateSettings:
@@ -216,6 +195,12 @@ class TestEnumerateSettings:
     def test_cap(self):
         from actualcause import SearchTooLargeError
 
-        model = make_scenario("a=1; b=0; e=a & b").model
+        model = make_scenario(WIDE_FORMULAS).model
+        initial = sorted(model.initial_variables())
+        assert 2 ** len(initial) > ENUMERATION_CAP
+        settings = enumerate_settings(model, initial)
         with pytest.raises(SearchTooLargeError):
-            list(enumerate_settings(model, ["a", "b"], cap=3))
+            next(settings)
+        # a space of exactly ENUMERATION_CAP settings is still enumerated
+        assert 2**20 == ENUMERATION_CAP
+        assert next(enumerate_settings(model, initial[:20])) == dict.fromkeys(initial[:20], 0)

@@ -9,7 +9,7 @@ models.
 
 from __future__ import annotations
 
-from actualcause import Event, InterventionPlan, solve
+from actualcause import Event, solve
 from actualcause.oracle import (
     oracle_causes_of,
     oracle_direct_cause_sets,
@@ -29,8 +29,7 @@ def test_solve_matches_model_solver():
         # pin each variable at every domain value in turn
         for var in scenario.model.variables:
             for value in scenario.model.domains[var].values:
-                plan = InterventionPlan(value_set=frozenset({Event(var, value)}))
-                assert oracle_solve(scenario, {var: value}) == solve(scenario, plan)
+                assert oracle_solve(scenario, {var: value}) == solve(scenario, {var: value})
 
 
 def test_is_sufficient_hand_cases():

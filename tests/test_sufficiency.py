@@ -7,7 +7,6 @@ import pytest
 from actualcause import (
     ActualityError,
     Event,
-    InterventionPlan,
     NoParentsError,
     SearchTooLargeError,
     direct_cause_graph,
@@ -17,18 +16,19 @@ from actualcause import (
     minimal_sufficient_sets,
     restricted_scenario,
 )
+from actualcause import sufficiency
 from actualcause.oracle import oracle_minimal_sufficient_sets
 from actualcause.randmodel import random_effect, scenario_stream
 
-from conftest import make_scenario
+from conftest import WIDE_FORMULAS, make_scenario
 
 
-def plan_of(*events: Event) -> InterventionPlan:
-    return InterventionPlan(value_set=frozenset(events))
+def plan_of(*events: Event) -> frozenset[Event]:
+    return frozenset(events)
 
 
-def var_sets(witnesses) -> list[list[str]]:
-    return [sorted(ev.var for ev in w.plan.value_set) for w in witnesses]
+def var_sets(sets) -> list[list[str]]:
+    return [sorted(ev.var for ev in events) for events in sets]
 
 
 class TestIsSufficient:
@@ -57,10 +57,22 @@ class TestIsSufficient:
         with pytest.raises(ActualityError):
             is_sufficient(scenario, plan_of(Event("a", 0)), Event("e", 1))
 
-    def test_cap(self):
-        scenario = make_scenario("a=1; b=a; e=b")
+    def test_pinning_a_variable_twice_is_rejected(self):
+        # At most one of two values is actual, so the actuality check
+        # refuses any event set that pins a variable twice.
+        scenario = make_scenario("a=1; e=a")
+        with pytest.raises(ActualityError):
+            is_sufficient(scenario, plan_of(Event("a", 0), Event("a", 1)), Event("e", 1))
+
+    def test_cap(self, monkeypatch):
+        # The search refuses a background space past ENUMERATION_CAP before
+        # it solves a single background.
+        scenario = make_scenario(WIDE_FORMULAS)
+        solved = []
+        monkeypatch.setattr(sufficiency, "solve", lambda *args: solved.append(args))
         with pytest.raises(SearchTooLargeError):
-            is_sufficient(scenario, plan_of(Event("b", 1)), Event("e", 1), cap=1)
+            is_sufficient(scenario, plan_of(), Event("e", 1))
+        assert solved == []
 
     def test_general_mode_roams_derived_variables(self):
         # Pinning the root is enough in reliable mode, where derived
@@ -99,20 +111,19 @@ class TestMinimalSufficientSets:
 
     def test_members_pin_actual_values(self):
         scenario = make_scenario("a=0; e=~a")
-        (witness,) = minimal_sufficient_sets(scenario, Event("e", 1))
-        assert witness.plan.value_set == frozenset({Event("a", 0)})
+        assert minimal_sufficient_sets(scenario, Event("e", 1)) == [
+            frozenset({Event("a", 0)})
+        ]
 
     @pytest.mark.parametrize("mode", ["reliable", "general"])
     def test_non_ancestors_never_appear(self, mode):
         # z (initial) and w (derived) are not ancestors of e.
         scenario = make_scenario("a=1; z=1; b=a; w=z & a; e=b", mode=mode)
         effect = Event("e", 1)
-        witnesses = minimal_sufficient_sets(scenario, effect)
+        sets = minimal_sufficient_sets(scenario, effect)
         expected = [["a"], ["b"]] if mode == "reliable" else [["b"]]
-        assert var_sets(witnesses) == expected
-        assert [w.plan.value_set for w in witnesses] == oracle_minimal_sufficient_sets(
-            scenario, effect
-        )
+        assert var_sets(sets) == expected
+        assert sets == oracle_minimal_sufficient_sets(scenario, effect)
 
     def test_wide_domain_case(self, corpus_cases):
         # Independently brute-forced reference answer for the largest
@@ -183,19 +194,16 @@ class TestProperties:
     def test_minimal_sufficient_sets_properties(self):
         for _, scenario in scenario_stream(seed=5, count=40):
             effect = random_effect(scenario)
-            witnesses = minimal_sufficient_sets(scenario, effect)
+            sets = minimal_sufficient_sets(scenario, effect)
             keys = []
-            for witness in witnesses:
-                events = witness.plan.value_set
-                assert is_sufficient(scenario, witness.plan, effect)
+            for events in sets:
+                assert is_sufficient(scenario, events, effect)
                 # Minimality: dropping any one member breaks sufficiency
                 # (sufficiency is upward monotone over actual-value pins).
                 for member in events:
-                    smaller = InterventionPlan(value_set=events - {member})
-                    assert not is_sufficient(scenario, smaller, effect)
+                    assert not is_sufficient(scenario, events - {member}, effect)
                 keys.append((len(events), tuple(sorted(ev.var for ev in events))))
             assert keys == sorted(keys), "results must be ordered by size then name"
-            sets = [w.plan.value_set for w in witnesses]
             for i, first in enumerate(sets):
                 for second in sets[i + 1 :]:
                     assert not first < second and not second < first
@@ -207,5 +215,5 @@ class TestProperties:
         for _, scenario in scenario_stream(seed=23, count=80, max_vars=7, mode=mode):
             for var in scenario.model.variables:
                 effect = Event(var, scenario.actual_value(var))
-                engine = [w.plan.value_set for w in minimal_sufficient_sets(scenario, effect)]
+                engine = minimal_sufficient_sets(scenario, effect)
                 assert engine == oracle_minimal_sufficient_sets(scenario, effect)
