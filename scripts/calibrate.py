@@ -106,12 +106,11 @@ def main() -> int:
         failures.append(f"strict variant keeps omissions on {omission_bad}")
 
     print("\n== intention rule ==")
-    raw_options = EngineOptions(apply_intentional_rule=False)
     for path in sorted(CORPUS.glob("*.case")):
         case = parse_case(path.read_text(encoding="utf-8"))
         if not case.scenario.intentions:
             continue
-        raw = causes_of(case.scenario, case.effect, raw_options)
+        raw = causes_of(case.scenario, case.effect)
         ruled = res_by_id(report, case.id).primary
         print(f"case {case.id}: raw {_set_text(raw)} -> ruled {_set_text(ruled)}")
 

@@ -10,7 +10,8 @@ An event C=c is reported as an actual cause of E=e when
    certified the same way.
 
 The variant screen ("3prime") restricts witnesses to those flipping exactly
-the candidate, with no default clause.
+the candidate, with no default clause; it reads the single-flip witnesses
+recorded by the same per-plan search.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class EngineOptions:
     """Engine configuration.  The defaults are the shipped semantics."""
 
     abnormality_variant: str = "3"  # "3" | "3prime"
-    apply_intentional_rule: bool = True
     continuity: str = "plan-membership"  # | "chain-certified"
 
     def __post_init__(self) -> None:
@@ -86,20 +86,11 @@ class ScenarioAnalysis:
         self.options = options
         self.plans: list[_PlanRecord] = []
         for events in minimal_sufficient_sets(scenario, effect):
-            plan_vars = frozenset(ev.var for ev in events)
-            witnesses: dict[str, AbnormalityWitness] = {}
+            result = plan_abnormality(scenario, {ev.var for ev in events}, effect)
             if options.abnormality_variant == "3prime":
-                # each variable needs its own single-event witness
-                for var in sorted(plan_vars):
-                    narrow = plan_abnormality(
-                        scenario, plan_vars, effect, variant="single-event", focus=var
-                    )
-                    if narrow.passed:
-                        witnesses[var] = narrow.witness
+                witnesses = dict(result.single_flips)
             else:
-                base = plan_abnormality(scenario, plan_vars, effect)
-                if base.passed:
-                    witnesses = dict.fromkeys(base.certified, base.witness)
+                witnesses = dict.fromkeys(result.certified, result.witness)
             self.plans.append(_PlanRecord(events=events, witnesses=witnesses))
         self.certified: dict[str, _PlanRecord] = {}
         for record in self.plans:
@@ -251,8 +242,6 @@ def intentional_causes(
     both members are reported when the composite exists (both off-default)
     and both are raw causes; otherwise neither is."""
     raw = causes_of(scenario, effect, options)
-    if not options.apply_intentional_rule:
-        return raw
     reported = set(raw)
     for intention_var, action_var in scenario.intentions:
         if effect.var in (intention_var, action_var):

@@ -10,7 +10,10 @@ at Mid otherwise, so that off-default, off-actual contrasts are tolerated
 exactly when the actual side deviates too.
 
 The reduction is read from the scenario's value tables (`Reduction`), not
-built; its `no_less_normal` also serves the contrastive comparator.
+built; its `no_less_normal` also serves the contrastive comparator.  One
+abnormality search per plan (`plan_abnormality`) serves both of the engine's
+screens: the set-level one reads its first witness and certified members, the
+single-event one the first witness that moves each member alone.
 """
 
 from __future__ import annotations
@@ -236,7 +239,6 @@ def intrinsic_scenario(
     scenario: Scenario,
     cause_set: Iterable[Event],
     effect: Event,
-    check: bool = True,
 ) -> Scenario:
     """The scenario with everything strictly upstream of the cause set
     frozen at its actual value and folded into the equations."""
@@ -247,14 +249,13 @@ def intrinsic_scenario(
                 f"cause set pins {ev.render()} but the actual value is "
                 f"{scenario.actual_value(ev.var)}"
             )
-    if check:
-        from .sufficiency import is_sufficient
+    from .sufficiency import is_sufficient
 
-        if not is_sufficient(scenario, events, effect):
-            raise PlanNotSufficientError(
-                f"cause set {sorted(ev.render() for ev in events)} is not "
-                f"sufficient for {effect.render()}"
-            )
+    if not is_sufficient(scenario, events, effect):
+        raise PlanNotSufficientError(
+            f"cause set {sorted(ev.render() for ev in events)} is not "
+            f"sufficient for {effect.render()}"
+        )
     removed = Reduction(scenario, frozenset(ev.var for ev in events)).removed
     small = reduced_model(scenario.model, removed)
     defaults = {v: scenario.defaults[v] for v in small.variables}
@@ -289,6 +290,9 @@ class PlanAbnormality:
     passed: bool
     witness: AbnormalityWitness | None
     certified: frozenset[str]
+    # (variable, first witness whose contrast moves that variable alone), in
+    # model order, for each plan variable that has one
+    single_flips: tuple[tuple[str, AbnormalityWitness], ...]
 
 
 def _pin_rank(value: int, actual_value: int, default_value: int) -> Rank:
@@ -302,34 +306,30 @@ def plan_abnormality(
     scenario: Scenario,
     plan_vars: Iterable[str],
     effect: Event,
-    variant: str = "set-level",
-    focus: str | None = None,
 ) -> PlanAbnormality:
     """Search contrasts over the plan variables (and free background pins)
     for a world that breaks the effect no less normally than actuality.
 
-    variant "set-level": any contrast vector differing from the actual one.
-    variant "single-event": only vectors differing from actual exactly at
-    `focus`; certification then has no default clause.
+    Every contrast vector differing from the actual one is tried, in
+    enumeration order.  `witness` is the first world found; `certified`
+    holds each variable some witness flips, plus, when the plan passes, each
+    plan variable at its default.  `single_flips` records, per variable,
+    the first witness whose contrast moves that variable alone, which is
+    what the engine's "3prime" screen reads.
 
     The result is memoized per scenario and arguments.
     """
     pins = frozenset(plan_vars)
-    return memoized(scenario, _plan_abnormality, pins, effect, variant, focus)
+    return memoized(scenario, _plan_abnormality, pins, effect)
 
 
 def _plan_abnormality(
     scenario: Scenario,
     pins: frozenset[str],
     effect: Event,
-    variant: str,
-    focus: str | None,
 ) -> PlanAbnormality:
-    if variant not in ("set-level", "single-event"):
-        raise ModelError(f"unknown abnormality variant {variant!r}")
-    if variant == "single-event" and focus is None:
-        raise ModelError("single-event abnormality needs a focus variable")
     model = scenario.model
+    model.check_value(effect.var, effect.value)
     actual = scenario.actual()
     ordered_pins = [v for v in model.variables if v in pins]
     if len(ordered_pins) != len(pins):
@@ -338,37 +338,38 @@ def _plan_abnormality(
     reduction = Reduction(scenario, pins)
     roaming = scenario.roaming_vars(pins, effect.var)
 
-    passed = False
     first_witness: AbnormalityWitness | None = None
+    single: dict[str, AbnormalityWitness] = {}
     flipped: set[str] = set()
 
     for contrast in enumerate_settings(model, ordered_pins):
         delta = [v for v in ordered_pins if contrast[v] != actual[v]]
         if not delta:
             continue
-        if variant == "single-event" and delta != [focus]:
-            continue
+        lone = delta[0] if len(delta) == 1 else None
         for background in enumerate_settings(model, roaming):
             overrides = {**contrast, **background}
             world = solve(scenario, overrides)
             if world[effect.var] == effect.value:
                 continue
-            if reduction.no_less_normal(world, overrides, _pin_rank):
-                passed = True
-                flipped.update(delta)
-                if first_witness is None:
-                    first_witness = AbnormalityWitness(
-                        contrast=frozenset(
-                            Event(v, contrast[v]) for v in ordered_pins
-                        ),
-                        background=frozenset(
-                            Event(v, background[v]) for v in roaming
-                        ),
-                        outcome=tuple(sorted(world.items())),
-                    )
+            if not reduction.no_less_normal(world, overrides, _pin_rank):
+                continue
+            flipped.update(delta)
+            if first_witness is not None and (lone is None or lone in single):
+                continue
+            witness = AbnormalityWitness(
+                contrast=frozenset(Event(v, contrast[v]) for v in ordered_pins),
+                background=frozenset(Event(v, background[v]) for v in roaming),
+                outcome=tuple(sorted(world.items())),
+            )
+            if first_witness is None:
+                first_witness = witness
+            if lone is not None:
+                single[lone] = witness
 
+    passed = first_witness is not None
     certified: set[str] = set(flipped)
-    if variant == "set-level" and passed:
+    if passed:
         for var in ordered_pins:
             if actual[var] == scenario.defaults[var]:
                 certified.add(var)
@@ -376,5 +377,5 @@ def _plan_abnormality(
         passed=passed,
         witness=first_witness,
         certified=frozenset(certified),
+        single_flips=tuple((v, single[v]) for v in ordered_pins if v in single),
     )
-

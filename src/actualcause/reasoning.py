@@ -105,17 +105,12 @@ def _count_chains(scenario: Scenario, goal: str) -> ChainCounts:
     return count, length, onward
 
 
-def cause_nets(
-    scenario: Scenario,
-    effect: Event,
-    depth_limit: int | None = None,
-) -> list[CauseNet]:
+def cause_nets(scenario: Scenario, effect: Event) -> list[CauseNet]:
     """Closure of the effect's direct-cause sets under member replacement by
-    the member's own direct-cause sets, breadth first, deduplicated."""
+    the member's own direct-cause sets, breadth first, deduplicated, and at
+    most as many replacements deep as the model has variables."""
     _require_reliable(scenario)
     model = scenario.model
-    if depth_limit is None:
-        depth_limit = len(model.variables)
     if model.is_initial(effect.var):
         raise NoParentsError(f"{effect.var!r} has no parents")
 
@@ -134,7 +129,7 @@ def cause_nets(
     while queue:
         events, provenance, depth = queue.popleft()
         nets.append(CauseNet(events=events, provenance=provenance))
-        if depth >= depth_limit:
+        if depth >= len(model.variables):
             continue
         for member in sorted(events):
             if model.is_initial(member.var):

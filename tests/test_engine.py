@@ -18,6 +18,8 @@ from actualcause import (
     intentional_causes,
     is_actual_cause,
 )
+from actualcause.oracle import oracle_causes_of
+from actualcause.randmodel import scenario_stream
 
 from conftest import make_scenario
 
@@ -42,7 +44,6 @@ class TestEngineOptions:
     def test_defaults(self):
         assert DEFAULT_OPTIONS.abnormality_variant == "3"
         assert DEFAULT_OPTIONS.continuity == "plan-membership"
-        assert DEFAULT_OPTIONS.apply_intentional_rule is True
 
 
 class TestChainModel:
@@ -140,6 +141,23 @@ class TestCorpusAnchors:
         ) == ["c=1"]
 
 
+@pytest.mark.parametrize("mode", ["reliable", "general"])
+def test_single_event_variant_matches_the_oracle(mode):
+    # the engine reads the single-flip witnesses of the set-level search; the
+    # oracle searches each variable's single-event contrasts on its own
+    strict = EngineOptions(abnormality_variant="3prime")
+    queries = 0
+    for index, scenario in scenario_stream(53, 60, max_vars=7, mode=mode):
+        for var in scenario.model.variables:
+            if scenario.model.is_initial(var):
+                continue
+            effect = Event(var, scenario.actual_value(var))
+            expected = oracle_causes_of(scenario, effect, variant="3prime")
+            assert causes_of(scenario, effect, strict) == expected, (index, var)
+            queries += 1
+    assert queries == 145
+
+
 class TestIntentionRule:
     def test_careful_poisoning(self):
         # Two agents, each acting through an intention; the second action
@@ -168,13 +186,6 @@ class TestIntentionRule:
         ruled = {ev.var for ev in intentional_causes(case.scenario, case.effect)}
         assert raw == {"a", "b", "g"}
         assert ruled == {"b", "g"}
-
-    def test_rule_can_be_disabled(self, corpus_cases):
-        case = corpus_cases["38"]
-        options = EngineOptions(apply_intentional_rule=False)
-        assert intentional_causes(
-            case.scenario, case.effect, options
-        ) == causes_of(case.scenario, case.effect, options)
 
 
 class TestAnalyze:

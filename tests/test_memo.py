@@ -119,12 +119,15 @@ def test_memo_keys_hold_every_argument():
     scenario = make_scenario("a=1; b=1; e=a & b")
     effect = Event("e", 1)
     results = {
-        (variant, focus): plan_abnormality(scenario, ("a", "b"), effect, variant, focus)
-        for variant, focus in (("set-level", None), ("single-event", "a"))
+        (pins, target): plan_abnormality(scenario, pins, target)
+        for pins in (("a",), ("b",), ("a", "b"))
+        for target in (effect, Event("e", 0))
     }
-    for (variant, focus), result in results.items():
+    # the three plans pass for e=1 with different witnesses; all fail for e=0
+    assert len(set(results.values())) == 4
+    for (pins, target), result in results.items():
         fresh = dataclasses.replace(scenario)
-        assert result == plan_abnormality(fresh, ("a", "b"), effect, variant, focus)
+        assert result == plan_abnormality(fresh, pins, target)
     assert minimal_sufficient_sets(scenario, effect)
     # a search past ENUMERATION_CAP raises before it tries a setting, and
     # leaves no memo entry behind

@@ -20,6 +20,7 @@ from actualcause import (
     rank,
 )
 from actualcause import normality
+from actualcause.model import enumerate_settings, reduced_model, solve
 from actualcause.normality import Reduction
 from actualcause.randmodel import scenario_stream
 
@@ -114,11 +115,6 @@ class TestIntrinsicScenario:
         scenario = make_scenario("a=1; b=1; e=a & b")
         with pytest.raises(PlanNotSufficientError):
             intrinsic_scenario(scenario, (Event("a", 1),), Event("e", 1))
-        # check=False skips the sufficiency gate
-        reduced = intrinsic_scenario(
-            scenario, (Event("a", 1),), Event("e", 1), check=False
-        )
-        assert reduced.actual_value("e") == 1
 
 
 class TestPlanAbnormality:
@@ -140,20 +136,18 @@ class TestPlanAbnormality:
     def test_single_event_focus_excludes_the_omission(self):
         # Breaking the effect through d alone needs d'=1, which is neither
         # d's actual nor its default value, so the witness ranks below the
-        # actual state and the screen fails.
+        # actual state and d has no single-flip witness.
         scenario = make_scenario("a=1; d=0; e=a & ~d")
-        result = plan_abnormality(
-            scenario, ("a", "d"), Event("e", 1), variant="single-event", focus="d"
-        )
-        assert not result.passed
+        result = plan_abnormality(scenario, ("a", "d"), Event("e", 1))
+        assert "d" not in dict(result.single_flips)
 
     def test_single_event_focus_keeps_the_flip(self):
         scenario = make_scenario("a=1; d=0; e=a & ~d")
-        result = plan_abnormality(
-            scenario, ("a", "d"), Event("e", 1), variant="single-event", focus="a"
-        )
-        assert result.passed
-        assert result.certified == frozenset({"a"})
+        result = plan_abnormality(scenario, ("a", "d"), Event("e", 1))
+        assert [var for var, _ in result.single_flips] == ["a"]
+        witness = dict(result.single_flips)["a"]
+        assert witness.contrast == frozenset({Event("a", 0), Event("d", 0)})
+        assert witness.outcome_map() == {"a": 0, "d": 0, "e": 0}
 
     def test_failed_screen_has_no_witness(self):
         # A lone at-default member cannot break the effect abnormally.
@@ -171,14 +165,68 @@ class TestPlanAbnormality:
         assert result.passed
         assert result.witness.background == frozenset({Event("c", 0)})
 
+    @pytest.mark.parametrize(
+        "effect, error",
+        [(Event("zz", 1), UnknownVariableError), (Event("e", 7), DomainError)],
+    )
+    def test_effect_is_validated(self, effect, error):
+        scenario = make_scenario("a=1; e=a")
+        with pytest.raises(error):
+            plan_abnormality(scenario, ("a",), effect)
 
-def reference_rank(reduced, var, world):
+
+def single_event_witnesses(scenario, pins, effect):
+    """Each pin's first witness among the contrasts that move it alone,
+    searched on its own for every pin, in the set-level search's order."""
+    model = scenario.model
+    actual = scenario.actual()
+    ordered = [v for v in model.variables if v in pins]
+    reduction = Reduction(scenario, frozenset(pins))
+    roaming = scenario.roaming_vars(frozenset(pins), effect.var)
+
+    def first_witness(focus):
+        for contrast in enumerate_settings(model, ordered):
+            if [v for v in ordered if contrast[v] != actual[v]] != [focus]:
+                continue
+            for background in enumerate_settings(model, roaming):
+                overrides = {**contrast, **background}
+                world = solve(scenario, overrides)
+                if world[effect.var] != effect.value and reduction.no_less_normal(
+                    world, overrides, normality._pin_rank
+                ):
+                    return normality.AbnormalityWitness(
+                        contrast=frozenset(Event(v, contrast[v]) for v in ordered),
+                        background=frozenset(Event(v, background[v]) for v in roaming),
+                        outcome=tuple(sorted(world.items())),
+                    )
+        return None
+
+    found = {focus: first_witness(focus) for focus in ordered}
+    return {focus: witness for focus, witness in found.items() if witness}
+
+
+def test_single_flips_match_a_single_event_search():
+    compared = 0
+    for mode in ("reliable", "general"):
+        for _, scenario in scenario_stream(47, 60, max_vars=7, mode=mode):
+            for effect, pins in pin_sets(scenario):
+                result = plan_abnormality(scenario, pins, effect)
+                expected = single_event_witnesses(scenario, pins, effect)
+                assert dict(result.single_flips) == expected
+                assert [var for var, _ in result.single_flips] == [
+                    v for v in scenario.model.variables if v in expected
+                ]
+                assert set(expected) <= result.certified
+                compared += len(expected)
+    assert compared > 200
+
+
+def reference_rank(model, defaults, var, world):
     """The free rank of `var` in `world`, read from the built reduced model:
     (True, None, ()) for Top, else (False, value, parent values)."""
-    model = reduced.model
     value = world[var]
     if model.is_initial(var):
-        top = value == reduced.defaults[var]
+        top = value == defaults[var]
         context = ()
     else:
         top = model.lookup(var, world) == value
@@ -201,9 +249,10 @@ def pin_sets(scenario):
 
 
 class TestReduction:
-    """The read-only reduction ranks exactly as the built intrinsic
-    scenario does, on the actual world and on every world the abnormality
-    screen solves."""
+    """The read-only reduction ranks exactly as the built reduced model
+    does, on the actual world and on every world the abnormality screen
+    solves.  The pin sets need not be sufficient, as the comparator's
+    contrast sets need not be."""
 
     def test_ranks_match_the_built_reduction(self, monkeypatch):
         worlds: list[dict[str, int]] = []
@@ -220,16 +269,21 @@ class TestReduction:
             for _, scenario in scenario_stream(43, 25, max_vars=7, mode=mode):
                 actual = scenario.actual()
                 for effect, pins in pin_sets(scenario):
-                    events = [Event(p, actual[p]) for p in pins]
-                    reduced = intrinsic_scenario(scenario, events, effect, check=False)
+                    removed = {
+                        v: actual[v]
+                        for v in scenario.model.ancestors(pins) - set(pins)
+                    }
+                    reduced = reduced_model(scenario.model, removed)
                     reduction = Reduction(scenario, frozenset(pins))
-                    assert tuple(reduction.kept) == reduced.model.variables
-                    assert reduction.initial == reduced.model.initial_variables()
+                    assert tuple(reduction.kept) == reduced.variables
+                    assert reduction.initial == reduced.initial_variables()
                     worlds.clear()
                     plan_abnormality(scenario, pins, effect)
                     for world in [actual, *worlds]:
                         for var in reduction.kept:
                             found = rank_key(reduction.free_rank(var, world))
-                            assert found == reference_rank(reduced, var, world)
+                            assert found == reference_rank(
+                                reduced, scenario.defaults, var, world
+                            )
                             checked += 1
         assert checked > 10_000

@@ -57,10 +57,6 @@ class TestCauseNets:
             "replace c=1 by {a=1}",
         )
 
-    def test_depth_limit(self, fork):
-        shallow = cause_nets(fork, EFFECT, depth_limit=0)
-        assert [events_of(n) for n in shallow] == [["b=1", "c=1"]]
-
     def test_initial_effect_rejected(self):
         scenario = make_scenario("a=1; e=a")
         with pytest.raises(NoParentsError):
