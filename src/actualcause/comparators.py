@@ -19,14 +19,17 @@ admissible exactly where actuality itself deviates.
 
 Under that lattice most of the search collapses: a contrast member can
 only take its default, or -- when the reduction makes it initial and its
-actual value is off-default -- any other value; a freeze survives only at
-a default, on a variable the reduction removed, or on one it made initial
-with an off-default actual value.  Every surviving candidate world is
-still verified rank-by-rank rather than trusted to the collapse, because
-a contrast set with internal paths can push removed variables off their
-actual values and break kept variables' reduced conformity.  The pruning
-is exercised against a direct definition-unfolding oracle in the test
-suite.
+actual value is off-default -- any other value; a freeze survives only on a
+strict descendant of the contrast set, and there only at a default, on a
+variable the reduction removed, or on one it made initial with an
+off-default actual value.  Freezing a non-descendant changes no value, and
+unfreezing it ranks it exactly as in actuality, so dropping it from a
+passing freeze set leaves a passing set that the search tries first.  Every
+surviving candidate world is still verified rank-by-rank rather than
+trusted to the collapse, because a contrast set with internal paths can
+push removed variables off their actual values and break kept variables'
+reduced conformity.  The pruning is exercised against a direct
+definition-unfolding oracle in the test suite and in `verify`.
 """
 
 from __future__ import annotations
@@ -134,7 +137,18 @@ def _find_witness(
     scenario: Scenario, contrast_set: frozenset[str], effect: Event
 ) -> HPHWitness | None:
     """First admissible witness in canonical order: contrast vectors in
-    domain order (defaults first), freeze sets by size then position."""
+    domain order (defaults first), freeze sets by size then position.
+
+    Only strict descendants of the contrast set are freeze candidates, and
+    this keeps the first witness.  A freeze v outside them sits at its
+    actual value, as do its kept parents, since every other pin is at its
+    actual value or a contrast v does not descend from.  Freezing v thus
+    changes no value and no other variable's rank, and unfreezing v ranks
+    it by its free rank, which equals its actual rank.  So if a freeze set
+    F passes, F minus v passes too and comes earlier in the canonical
+    order, and the first witness never freezes v.  The pre-check against
+    ENUMERATION_CAP counts only the candidates that remain.
+    """
     model = scenario.model
     actual = scenario.actual()
     reduction = Reduction(scenario, contrast_set)
@@ -154,11 +168,17 @@ def _find_witness(
             return None
         choices.append(legal)
 
+    # the contrast set and its strict descendants: nothing else can move
+    moved = set(contrast_set)
+    for var in model.topological_order():
+        if not moved.isdisjoint(model.parents(var)):
+            moved.add(var)
     freeze_pool = [
         var
         for var in model.variables
-        if var != effect.var
+        if var in moved
         and var not in contrast_set
+        and var != effect.var
         and (
             var in reduction.removed
             or actual[var] == scenario.defaults[var]

@@ -29,6 +29,7 @@ __all__ = [
     "Scenario",
     "SearchTooLargeError",
     "UnknownVariableError",
+    "checked_solve",
     "enumerate_settings",
     "event_set",
     "memoized",
@@ -383,13 +384,27 @@ def memoized(scenario: Scenario, compute: Callable[..., T], *args: Hashable) -> 
     return memo[key]
 
 
-def solve(scenario: Scenario, pins: Mapping[str, int] | None = None) -> Assignment:
-    """Evaluate every variable: pinned ones take their pins, the rest read
-    their value tables in topological order."""
-    model = scenario.model
+def checked_solve(
+    scenario: Scenario, pins: Mapping[str, int] | None = None
+) -> Assignment:
+    """`solve`, once every pin is checked to name a variable of the model at
+    a value in its domain.  The package exports it as `actualcause.solve`."""
     pins = pins or {}
     for var, value in pins.items():
-        model.check_value(var, value)
+        scenario.model.check_value(var, value)
+    return solve(scenario, pins)
+
+
+def solve(scenario: Scenario, pins: Mapping[str, int] | None = None) -> Assignment:
+    """Evaluate every variable: pinned ones take their pins, the rest read
+    their value tables in topological order.
+
+    The pins are not checked: each must name a variable of the model at a
+    value in its domain.  The engine's searches pin only domain values and
+    actual values, so they call this directly; pins from outside go through
+    `checked_solve`."""
+    model = scenario.model
+    pins = pins or {}
     out: Assignment = {}
     for var in model.topological_order():
         out[var] = pins[var] if var in pins else model.lookup(var, out)

@@ -1,5 +1,6 @@
-"""Randomized verification suites: engine vs oracle, net-operation claims,
-partial-order axioms, and format round-trips.
+"""Randomized verification suites: engine vs oracle (primary definition and
+contrastive comparator), net-operation claims, partial-order axioms, and
+format round-trips.
 
 Reports are deterministic for a given configuration (no wall times inside
 the rendered text), so the same seed always produces byte-identical output.
@@ -10,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from .comparators import hph_causes
 from .dsl import parse_case, parse_expression, serialize_case
 from .engine import EngineOptions, causes_of
 from .model import Event, Scenario
@@ -17,6 +19,7 @@ from .normality import OrderResult, compare
 from .oracle import (
     oracle_causes_of,
     oracle_direct_cause_sets,
+    oracle_hph_vars,
     oracle_minimal_sufficient_sets,
 )
 from .randmodel import random_effect, random_scenario, scenario_stream
@@ -108,6 +111,7 @@ def run_verify(
 ) -> VerifyReport:
     report = VerifyReport(seed=seed, models=models, max_vars=max_vars)
     report.sections.append(_oracle_section(models, seed, max_vars))
+    report.sections.append(_comparator_section(models, seed, max_vars))
     report.sections.append(_variant_section(max(models // 2, 0), seed, max_vars))
     ops_total = max(models // 2, 0)
     report.sections.extend(_operations_sections(ops_total, seed, max_vars))
@@ -153,6 +157,22 @@ def _oracle_section(models: int, seed: int, max_vars: int) -> Section:
         if causes_of(scenario, effect, options) != oracle_causes_of(scenario, effect):
             section.failures.append(
                 f"{tag} causes differ for {effect.render()} on "
+                f"{_describe(scenario)}"
+            )
+    return section
+
+
+def _comparator_section(models: int, seed: int, max_vars: int) -> Section:
+    section = Section("engine vs oracle (contrastive comparator)")
+    for index, scenario in scenario_stream(seed, models, max_vars):
+        effect = random_effect(scenario)
+        section.checked += 1
+        mine = hph_causes(scenario, effect).vars()
+        reference = oracle_hph_vars(scenario, effect)
+        if mine != reference:
+            section.failures.append(
+                f"seed={seed}/{index} contrastive causes {sorted(mine)} != "
+                f"{sorted(reference)} for {effect.render()} on "
                 f"{_describe(scenario)}"
             )
     return section

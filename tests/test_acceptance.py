@@ -149,7 +149,7 @@ def test_criterion_4_single_event_variant_restriction(corpus_cases):
 
 def test_criterion_5_engine_matches_brute_force(verify_run):
     report, elapsed = verify_run
-    sec = section(report, "engine vs oracle")
+    sec = section(report, "engine vs oracle (sufficient sets")
     print(
         f"criterion 5: {'PASS' if sec.passed else 'FAIL'} — "
         f"{sec.checked} equivalence checks over {report.models} random "
@@ -159,6 +159,18 @@ def test_criterion_5_engine_matches_brute_force(verify_run):
     assert sec.checked >= 1000
     assert sec.failures == [], "\n".join(sec.failures[:5])
     assert elapsed < 300.0, f"verification took {elapsed:.1f}s (budget 300s)"
+
+
+def test_criterion_5b_comparator_matches_brute_force(verify_run):
+    report, _ = verify_run
+    sec = section(report, "contrastive comparator")
+    print(
+        f"criterion 5b: {'PASS' if sec.passed else 'FAIL'} — "
+        f"{sec.checked} contrastive checks over {report.models} random "
+        f"models, {len(sec.failures)} failures"
+    )
+    assert sec.checked == report.models
+    assert sec.failures == [], "\n".join(sec.failures[:5])
 
 
 def test_criterion_6a_operation_outputs_stay_sufficient(verify_run):

@@ -16,6 +16,7 @@ from actualcause import (
     HPHVerdict,
     HPHWitness,
     ModelError,
+    SearchTooLargeError,
     hph_causes,
 )
 from actualcause import comparators
@@ -69,6 +70,24 @@ class TestHandModels:
             hph_causes(scenario, Event("e", 0))
 
 
+class TestEnumerationCap:
+    """The pre-check counts only freezes the contrast set can move."""
+
+    def test_inert_variables_do_not_count(self):
+        # The 21 xi sit at their defaults but no contrast moves them, so the
+        # freeze pool of {a} is empty rather than 2**21 subsets.
+        inert = "; ".join(f"x{i}=0" for i in range(21))
+        scenario = make_scenario(f"a=1; {inert}; e=a")
+        assert hph_causes(scenario, Event("e", 1)).vars() == frozenset({"a"})
+
+    def test_descendants_of_the_contrast_still_count(self):
+        # Each di follows a, so all 21 are freeze candidates for {a}.
+        moved = "; ".join(f"d{i}=~a" for i in range(21))
+        scenario = make_scenario(f"a=1; {moved}; e=a | d0")
+        with pytest.raises(SearchTooLargeError, match="2097152 candidate worlds"):
+            hph_causes(scenario, Event("e", 1))
+
+
 class TestCorpusAnchors:
     """Frozen contrastive verdicts on benchmark cases, including every case
     where this definition departs from the recorded judgements."""
@@ -94,6 +113,22 @@ class TestCorpusAnchors:
         case = corpus_cases[case_id]
         result = hph_causes(case.scenario, case.effect)
         assert result.vars() == frozenset(self.EXPECTED[case_id])
+
+    def test_world_count_over_the_corpus(self, corpus_cases, monkeypatch):
+        # A work-count regression gate: the worlds the comparator solves
+        # over all 66 cases move only when its search changes on purpose.
+        solved = []
+        original = comparators.solve
+
+        def counting_solve(*args):
+            solved.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(comparators, "solve", counting_solve)
+        for case in corpus_cases.values():
+            hph_causes(case.scenario, case.effect)
+        assert len(corpus_cases) == 66
+        assert len(solved) == 351
 
     def test_agrees_with_brute_force_on_all_cases(self, corpus_cases):
         for case in corpus_cases.values():
