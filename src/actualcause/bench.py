@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .comparators import HPHVerdict, hph_causes
-from .dsl import BenchCase, ParseError, parse_case
+from .dsl import BenchCase, read_case
 from .engine import DEFAULT_OPTIONS, EngineOptions, intentional_causes
 from .model import Event
 
@@ -103,10 +103,7 @@ def run_bench(
     root = Path(directory)
     results: list[CaseResult] = []
     for path in sorted(root.glob("*.case")):
-        try:
-            case = parse_case(path.read_text(encoding="utf-8"))
-        except ParseError as err:
-            raise ParseError(f"{path.name}: {err}") from err
+        case = read_case(path)
         start = time.perf_counter()
         primary = intentional_causes(case.scenario, case.effect, options)
         contrastive = hph_causes(case.scenario, case.effect)

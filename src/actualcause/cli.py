@@ -16,7 +16,7 @@ import click
 
 from .bench import render_report, run_bench
 from .comparators import hph_causes
-from .dsl import ParseError, parse_case
+from .dsl import ParseError, read_case
 from .engine import EngineOptions, analyze, intentional_causes
 from .model import Event, SearchTooLargeError
 from .verification import run_verify
@@ -63,7 +63,7 @@ def main() -> None:
 def check(case_file: str, definition: str, variant: str, mode: str | None, verbose: bool) -> None:
     """Analyze a single case file and compare against its intuition."""
     try:
-        case = parse_case(Path(case_file).read_text(encoding="utf-8"))
+        case = read_case(case_file)
     except ParseError as err:
         click.echo(f"parse error: {err}", err=True)
         sys.exit(2)
@@ -153,9 +153,10 @@ def bench(directory: str, fmt: str, out: str | None) -> None:
 
 
 @main.command()
-@click.option("--models", type=int, default=1000, show_default=True)
+@click.option("--models", type=click.IntRange(min=0), default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-vars", type=int, default=6, show_default=True)
+# random models name their variables a-z
+@click.option("--max-vars", type=click.IntRange(2, 26), default=6, show_default=True)
 def verify(models: int, seed: int, max_vars: int) -> None:
     """Cross-check the engine against brute-force oracles on random models."""
     start = time.perf_counter()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 from .expr import (
     And,
@@ -28,6 +29,7 @@ __all__ = [
     "ParseError",
     "parse_case",
     "parse_expression",
+    "read_case",
     "serialize_case",
 ]
 
@@ -454,6 +456,19 @@ def parse_case(text: str) -> BenchCase:
         omission_flag=omission_body == "true",
         notes=tuple(notes),
     )
+
+
+def read_case(path: str | Path) -> BenchCase:
+    """Parse one case file.  A leading UTF-8 byte-order mark is skipped; a
+    file that is not UTF-8 text or does not parse raises ParseError naming
+    the file."""
+    path = Path(path)
+    try:
+        return parse_case(path.read_text(encoding="utf-8-sig"))
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path.name}: not UTF-8 text ({err})") from err
+    except ParseError as err:
+        raise ParseError(f"{path.name}: {err}") from err
 
 
 def _format_cell(events: frozenset[Event]) -> str:

@@ -17,6 +17,7 @@ from collections.abc import Iterable
 
 from .expr import Const
 from .model import (
+    Assignment,
     Event,
     Model,
     ModelError,
@@ -64,22 +65,31 @@ def _actual_pins(scenario: Scenario, events: Iterable[Event]) -> dict[str, int]:
     return pins
 
 
-def is_sufficient(scenario: Scenario, events: Iterable[Event], effect: Event) -> bool:
-    """Does pinning the events force the effect under every roaming
-    background?  Only the roaming ancestors of the effect are enumerated: the
-    others cannot change it."""
+def _falsifying_world(
+    scenario: Scenario, pins: dict[str, int], effect: Event
+) -> Assignment | None:
+    """A solved world in which the pins hold and the effect misses its value,
+    or None when the pins force the effect.  Only the roaming ancestors of
+    the effect are enumerated: the others cannot change it."""
     model = scenario.model
-    model.check_value(effect.var, effect.value)
-    pins = _actual_pins(scenario, events)
-    if effect.var in pins:
-        return pins[effect.var] == effect.value
     roaming = scenario.roaming_vars(frozenset(pins), effect.var) & model.ancestors(
         effect.var
     )
     for background in enumerate_settings(model, roaming):
-        if solve(scenario, {**pins, **background})[effect.var] != effect.value:
-            return False
-    return True
+        world = solve(scenario, {**pins, **background})
+        if world[effect.var] != effect.value:
+            return world
+    return None
+
+
+def is_sufficient(scenario: Scenario, events: Iterable[Event], effect: Event) -> bool:
+    """Does pinning the events force the effect under every roaming
+    background?"""
+    scenario.model.check_value(effect.var, effect.value)
+    pins = _actual_pins(scenario, events)
+    if effect.var in pins:
+        return pins[effect.var] == effect.value
+    return _falsifying_world(scenario, pins, effect) is None
 
 
 def minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozenset[Event]]:
@@ -94,22 +104,46 @@ def minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozenset
 
 
 def _minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozenset[Event]]:
+    """Candidate sets are bitmasks over the sorted candidates, walked by size
+    then variable tuple.  A superset of a sufficient set is skipped.  Each
+    falsifying world w met is kept as two masks: D(w), the candidates where
+    w differs from the actual world, and B(w), the derived candidates that
+    break their equation in w (none in general mode, where every unpinned
+    variable roams).  A set S with D(w) & S == 0 and B(w) & ~S == 0 is
+    skipped unsolved, being insufficient: pinning S at its actual values and
+    setting its roaming ancestors as in w reproduces w on every ancestor, so
+    the effect misses its value again.  The empty set roams widest, so it is
+    solved first and raises SearchTooLargeError if any set would.
+    """
     model = scenario.model
     model.check_value(effect.var, effect.value)
     actual = scenario.actual()
     candidates = sorted(model.ancestors(effect.var))
-    passing: list[frozenset[str]] = []
+    bit = {v: 1 << i for i, v in enumerate(candidates)}
+    reliable = scenario.mode == "reliable"
+    passing: list[int] = []
+    refuting: list[tuple[int, int]] = []
     found: list[frozenset[Event]] = []
     for size in range(len(candidates) + 1):
         for combo in itertools.combinations(candidates, size):
-            subset = frozenset(combo)
-            # Any superset of a sufficient set cannot be minimal.
-            if any(small <= subset for small in passing):
+            mask = sum(bit[v] for v in combo)
+            if any(small & ~mask == 0 for small in passing) or any(
+                differs & mask == 0 and broken & ~mask == 0 for differs, broken in refuting
+            ):
                 continue
-            events = frozenset(Event(v, actual[v]) for v in combo)
-            if is_sufficient(scenario, events, effect):
-                passing.append(subset)
-                found.append(events)
+            pins = {v: actual[v] for v in combo}
+            world = _falsifying_world(scenario, pins, effect)
+            if world is None:
+                passing.append(mask)
+                found.append(frozenset(Event(v, actual[v]) for v in combo))
+                continue
+            differs = sum(bit[v] for v in candidates if world[v] != actual[v])
+            # Only a pin can break its equation, and only a derived one: an
+            # initial variable's actual value is its equation's.
+            broken = sum(
+                bit[v] for v in combo if reliable and model.lookup(v, world) != world[v]
+            )
+            refuting.append((differs, broken))
     return found
 
 

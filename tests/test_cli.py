@@ -76,6 +76,22 @@ class TestCheck:
         assert result.exit_code == 3
         assert "search too large" in result.output
 
+    def test_undecodable_file_exits_two(self, runner, tmp_path):
+        bad = tmp_path / "bad.case"
+        bad.write_bytes(b"\xff\xfecase 1\n")
+        result = runner.invoke(main, ["check", str(bad)])
+        assert result.exit_code == 2
+        assert "parse error: bad.case: not UTF-8 text" in result.output
+
+    def test_byte_order_mark_is_skipped(self, runner, corpus_path, tmp_path):
+        marked = tmp_path / "marked.case"
+        text = Path(case_file(corpus_path, "13")).read_text(encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        plain = runner.invoke(main, ["check", case_file(corpus_path, "13")])
+        result = runner.invoke(main, ["check", str(marked)])
+        assert result.exit_code == 0
+        assert result.output == plain.output
+
     def test_missing_file_rejected(self, runner):
         assert runner.invoke(main, ["check", "no-such.case"]).exit_code == 2
 
@@ -127,6 +143,15 @@ class TestBench:
         assert json.loads(target.read_text())["summary"]["cases"] == 66
 
 
+    def test_undecodable_file_exits_two(self, runner, corpus_path, tmp_path):
+        good = Path(case_file(corpus_path, "13"))
+        (tmp_path / good.name).write_text(good.read_text(encoding="utf-8"))
+        (tmp_path / "99-bad.case").write_bytes(b"\xff\xfe")
+        result = runner.invoke(main, ["bench", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "parse error: 99-bad.case: not UTF-8 text" in result.output
+
+
 class TestVerify:
     def test_small_run(self, runner):
         result = runner.invoke(
@@ -135,6 +160,22 @@ class TestVerify:
         assert result.exit_code == 0
         assert "verification:" in result.output
         assert "result:" in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--models", "-3"],
+            ["--max-vars", "1"],
+            ["--max-vars", "0"],
+            ["--max-vars", "-2"],
+            ["--max-vars", "27"],
+        ],
+    )
+    def test_out_of_range_arguments_are_usage_errors(self, runner, args):
+        result = runner.invoke(main, ["verify", *args])
+        assert result.exit_code == 2
+        assert "Invalid value" in result.output
+        assert "result:" not in result.output
 
 
 def test_module_entry_point_runs_the_cli():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from actualcause import (
@@ -16,11 +18,11 @@ from actualcause import (
     minimal_sufficient_sets,
     restricted_scenario,
 )
-from actualcause import sufficiency
+from actualcause import parse_case, sufficiency
 from actualcause.oracle import oracle_minimal_sufficient_sets
 from actualcause.randmodel import random_effect, scenario_stream
 
-from conftest import WIDE_FORMULAS, make_scenario
+from conftest import WIDE_FORMULAS, corpus_dir, make_scenario
 
 
 def plan_of(*events: Event) -> frozenset[Event]:
@@ -29,6 +31,35 @@ def plan_of(*events: Event) -> frozenset[Event]:
 
 def var_sets(sets) -> list[list[str]]:
     return [sorted(ev.var for ev in events) for events in sets]
+
+
+def plain_minimal_sufficient_sets(scenario, effect) -> list[frozenset[Event]]:
+    """The walk without reused worlds: every candidate that is not a superset
+    of a sufficient set is tested with `is_sufficient`."""
+    actual = scenario.actual()
+    candidates = sorted(scenario.model.ancestors(effect.var))
+    found: list[frozenset[Event]] = []
+    for size in range(len(candidates) + 1):
+        for combo in itertools.combinations(candidates, size):
+            events = frozenset(Event(v, actual[v]) for v in combo)
+            if any(small <= events for small in found):
+                continue
+            if is_sufficient(scenario, events, effect):
+                found.append(events)
+    return found
+
+
+def counting_solves(monkeypatch) -> list[tuple]:
+    """Every call `sufficiency` makes to `solve`, recorded from now on."""
+    solved: list[tuple] = []
+    original = sufficiency.solve
+
+    def counting_solve(*args):
+        solved.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sufficiency, "solve", counting_solve)
+    return solved
 
 
 class TestIsSufficient:
@@ -217,3 +248,59 @@ class TestProperties:
                 effect = Event(var, scenario.actual_value(var))
                 engine = minimal_sufficient_sets(scenario, effect)
                 assert engine == oracle_minimal_sufficient_sets(scenario, effect)
+
+
+class TestFalsifyingWorldReuse:
+    """The walk skips a candidate that a stored falsifying world refutes."""
+
+    def test_a_broken_equation_refutes_only_sets_that_pin_it(self):
+        # Reliable mode; a, b, d and e are 0 and f is 1 in the actual world.
+        # Pinning d = 0 while b roams to 1 breaks d = b, and that world w
+        # (a=0, b=1, d=0, e=0) zeroes f: D(w) = {b}, B(w) = {d}.  {e} avoids
+        # D(w) but leaves d to its equation, so w does not refute it: with e
+        # pinned, d copies b and f holds under every background.  Ignoring
+        # B(w) would drop {e}.
+        scenario = make_scenario("a=0; b=0; d=b; e=a & b; f=~e & (d == b)")
+        effect = Event("f", 1)
+        sets = minimal_sufficient_sets(scenario, effect)
+        assert var_sets(sets) == [["a"], ["b"], ["e"]]
+        assert not is_sufficient(scenario, plan_of(Event("d", 0)), effect)
+        assert sets == plain_minimal_sufficient_sets(scenario, effect)
+
+    @pytest.mark.parametrize("mode", ["reliable", "general"])
+    def test_matches_a_plain_walk_for_every_variable(self, mode):
+        # Domains up to {0, 1, 2}; the reliable stream holds a target whose
+        # answer changes if a broken equation is ignored.
+        queries = 0
+        for index, scenario in scenario_stream(seed=4, count=100, max_vars=8, mode=mode):
+            for var in scenario.model.variables:
+                effect = Event(var, scenario.actual_value(var))
+                expected = plain_minimal_sufficient_sets(scenario, effect)
+                assert minimal_sufficient_sets(scenario, effect) == expected, (index, var)
+                queries += 1
+        assert queries == 537
+
+    def test_solve_count_or_of_eleven(self, monkeypatch):
+        # A work-count regression gate: a plain walk solves 4 095 worlds
+        # here, but stored worlds that each raise one xi refute every set
+        # short of all eleven.
+        scenario = make_scenario(
+            "; ".join([f"x{i}=0" for i in range(11)])
+            + "; e=~(" + " | ".join(f"x{i}" for i in range(11)) + ")"
+        )
+        solved = counting_solves(monkeypatch)
+        sets = minimal_sufficient_sets(scenario, Event("e", 1))
+        assert var_sets(sets) == [sorted(f"x{i}" for i in range(11))]
+        assert len(solved) == 23
+
+    def test_solve_count_over_the_corpus(self, monkeypatch):
+        # Fresh scenarios, so no memo entry is shared with other tests; a
+        # plain walk solves 1 355 worlds.
+        solved = counting_solves(monkeypatch)
+        cases = 0
+        for path in sorted(corpus_dir().glob("*.case")):
+            case = parse_case(path.read_text(encoding="utf-8"))
+            minimal_sufficient_sets(case.scenario, case.effect)
+            cases += 1
+        assert cases == 66
+        assert len(solved) == 935
