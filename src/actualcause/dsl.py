@@ -12,6 +12,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .expr import (
+    BINARY_PREC,
+    PREC_AND,
+    PREC_ATOM,
+    PREC_CMP,
+    PREC_OR,
     And,
     Arith,
     Cmp,
@@ -106,16 +111,11 @@ class _ExprParser:
         if token != ("op", op):
             raise ParseError(f"expected {op!r}, found {token[1]!r} in {self.text!r}")
 
-    def at_op(self, *ops: str) -> str | None:
-        token = self.peek()
-        if token is not None and token[0] == "op" and token[1] in ops:
-            return token[1]
-        return None
-
-    # Grammar, loosest binding first.  Each rule returns the parsed tree and
-    # its depth; `node` and `enter` enforce MAX_DEPTH.
+    # Grammar: `binary` climbs the binding powers of expr.BINARY_PREC, so
+    # precedence is taken from expr.py, not encoded here.  Each rule returns
+    # the parsed tree and its depth; `node` and `enter` enforce MAX_DEPTH.
     def parse(self) -> Expr:
-        expr, _ = self.or_expr()
+        expr, _ = self.binary(PREC_OR)
         if self.peek() is not None:
             raise ParseError(
                 f"trailing input {self.tokens[self.pos:]} in {self.text!r}"
@@ -137,56 +137,35 @@ class _ExprParser:
         if self.nesting > MAX_DEPTH:
             raise self.too_deep()
 
-    def or_expr(self) -> tuple[Expr, int]:
-        expr, depth = self.and_expr()
-        while self.at_op("|"):
-            self.take()
-            rhs, rhs_depth = self.and_expr()
-            expr, depth = self.node(Or(expr, rhs), depth, rhs_depth)
-        return expr, depth
-
-    def and_expr(self) -> tuple[Expr, int]:
-        expr, depth = self.cmp_expr()
-        while self.at_op("&"):
-            self.take()
-            rhs, rhs_depth = self.cmp_expr()
-            expr, depth = self.node(And(expr, rhs), depth, rhs_depth)
-        return expr, depth
-
-    def cmp_expr(self) -> tuple[Expr, int]:
-        expr, depth = self.sum_expr()
-        op = self.at_op("==", "!=", ">=", "<=", ">", "<")
-        if op is not None:
-            self.take()
-            rhs, rhs_depth = self.sum_expr()
-            expr, depth = self.node(Cmp(op, expr, rhs), depth, rhs_depth)
-        return expr, depth
-
-    def sum_expr(self) -> tuple[Expr, int]:
-        expr, depth = self.prod_expr()
+    def binary(self, floor: int) -> tuple[Expr, int]:
+        """Parse operators binding at least as tightly as `floor`, left
+        associative.  Comparisons do not chain: one may follow only an
+        operand that no comparison or looser operator has closed here."""
+        expr, depth = self.unary()
+        closed = PREC_ATOM  # binding power of the last operator applied
         while True:
-            op = self.at_op("+", "-")
-            if op is None:
+            token = self.peek()
+            prec = BINARY_PREC.get(token[1], 0) if token else 0  # 0: no operator
+            if prec < floor or (prec == PREC_CMP and closed <= PREC_CMP):
                 return expr, depth
-            self.take()
-            rhs, rhs_depth = self.prod_expr()
-            expr, depth = self.node(Arith(op, expr, rhs), depth, rhs_depth)
+            op = self.take()[1]
+            rhs, rhs_depth = self.binary(prec + 1)
+            if prec == PREC_OR:
+                tree: Expr = Or(expr, rhs)
+            elif prec == PREC_AND:
+                tree = And(expr, rhs)
+            elif prec == PREC_CMP:
+                tree = Cmp(op, expr, rhs)
+            else:
+                tree = Arith(op, expr, rhs)
+            expr, depth = self.node(tree, depth, rhs_depth)
+            closed = prec
 
-    def prod_expr(self) -> tuple[Expr, int]:
-        expr, depth = self.unary_expr()
-        while True:
-            op = self.at_op("*", "/", "%")
-            if op is None:
-                return expr, depth
-            self.take()
-            rhs, rhs_depth = self.unary_expr()
-            expr, depth = self.node(Arith(op, expr, rhs), depth, rhs_depth)
-
-    def unary_expr(self) -> tuple[Expr, int]:
-        if self.at_op("~"):
+    def unary(self) -> tuple[Expr, int]:
+        if self.peek() == ("op", "~"):
             self.take()
             self.enter()
-            operand, depth = self.unary_expr()
+            operand, depth = self.unary()
             self.nesting -= 1
             return self.node(Not(operand), depth)
         return self.atom()
@@ -200,7 +179,7 @@ class _ExprParser:
             return self.node(Var(text))
         if kind == "op" and text == "(":
             self.enter()
-            inner = self.or_expr()
+            inner = self.binary(PREC_OR)
             self.expect_op(")")
             self.nesting -= 1
             return inner
@@ -215,14 +194,14 @@ class _ExprParser:
         cases: list[tuple[Expr, Expr]] = []
         depths: list[int] = []
         while True:
-            value, value_depth = self.or_expr()
+            value, value_depth = self.binary(PREC_OR)
             token = self.take()
             if token != ("if", "if"):
                 raise ParseError(
                     f"expected 'if' after piecewise value, found {token[1]!r} "
                     f"in {self.text!r}"
                 )
-            guard, guard_depth = self.or_expr()
+            guard, guard_depth = self.binary(PREC_OR)
             cases.append((value, guard))
             depths += (value_depth, guard_depth)
             token = self.take()
@@ -293,6 +272,14 @@ def _parse_name(text: str, what: str) -> str:
     return text
 
 
+def _split_named(item: str, sep: str, what: str) -> tuple[str, str]:
+    """Split ``name<sep>body`` at the first `sep` and check the name."""
+    if sep not in item:
+        raise ParseError(f"{what} without {sep!r}: {item!r}")
+    name, body = item.split(sep, 1)
+    return _parse_name(name, what), body
+
+
 def _split_items(body: str) -> list[str]:
     return [piece.strip() for piece in body.split(";") if piece.strip()]
 
@@ -348,10 +335,7 @@ def parse_case(text: str) -> BenchCase:
     variables: list[str] = []
     equations: dict[str, Expr] = {}
     for item in _split_items(fields["formulas"]):
-        if "=" not in item:
-            raise ParseError(f"formula without '=': {item!r}")
-        name, rhs = item.split("=", 1)
-        name = _parse_name(name, "formula")
+        name, rhs = _split_named(item, "=", "formula")
         if name in equations:
             raise ParseError(f"duplicate formula for {name!r}")
         variables.append(name)
@@ -359,10 +343,7 @@ def parse_case(text: str) -> BenchCase:
 
     domains: dict[str, Domain] = {}
     for item in _split_items(fields.get("domains", "")):
-        if ":" not in item:
-            raise ParseError(f"domain without ':': {item!r}")
-        name, body = item.split(":", 1)
-        name = _parse_name(name, "domain")
+        name, body = _split_named(item, ":", "domain")
         body = body.strip()
         if not (body.startswith("{") and body.endswith("}")) and not (
             body.startswith("[") and body.endswith("]")
@@ -381,10 +362,7 @@ def parse_case(text: str) -> BenchCase:
 
     defaults: dict[str, int] = {}
     for item in _split_items(fields.get("defaults", "")):
-        if "=" not in item:
-            raise ParseError(f"default without '=': {item!r}")
-        name, body = item.split("=", 1)
-        name = _parse_name(name, "default")
+        name, body = _split_named(item, "=", "default")
         if name in defaults:
             raise ParseError(f"duplicate default for {name!r}")
         defaults[name] = _parse_int(body, f"default of {name}")
@@ -412,10 +390,7 @@ def parse_case(text: str) -> BenchCase:
 
     effect_body = fields.get("effect", "")
     if effect_body:
-        if "=" not in effect_body:
-            raise ParseError(f"effect without '=': {effect_body!r}")
-        name, body = effect_body.split("=", 1)
-        name = _parse_name(name, "effect")
+        name, body = _split_named(effect_body, "=", "effect")
         if name not in actual:
             raise ParseError(f"effect names unknown variable {name!r}")
         value = _parse_int(body, "effect value")

@@ -35,7 +35,7 @@ class EvaluationError(Exception):
 CMP_OPS = ("==", "!=", ">=", ">", "<=", "<")
 ARITH_OPS = ("+", "-", "*", "/", "%")
 
-# Rendering precedence levels; higher binds tighter.
+# Precedence levels; higher binds tighter.
 PREC_OR = 1
 PREC_AND = 2
 PREC_CMP = 3
@@ -43,6 +43,19 @@ PREC_SUM = 4
 PREC_PROD = 5
 PREC_NOT = 6
 PREC_ATOM = 7
+
+# Binding power of each binary operator.  Rendering and the parser in dsl.py
+# both read it, so precedence is decided here only.
+BINARY_PREC = {
+    "|": PREC_OR,
+    "&": PREC_AND,
+    **dict.fromkeys(CMP_OPS, PREC_CMP),
+    "+": PREC_SUM,
+    "-": PREC_SUM,
+    "*": PREC_PROD,
+    "/": PREC_PROD,
+    "%": PREC_PROD,
+}
 
 
 class Expr:
@@ -230,7 +243,7 @@ class Arith(Expr):
         return self.left.variables() | self.right.variables()
 
     def prec(self) -> int:
-        return PREC_SUM if self.op in ("+", "-") else PREC_PROD
+        return BINARY_PREC[self.op]
 
     def render(self) -> str:
         level = self.prec()

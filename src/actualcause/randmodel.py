@@ -12,7 +12,7 @@ import random
 import string
 from typing import Iterator
 
-from .expr import And, Arith, Cmp, Const, Expr, Not, Or, Piecewise, Var
+from .expr import CMP_OPS, And, Arith, Cmp, Const, Expr, Not, Or, Piecewise, Var
 from .model import Domain, Event, Model, ModelError, Scenario
 
 __all__ = [
@@ -28,7 +28,6 @@ _DOMAIN_CHOICES: list[tuple[tuple[int, ...], float]] = [
     ((0,), 0.02),
 ]
 
-_CMP_OPS = ("==", "!=", ">=", ">", "<=", "<")
 _SUM_OPS = ("+", "-", "*")
 
 
@@ -61,7 +60,7 @@ def _tree(rng: random.Random, parents: list[str], depth: int) -> Expr:
         return Or(_tree(rng, parents, depth - 1), _tree(rng, parents, depth - 1))
     if roll < 0.80:
         return Cmp(
-            rng.choice(_CMP_OPS),
+            rng.choice(CMP_OPS),
             _tree(rng, parents, depth - 1),
             _tree(rng, parents, depth - 1),
         )

@@ -12,9 +12,9 @@ import random
 from dataclasses import dataclass, field
 
 from .comparators import hph_causes
-from .dsl import parse_case, parse_expression, serialize_case
+from .dsl import BenchCase, parse_case, parse_expression, serialize_case
 from .engine import EngineOptions, causes_of
-from .model import Event, Scenario
+from .model import Event, Scenario, render_events
 from .normality import OrderResult, compare
 from .oracle import (
     oracle_causes_of,
@@ -98,10 +98,6 @@ def _describe(scenario: Scenario) -> str:
     if domains:
         text += f" [{domains}]"
     return text
-
-
-def _events_sorted(events) -> str:
-    return "{" + ", ".join(ev.render() for ev in sorted(events)) + "}"
 
 
 def run_verify(
@@ -189,8 +185,8 @@ def _variant_section(models: int, seed: int, max_vars: int) -> Section:
         section.checked += 1
         if not narrow <= broad:
             section.failures.append(
-                f"{tag} variant causes {_events_sorted(narrow)} exceed "
-                f"{_events_sorted(broad)} on {_describe(scenario)}"
+                f"{tag} variant causes {render_events(narrow)} exceed "
+                f"{render_events(broad)} on {_describe(scenario)}"
             )
     return section
 
@@ -218,7 +214,7 @@ def _operations_sections(models: int, seed: int, max_vars: int) -> list[Section]
                         result = operation(scenario, net, member, effect)
                     except ReasoningError as err:
                         sufficiency.failures.append(
-                            f"{tag} {name}({_events_sorted(net.events)}, "
+                            f"{tag} {name}({render_events(net.events)}, "
                             f"{member.render()}): {err} on {_describe(scenario)}"
                         )
                         continue
@@ -229,7 +225,7 @@ def _operations_sections(models: int, seed: int, max_vars: int) -> list[Section]
                             interp.failures.append(
                                 f"{tag} distance rose {base:g} -> {after:g} "
                                 f"interpolating {member.render()} out of "
-                                f"{_events_sorted(net.events)} on "
+                                f"{render_events(net.events)} on "
                                 f"{_describe(scenario)}"
                             )
                     elif name == "extrapolate":
@@ -240,7 +236,7 @@ def _operations_sections(models: int, seed: int, max_vars: int) -> list[Section]
                             extrap.failures.append(
                                 f"{tag} distance undefined after "
                                 f"extrapolating {member.render()} out of "
-                                f"{_events_sorted(net.events)}: {err} on "
+                                f"{render_events(net.events)}: {err} on "
                                 f"{_describe(scenario)}"
                             )
                             continue
@@ -248,7 +244,7 @@ def _operations_sections(models: int, seed: int, max_vars: int) -> list[Section]
                             extrap.failures.append(
                                 f"{tag} distance fell {base:g} -> {after:g} "
                                 f"extrapolating {member.render()} out of "
-                                f"{_events_sorted(net.events)} on "
+                                f"{render_events(net.events)} on "
                                 f"{_describe(scenario)}"
                             )
     return [sufficiency, interp, extrap]
@@ -326,8 +322,6 @@ def _roundtrip_section(models: int, seed: int, max_vars: int) -> Section:
                 break
         if bad:
             continue
-        from .dsl import BenchCase
-
         effect = random_effect(scenario)
         case = BenchCase(
             id=f"random-{index}",

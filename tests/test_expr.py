@@ -72,12 +72,18 @@ def test_precedence_structure():
     assert parse_expression("a > b + 1") == Cmp(
         ">", Var("a"), Arith("+", Var("b"), Const(1))
     )
+    assert parse_expression("(a == b) == c") == Cmp(
+        "==", Cmp("==", Var("a"), Var("b")), Var("c")
+    )
 
 
 @pytest.mark.parametrize(
     "source",
     [
         "a == b == c",  # comparisons do not chain
+        "a == b & c == d == e",
+        "{1 if a == b == c}",
+        "(a == b == c)",
         "-1",  # no unary minus; write 0-1
         "a +",
         "(a",
