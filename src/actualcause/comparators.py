@@ -38,14 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .model import (
-    ENUMERATION_CAP,
-    Assignment,
-    Event,
-    Scenario,
-    SearchTooLargeError,
-    solve,
-)
+from .model import Assignment, Event, Scenario, check_search_size, solve
 from .normality import MID, TOP, Rank, Reduction
 from .sufficiency import ActualityError
 
@@ -186,12 +179,11 @@ def _find_witness(
         )
     ]
 
-    size = (2 ** len(freeze_pool)) * math.prod(len(c) for c in choices)
-    if size > ENUMERATION_CAP:
-        raise SearchTooLargeError(
-            f"contrast search over {sorted(contrast_set)} has {size} "
-            f"candidate worlds, cap {ENUMERATION_CAP}"
-        )
+    check_search_size(
+        (2 ** len(freeze_pool)) * math.prod(len(c) for c in choices),
+        f"contrast search over {sorted(contrast_set)}",
+        "candidate worlds",
+    )
 
     for vector in itertools.product(*choices):
         contrast = dict(zip(ordered, vector))

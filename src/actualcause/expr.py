@@ -4,12 +4,17 @@ The expression language is deliberately small: integer constants, variable
 references, logical negation / conjunction / disjunction (zero is false,
 anything else is true, results are always 0 or 1), the six comparisons,
 floor-division arithmetic, and a first-true-wins piecewise form.
+
+An expression evaluates at one environment (`Expr.evaluate`) or at every
+setting of its variables at once (`value_table`), which evaluates each node
+once over a whole column of settings.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 __all__ = [
     "ARITH_OPS",
@@ -25,6 +30,7 @@ __all__ = [
     "Piecewise",
     "Var",
     "substitute",
+    "value_table",
 ]
 
 
@@ -57,11 +63,39 @@ BINARY_PREC = {
     "%": PREC_PROD,
 }
 
+# A column holds one value per setting, or None where `evaluate` raises.
+Column = list[int | None]
+# Settings in mixed-radix order: each variable's pool of values, and how many
+# consecutive settings share each of its values.
+Layout = dict[str, tuple[Sequence[int], int]]
+
+# What each comparison computes; `evaluate` and `column` both read it.
+_CMP_FUNCS: dict[str, Callable[[int, int], bool]] = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    ">=": operator.ge,
+    ">": operator.gt,
+    "<=": operator.le,
+    "<": operator.lt,
+}
+# the arithmetic operators that never raise
+_TOTAL_ARITH: dict[str, Callable[[int, int], int]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+}
+
 
 class Expr:
     """Base class of all expression nodes.  Nodes are immutable values."""
 
     def evaluate(self, env: Mapping[str, int]) -> int:
+        raise NotImplementedError
+
+    def column(self, layout: Layout, size: int) -> Column:
+        """`evaluate` at each of `size` settings at once: the value at every
+        setting, None where `evaluate` raises.  `layout` lays out the
+        variables' values over the settings."""
         raise NotImplementedError
 
     def variables(self) -> frozenset[str]:
@@ -92,6 +126,9 @@ class Const(Expr):
     def evaluate(self, env: Mapping[str, int]) -> int:
         return self.value
 
+    def column(self, layout: Layout, size: int) -> Column:
+        return [self.value] * size
+
     def variables(self) -> frozenset[str]:
         return frozenset()
 
@@ -109,6 +146,19 @@ class Var(Expr):
         except KeyError:
             raise EvaluationError(f"unbound variable {self.name!r}") from None
 
+    def column(self, layout: Layout, size: int) -> Column:
+        # built afresh for each reference, so that a wide table holds only
+        # the columns still in use rather than one per variable
+        if self.name not in layout:
+            return [None] * size
+        pool, inner = layout[self.name]
+        if inner == 1:
+            return list(pool) * (size // len(pool))
+        block: Column = []
+        for value in pool:
+            block += [value] * inner
+        return block * (size // len(block))
+
     def variables(self) -> frozenset[str]:
         return frozenset((self.name,))
 
@@ -122,6 +172,12 @@ class Not(Expr):
 
     def evaluate(self, env: Mapping[str, int]) -> int:
         return 0 if _truth(self.operand.evaluate(env)) else 1
+
+    def column(self, layout: Layout, size: int) -> Column:
+        return [
+            0 if a else (None if a is None else 1)
+            for a in self.operand.column(layout, size)
+        ]
 
     def variables(self) -> frozenset[str]:
         return self.operand.variables()
@@ -145,6 +201,12 @@ class And(Expr):
         rhs = self.right.evaluate(env)
         return 1 if _truth(lhs) and _truth(rhs) else 0
 
+    def column(self, layout: Layout, size: int) -> Column:
+        return [
+            None if a is None or b is None else (1 if a and b else 0)
+            for a, b in zip(self.left.column(layout, size), self.right.column(layout, size))
+        ]
+
     def variables(self) -> frozenset[str]:
         return self.left.variables() | self.right.variables()
 
@@ -164,6 +226,12 @@ class Or(Expr):
         lhs = self.left.evaluate(env)
         rhs = self.right.evaluate(env)
         return 1 if _truth(lhs) or _truth(rhs) else 0
+
+    def column(self, layout: Layout, size: int) -> Column:
+        return [
+            None if a is None or b is None else (1 if a or b else 0)
+            for a, b in zip(self.left.column(layout, size), self.right.column(layout, size))
+        ]
 
     def variables(self) -> frozenset[str]:
         return self.left.variables() | self.right.variables()
@@ -188,19 +256,14 @@ class Cmp(Expr):
     def evaluate(self, env: Mapping[str, int]) -> int:
         lhs = self.left.evaluate(env)
         rhs = self.right.evaluate(env)
-        if self.op == "==":
-            result = lhs == rhs
-        elif self.op == "!=":
-            result = lhs != rhs
-        elif self.op == ">=":
-            result = lhs >= rhs
-        elif self.op == ">":
-            result = lhs > rhs
-        elif self.op == "<=":
-            result = lhs <= rhs
-        else:
-            result = lhs < rhs
-        return 1 if result else 0
+        return 1 if _CMP_FUNCS[self.op](lhs, rhs) else 0
+
+    def column(self, layout: Layout, size: int) -> Column:
+        test = _CMP_FUNCS[self.op]
+        return [
+            None if a is None or b is None else (1 if test(a, b) else 0)
+            for a, b in zip(self.left.column(layout, size), self.right.column(layout, size))
+        ]
 
     def variables(self) -> frozenset[str]:
         return self.left.variables() | self.right.variables()
@@ -228,16 +291,20 @@ class Arith(Expr):
     def evaluate(self, env: Mapping[str, int]) -> int:
         lhs = self.left.evaluate(env)
         rhs = self.right.evaluate(env)
-        if self.op == "+":
-            return lhs + rhs
-        if self.op == "-":
-            return lhs - rhs
-        if self.op == "*":
-            return lhs * rhs
+        if self.op in _TOTAL_ARITH:
+            return _TOTAL_ARITH[self.op](lhs, rhs)
         if rhs == 0:
             raise EvaluationError(f"division by zero in {self.render()!r}")
         # Floor semantics for both quotient and remainder.
         return lhs // rhs if self.op == "/" else lhs % rhs
+
+    def column(self, layout: Layout, size: int) -> Column:
+        pairs = zip(self.left.column(layout, size), self.right.column(layout, size))
+        if self.op in _TOTAL_ARITH:
+            apply = _TOTAL_ARITH[self.op]
+            return [None if a is None or b is None else apply(a, b) for a, b in pairs]
+        apply = operator.floordiv if self.op == "/" else operator.mod
+        return [None if a is None or not b else apply(a, b) for a, b in pairs]
 
     def variables(self) -> frozenset[str]:
         return self.left.variables() | self.right.variables()
@@ -265,6 +332,24 @@ class Piecewise(Expr):
             if _truth(guard.evaluate(env)):
                 return value.evaluate(env)
         raise EvaluationError(f"no true guard in {self.render()!r}")
+
+    def column(self, layout: Layout, size: int) -> Column:
+        # Each setting takes the value of its first true guard, or None where
+        # a guard it reaches raises or no guard holds.
+        out: Column = [None] * size
+        pending = range(size)
+        for value, guard in self.cases:
+            tests = guard.column(layout, size)
+            values = value.column(layout, size)
+            undecided = []
+            for row in pending:
+                test = tests[row]
+                if test:
+                    out[row] = values[row]
+                elif test is not None:
+                    undecided.append(row)
+            pending = undecided
+        return out
 
     def variables(self) -> frozenset[str]:
         names: frozenset[str] = frozenset()
@@ -303,3 +388,18 @@ def substitute(expr: Expr, values: Mapping[str, int]) -> Expr:
             )
         )
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def value_table(
+    expr: Expr, names: Sequence[str], pools: Sequence[Sequence[int]]
+) -> Column:
+    """`expr` evaluated at every setting of `names`, each drawing its value
+    from the matching pool: one entry per setting in mixed-radix order (the
+    last name varies fastest, as in `itertools.product`), None where
+    `expr.evaluate` raises on that setting."""
+    layout: Layout = {}
+    size = 1
+    for name, pool in zip(reversed(names), reversed(pools)):
+        layout[name] = (pool, size)
+        size *= len(pool)
+    return expr.column(layout, size)

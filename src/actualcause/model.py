@@ -9,12 +9,13 @@ partition is always computed from the equations, never declared.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TypeVar
 
-from .expr import EvaluationError, Expr, substitute
+from .expr import EvaluationError, Expr, substitute, value_table
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -29,6 +30,7 @@ __all__ = [
     "Scenario",
     "SearchTooLargeError",
     "UnknownVariableError",
+    "check_search_size",
     "checked_solve",
     "enumerate_settings",
     "event_set",
@@ -121,9 +123,10 @@ class Model:
     missing domains, out-of-domain constants, non-exhaustive piecewise
     equations, and equations whose value can leave the variable's domain for
     some setting of its parents.  Validation already evaluates every equation
-    at every setting of its parents; those values are kept as one flat table
-    per variable, indexed by the mixed-radix code of the parent values (last
-    parent in sorted order varies fastest), and `lookup` reads them.
+    at every setting of its parents, all settings at once (`value_table`);
+    those values are kept as one flat table per variable, indexed by the
+    mixed-radix code of the parent values (last parent in sorted order varies
+    fastest), and `lookup` reads them.
     """
 
     def __init__(
@@ -200,33 +203,32 @@ class Model:
         """The value table of one equation, validated for totality."""
         expr = self.equations[var]
         parents = self._parent_tuple[var]
-        size = 1
-        for parent in parents:
-            size *= len(self.domains[parent])
-        if size > ENUMERATION_CAP:
-            raise SearchTooLargeError(
-                f"equation for {var!r} has {size} parent settings, cap {ENUMERATION_CAP}"
-            )
-        table: list[int] = []
-        for combo in itertools.product(*(self.domains[p].values for p in parents)):
-            env = dict(zip(parents, combo))
-            try:
-                value = expr.evaluate(env)
-            except EvaluationError as err:
-                if "no true guard" in str(err):
-                    raise NonExhaustivePiecewiseError(
-                        f"equation for {var!r} has no true guard at {env}"
-                    ) from err
-                raise ModelError(
-                    f"equation for {var!r} fails at {env}: {err}"
+        pools = [self.domains[p].values for p in parents]
+        check_search_size(
+            math.prod(map(len, pools)), f"equation for {var!r}", "parent settings"
+        )
+        table = value_table(expr, parents, pools)
+        index = self._index[var]
+        if all(map(index.__contains__, table)):
+            return table
+        # Re-evaluate the first failing setting alone, for its error.
+        code = next(i for i, value in enumerate(table) if value not in index)
+        combo = next(itertools.islice(itertools.product(*pools), code, None))
+        env = dict(zip(parents, combo))
+        try:
+            value = expr.evaluate(env)
+        except EvaluationError as err:
+            if "no true guard" in str(err):
+                raise NonExhaustivePiecewiseError(
+                    f"equation for {var!r} has no true guard at {env}"
                 ) from err
-            if value not in self._index[var]:
-                raise DomainError(
-                    f"equation for {var!r} yields {value} outside domain "
-                    f"{self.domains[var].values} at {env}"
-                )
-            table.append(value)
-        return table
+            raise ModelError(
+                f"equation for {var!r} fails at {env}: {err}"
+            ) from err
+        raise DomainError(
+            f"equation for {var!r} yields {value} outside domain "
+            f"{self.domains[var].values} at {env}"
+        )
 
     # -- structure ------------------------------------------------------------
 
@@ -411,6 +413,14 @@ def solve(scenario: Scenario, pins: Mapping[str, int] | None = None) -> Assignme
     return {v: out[v] for v in model.variables}
 
 
+def check_search_size(size: int, space: str, unit: str) -> None:
+    """Raise SearchTooLargeError, before anything is enumerated, when a
+    search over `space` would try `size` (in `unit`) past ENUMERATION_CAP.
+    Every bounded search in the package checks here."""
+    if size > ENUMERATION_CAP:
+        raise SearchTooLargeError(f"{space} has {size} {unit}, cap {ENUMERATION_CAP}")
+
+
 def enumerate_settings(model: Model, variables: Iterable[str]) -> Iterator[Assignment]:
     """All assignments over the given variables, in deterministic order.
 
@@ -423,13 +433,11 @@ def enumerate_settings(model: Model, variables: Iterable[str]) -> Iterator[Assig
     if loose:
         raise UnknownVariableError(f"unknown variable(s) {sorted(loose)}")
     ordered = [v for v in model.variables if v in wanted]
-    size = 1
-    for var in ordered:
-        size *= len(model.domains[var])
-    if size > ENUMERATION_CAP:
-        raise SearchTooLargeError(
-            f"assignment space over {ordered} has {size} settings, cap {ENUMERATION_CAP}"
-        )
+    check_search_size(
+        math.prod(len(model.domains[v]) for v in ordered),
+        f"assignment space over {ordered}",
+        "settings",
+    )
     for combo in itertools.product(*(model.domains[v].values for v in ordered)):
         yield dict(zip(ordered, combo))
 

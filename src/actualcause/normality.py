@@ -19,6 +19,8 @@ single-event one the first witness that moves each member alone.
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Mapping
 
@@ -28,7 +30,7 @@ from .model import (
     ModelError,
     Scenario,
     UnknownVariableError,
-    enumerate_settings,
+    check_search_size,
     memoized,
     reduced_model,
     solve,
@@ -210,6 +212,26 @@ class Reduction:
             return TOP
         return _deviant(value, tuple(values[p] for p in self.kept_parents[var]))
 
+    def pinnable(
+        self, var: str, pin_rank: Callable[[int, int, int], Rank]
+    ) -> list[int]:
+        """The values of `var`, in domain order, at which a pin ranks no
+        lower than actuality.  A pin's rank `pin_rank(value, actual value,
+        default)` does not depend on the rest of the world, so
+        `no_less_normal` rejects every world that pins `var` at any other
+        value.  A removed variable is never ranked: all its values stay."""
+        values = self.scenario.model.domains[var].values
+        if var not in self.actual_ranks:
+            return list(values)
+        actual = self.actual[var]
+        default = self.scenario.defaults[var]
+        return [
+            value
+            for value in values
+            if _component(pin_rank(value, actual, default), self.actual_ranks[var])
+            in ("eq", "gt")
+        ]
+
     def no_less_normal(
         self,
         world: Mapping[str, int],
@@ -311,11 +333,15 @@ def plan_abnormality(
     for a world that breaks the effect no less normally than actuality.
 
     Every contrast vector differing from the actual one is tried, in
-    enumeration order.  `witness` is the first world found; `certified`
-    holds each variable some witness flips, plus, when the plan passes, each
-    plan variable at its default.  `single_flips` records, per variable,
-    the first witness whose contrast moves that variable alone, which is
-    what the engine's "3prime" screen reads.
+    enumeration order, under every background; a value at which its pin
+    ranks below actuality (`Reduction.pinnable`) can never be a witness's,
+    so it is skipped unsolved.  The contrasts left other than the actual
+    one, times the backgrounds left, are the candidate worlds counted
+    against ENUMERATION_CAP before the first solve.  `witness` is the first
+    world found; `certified` holds each variable some witness flips, plus,
+    when the plan passes, each plan variable at its default.  `single_flips`
+    records, per variable, the first witness whose contrast moves that
+    variable alone, which is what the engine's "3prime" screen reads.
 
     The result is memoized per scenario and arguments.
     """
@@ -336,18 +362,30 @@ def _plan_abnormality(
         unknown = pins - set(model.variables)
         raise UnknownVariableError(f"unknown plan variable(s) {sorted(unknown)}")
     reduction = Reduction(scenario, pins)
-    roaming = scenario.roaming_vars(pins, effect.var)
+    roaming_set = scenario.roaming_vars(pins, effect.var)
+    roaming = [v for v in model.variables if v in roaming_set]
+    # only pin values that can rank no lower than actuality: the actual
+    # value always stays, and the order of the rest is kept
+    contrasts = [reduction.pinnable(v, _pin_rank) for v in ordered_pins]
+    backgrounds = [reduction.pinnable(v, _pin_rank) for v in roaming]
+    check_search_size(
+        (math.prod(map(len, contrasts)) - 1) * math.prod(map(len, backgrounds)),
+        f"abnormality search over {ordered_pins}",
+        "candidate worlds",
+    )
 
     first_witness: AbnormalityWitness | None = None
     single: dict[str, AbnormalityWitness] = {}
     flipped: set[str] = set()
 
-    for contrast in enumerate_settings(model, ordered_pins):
+    for vector in itertools.product(*contrasts):
+        contrast = dict(zip(ordered_pins, vector))
         delta = [v for v in ordered_pins if contrast[v] != actual[v]]
         if not delta:
             continue
         lone = delta[0] if len(delta) == 1 else None
-        for background in enumerate_settings(model, roaming):
+        for combo in itertools.product(*backgrounds):
+            background = dict(zip(roaming, combo))
             overrides = {**contrast, **background}
             world = solve(scenario, overrides)
             if world[effect.var] == effect.value:

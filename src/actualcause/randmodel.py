@@ -12,7 +12,7 @@ import random
 import string
 from typing import Iterator
 
-from .expr import CMP_OPS, And, Arith, Cmp, Const, Expr, Not, Or, Piecewise, Var
+from .expr import CMP_OPS, And, Arith, Cmp, Const, Expr, Not, Or, Piecewise, Var, value_table
 from .model import Domain, Event, Model, ModelError, Scenario
 
 __all__ = [
@@ -92,27 +92,13 @@ def _equation(
     domain: Domain,
     domains: dict[str, Domain],
 ) -> Expr:
-    import itertools
-
-    pools = [domains[p].values for p in parents]
     for _attempt in range(24):
         candidate = _tree(rng, parents, depth=2)
         used = sorted(candidate.variables())
-        used_pools = [domains[p].values for p in used]
-        ok = True
-        for combo in itertools.product(*used_pools):
-            env = dict(zip(used, combo))
-            try:
-                value = candidate.evaluate(env)
-            except Exception:
-                ok = False
-                break
-            if value not in domain:
-                ok = False
-                break
-        if ok:
+        table = value_table(candidate, used, [domains[p].values for p in used])
+        # None, where evaluation fails, is outside every domain
+        if all(map(domain.values.__contains__, table)):
             return candidate
-    del pools
     return Const(rng.choice(domain.values))
 
 

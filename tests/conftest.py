@@ -1,4 +1,5 @@
-"""Shared fixtures: corpus access and a compact scenario builder."""
+"""Shared fixtures: corpus access, a compact scenario builder and random
+expressions."""
 
 from __future__ import annotations
 
@@ -6,8 +7,24 @@ import importlib.resources
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from actualcause import Domain, Model, Scenario, parse_case, parse_expression
+from actualcause import (
+    And,
+    Arith,
+    Cmp,
+    Const,
+    Domain,
+    Model,
+    Not,
+    Or,
+    Piecewise,
+    Scenario,
+    Var,
+    parse_case,
+    parse_expression,
+)
+from actualcause.expr import ARITH_OPS, CMP_OPS
 
 
 def corpus_dir() -> Path:
@@ -22,6 +39,28 @@ WIDE_FORMULAS = "; ".join(
     + [f"y{i}=x{2 * i} & x{2 * i + 1}" for i in range(11)]
     + ["e=~(" + " | ".join(f"y{i}" for i in range(11)) + ")"]
 )
+
+
+def _piecewise(children):
+    cases = st.lists(st.tuples(children, children), min_size=1, max_size=3)
+    return cases.map(lambda pairs: Piecewise(tuple(pairs)))
+
+
+# Random expressions over a, b, c and d with small constants: division and
+# remainder by zero and piecewise forms with no true guard occur often.
+EXPRESSIONS = st.recursive(
+    st.one_of(st.sampled_from("abcd").map(Var), st.integers(-1, 2).map(Const)),
+    lambda children: st.one_of(
+        children.map(Not),
+        st.builds(And, children, children),
+        st.builds(Or, children, children),
+        st.builds(Cmp, st.sampled_from(CMP_OPS), children, children),
+        st.builds(Arith, st.sampled_from(ARITH_OPS), children, children),
+        _piecewise(children),
+    ),
+    max_leaves=14,
+)
+POOLS = st.lists(st.integers(-2, 3), min_size=1, max_size=3, unique=True)
 
 
 def make_scenario(

@@ -168,6 +168,7 @@ class TestVerify:
             ["--max-vars", "1"],
             ["--max-vars", "0"],
             ["--max-vars", "-2"],
+            ["--max-vars", "17"],
             ["--max-vars", "27"],
         ],
     )

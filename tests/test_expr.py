@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,9 @@ from actualcause import (
     substitute,
 )
 from actualcause.dsl import MAX_DEPTH
+from actualcause.expr import value_table
+
+from conftest import EXPRESSIONS, POOLS
 
 
 @pytest.mark.parametrize(
@@ -49,6 +54,12 @@ from actualcause.dsl import MAX_DEPTH
         ("{2 if a, 1 if 1}", {"a": 0}, 1),
         ("{2 if a, 1 if 1}", {"a": 1}, 2),
         ("{9 if m == 2, 4 if 1}", {"m": 2}, 9),
+        ("1 < 2", {}, 1),
+        ("2 < 2", {}, 0),
+        ("2 == 2", {}, 1),
+        ("1 > 1", {}, 0),
+        ("2 >= 2", {}, 1),
+        ("2 != 3", {}, 1),
     ],
 )
 def test_parse_and_evaluate(source, env, expected):
@@ -214,3 +225,39 @@ def test_render_round_trip_random_equations(seed):
         return  # rejected draw (e.g. a cyclic or non-total sample); nothing to check
     for expr in scenario.model.equations.values():
         assert parse_expression(expr.render()) == expr
+
+
+def rowwise_table(expr, names, pools):
+    """`expr.evaluate` at each setting in `itertools.product` order, None
+    where it raises."""
+    rows = []
+    for combo in itertools.product(*pools):
+        try:
+            rows.append(expr.evaluate(dict(zip(names, combo))))
+        except EvaluationError:
+            rows.append(None)
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    EXPRESSIONS,
+    st.permutations("abcd").flatmap(lambda order: st.integers(0, 4).map(lambda n: order[:n])),
+    st.data(),
+)
+def test_value_table_matches_rowwise_evaluation(expr, names, data):
+    pools = [data.draw(POOLS) for _ in names]
+    assert value_table(expr, names, pools) == rowwise_table(expr, names, pools)
+
+
+def test_value_table_marks_only_rows_that_raise():
+    expr = parse_expression("{a / b if a, 7 if b, c % a if b == 0}")
+    names = ["a", "b", "c"]
+    pools = [(0, 2), (0, 1), (1,)]
+    # a=0,b=0: the last guard reaches c % 0; a=2,b=0: the first guard's
+    # branch divides by zero; a=0,b=1 takes 7 without reaching a / b
+    assert value_table(expr, names, pools) == [None, 7, None, 2]
+    assert value_table(expr, names, pools) == rowwise_table(expr, names, pools)
+    # a guard that raises ends the search even where a later guard holds
+    guarded = parse_expression("{1 if 2 / a, 3 if 1}")
+    assert value_table(guarded, ["a"], [(0, 1)]) == [None, 1]

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actualcause import (
+    Const,
     CycleError,
     Domain,
     DomainError,
     ENUMERATION_CAP,
+    EvaluationError,
     Event,
+    Model,
     ModelError,
     NonExhaustivePiecewiseError,
     UnknownVariableError,
@@ -18,7 +25,7 @@ from actualcause import (
     render_events,
     solve,
 )
-from conftest import WIDE_FORMULAS, make_scenario
+from conftest import EXPRESSIONS, POOLS, WIDE_FORMULAS, make_scenario
 
 
 class TestDomain:
@@ -125,6 +132,61 @@ class TestModelValidation:
             model.check_value("a", 3)
         with pytest.raises(UnknownVariableError):
             model.check_value("z", 0)
+
+
+def rowwise_compile(var, expr, domains):
+    """The value table of one equation compiled one parent setting at a
+    time, raising as `Model` does."""
+    parents = tuple(sorted(expr.variables()))
+    table = []
+    for combo in itertools.product(*(domains[p].values for p in parents)):
+        env = dict(zip(parents, combo))
+        try:
+            value = expr.evaluate(env)
+        except EvaluationError as err:
+            if "no true guard" in str(err):
+                raise NonExhaustivePiecewiseError(
+                    f"equation for {var!r} has no true guard at {env}"
+                ) from err
+            raise ModelError(f"equation for {var!r} fails at {env}: {err}") from err
+        if value not in domains[var]:
+            raise DomainError(
+                f"equation for {var!r} yields {value} outside domain "
+                f"{domains[var].values} at {env}"
+            )
+        table.append(value)
+    return table
+
+
+def table_or_error(build):
+    try:
+        return build()
+    except ModelError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    EXPRESSIONS,
+    st.lists(POOLS, min_size=4, max_size=4),
+    st.lists(st.integers(-3, 4), min_size=1, max_size=8, unique=True),
+)
+def test_tables_match_a_rowwise_compile(expr, pools, effect_pool):
+    # The same table, or the same exception class and message.
+    names = ["a", "b", "c", "d"]
+    domains = {name: Domain(tuple(pool)) for name, pool in zip(names, pools)}
+    domains["e"] = Domain(tuple(effect_pool))
+    equations = {name: Const(domains[name].values[0]) for name in names}
+    equations["e"] = expr
+
+    def compiled():
+        model = Model([*names, "e"], equations, domains)
+        parents = model.parent_tuple("e")
+        combos = itertools.product(*(domains[p].values for p in parents))
+        return [model.lookup("e", dict(zip(parents, combo))) for combo in combos]
+
+    expected = table_or_error(lambda: rowwise_compile("e", expr, domains))
+    assert table_or_error(compiled) == expected
 
 
 class TestScenario:

@@ -13,18 +13,22 @@ from actualcause import (
     ModelError,
     OrderResult,
     PlanNotSufficientError,
+    SearchTooLargeError,
     UnknownVariableError,
+    causes_of,
     compare,
     intrinsic_scenario,
+    minimal_sufficient_sets,
+    parse_case,
     plan_abnormality,
     rank,
 )
 from actualcause import normality
 from actualcause.model import enumerate_settings, reduced_model, solve
-from actualcause.normality import Reduction
+from actualcause.normality import AbnormalityWitness, PlanAbnormality, Reduction
 from actualcause.randmodel import scenario_stream
 
-from conftest import make_scenario
+from conftest import WIDE_FORMULAS, corpus_dir, make_scenario
 
 
 class TestRank:
@@ -251,34 +255,32 @@ def pin_sets(scenario):
 class TestReduction:
     """The read-only reduction ranks exactly as the built reduced model
     does, on the actual world and on every world the abnormality screen
-    solves.  The pin sets need not be sufficient, as the comparator's
-    contrast sets need not be."""
+    would solve without its pin pruning.  The pin sets need not be
+    sufficient, as the comparator's contrast sets need not be."""
 
-    def test_ranks_match_the_built_reduction(self, monkeypatch):
-        worlds: list[dict[str, int]] = []
-
-        def recording_solve(*args, **kwargs):
-            world = solve(*args, **kwargs)
-            worlds.append(world)
-            return world
-
-        solve = normality.solve
-        monkeypatch.setattr(normality, "solve", recording_solve)
+    def test_ranks_match_the_built_reduction(self):
         checked = 0
         for mode in ("reliable", "general"):
             for _, scenario in scenario_stream(43, 25, max_vars=7, mode=mode):
+                model = scenario.model
                 actual = scenario.actual()
                 for effect, pins in pin_sets(scenario):
                     removed = {
                         v: actual[v]
-                        for v in scenario.model.ancestors(pins) - set(pins)
+                        for v in model.ancestors(pins) - set(pins)
                     }
-                    reduced = reduced_model(scenario.model, removed)
+                    reduced = reduced_model(model, removed)
                     reduction = Reduction(scenario, frozenset(pins))
                     assert tuple(reduction.kept) == reduced.variables
                     assert reduction.initial == reduced.initial_variables()
-                    worlds.clear()
-                    plan_abnormality(scenario, pins, effect)
+                    # every world the unpruned abnormality search solves
+                    roaming = scenario.roaming_vars(frozenset(pins), effect.var)
+                    worlds = [
+                        solve(scenario, {**contrast, **background})
+                        for contrast in enumerate_settings(model, pins)
+                        if any(contrast[v] != actual[v] for v in pins)
+                        for background in enumerate_settings(model, roaming)
+                    ]
                     for world in [actual, *worlds]:
                         for var in reduction.kept:
                             found = rank_key(reduction.free_rank(var, world))
@@ -287,3 +289,178 @@ class TestReduction:
                             )
                             checked += 1
         assert checked > 10_000
+
+
+def unpruned_plan_abnormality(scenario, pins, effect):
+    """The abnormality search without pin pruning: every contrast differing
+    from the actual one is solved under every background, whatever its pins
+    rank."""
+    pins = frozenset(pins)
+    model = scenario.model
+    model.check_value(effect.var, effect.value)
+    actual = scenario.actual()
+    ordered_pins = [v for v in model.variables if v in pins]
+    reduction = Reduction(scenario, pins)
+    roaming = scenario.roaming_vars(pins, effect.var)
+
+    first_witness = None
+    single = {}
+    flipped = set()
+
+    for contrast in enumerate_settings(model, ordered_pins):
+        delta = [v for v in ordered_pins if contrast[v] != actual[v]]
+        if not delta:
+            continue
+        lone = delta[0] if len(delta) == 1 else None
+        for background in enumerate_settings(model, roaming):
+            overrides = {**contrast, **background}
+            world = solve(scenario, overrides)
+            if world[effect.var] == effect.value:
+                continue
+            if not reduction.no_less_normal(world, overrides, normality._pin_rank):
+                continue
+            flipped.update(delta)
+            if first_witness is not None and (lone is None or lone in single):
+                continue
+            witness = AbnormalityWitness(
+                contrast=frozenset(Event(v, contrast[v]) for v in ordered_pins),
+                background=frozenset(Event(v, background[v]) for v in roaming),
+                outcome=tuple(sorted(world.items())),
+            )
+            if first_witness is None:
+                first_witness = witness
+            if lone is not None:
+                single[lone] = witness
+
+    passed = first_witness is not None
+    certified = set(flipped)
+    if passed:
+        for var in ordered_pins:
+            if actual[var] == scenario.defaults[var]:
+                certified.add(var)
+    return PlanAbnormality(
+        passed=passed,
+        witness=first_witness,
+        certified=frozenset(certified),
+        single_flips=tuple((v, single[v]) for v in ordered_pins if v in single),
+    )
+
+
+def plan_queries(scenario):
+    """(pins, effect) for every minimal sufficient set of every variable at
+    its actual value, then for every set of one or two of its ancestors."""
+    for var in scenario.model.variables:
+        effect = Event(var, scenario.actual_value(var))
+        for events in minimal_sufficient_sets(scenario, effect):
+            yield frozenset(ev.var for ev in events), effect
+    for effect, pins in pin_sets(scenario):
+        yield frozenset(pins), effect
+
+
+def pruned_somewhere(scenario, pins, effect):
+    """Whether some pin or roaming variable loses a value to the pruning."""
+    reduction = Reduction(scenario, pins)
+    pool = pins | scenario.roaming_vars(pins, effect.var)
+    return any(
+        len(reduction.pinnable(v, normality._pin_rank)) < len(scenario.model.domains[v])
+        for v in pool
+    )
+
+
+class TestPinPruning:
+    """The search skips pin values that rank below actuality, unsolved."""
+
+    def test_results_match_the_unpruned_search(self):
+        # Whole results are compared with ==, witnesses and single flips
+        # included; a repr would depend on the hash seed through frozensets.
+        scenarios = [
+            parse_case(path.read_text(encoding="utf-8")).scenario
+            for path in sorted(corpus_dir().glob("*.case"))
+        ]
+        for mode in ("reliable", "general"):
+            scenarios += [s for _, s in scenario_stream(11, 150, max_vars=8, mode=mode)]
+        queries = pruned = 0
+        for scenario in scenarios:
+            for pins, effect in plan_queries(scenario):
+                expected = unpruned_plan_abnormality(scenario, pins, effect)
+                assert plan_abnormality(scenario, pins, effect) == expected
+                queries += 1
+                pruned += pruned_somewhere(scenario, pins, effect)
+        assert queries == 6020
+        # queries where some pin or roaming variable loses a value
+        assert pruned > 4000
+
+    def test_the_actual_value_always_stays(self):
+        for mode in ("reliable", "general"):
+            for _, scenario in scenario_stream(12, 40, max_vars=7, mode=mode):
+                actual = scenario.actual()
+                for effect, pins in pin_sets(scenario):
+                    reduction = Reduction(scenario, frozenset(pins))
+                    for var in scenario.model.variables:
+                        values = reduction.pinnable(var, normality._pin_rank)
+                        assert actual[var] in values
+                        assert values == [
+                            v for v in scenario.model.domains[var].values if v in values
+                        ]
+
+
+def counting_solves(monkeypatch):
+    """Every call `normality` makes to `solve`, recorded from now on."""
+    solved = []
+    original = normality.solve
+
+    def counting_solve(*args):
+        solved.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(normality, "solve", counting_solve)
+    return solved
+
+
+class TestAbnormalityWork:
+    """Work-count regression gates and the enumeration cap."""
+
+    def test_solve_count_or_of_eleven(self, monkeypatch):
+        # Every contrast raises some xi to 1, off its actual and default
+        # value: Mid below the actual Top.  The unpruned search solves all
+        # 2 047 of them.
+        scenario = make_scenario(
+            "; ".join([f"x{i}=0" for i in range(11)])
+            + "; e=~(" + " | ".join(f"x{i}" for i in range(11)) + ")"
+        )
+        solved = counting_solves(monkeypatch)
+        assert causes_of(scenario, Event("e", 1)) == frozenset()
+        assert solved == []
+
+    def test_solve_count_over_the_corpus(self, monkeypatch):
+        # Fresh scenarios, so no memo entry is shared with other tests; the
+        # unpruned search solves 4 142 worlds.
+        solved = counting_solves(monkeypatch)
+        cases = 0
+        for path in sorted(corpus_dir().glob("*.case")):
+            case = parse_case(path.read_text(encoding="utf-8"))
+            causes_of(case.scenario, case.effect)
+            cases += 1
+        assert cases == 66
+        assert len(solved) == 2448
+
+    def test_pins_at_their_defaults_do_not_count(self, monkeypatch):
+        # 21 binary pins at their actual values, which are their defaults:
+        # the actual contrast is the only one left, so there is nothing to
+        # solve, where the unpruned search refuses 2**21 contrasts.
+        scenario = make_scenario(WIDE_FORMULAS)
+        pins = [f"x{i}" for i in range(21)]
+        solved = counting_solves(monkeypatch)
+        result = plan_abnormality(scenario, pins, Event("e", 1))
+        assert result == PlanAbnormality(False, None, frozenset(), ())
+        assert solved == []
+
+    def test_off_default_pins_still_count(self, monkeypatch):
+        # With every pin off its default, each value ranks no lower than
+        # the deviant actual one: 2**21 - 1 contrasts times one background.
+        defaults = {f"x{i}": 1 for i in range(21)}
+        scenario = make_scenario(WIDE_FORMULAS, defaults=defaults)
+        solved = counting_solves(monkeypatch)
+        with pytest.raises(SearchTooLargeError, match="2097151 candidate worlds"):
+            plan_abnormality(scenario, list(defaults), Event("e", 1))
+        assert solved == []
