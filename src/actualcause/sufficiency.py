@@ -6,6 +6,11 @@ every derived variable outside the pins follows its equation and only the
 remaining initial variables roam; in general mode every variable outside the
 pins roams.
 
+Minimal sufficient sets are found by dualize-and-advance over the minimal
+transversals of the falsifying worlds met, when sufficiency is monotone (in
+general mode, and in reliable mode when every candidate is an initial
+variable); other reliable-mode searches walk the candidate subsets by size.
+
 Sufficient sets and direct causes are memoized per scenario and arguments;
 each call returns a fresh copy.
 """
@@ -23,6 +28,7 @@ from .model import (
     ModelError,
     Scenario,
     UnknownVariableError,
+    check_search_size,
     enumerate_settings,
     memoized,
     solve,
@@ -104,27 +110,118 @@ def minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozenset
 
 
 def _minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozenset[Event]]:
-    """Candidate sets are bitmasks over the sorted candidates, walked by size
-    then variable tuple.  A superset of a sufficient set is skipped.  Each
-    falsifying world w met is kept as two masks: D(w), the candidates where
-    w differs from the actual world, and B(w), the derived candidates that
-    break their equation in w (none in general mode, where every unpinned
-    variable roams).  A set S with D(w) & S == 0 and B(w) & ~S == 0 is
-    skipped unsolved, being insufficient: pinning S at its actual values and
+    """Candidate sets are bitmasks over the sorted candidates.  Each
+    falsifying world w met is kept as D(w), the candidates where w differs
+    from the actual world, and, in the walk, B(w), the derived candidates
+    that break their equation in w.  A set S with D(w) & S == 0 and
+    B(w) & ~S == 0 is insufficient: pinning S at its actual values and
     setting its roaming ancestors as in w reproduces w on every ancestor, so
-    the effect misses its value again.  The empty set roams widest, so it is
-    solved first and raises SearchTooLargeError if any set would.
+    the effect misses its value again.
+
+    In general mode every unpinned variable roams, and in reliable mode an
+    initial pin cannot break its equation, so when the mode is general or
+    every candidate is initial, B(w) is always 0.  Sufficiency is then
+    monotone: S is insufficient exactly when it misses D(w) for some
+    falsifying world w, and the minimal sufficient sets are the minimal
+    transversals of the D family.  These are found by dualize-and-advance
+    (`_transversal_search`).  Other reliable-mode candidate sets, where a
+    pinned derived candidate can break its equation, keep the walk (`_walk`).
+
+    Both solve the empty set first: it roams widest, so it raises
+    SearchTooLargeError if any set would.  That bounds the transversal
+    search, whose candidates all roam under the empty set, but not the walk,
+    which visits all 2**n candidate masks however few it solves; so the walk
+    then checks 2**n against the cap as well.
     """
     model = scenario.model
     model.check_value(effect.var, effect.value)
     actual = scenario.actual()
     candidates = sorted(model.ancestors(effect.var))
+    if scenario.mode != "reliable" or model.initial_variables().issuperset(candidates):
+        found = _transversal_search(scenario, effect, candidates, actual)
+    else:
+        found = _walk(scenario, effect, candidates, actual)
+    return [frozenset(Event(v, value) for v, value in pins.items()) for pins in found]
+
+
+def _differs(candidates: list[str], actual: Assignment, world: Assignment) -> int:
+    """D(w): the candidates at which the world differs from the actual one."""
+    return sum(1 << i for i, v in enumerate(candidates) if world[v] != actual[v])
+
+
+def _walk_order(mask: int) -> tuple[int, list[int]]:
+    """The walk's order: size, then the tuple of candidate positions."""
+    return mask.bit_count(), [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _transversal_search(
+    scenario: Scenario, effect: Event, candidates: list[str], actual: Assignment
+) -> list[Assignment]:
+    """Dualize and advance: keep the minimal transversals of the D masks met
+    so far and test the untested ones in the walk's order.  A passing
+    transversal is a minimal sufficient set, since each of its proper subsets
+    misses some D(w).  A falsifying world adds its D(w); the search stops
+    when every transversal passes, so every minimal sufficient set, being a
+    transversal of the final family that contains some passing one, is one
+    of them.  The walk solves exactly the same sets in the same order.  An
+    empty D(w) (the effect misses its value with every ancestor actual)
+    leaves no transversal, and the answer is []."""
+    transversals = [0]  # in the walk's order
+    passing: dict[int, Assignment] = {}  # mask -> pins
+    while True:
+        for mask in transversals:
+            if mask not in passing:
+                break
+        else:
+            return [passing[mask] for mask in transversals]
+        pins = {v: actual[v] for i, v in enumerate(candidates) if mask >> i & 1}
+        world = _falsifying_world(scenario, pins, effect)
+        if world is None:
+            passing[mask] = pins
+        else:
+            edge = _differs(candidates, actual, world)
+            transversals = sorted(_add_edge(transversals, edge), key=_walk_order)
+
+
+def _add_edge(transversals: list[int], edge: int) -> list[int]:
+    """The minimal transversals once `edge` joins the family (Berge): those
+    that meet it stay, and each other one grows by one bit of it.  A grown
+    set is not minimal exactly when it contains one that stayed; two grown
+    sets never contain one another, as neither old set meets the edge."""
+    meeting = [t for t in transversals if t & edge]
+    grown = []
+    for t in transversals:
+        if t & edge:
+            continue
+        rest = edge
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if all(m & ~(t | low) for m in meeting):
+                grown.append(t | low)
+    return meeting + grown
+
+
+def _walk(
+    scenario: Scenario, effect: Event, candidates: list[str], actual: Assignment
+) -> list[Assignment]:
+    """Candidate sets walked as bitmasks by size then variable tuple.  A
+    superset of a sufficient set is skipped, and so is a set a stored world
+    refutes."""
+    model = scenario.model
     bit = {v: 1 << i for i, v in enumerate(candidates)}
-    reliable = scenario.mode == "reliable"
     passing: list[int] = []
     refuting: list[tuple[int, int]] = []
-    found: list[frozenset[Event]] = []
+    found: list[Assignment] = []
     for size in range(len(candidates) + 1):
+        if size == 1:
+            # Only now, so that an input whose empty set roams too wide
+            # keeps that message.
+            check_search_size(
+                1 << len(candidates),
+                f"sufficient-set walk for {effect.render()}",
+                "candidate sets",
+            )
         for combo in itertools.combinations(candidates, size):
             mask = sum(bit[v] for v in combo)
             if any(small & ~mask == 0 for small in passing) or any(
@@ -135,15 +232,12 @@ def _minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozense
             world = _falsifying_world(scenario, pins, effect)
             if world is None:
                 passing.append(mask)
-                found.append(frozenset(Event(v, actual[v]) for v in combo))
+                found.append(pins)
                 continue
-            differs = sum(bit[v] for v in candidates if world[v] != actual[v])
             # Only a pin can break its equation, and only a derived one: an
             # initial variable's actual value is its equation's.
-            broken = sum(
-                bit[v] for v in combo if reliable and model.lookup(v, world) != world[v]
-            )
-            refuting.append((differs, broken))
+            broken = sum(bit[v] for v in combo if model.lookup(v, world) != world[v])
+            refuting.append((_differs(candidates, actual, world), broken))
     return found
 
 

@@ -1,6 +1,6 @@
-"""Randomized verification suites: engine vs oracle (primary definition and
-contrastive comparator), net-operation claims, partial-order axioms, and
-format round-trips.
+"""Randomized verification suites: engine vs oracle (primary definition,
+sufficient sets in general mode and contrastive comparator), net-operation
+claims, partial-order axioms, and format round-trips.
 
 Reports are deterministic for a given configuration (no wall times inside
 the rendered text), so the same seed always produces byte-identical output.
@@ -107,6 +107,7 @@ def run_verify(
 ) -> VerifyReport:
     report = VerifyReport(seed=seed, models=models, max_vars=max_vars)
     report.sections.append(_oracle_section(models, seed, max_vars))
+    report.sections.append(_general_sufficiency_section(models, seed, max_vars))
     report.sections.append(_comparator_section(models, seed, max_vars))
     report.sections.append(_variant_section(max(models // 2, 0), seed, max_vars))
     ops_total = max(models // 2, 0)
@@ -154,6 +155,24 @@ def _oracle_section(models: int, seed: int, max_vars: int) -> Section:
             section.failures.append(
                 f"{tag} causes differ for {effect.render()} on "
                 f"{_describe(scenario)}"
+            )
+    return section
+
+
+def _general_sufficiency_section(models: int, seed: int, max_vars: int) -> Section:
+    # The section above runs in reliable mode, where a top-level effect
+    # mostly has derived ancestors and so takes the walk; in general mode
+    # every query takes the transversal search.
+    section = Section("engine vs oracle (sufficient sets, general mode)")
+    for index, scenario in scenario_stream(seed + 404, models, max_vars, mode="general"):
+        effect = random_effect(scenario)
+        section.checked += 1
+        if minimal_sufficient_sets(scenario, effect) != oracle_minimal_sufficient_sets(
+            scenario, effect
+        ):
+            section.failures.append(
+                f"seed={seed + 404}/{index} minimal sufficient sets differ for "
+                f"{effect.render()} on {_describe(scenario)}"
             )
     return section
 

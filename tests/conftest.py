@@ -41,6 +41,13 @@ WIDE_FORMULAS = "; ".join(
 )
 
 
+def copy_chain(links: int) -> str:
+    """x0=0; x1=x0; ...: each of the `links` later variables copies the one
+    before it, so a reliable-mode walk over the last one's ancestors has
+    2**links candidate sets but an empty set that roams x0 alone."""
+    return "; ".join(["x0=0"] + [f"x{i}=x{i - 1}" for i in range(1, links + 1)])
+
+
 def _piecewise(children):
     cases = st.lists(st.tuples(children, children), min_size=1, max_size=3)
     return cases.map(lambda pairs: Piecewise(tuple(pairs)))

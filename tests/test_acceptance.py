@@ -161,6 +161,18 @@ def test_criterion_5_engine_matches_brute_force(verify_run):
     assert elapsed < 300.0, f"verification took {elapsed:.1f}s (budget 300s)"
 
 
+def test_criterion_5_general_mode_sufficient_sets_match_brute_force(verify_run):
+    report, _ = verify_run
+    sec = section(report, "sufficient sets, general mode")
+    print(
+        f"criterion 5 (general mode): {'PASS' if sec.passed else 'FAIL'} — "
+        f"{sec.checked} sufficient-set checks over {report.models} random "
+        f"models, {len(sec.failures)} failures"
+    )
+    assert sec.checked == report.models
+    assert sec.failures == [], "\n".join(sec.failures[:5])
+
+
 def test_criterion_5b_comparator_matches_brute_force(verify_run):
     report, _ = verify_run
     sec = section(report, "contrastive comparator")

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 from actualcause.cli import main
 
-from conftest import WIDE_FORMULAS
+from conftest import WIDE_FORMULAS, copy_chain
 
 
 @pytest.fixture()
@@ -75,6 +75,15 @@ class TestCheck:
         result = runner.invoke(main, ["check", str(wide)])
         assert result.exit_code == 3
         assert "search too large" in result.output
+
+    def test_long_sufficient_set_walk_exits_three(self, runner, tmp_path, monkeypatch):
+        # The walk for x11=0 has 2**11 candidate masks, past the lowered cap.
+        monkeypatch.setattr("actualcause.model.ENUMERATION_CAP", 1 << 10)
+        chain = tmp_path / "chain.case"
+        chain.write_text(f"case 1\nmode reliable\nformulas: {copy_chain(11)}\neffect: x11=0\n")
+        result = runner.invoke(main, ["check", str(chain)])
+        assert result.exit_code == 3
+        assert "search too large: sufficient-set walk for x11=0" in result.output
 
     def test_undecodable_file_exits_two(self, runner, tmp_path):
         bad = tmp_path / "bad.case"

@@ -22,7 +22,7 @@ from actualcause import parse_case, sufficiency
 from actualcause.oracle import oracle_minimal_sufficient_sets
 from actualcause.randmodel import random_effect, scenario_stream
 
-from conftest import WIDE_FORMULAS, corpus_dir, make_scenario
+from conftest import WIDE_FORMULAS, copy_chain, corpus_dir, make_scenario
 
 
 def plan_of(*events: Event) -> frozenset[Event]:
@@ -49,17 +49,22 @@ def plain_minimal_sufficient_sets(scenario, effect) -> list[frozenset[Event]]:
     return found
 
 
-def counting_solves(monkeypatch) -> list[tuple]:
-    """Every call `sufficiency` makes to `solve`, recorded from now on."""
-    solved: list[tuple] = []
-    original = sufficiency.solve
+def counting_calls(monkeypatch, name: str) -> list[tuple]:
+    """Every call to `sufficiency.<name>`, recorded from now on."""
+    calls: list[tuple] = []
+    original = getattr(sufficiency, name)
 
-    def counting_solve(*args):
-        solved.append(args)
+    def counting(*args):
+        calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(sufficiency, "solve", counting_solve)
-    return solved
+    monkeypatch.setattr(sufficiency, name, counting)
+    return calls
+
+
+def counting_solves(monkeypatch) -> list[tuple]:
+    """Every call `sufficiency` makes to `solve`, recorded from now on."""
+    return counting_calls(monkeypatch, "solve")
 
 
 class TestIsSufficient:
@@ -268,17 +273,23 @@ class TestFalsifyingWorldReuse:
         assert sets == plain_minimal_sufficient_sets(scenario, effect)
 
     @pytest.mark.parametrize("mode", ["reliable", "general"])
-    def test_matches_a_plain_walk_for_every_variable(self, mode):
-        # Domains up to {0, 1, 2}; the reliable stream holds a target whose
-        # answer changes if a broken equation is ignored.
+    def test_matches_a_plain_walk_for_every_variable(self, mode, monkeypatch):
+        # Every domain value of every variable, so non-actual and initial
+        # effects are covered; domains up to {0, 1, 2}.  The reliable stream
+        # holds a target whose answer changes if a broken equation is
+        # ignored.  In reliable mode the 852 queries whose ancestors are all
+        # initial take the transversal search and the rest take the walk.
+        searched = counting_calls(monkeypatch, "_transversal_search")
         queries = 0
         for index, scenario in scenario_stream(seed=4, count=100, max_vars=8, mode=mode):
             for var in scenario.model.variables:
-                effect = Event(var, scenario.actual_value(var))
-                expected = plain_minimal_sufficient_sets(scenario, effect)
-                assert minimal_sufficient_sets(scenario, effect) == expected, (index, var)
-                queries += 1
-        assert queries == 537
+                for value in scenario.model.domains[var].values:
+                    effect = Event(var, value)
+                    expected = plain_minimal_sufficient_sets(scenario, effect)
+                    assert minimal_sufficient_sets(scenario, effect) == expected, (index, effect)
+                    queries += 1
+        assert queries == 1233
+        assert len(searched) == {"reliable": 852, "general": 1233}[mode]
 
     def test_solve_count_or_of_eleven(self, monkeypatch):
         # A work-count regression gate: a plain walk solves 4 095 worlds
@@ -304,3 +315,67 @@ class TestFalsifyingWorldReuse:
             cases += 1
         assert cases == 66
         assert len(solved) == 935
+
+
+class TestTransversalSearch:
+    """Where sufficiency is monotone, the minimal sufficient sets are the
+    minimal transversals of the falsifying worlds' D masks."""
+
+    def test_add_edge(self):
+        # Transversals of {a, b}, then of {a, b} and {c, d} (bit 0 is a);
+        # an empty edge leaves none.
+        first = sufficiency._add_edge([0], 0b0011)
+        assert first == [0b0001, 0b0010]
+        assert sufficiency._add_edge(first, 0b1100) == [0b0101, 0b1001, 0b0110, 0b1010]
+        assert sufficiency._add_edge(first, 0b0110) == [0b0010, 0b0101]
+        assert sufficiency._add_edge(first, 0) == []
+
+    @pytest.mark.parametrize("mode", ["reliable", "general"])
+    def test_two_disjunctions(self, mode, monkeypatch):
+        # The empty set, then {a}, {b}, {c} and {d}, each fail with every
+        # other variable at 0, adding the D masks {a,b,c,d}, {b,c,d},
+        # {a,c,d}, {a,b,d} and {a,b,c}; their transversals are the six pairs.
+        # {a,b} and {c,d} fail next, adding {c,d} and {a,b}, whose minimal
+        # transversals are the four pairs below, and each passes.
+        scenario = make_scenario("a=1; b=1; c=1; d=1; e=(a|b)&(c|d)", mode=mode)
+        effect = Event("e", 1)
+        solved = counting_solves(monkeypatch)
+        searched = counting_calls(monkeypatch, "_transversal_search")
+        sets = minimal_sufficient_sets(scenario, effect)
+        assert var_sets(sets) == [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]]
+        assert len(searched) == 1
+        # one solve for each of the seven failing sets, and the four
+        # backgrounds of each passing pair
+        assert len(solved) == 7 + 4 * 4
+        assert sets == plain_minimal_sufficient_sets(scenario, effect)
+
+    @pytest.mark.parametrize("mode", ["reliable", "general"])
+    def test_effect_that_misses_with_every_ancestor_actual(self, mode):
+        # D(w) is empty, so no set is sufficient.
+        scenario = make_scenario("a=1; b=1; e=a & b", mode=mode)
+        assert minimal_sufficient_sets(scenario, Event("e", 0)) == []
+
+
+class TestWalkBound:
+    """The walk visits every candidate mask however few it solves, so it
+    checks their number against the cap."""
+
+    def test_copy_chain(self, monkeypatch):
+        # Reliable mode with derived candidates: the walk.  The empty set
+        # roams x0 alone, so only the walk's own check can stop it.
+        monkeypatch.setattr("actualcause.model.ENUMERATION_CAP", 1 << 10)
+        short = make_scenario(copy_chain(10))
+        sets = minimal_sufficient_sets(short, Event("x10", 0))
+        assert var_sets(sets) == [[f"x{i}"] for i in range(10)]
+        long = make_scenario(copy_chain(11))
+        with pytest.raises(
+            SearchTooLargeError,
+            match=r"sufficient-set walk for x11=0 has 2048 candidate sets, cap 1024",
+        ):
+            minimal_sufficient_sets(long, Event("x11", 0))
+
+    def test_a_wide_background_keeps_its_message(self):
+        # The empty set's background is checked before the walk's masks.
+        scenario = make_scenario(WIDE_FORMULAS)
+        with pytest.raises(SearchTooLargeError, match=r"^assignment space over"):
+            minimal_sufficient_sets(scenario, Event("e", 1))
