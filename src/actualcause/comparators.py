@@ -38,9 +38,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .model import Assignment, Event, Scenario, check_search_size, solve
+from .model import ActualityError, Assignment, Event, Scenario, check_search_size, solve
 from .normality import MID, TOP, Rank, Reduction
-from .sufficiency import ActualityError
 
 __all__ = [
     "HPHResult",
@@ -89,6 +88,9 @@ def hph_causes(scenario: Scenario, effect: Event) -> HPHResult:
     actual = scenario.actual()
     ancestors = sorted(model.ancestors(effect.var))
     contrastable = [v for v in ancestors if actual[v] != scenario.defaults[v]]
+    check_search_size(
+        2 ** len(contrastable), f"contrast-set walk for {effect.render()}", "contrast sets"
+    )
 
     minimal: list[frozenset[str]] = []
     verdicts: list[HPHVerdict] = []

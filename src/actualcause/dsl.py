@@ -13,17 +13,13 @@ from pathlib import Path
 
 from .expr import (
     BINARY_PREC,
-    PREC_AND,
     PREC_ATOM,
     PREC_CMP,
     PREC_OR,
-    And,
-    Arith,
-    Cmp,
+    Binary,
     Const,
     Expr,
     Not,
-    Or,
     Piecewise,
     Var,
 )
@@ -150,15 +146,7 @@ class _ExprParser:
                 return expr, depth
             op = self.take()[1]
             rhs, rhs_depth = self.binary(prec + 1)
-            if prec == PREC_OR:
-                tree: Expr = Or(expr, rhs)
-            elif prec == PREC_AND:
-                tree = And(expr, rhs)
-            elif prec == PREC_CMP:
-                tree = Cmp(op, expr, rhs)
-            else:
-                tree = Arith(op, expr, rhs)
-            expr, depth = self.node(tree, depth, rhs_depth)
+            expr, depth = self.node(Binary(op, expr, rhs), depth, rhs_depth)
             closed = prec
 
     def unary(self) -> tuple[Expr, int]:

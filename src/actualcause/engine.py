@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Event, ModelError, Scenario
+from .model import ActualityError, Event, ModelError, Scenario
 from .normality import AbnormalityWitness, plan_abnormality
-from .sufficiency import ActualityError, direct_cause_parents, minimal_sufficient_sets
+from .sufficiency import direct_cause_parents, minimal_sufficient_sets
 
 __all__ = [
     "CauseVerdict",

@@ -3,7 +3,9 @@
 The expression language is deliberately small: integer constants, variable
 references, logical negation / conjunction / disjunction (zero is false,
 anything else is true, results are always 0 or 1), the six comparisons,
-floor-division arithmetic, and a first-true-wins piecewise form.
+floor-division arithmetic, and a first-true-wins piecewise form.  Every
+binary operator is one `Binary` node: `BINARY_PREC` gives how tightly each
+binds, and `_OPERATORS` what each computes.
 
 An expression evaluates at one environment (`Expr.evaluate`) or at every
 setting of its variables at once (`value_table`), which evaluates each node
@@ -17,16 +19,12 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 __all__ = [
-    "ARITH_OPS",
     "CMP_OPS",
-    "And",
-    "Arith",
-    "Cmp",
+    "Binary",
     "Const",
     "EvaluationError",
     "Expr",
     "Not",
-    "Or",
     "Piecewise",
     "Var",
     "substitute",
@@ -39,7 +37,6 @@ class EvaluationError(Exception):
 
 
 CMP_OPS = ("==", "!=", ">=", ">", "<=", "<")
-ARITH_OPS = ("+", "-", "*", "/", "%")
 
 # Precedence levels; higher binds tighter.
 PREC_OR = 1
@@ -69,20 +66,65 @@ Column = list[int | None]
 # consecutive settings share each of its values.
 Layout = dict[str, tuple[Sequence[int], int]]
 
-# What each comparison computes; `evaluate` and `column` both read it.
-_CMP_FUNCS: dict[str, Callable[[int, int], bool]] = {
-    "==": operator.eq,
-    "!=": operator.ne,
-    ">=": operator.ge,
-    ">": operator.gt,
-    "<=": operator.le,
-    "<": operator.lt,
-}
-# the arithmetic operators that never raise
-_TOTAL_ARITH: dict[str, Callable[[int, int], int]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
+RowFunction = Callable[[int, int], int]
+Kernel = Callable[[Column, Column], Column]
+
+
+def _total(apply: RowFunction) -> tuple[RowFunction, Kernel]:
+    """An operator that never raises: None wherever an operand is None."""
+    return apply, lambda xs, ys: [
+        None if a is None or b is None else apply(a, b) for a, b in zip(xs, ys)
+    ]
+
+
+def _comparison(test: Callable[[int, int], bool]) -> tuple[RowFunction, Kernel]:
+    """1 where `test` holds, 0 where it fails."""
+    return (
+        lambda a, b: 1 if test(a, b) else 0,
+        lambda xs, ys: [
+            None if a is None or b is None else (1 if test(a, b) else 0)
+            for a, b in zip(xs, ys)
+        ],
+    )
+
+
+def _division(apply: RowFunction) -> tuple[RowFunction, Kernel]:
+    """Floor quotient or remainder: by zero, the row function raises
+    ZeroDivisionError and the kernel gives None."""
+    return apply, lambda xs, ys: [
+        None if a is None or not b else apply(a, b) for a, b in zip(xs, ys)
+    ]
+
+
+# What each binary operator computes, at one row of operands and over two
+# whole columns.  The `&` and `|` kernels are written out: a function call
+# per element would slow their columns, which dominate wide disjunctions.
+_OPERATORS: dict[str, tuple[RowFunction, Kernel]] = {
+    "|": (
+        lambda a, b: 1 if a or b else 0,
+        lambda xs, ys: [
+            None if a is None or b is None else (1 if a or b else 0)
+            for a, b in zip(xs, ys)
+        ],
+    ),
+    "&": (
+        lambda a, b: 1 if a and b else 0,
+        lambda xs, ys: [
+            None if a is None or b is None else (1 if a and b else 0)
+            for a, b in zip(xs, ys)
+        ],
+    ),
+    "==": _comparison(operator.eq),
+    "!=": _comparison(operator.ne),
+    ">=": _comparison(operator.ge),
+    ">": _comparison(operator.gt),
+    "<=": _comparison(operator.le),
+    "<": _comparison(operator.lt),
+    "+": _total(operator.add),
+    "-": _total(operator.sub),
+    "*": _total(operator.mul),
+    "/": _division(operator.floordiv),
+    "%": _division(operator.mod),
 }
 
 
@@ -190,121 +232,31 @@ class Not(Expr):
 
 
 @dataclass(frozen=True)
-class And(Expr):
+class Binary(Expr):
+    """`left op right` for any operator `op` of BINARY_PREC."""
+
+    op: str
     left: Expr
     right: Expr
+
+    def __post_init__(self) -> None:
+        if self.op not in BINARY_PREC:
+            raise ValueError(f"unknown binary operator {self.op!r}")
 
     def evaluate(self, env: Mapping[str, int]) -> int:
         # Both sides are evaluated: evaluation errors must not depend on
         # short-circuiting, so validation sees every branch.
         lhs = self.left.evaluate(env)
         rhs = self.right.evaluate(env)
-        return 1 if _truth(lhs) and _truth(rhs) else 0
+        row, _ = _OPERATORS[self.op]
+        try:
+            return row(lhs, rhs)
+        except ZeroDivisionError:
+            raise EvaluationError(f"division by zero in {self.render()!r}") from None
 
     def column(self, layout: Layout, size: int) -> Column:
-        return [
-            None if a is None or b is None else (1 if a and b else 0)
-            for a, b in zip(self.left.column(layout, size), self.right.column(layout, size))
-        ]
-
-    def variables(self) -> frozenset[str]:
-        return self.left.variables() | self.right.variables()
-
-    def prec(self) -> int:
-        return PREC_AND
-
-    def render(self) -> str:
-        return f"{self._wrap(self.left, PREC_AND)} & {self._wrap(self.right, PREC_AND + 1)}"
-
-
-@dataclass(frozen=True)
-class Or(Expr):
-    left: Expr
-    right: Expr
-
-    def evaluate(self, env: Mapping[str, int]) -> int:
-        lhs = self.left.evaluate(env)
-        rhs = self.right.evaluate(env)
-        return 1 if _truth(lhs) or _truth(rhs) else 0
-
-    def column(self, layout: Layout, size: int) -> Column:
-        return [
-            None if a is None or b is None else (1 if a or b else 0)
-            for a, b in zip(self.left.column(layout, size), self.right.column(layout, size))
-        ]
-
-    def variables(self) -> frozenset[str]:
-        return self.left.variables() | self.right.variables()
-
-    def prec(self) -> int:
-        return PREC_OR
-
-    def render(self) -> str:
-        return f"{self._wrap(self.left, PREC_OR)} | {self._wrap(self.right, PREC_OR + 1)}"
-
-
-@dataclass(frozen=True)
-class Cmp(Expr):
-    op: str
-    left: Expr
-    right: Expr
-
-    def __post_init__(self) -> None:
-        if self.op not in CMP_OPS:
-            raise ValueError(f"unknown comparison operator {self.op!r}")
-
-    def evaluate(self, env: Mapping[str, int]) -> int:
-        lhs = self.left.evaluate(env)
-        rhs = self.right.evaluate(env)
-        return 1 if _CMP_FUNCS[self.op](lhs, rhs) else 0
-
-    def column(self, layout: Layout, size: int) -> Column:
-        test = _CMP_FUNCS[self.op]
-        return [
-            None if a is None or b is None else (1 if test(a, b) else 0)
-            for a, b in zip(self.left.column(layout, size), self.right.column(layout, size))
-        ]
-
-    def variables(self) -> frozenset[str]:
-        return self.left.variables() | self.right.variables()
-
-    def prec(self) -> int:
-        return PREC_CMP
-
-    def render(self) -> str:
-        # Comparisons do not chain; both children need at least sum precedence.
-        lhs = self._wrap(self.left, PREC_CMP + 1)
-        rhs = self._wrap(self.right, PREC_CMP + 1)
-        return f"{lhs} {self.op} {rhs}"
-
-
-@dataclass(frozen=True)
-class Arith(Expr):
-    op: str
-    left: Expr
-    right: Expr
-
-    def __post_init__(self) -> None:
-        if self.op not in ARITH_OPS:
-            raise ValueError(f"unknown arithmetic operator {self.op!r}")
-
-    def evaluate(self, env: Mapping[str, int]) -> int:
-        lhs = self.left.evaluate(env)
-        rhs = self.right.evaluate(env)
-        if self.op in _TOTAL_ARITH:
-            return _TOTAL_ARITH[self.op](lhs, rhs)
-        if rhs == 0:
-            raise EvaluationError(f"division by zero in {self.render()!r}")
-        # Floor semantics for both quotient and remainder.
-        return lhs // rhs if self.op == "/" else lhs % rhs
-
-    def column(self, layout: Layout, size: int) -> Column:
-        pairs = zip(self.left.column(layout, size), self.right.column(layout, size))
-        if self.op in _TOTAL_ARITH:
-            apply = _TOTAL_ARITH[self.op]
-            return [None if a is None or b is None else apply(a, b) for a, b in pairs]
-        apply = operator.floordiv if self.op == "/" else operator.mod
-        return [None if a is None or not b else apply(a, b) for a, b in pairs]
+        _, kernel = _OPERATORS[self.op]
+        return kernel(self.left.column(layout, size), self.right.column(layout, size))
 
     def variables(self) -> frozenset[str]:
         return self.left.variables() | self.right.variables()
@@ -313,8 +265,11 @@ class Arith(Expr):
         return BINARY_PREC[self.op]
 
     def render(self) -> str:
+        # Left associative; comparisons do not chain, so neither side of
+        # one may be a comparison or anything looser.
         level = self.prec()
-        return f"{self._wrap(self.left, level)} {self.op} {self._wrap(self.right, level + 1)}"
+        lhs = self._wrap(self.left, level + 1 if level == PREC_CMP else level)
+        return f"{lhs} {self.op} {self._wrap(self.right, level + 1)}"
 
 
 @dataclass(frozen=True)
@@ -372,14 +327,8 @@ def substitute(expr: Expr, values: Mapping[str, int]) -> Expr:
         return expr
     if isinstance(expr, Not):
         return Not(substitute(expr.operand, values))
-    if isinstance(expr, And):
-        return And(substitute(expr.left, values), substitute(expr.right, values))
-    if isinstance(expr, Or):
-        return Or(substitute(expr.left, values), substitute(expr.right, values))
-    if isinstance(expr, Cmp):
-        return Cmp(expr.op, substitute(expr.left, values), substitute(expr.right, values))
-    if isinstance(expr, Arith):
-        return Arith(expr.op, substitute(expr.left, values), substitute(expr.right, values))
+    if isinstance(expr, Binary):
+        return Binary(expr.op, substitute(expr.left, values), substitute(expr.right, values))
     if isinstance(expr, Piecewise):
         return Piecewise(
             tuple(

@@ -19,6 +19,7 @@ from .expr import EvaluationError, Expr, substitute, value_table
 
 __all__ = [
     "ENUMERATION_CAP",
+    "ActualityError",
     "Assignment",
     "CycleError",
     "Domain",
@@ -69,6 +70,10 @@ class NonExhaustivePiecewiseError(ModelError):
 
 class SearchTooLargeError(ModelError):
     """An enumeration would exceed ENUMERATION_CAP."""
+
+
+class ActualityError(ModelError):
+    """An operation needed an event at its actual value and got another."""
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Mapping
 
 from .model import (
+    ActualityError,
     Assignment,
     Event,
     ModelError,
@@ -267,7 +268,7 @@ def intrinsic_scenario(
     events = frozenset(cause_set)
     for ev in events:
         if scenario.actual_value(ev.var) != ev.value:
-            raise ModelError(
+            raise ActualityError(
                 f"cause set pins {ev.render()} but the actual value is "
                 f"{scenario.actual_value(ev.var)}"
             )

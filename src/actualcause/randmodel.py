@@ -12,7 +12,7 @@ import random
 import string
 from typing import Iterator
 
-from .expr import CMP_OPS, And, Arith, Cmp, Const, Expr, Not, Or, Piecewise, Var, value_table
+from .expr import CMP_OPS, Binary, Const, Expr, Not, Piecewise, Var, value_table
 from .model import Domain, Event, Model, ModelError, Scenario
 
 __all__ = [
@@ -55,24 +55,24 @@ def _tree(rng: random.Random, parents: list[str], depth: int) -> Expr:
     if roll < 0.15:
         return Not(_tree(rng, parents, depth - 1))
     if roll < 0.40:
-        return And(_tree(rng, parents, depth - 1), _tree(rng, parents, depth - 1))
+        return Binary("&", _tree(rng, parents, depth - 1), _tree(rng, parents, depth - 1))
     if roll < 0.65:
-        return Or(_tree(rng, parents, depth - 1), _tree(rng, parents, depth - 1))
+        return Binary("|", _tree(rng, parents, depth - 1), _tree(rng, parents, depth - 1))
     if roll < 0.80:
-        return Cmp(
+        return Binary(
             rng.choice(CMP_OPS),
             _tree(rng, parents, depth - 1),
             _tree(rng, parents, depth - 1),
         )
     if roll < 0.93:
-        return Arith(
+        return Binary(
             rng.choice(_SUM_OPS),
             _tree(rng, parents, depth - 1),
             _tree(rng, parents, depth - 1),
         )
     if roll < 0.96:
         # floor division / remainder by a fixed nonzero constant
-        return Arith(
+        return Binary(
             rng.choice(("/", "%")),
             _tree(rng, parents, depth - 1),
             Const(rng.choice((2, 3))),

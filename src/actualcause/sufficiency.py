@@ -22,6 +22,7 @@ from collections.abc import Iterable
 
 from .expr import Const
 from .model import (
+    ActualityError,
     Assignment,
     Event,
     Model,
@@ -36,7 +37,6 @@ from .model import (
 from .normality import plan_abnormality
 
 __all__ = [
-    "ActualityError",
     "NoParentsError",
     "direct_cause_graph",
     "direct_cause_parents",
@@ -46,10 +46,6 @@ __all__ = [
     "minimal_sufficient_sets",
     "restricted_scenario",
 ]
-
-
-class ActualityError(ModelError):
-    """An operation needed an event at its actual value and got another."""
 
 
 class NoParentsError(ModelError):

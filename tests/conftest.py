@@ -10,21 +10,18 @@ import pytest
 from hypothesis import strategies as st
 
 from actualcause import (
-    And,
-    Arith,
-    Cmp,
+    Binary,
     Const,
     Domain,
     Model,
     Not,
-    Or,
     Piecewise,
     Scenario,
     Var,
     parse_case,
     parse_expression,
 )
-from actualcause.expr import ARITH_OPS, CMP_OPS
+from actualcause.expr import BINARY_PREC
 
 
 def corpus_dir() -> Path:
@@ -48,21 +45,31 @@ def copy_chain(links: int) -> str:
     return "; ".join(["x0=0"] + [f"x{i}=x{i - 1}" for i in range(1, links + 1)])
 
 
+def grouped_conjunction(*widths: int) -> str:
+    """Every xi=1; each yg conjoins the next `width` xi, and e conjoins the
+    yg.  With defaults 0, every xi and yg is an off-default ancestor of e."""
+    formulas, groups, start = [], [], 0
+    for g, width in enumerate(widths):
+        members = [f"x{i}" for i in range(start, start + width)]
+        formulas += [f"{x}=1" for x in members] + [f"y{g}=" + " & ".join(members)]
+        groups.append(f"y{g}")
+        start += width
+    return "; ".join(formulas + ["e=" + " & ".join(groups)])
+
+
 def _piecewise(children):
     cases = st.lists(st.tuples(children, children), min_size=1, max_size=3)
     return cases.map(lambda pairs: Piecewise(tuple(pairs)))
 
 
-# Random expressions over a, b, c and d with small constants: division and
-# remainder by zero and piecewise forms with no true guard occur often.
+# Random expressions over a, b, c and d with small constants and every
+# binary operator: division and remainder by zero and piecewise forms with no
+# true guard occur often.
 EXPRESSIONS = st.recursive(
     st.one_of(st.sampled_from("abcd").map(Var), st.integers(-1, 2).map(Const)),
     lambda children: st.one_of(
         children.map(Not),
-        st.builds(And, children, children),
-        st.builds(Or, children, children),
-        st.builds(Cmp, st.sampled_from(CMP_OPS), children, children),
-        st.builds(Arith, st.sampled_from(ARITH_OPS), children, children),
+        st.builds(Binary, st.sampled_from(sorted(BINARY_PREC)), children, children),
         _piecewise(children),
     ),
     max_leaves=14,

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 from actualcause.cli import main
 
-from conftest import WIDE_FORMULAS, copy_chain
+from conftest import WIDE_FORMULAS, copy_chain, grouped_conjunction
 
 
 @pytest.fixture()
@@ -84,6 +84,16 @@ class TestCheck:
         result = runner.invoke(main, ["check", str(chain)])
         assert result.exit_code == 3
         assert "search too large: sufficient-set walk for x11=0" in result.output
+
+    def test_long_contrast_set_walk_exits_three(self, runner, tmp_path):
+        # 19 xi and 2 yg off their defaults: 2**21 contrast sets, past the cap
+        wide = tmp_path / "wide.case"
+        wide.write_text(
+            f"case 1\nmode reliable\nformulas: {grouped_conjunction(10, 9)}\neffect: e=1\n"
+        )
+        result = runner.invoke(main, ["check", "--definition", "hph", str(wide)])
+        assert result.exit_code == 3
+        assert "search too large: contrast-set walk for e=1 has 2097152" in result.output
 
     def test_undecodable_file_exits_two(self, runner, tmp_path):
         bad = tmp_path / "bad.case"

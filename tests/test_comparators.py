@@ -25,7 +25,7 @@ from actualcause.normality import Reduction
 from actualcause.oracle import oracle_hph_vars
 from actualcause.randmodel import random_effect, random_scenario, scenario_stream
 
-from conftest import make_scenario
+from conftest import grouped_conjunction, make_scenario
 
 
 class TestHandModels:
@@ -71,7 +71,26 @@ class TestHandModels:
 
 
 class TestEnumerationCap:
-    """The pre-check counts only freezes the contrast set can move."""
+    """The contrast-set walk is checked against the cap, and each witness
+    search counts only freezes the contrast set can move."""
+
+    def test_contrast_set_walk_at_the_cap(self, monkeypatch):
+        # 8 xi and 2 yg, all off their defaults: 2**10 contrast sets
+        monkeypatch.setattr("actualcause.model.ENUMERATION_CAP", 1 << 10)
+        scenario = make_scenario(grouped_conjunction(4, 4))
+        assert len(hph_causes(scenario, Event("e", 1)).vars()) == 10
+
+    def test_contrast_set_walk_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr("actualcause.model.ENUMERATION_CAP", 1 << 10)
+        scenario = make_scenario(grouped_conjunction(4, 5))
+        searched = []
+        monkeypatch.setattr(comparators, "_find_witness", lambda *args: searched.append(args))
+        with pytest.raises(
+            SearchTooLargeError,
+            match=r"^contrast-set walk for e=1 has 2048 contrast sets, cap 1024$",
+        ):
+            hph_causes(scenario, Event("e", 1))
+        assert searched == []
 
     def test_inert_variables_do_not_count(self):
         # The 21 xi sit at their defaults but no contrast moves them, so the

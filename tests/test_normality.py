@@ -8,9 +8,9 @@ import itertools
 import pytest
 
 from actualcause import (
+    ActualityError,
     DomainError,
     Event,
-    ModelError,
     OrderResult,
     PlanNotSufficientError,
     SearchTooLargeError,
@@ -112,7 +112,7 @@ class TestIntrinsicScenario:
 
     def test_non_actual_member_rejected(self):
         scenario = make_scenario("a=1; b=a; e=b")
-        with pytest.raises(ModelError):
+        with pytest.raises(ActualityError):
             intrinsic_scenario(scenario, (Event("b", 0),), Event("e", 1))
 
     def test_insufficient_set_rejected(self):

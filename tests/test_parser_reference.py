@@ -11,22 +11,13 @@ import pytest
 
 from actualcause import ParseError, parse_expression
 from actualcause.dsl import MAX_DEPTH, _tokenize, _to_int
-from actualcause.expr import (
-    And,
-    Arith,
-    Cmp,
-    Const,
-    Expr,
-    Not,
-    Or,
-    Piecewise,
-    Var,
-)
+from actualcause.expr import Binary, Const, Expr, Not, Piecewise, Var
 from actualcause.randmodel import scenario_stream
 
 
-# Verbatim copy of actualcause.dsl._ExprParser as it was before operator
-# precedence moved into expr.BINARY_PREC: one method per precedence level.
+# Copy of actualcause.dsl._ExprParser as it was before operator precedence
+# moved into expr.BINARY_PREC, one method per precedence level; only its node
+# constructors changed, when one Binary node replaced a class per operator.
 class _ExprParser:
     def __init__(self, text: str) -> None:
         self.text = text
@@ -85,7 +76,7 @@ class _ExprParser:
         while self.at_op("|"):
             self.take()
             rhs, rhs_depth = self.and_expr()
-            expr, depth = self.node(Or(expr, rhs), depth, rhs_depth)
+            expr, depth = self.node(Binary("|", expr, rhs), depth, rhs_depth)
         return expr, depth
 
     def and_expr(self) -> tuple[Expr, int]:
@@ -93,7 +84,7 @@ class _ExprParser:
         while self.at_op("&"):
             self.take()
             rhs, rhs_depth = self.cmp_expr()
-            expr, depth = self.node(And(expr, rhs), depth, rhs_depth)
+            expr, depth = self.node(Binary("&", expr, rhs), depth, rhs_depth)
         return expr, depth
 
     def cmp_expr(self) -> tuple[Expr, int]:
@@ -102,7 +93,7 @@ class _ExprParser:
         if op is not None:
             self.take()
             rhs, rhs_depth = self.sum_expr()
-            expr, depth = self.node(Cmp(op, expr, rhs), depth, rhs_depth)
+            expr, depth = self.node(Binary(op, expr, rhs), depth, rhs_depth)
         return expr, depth
 
     def sum_expr(self) -> tuple[Expr, int]:
@@ -113,7 +104,7 @@ class _ExprParser:
                 return expr, depth
             self.take()
             rhs, rhs_depth = self.prod_expr()
-            expr, depth = self.node(Arith(op, expr, rhs), depth, rhs_depth)
+            expr, depth = self.node(Binary(op, expr, rhs), depth, rhs_depth)
 
     def prod_expr(self) -> tuple[Expr, int]:
         expr, depth = self.unary_expr()
@@ -123,7 +114,7 @@ class _ExprParser:
                 return expr, depth
             self.take()
             rhs, rhs_depth = self.unary_expr()
-            expr, depth = self.node(Arith(op, expr, rhs), depth, rhs_depth)
+            expr, depth = self.node(Binary(op, expr, rhs), depth, rhs_depth)
 
     def unary_expr(self) -> tuple[Expr, int]:
         if self.at_op("~"):
