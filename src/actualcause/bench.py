@@ -17,7 +17,7 @@ from pathlib import Path
 from .comparators import HPHVerdict, hph_causes
 from .dsl import BenchCase, read_case
 from .engine import DEFAULT_OPTIONS, EngineOptions, intentional_causes
-from .model import Event
+from .model import Event, SearchTooLargeError
 
 __all__ = ["BenchReport", "CaseResult", "render_report", "run_bench"]
 
@@ -99,14 +99,18 @@ def run_bench(
     options: EngineOptions = DEFAULT_OPTIONS,
 ) -> BenchReport:
     """Parse and evaluate every ``*.case`` file under the directory, in
-    filename order.  A parse failure aborts the run naming the file."""
+    filename order.  A parse failure or a search too large aborts the run
+    naming the file."""
     root = Path(directory)
     results: list[CaseResult] = []
     for path in sorted(root.glob("*.case")):
         case = read_case(path)
         start = time.perf_counter()
-        primary = intentional_causes(case.scenario, case.effect, options)
-        contrastive = hph_causes(case.scenario, case.effect)
+        try:
+            primary = intentional_causes(case.scenario, case.effect, options)
+            contrastive = hph_causes(case.scenario, case.effect)
+        except SearchTooLargeError as err:
+            raise SearchTooLargeError(f"{path.name}: {err}") from err
         elapsed = (time.perf_counter() - start) * 1000.0
         results.append(
             CaseResult(

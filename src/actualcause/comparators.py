@@ -38,7 +38,15 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .model import ActualityError, Assignment, Event, Scenario, check_search_size, solve
+from .model import (
+    ActualityError,
+    Assignment,
+    Event,
+    Scenario,
+    check_search_size,
+    minimal_passing_sets,
+    solve,
+)
 from .normality import MID, TOP, Rank, Reduction
 
 __all__ = [
@@ -88,39 +96,23 @@ def hph_causes(scenario: Scenario, effect: Event) -> HPHResult:
     actual = scenario.actual()
     ancestors = sorted(model.ancestors(effect.var))
     contrastable = [v for v in ancestors if actual[v] != scenario.defaults[v]]
-    check_search_size(
-        2 ** len(contrastable), f"contrast-set walk for {effect.render()}", "contrast sets"
-    )
+    found: dict[frozenset[str], HPHWitness] = {}  # minimal contrast set -> witness
 
-    minimal: list[frozenset[str]] = []
-    verdicts: list[HPHVerdict] = []
-    reported: set[Event] = set()
+    def passes(mask: int) -> bool:
+        contrast_set = frozenset(v for i, v in enumerate(contrastable) if mask >> i & 1)
+        if mask and (witness := _find_witness(scenario, contrast_set, effect)):
+            found[contrast_set] = witness
+        return contrast_set in found
 
-    for size in range(1, len(contrastable) + 1):
-        for combo in itertools.combinations(contrastable, size):
-            contrast_set = frozenset(combo)
-            if any(small <= contrast_set for small in minimal):
-                continue
-            witness = _find_witness(scenario, contrast_set, effect)
-            if witness is None:
-                continue
-            minimal.append(contrast_set)
-            for var in combo:
-                event = Event(var, actual[var])
-                if event not in reported:
-                    reported.add(event)
-                    verdicts.append(
-                        HPHVerdict(
-                            event=event,
-                            contrast_set=contrast_set,
-                            witness=witness,
-                        )
-                    )
-    return HPHResult(
-        effect=effect,
-        events=frozenset(reported),
-        verdicts=tuple(verdicts),
+    minimal_passing_sets(
+        len(contrastable), passes, f"contrast-set walk for {effect.render()}", "contrast sets"
     )
+    verdicts: dict[Event, HPHVerdict] = {}  # each event's first minimal set
+    for contrast_set, witness in found.items():
+        for var in sorted(contrast_set):
+            event = Event(var, actual[var])
+            verdicts.setdefault(event, HPHVerdict(event, contrast_set, witness))
+    return HPHResult(effect=effect, events=frozenset(verdicts), verdicts=tuple(verdicts.values()))
 
 
 def _pinned_rank(value: int, actual_value: int, default: int) -> Rank:

@@ -31,6 +31,7 @@ __all__ = [
     "parse_case",
     "parse_expression",
     "read_case",
+    "render_model",
     "serialize_case",
 ]
 
@@ -440,6 +441,17 @@ def _format_cell(events: frozenset[Event]) -> str:
     return ",".join(sorted(ev.var for ev in events))
 
 
+def render_model(model: Model) -> tuple[str, str]:
+    """A model's `formulas:` text and its `domains:` text ("" if all binary)."""
+    formulas = "; ".join(f"{var}={model.equations[var].render()}" for var in model.variables)
+    domains = "; ".join(
+        f"{var}:{{{','.join(str(v) for v in model.domains[var].values)}}}"
+        for var in model.variables
+        if model.domains[var].values != (0, 1)
+    )
+    return formulas, domains
+
+
 def serialize_case(case: BenchCase) -> str:
     """Render a case in canonical form.  parse(serialize(parse(t))) is
     parse(t) for every valid case text t."""
@@ -449,17 +461,10 @@ def serialize_case(case: BenchCase) -> str:
     if case.source:
         lines.append(f"source {case.source}")
     lines.append(f"mode {case.scenario.mode}")
-    formulas = "; ".join(
-        f"{var}={model.equations[var].render()}" for var in model.variables
-    )
+    formulas, domains = render_model(model)
     lines.append(f"formulas: {formulas}")
-    domain_items = [
-        f"{var}:{{{','.join(str(v) for v in model.domains[var].values)}}}"
-        for var in model.variables
-        if model.domains[var].values != (0, 1)
-    ]
-    if domain_items:
-        lines.append(f"domains: {'; '.join(domain_items)}")
+    if domains:
+        lines.append(f"domains: {domains}")
     default_items = [
         f"{var}={case.scenario.defaults[var]}"
         for var in model.variables

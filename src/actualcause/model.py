@@ -36,6 +36,7 @@ __all__ = [
     "enumerate_settings",
     "event_set",
     "memoized",
+    "minimal_passing_sets",
     "render_events",
     "solve",
 ]
@@ -424,6 +425,26 @@ def check_search_size(size: int, space: str, unit: str) -> None:
     Every bounded search in the package checks here."""
     if size > ENUMERATION_CAP:
         raise SearchTooLargeError(f"{space} has {size} {unit}, cap {ENUMERATION_CAP}")
+
+
+def minimal_passing_sets(n: int, passes: Callable[[int], bool], space: str, unit: str) -> list[int]:
+    """The inclusion-minimal masks over n positions that pass, tested by size
+    then positions.  The empty one is tested before 2**n is checked against
+    the cap.  Level k + 1 grows from level k's failing masks alone, by one bit
+    above each one's highest, skipping supersets of passing masks: a mask with
+    no passing subset has only failing prefixes, so every one is reached."""
+    found = [0] if passes(0) else []
+    check_search_size(1 << n, space, unit)
+    level = [] if found else [0]
+    while level:
+        failing = []
+        for mask in level:
+            for i in range(mask.bit_length(), n):
+                grown = mask | 1 << i
+                if all(small & ~grown for small in found):
+                    (found if passes(grown) else failing).append(grown)
+        level = failing
+    return found
 
 
 def enumerate_settings(model: Model, variables: Iterable[str]) -> Iterator[Assignment]:

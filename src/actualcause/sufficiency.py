@@ -9,7 +9,8 @@ pins roams.
 Minimal sufficient sets are found by dualize-and-advance over the minimal
 transversals of the falsifying worlds met, when sufficiency is monotone (in
 general mode, and in reliable mode when every candidate is an initial
-variable); other reliable-mode searches walk the candidate subsets by size.
+variable); other reliable-mode searches walk the candidate subsets by size
+with `model.minimal_passing_sets`, growing only the sets that fail.
 
 Sufficient sets and direct causes are memoized per scenario and arguments;
 each call returns a fresh copy.
@@ -17,7 +18,6 @@ each call returns a fresh copy.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable
 
 from .expr import Const
@@ -29,9 +29,10 @@ from .model import (
     ModelError,
     Scenario,
     UnknownVariableError,
-    check_search_size,
     enumerate_settings,
+    event_set,
     memoized,
+    minimal_passing_sets,
     solve,
 )
 from .normality import plan_abnormality
@@ -124,10 +125,8 @@ def _minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozense
     pinned derived candidate can break its equation, keep the walk (`_walk`).
 
     Both solve the empty set first: it roams widest, so it raises
-    SearchTooLargeError if any set would.  That bounds the transversal
-    search, whose candidates all roam under the empty set, but not the walk,
-    which visits all 2**n candidate masks however few it solves; so the walk
-    then checks 2**n against the cap as well.
+    SearchTooLargeError if any set would.  The walk then checks its 2**n
+    candidate masks against the cap too, though it builds few of them.
     """
     model = scenario.model
     model.check_value(effect.var, effect.value)
@@ -137,12 +136,17 @@ def _minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozense
         found = _transversal_search(scenario, effect, candidates, actual)
     else:
         found = _walk(scenario, effect, candidates, actual)
-    return [frozenset(Event(v, value) for v, value in pins.items()) for pins in found]
+    return [event_set(_pins(candidates, actual, mask)) for mask in found]
 
 
 def _differs(candidates: list[str], actual: Assignment, world: Assignment) -> int:
     """D(w): the candidates at which the world differs from the actual one."""
     return sum(1 << i for i, v in enumerate(candidates) if world[v] != actual[v])
+
+
+def _pins(candidates: list[str], actual: Assignment, mask: int) -> dict[str, int]:
+    """The candidates in the mask, at their actual values."""
+    return {v: actual[v] for i, v in enumerate(candidates) if mask >> i & 1}
 
 
 def _walk_order(mask: int) -> tuple[int, list[int]]:
@@ -152,7 +156,7 @@ def _walk_order(mask: int) -> tuple[int, list[int]]:
 
 def _transversal_search(
     scenario: Scenario, effect: Event, candidates: list[str], actual: Assignment
-) -> list[Assignment]:
+) -> list[int]:
     """Dualize and advance: keep the minimal transversals of the D masks met
     so far and test the untested ones in the walk's order.  A passing
     transversal is a minimal sufficient set, since each of its proper subsets
@@ -163,17 +167,14 @@ def _transversal_search(
     empty D(w) (the effect misses its value with every ancestor actual)
     leaves no transversal, and the answer is []."""
     transversals = [0]  # in the walk's order
-    passing: dict[int, Assignment] = {}  # mask -> pins
+    passing: set[int] = set()
     while True:
-        for mask in transversals:
-            if mask not in passing:
-                break
-        else:
-            return [passing[mask] for mask in transversals]
-        pins = {v: actual[v] for i, v in enumerate(candidates) if mask >> i & 1}
-        world = _falsifying_world(scenario, pins, effect)
+        mask = next((t for t in transversals if t not in passing), None)
+        if mask is None:
+            return transversals
+        world = _falsifying_world(scenario, _pins(candidates, actual, mask), effect)
         if world is None:
-            passing[mask] = pins
+            passing.add(mask)
         else:
             edge = _differs(candidates, actual, world)
             transversals = sorted(_add_edge(transversals, edge), key=_walk_order)
@@ -200,41 +201,29 @@ def _add_edge(transversals: list[int], edge: int) -> list[int]:
 
 def _walk(
     scenario: Scenario, effect: Event, candidates: list[str], actual: Assignment
-) -> list[Assignment]:
-    """Candidate sets walked as bitmasks by size then variable tuple.  A
-    superset of a sufficient set is skipped, and so is a set a stored world
-    refutes."""
-    model = scenario.model
-    bit = {v: 1 << i for i, v in enumerate(candidates)}
-    passing: list[int] = []
+) -> list[int]:
+    """The walk (`minimal_passing_sets`); a set a stored world refutes fails unsolved."""
     refuting: list[tuple[int, int]] = []
-    found: list[Assignment] = []
-    for size in range(len(candidates) + 1):
-        if size == 1:
-            # Only now, so that an input whose empty set roams too wide
-            # keeps that message.
-            check_search_size(
-                1 << len(candidates),
-                f"sufficient-set walk for {effect.render()}",
-                "candidate sets",
-            )
-        for combo in itertools.combinations(candidates, size):
-            mask = sum(bit[v] for v in combo)
-            if any(small & ~mask == 0 for small in passing) or any(
-                differs & mask == 0 and broken & ~mask == 0 for differs, broken in refuting
-            ):
-                continue
-            pins = {v: actual[v] for v in combo}
-            world = _falsifying_world(scenario, pins, effect)
-            if world is None:
-                passing.append(mask)
-                found.append(pins)
-                continue
-            # Only a pin can break its equation, and only a derived one: an
-            # initial variable's actual value is its equation's.
-            broken = sum(bit[v] for v in combo if model.lookup(v, world) != world[v])
-            refuting.append((_differs(candidates, actual, world), broken))
-    return found
+
+    def passes(mask: int) -> bool:
+        if any(differs & mask == 0 and broken & ~mask == 0 for differs, broken in refuting):
+            return False
+        world = _falsifying_world(scenario, _pins(candidates, actual, mask), effect)
+        if world is None:
+            return True
+        # Only a pin can break its equation, and only a derived one: an
+        # initial variable's actual value is its equation's.
+        broken = sum(
+            1 << i
+            for i, v in enumerate(candidates)
+            if mask >> i & 1 and scenario.model.lookup(v, world) != world[v]
+        )
+        refuting.append((_differs(candidates, actual, world), broken))
+        return False
+
+    return minimal_passing_sets(
+        len(candidates), passes, f"sufficient-set walk for {effect.render()}", "candidate sets"
+    )
 
 
 def restricted_scenario(scenario: Scenario, target: str) -> Scenario:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .comparators import hph_causes
-from .dsl import BenchCase, parse_case, parse_expression, serialize_case
+from .dsl import BenchCase, parse_case, parse_expression, render_model, serialize_case
 from .engine import EngineOptions, causes_of
 from .model import Event, Scenario, render_events
 from .normality import OrderResult, compare
@@ -85,19 +85,8 @@ class VerifyReport:
 
 
 def _describe(scenario: Scenario) -> str:
-    model = scenario.model
-    formulas = "; ".join(
-        f"{v}={model.equations[v].render()}" for v in model.variables
-    )
-    domains = "; ".join(
-        f"{v}:{{{','.join(str(x) for x in model.domains[v].values)}}}"
-        for v in model.variables
-        if model.domains[v].values != (0, 1)
-    )
-    text = formulas
-    if domains:
-        text += f" [{domains}]"
-    return text
+    formulas, domains = render_model(scenario.model)
+    return f"{formulas} [{domains}]" if domains else formulas
 
 
 def run_verify(

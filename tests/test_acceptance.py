@@ -10,6 +10,7 @@ expected to fail with the counterexamples in its message — see the README.
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,8 @@ RAW_MISMATCH_IDS = {
     "25", "28", "29", "33", "40", "43", "52", "53", "62",
 }
 ADJUSTED_MISMATCH_IDS = {"21", "22", "28", "29", "33", "43", "52", "53", "62"}
+GOLDEN = Path(__file__).resolve().parent / "data"
+BENCH_FORMATS = ("plain", "json", "csv", "md")
 
 
 @pytest.fixture(scope="module")
@@ -251,3 +254,21 @@ def test_criterion_8_serialization_identity(verify_run, corpus_path):
     assert sec.checked >= 1000
     assert sec.failures == [], "\n".join(sec.failures[:5])
     assert violations == []
+
+
+def test_criterion_9_outputs_match_the_golden_files(bench_run, verify_run):
+    # The bench report in every format and the 1000-model verification
+    # report stay byte-identical unless a change means to alter them; then
+    # scripts/golden.py rewrites tests/data.
+    outputs = {f"bench.{fmt}": render_report(bench_run[0], fmt) for fmt in BENCH_FORMATS}
+    outputs["verify.txt"] = verify_run[0].render()
+    changed = [
+        name
+        for name, text in outputs.items()
+        if text.encode("utf-8") != (GOLDEN / name).read_bytes()
+    ]
+    print(
+        f"criterion 9: {'PASS' if not changed else 'FAIL'} — {len(outputs)} "
+        f"golden outputs, {len(changed)} changed"
+    )
+    assert changed == []

@@ -170,6 +170,18 @@ class TestBench:
         assert result.exit_code == 2
         assert "parse error: 99-bad.case: not UTF-8 text" in result.output
 
+    def test_search_too_large_names_the_file(self, runner, corpus_path, tmp_path):
+        good = Path(case_file(corpus_path, "13"))
+        (tmp_path / good.name).write_text(good.read_text(encoding="utf-8"))
+        (tmp_path / "99-wide.case").write_text(
+            f"case 99\nmode reliable\nformulas: {grouped_conjunction(10, 9)}\neffect: e=1\n"
+        )
+        result = runner.invoke(main, ["bench", str(tmp_path)])
+        assert result.exit_code == 3
+        assert "search too large: 99-wide.case: sufficient-set walk for e=1 has 2097152" in (
+            result.output
+        )
+
 
 class TestVerify:
     def test_small_run(self, runner):

@@ -92,6 +92,21 @@ class TestEnumerationCap:
             hph_causes(scenario, Event("e", 1))
         assert searched == []
 
+    def test_contrast_set_walk_at_the_real_cap(self, monkeypatch):
+        # 18 xi and 2 yg: 2**20 contrast sets, but every singleton passes,
+        # so only the 20 singletons are searched.
+        scenario = make_scenario(grouped_conjunction(9, 9))
+        searched = []
+        original = comparators._find_witness
+
+        def counting(*args):
+            searched.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(comparators, "_find_witness", counting)
+        assert len(hph_causes(scenario, Event("e", 1)).vars()) == 20
+        assert len(searched) == 20
+
     def test_inert_variables_do_not_count(self):
         # The 21 xi sit at their defaults but no contrast moves them, so the
         # freeze pool of {a} is empty rather than 2**21 subsets.

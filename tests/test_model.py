@@ -25,6 +25,7 @@ from actualcause import (
     render_events,
     solve,
 )
+from actualcause.model import minimal_passing_sets
 from conftest import EXPRESSIONS, POOLS, WIDE_FORMULAS, make_scenario
 
 
@@ -266,3 +267,66 @@ class TestEnumerateSettings:
         # a space of exactly ENUMERATION_CAP settings is still enumerated
         assert 2**20 == ENUMERATION_CAP
         assert next(enumerate_settings(model, initial[:20])) == dict.fromkeys(initial[:20], 0)
+
+
+def combinations_walk(n, passes):
+    """Every mask by size, then positions, with supersets of passing masks
+    skipped: what `minimal_passing_sets` must test, in its order."""
+    found = []
+    for size in range(n + 1):
+        for combo in itertools.combinations(range(n), size):
+            mask = sum(1 << i for i in combo)
+            if all(small & ~mask for small in found) and passes(mask):
+                found.append(mask)
+    return found
+
+
+def recorded(passes):
+    calls = []
+
+    def recording(mask):
+        calls.append(mask)
+        return passes(mask)
+
+    return recording, calls
+
+
+FAMILIES = st.integers(0, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=12))
+)
+
+
+class TestMinimalPassingSets:
+    @settings(max_examples=300, deadline=None)
+    @given(FAMILIES, st.booleans())
+    def test_tests_what_a_combinations_walk_tests(self, family, closed):
+        n, members = family
+        if closed:
+            # superset-closed: a mask passes when it contains a member
+            def passes(mask):
+                return any(m & ~mask == 0 for m in members)
+        else:
+            def passes(mask):
+                return mask in members
+
+        helper, helper_calls = recorded(passes)
+        plain, plain_calls = recorded(passes)
+        found = minimal_passing_sets(n, helper, "test walk", "masks")
+        assert found == combinations_walk(n, plain)
+        assert helper_calls == plain_calls
+
+    def test_singletons_pass_after_n_plus_one_tests(self):
+        # at the real cap: 2**20 masks, of which only 21 are built
+        passes, calls = recorded(lambda mask: mask.bit_count() == 1)
+        found = minimal_passing_sets(20, passes, "test walk", "masks")
+        assert found == [1 << i for i in range(20)]
+        assert len(calls) == 21
+
+    def test_the_empty_mask_is_tested_before_the_cap(self, monkeypatch):
+        from actualcause import SearchTooLargeError
+
+        monkeypatch.setattr("actualcause.model.ENUMERATION_CAP", 1 << 3)
+        passes, calls = recorded(lambda mask: False)
+        with pytest.raises(SearchTooLargeError, match=r"^test walk has 16 masks, cap 8$"):
+            minimal_passing_sets(4, passes, "test walk", "masks")
+        assert calls == [0]

@@ -357,8 +357,9 @@ class TestTransversalSearch:
 
 
 class TestWalkBound:
-    """The walk visits every candidate mask however few it solves, so it
-    checks their number against the cap."""
+    """The walk builds only candidate masks grown from sets that fail, but
+    checks the number of all 2**n of them against the cap, so the inputs it
+    accepts do not depend on what it meets."""
 
     def test_copy_chain(self, monkeypatch):
         # Reliable mode with derived candidates: the walk.  The empty set
@@ -373,6 +374,17 @@ class TestWalkBound:
             match=r"sufficient-set walk for x11=0 has 2048 candidate sets, cap 1024",
         ):
             minimal_sufficient_sets(long, Event("x11", 0))
+
+    def test_copy_chain_at_the_real_cap(self, monkeypatch):
+        # 2**20 candidate masks, but every singleton passes, so the walk
+        # tests the empty set and the 20 singletons alone: 21 sets, whose
+        # backgrounds take 41 solves (x0 roams under all but {x0}).
+        tested = counting_calls(monkeypatch, "_falsifying_world")
+        solved = counting_solves(monkeypatch)
+        sets = minimal_sufficient_sets(make_scenario(copy_chain(20)), Event("x20", 0))
+        assert var_sets(sets) == [[v] for v in sorted(f"x{i}" for i in range(20))]
+        assert len(tested) == 21
+        assert len(solved) == 41
 
     def test_a_wide_background_keeps_its_message(self):
         # The empty set's background is checked before the walk's masks.
