@@ -9,7 +9,13 @@ binds, and `_OPERATORS` what each computes.
 
 An expression evaluates at one environment (`Expr.evaluate`) or at every
 setting of its variables at once (`value_table`), which evaluates each node
-once over a whole column of settings.
+once over a whole column of settings.  A column is a list, or, where every
+node of the tree has a bitwise form (`|`, `&`, `~`, the comparisons, the
+constants 0 and 1, and variables whose values are all 0 or 1) and there are
+at least `BIT_TABLE_MIN` settings, one int with a bit per setting, so that
+each node costs a few int operations however many settings there are.  The
+choice is made once per tree, and the int is turned into the list once, at
+the end.
 """
 
 from __future__ import annotations
@@ -60,7 +66,9 @@ BINARY_PREC = {
     "%": PREC_PROD,
 }
 
-# A column holds one value per setting, or None where `evaluate` raises.
+# A column holds one value per setting, or None where `evaluate` raises.  A
+# bit column (`Expr.bits`) holds a 0/1 column that never raises as one int,
+# bit k the value at setting k.
 Column = list[int | None]
 # Settings in mixed-radix order: each variable's pool of values, and how many
 # consecutive settings share each of its values.
@@ -68,16 +76,19 @@ Layout = dict[str, tuple[Sequence[int], int]]
 
 RowFunction = Callable[[int, int], int]
 Kernel = Callable[[Column, Column], Column]
+# Over two bit columns and `full`, the int with a bit at every setting.
+BitKernel = Callable[[int, int, int], int]
+Operator = tuple[RowFunction, Kernel, BitKernel | None]
 
 
-def _total(apply: RowFunction) -> tuple[RowFunction, Kernel]:
+def _total(apply: RowFunction) -> Operator:
     """An operator that never raises: None wherever an operand is None."""
     return apply, lambda xs, ys: [
         None if a is None or b is None else apply(a, b) for a, b in zip(xs, ys)
-    ]
+    ], None
 
 
-def _comparison(test: Callable[[int, int], bool]) -> tuple[RowFunction, Kernel]:
+def _comparison(test: Callable[[int, int], bool], bits: BitKernel) -> Operator:
     """1 where `test` holds, 0 where it fails."""
     return (
         lambda a, b: 1 if test(a, b) else 0,
@@ -85,27 +96,31 @@ def _comparison(test: Callable[[int, int], bool]) -> tuple[RowFunction, Kernel]:
             None if a is None or b is None else (1 if test(a, b) else 0)
             for a, b in zip(xs, ys)
         ],
+        bits,
     )
 
 
-def _division(apply: RowFunction) -> tuple[RowFunction, Kernel]:
+def _division(apply: RowFunction) -> Operator:
     """Floor quotient or remainder: by zero, the row function raises
     ZeroDivisionError and the kernel gives None."""
     return apply, lambda xs, ys: [
         None if a is None or not b else apply(a, b) for a, b in zip(xs, ys)
-    ]
+    ], None
 
 
-# What each binary operator computes, at one row of operands and over two
-# whole columns.  The `&` and `|` kernels are written out: a function call
-# per element would slow their columns, which dominate wide disjunctions.
-_OPERATORS: dict[str, tuple[RowFunction, Kernel]] = {
+# What each binary operator computes: at one row of operands, over two whole
+# columns, and over two bit columns of operands that are 0 or 1 at every
+# setting (None for arithmetic, whose results leave {0, 1}).  The `&` and `|`
+# kernels are written out: a function call per element would slow their
+# columns, which dominate wide disjunctions.
+_OPERATORS: dict[str, Operator] = {
     "|": (
         lambda a, b: 1 if a or b else 0,
         lambda xs, ys: [
             None if a is None or b is None else (1 if a or b else 0)
             for a, b in zip(xs, ys)
         ],
+        lambda x, y, full: x | y,
     ),
     "&": (
         lambda a, b: 1 if a and b else 0,
@@ -113,19 +128,50 @@ _OPERATORS: dict[str, tuple[RowFunction, Kernel]] = {
             None if a is None or b is None else (1 if a and b else 0)
             for a, b in zip(xs, ys)
         ],
+        lambda x, y, full: x & y,
     ),
-    "==": _comparison(operator.eq),
-    "!=": _comparison(operator.ne),
-    ">=": _comparison(operator.ge),
-    ">": _comparison(operator.gt),
-    "<=": _comparison(operator.le),
-    "<": _comparison(operator.lt),
+    "==": _comparison(operator.eq, lambda x, y, full: full ^ (x ^ y)),
+    "!=": _comparison(operator.ne, lambda x, y, full: x ^ y),
+    ">=": _comparison(operator.ge, lambda x, y, full: x | (full ^ y)),
+    ">": _comparison(operator.gt, lambda x, y, full: x & (full ^ y)),
+    "<=": _comparison(operator.le, lambda x, y, full: (full ^ x) | y),
+    "<": _comparison(operator.lt, lambda x, y, full: (full ^ x) & y),
     "+": _total(operator.add),
     "-": _total(operator.sub),
     "*": _total(operator.mul),
     "/": _division(operator.floordiv),
     "%": _division(operator.mod),
 }
+
+# Smaller tables are faster as lists: the bit path's fixed cost of about a
+# microsecond exceeds what it saves below this many settings.
+BIT_TABLE_MIN = 8
+_BIT_VALUES = frozenset((0, 1))
+# "0"/"1" characters to the byte values 0/1
+_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_column(pool: Sequence[int], inner: int, size: int) -> int:
+    """A variable's column as an int (see `Expr.bits`): its pool, each value
+    `inner` settings long, repeated over `size` settings."""
+    ones = (1 << inner) - 1
+    block = 0
+    for i, value in enumerate(pool):
+        if value:
+            block |= ones << i * inner
+    width = inner * len(pool)
+    # `count` copies of `block`, side by side, by doubling
+    count = size // width
+    out = filled = 0
+    while True:
+        if count & 1:
+            out |= block << filled
+            filled += width
+        count >>= 1
+        if not count:
+            return out
+        block |= block << width
+        width *= 2
 
 
 class Expr:
@@ -138,6 +184,16 @@ class Expr:
         """`evaluate` at each of `size` settings at once: the value at every
         setting, None where `evaluate` raises.  `layout` lays out the
         variables' values over the settings."""
+        raise NotImplementedError
+
+    def bitwise(self, layout: Layout) -> bool:
+        """Whether `bits` applies: every node of the tree has a bitwise form,
+        and every variable is laid out with values in {0, 1}."""
+        return False
+
+    def bits(self, layout: Layout, full: int) -> int:
+        """`column` as one int, bit k the value at setting k, for a `bitwise`
+        tree.  `full` has a bit at each setting."""
         raise NotImplementedError
 
     def variables(self) -> frozenset[str]:
@@ -171,6 +227,12 @@ class Const(Expr):
     def column(self, layout: Layout, size: int) -> Column:
         return [self.value] * size
 
+    def bitwise(self, layout: Layout) -> bool:
+        return self.value in _BIT_VALUES
+
+    def bits(self, layout: Layout, full: int) -> int:
+        return full if self.value else 0
+
     def variables(self) -> frozenset[str]:
         return frozenset()
 
@@ -201,6 +263,14 @@ class Var(Expr):
             block += [value] * inner
         return block * (size // len(block))
 
+    def bitwise(self, layout: Layout) -> bool:
+        entry = layout.get(self.name)
+        return entry is not None and _BIT_VALUES.issuperset(entry[0])
+
+    def bits(self, layout: Layout, full: int) -> int:
+        pool, inner = layout[self.name]
+        return _bit_column(pool, inner, full.bit_length())
+
     def variables(self) -> frozenset[str]:
         return frozenset((self.name,))
 
@@ -220,6 +290,12 @@ class Not(Expr):
             0 if a else (None if a is None else 1)
             for a in self.operand.column(layout, size)
         ]
+
+    def bitwise(self, layout: Layout) -> bool:
+        return self.operand.bitwise(layout)
+
+    def bits(self, layout: Layout, full: int) -> int:
+        return full ^ self.operand.bits(layout, full)
 
     def variables(self) -> frozenset[str]:
         return self.operand.variables()
@@ -248,15 +324,26 @@ class Binary(Expr):
         # short-circuiting, so validation sees every branch.
         lhs = self.left.evaluate(env)
         rhs = self.right.evaluate(env)
-        row, _ = _OPERATORS[self.op]
+        row = _OPERATORS[self.op][0]
         try:
             return row(lhs, rhs)
         except ZeroDivisionError:
             raise EvaluationError(f"division by zero in {self.render()!r}") from None
 
     def column(self, layout: Layout, size: int) -> Column:
-        _, kernel = _OPERATORS[self.op]
+        kernel = _OPERATORS[self.op][1]
         return kernel(self.left.column(layout, size), self.right.column(layout, size))
+
+    def bitwise(self, layout: Layout) -> bool:
+        return (
+            _OPERATORS[self.op][2] is not None
+            and self.left.bitwise(layout)
+            and self.right.bitwise(layout)
+        )
+
+    def bits(self, layout: Layout, full: int) -> int:
+        kernel = _OPERATORS[self.op][2]
+        return kernel(self.left.bits(layout, full), self.right.bits(layout, full), full)
 
     def variables(self) -> frozenset[str]:
         return self.left.variables() | self.right.variables()
@@ -351,4 +438,9 @@ def value_table(
     for name, pool in zip(reversed(names), reversed(pools)):
         layout[name] = (pool, size)
         size *= len(pool)
+    if size >= BIT_TABLE_MIN and expr.bitwise(layout):
+        bits = expr.bits(layout, (1 << size) - 1)
+        # C-level string ops make the table: `bin` writes the highest bit
+        # first, after "0b" and the sentinel bit at `size`
+        return list(bin(bits | 1 << size)[:2:-1].encode().translate(_DIGITS_TO_BITS))
     return expr.column(layout, size)

@@ -129,10 +129,11 @@ class Model:
     missing domains, out-of-domain constants, non-exhaustive piecewise
     equations, and equations whose value can leave the variable's domain for
     some setting of its parents.  Validation already evaluates every equation
-    at every setting of its parents, all settings at once (`value_table`);
-    those values are kept as one flat table per variable, indexed by the
-    mixed-radix code of the parent values (last parent in sorted order varies
-    fastest), and `lookup` reads them.
+    at every setting of its parents, all settings at once (`value_table`,
+    bit-parallel where the equation and its parents are all 0/1 and the
+    settings are many), or, with no parents, once; those values are kept as one flat list per variable,
+    indexed by the mixed-radix code of the parent values (last parent in
+    sorted order varies fastest), and `lookup` reads them.
     """
 
     def __init__(
@@ -209,18 +210,22 @@ class Model:
         """The value table of one equation, validated for totality."""
         expr = self.equations[var]
         parents = self._parent_tuple[var]
-        pools = [self.domains[p].values for p in parents]
-        check_search_size(
-            math.prod(map(len, pools)), f"equation for {var!r}", "parent settings"
-        )
-        table = value_table(expr, parents, pools)
         index = self._index[var]
-        if all(map(index.__contains__, table)):
-            return table
-        # Re-evaluate the first failing setting alone, for its error.
-        code = next(i for i, value in enumerate(table) if value not in index)
-        combo = next(itertools.islice(itertools.product(*pools), code, None))
-        env = dict(zip(parents, combo))
+        if parents:
+            pools = [self.domains[p].values for p in parents]
+            check_search_size(
+                math.prod(map(len, pools)), f"equation for {var!r}", "parent settings"
+            )
+            table = value_table(expr, parents, pools)
+            if all(map(index.__contains__, table)):
+                return table
+            # Re-evaluate the first failing setting alone, for its error.
+            code = next(i for i, value in enumerate(table) if value not in index)
+            combo = next(itertools.islice(itertools.product(*pools), code, None))
+            env = dict(zip(parents, combo))
+        else:
+            # a one-row table is that one evaluation
+            env = {}
         try:
             value = expr.evaluate(env)
         except EvaluationError as err:
@@ -231,6 +236,8 @@ class Model:
             raise ModelError(
                 f"equation for {var!r} fails at {env}: {err}"
             ) from err
+        if not parents and value in index:
+            return [value]
         raise DomainError(
             f"equation for {var!r} yields {value} outside domain "
             f"{self.domains[var].values} at {env}"

@@ -21,7 +21,7 @@ from actualcause import (
     parse_case,
     parse_expression,
 )
-from actualcause.expr import BINARY_PREC
+from actualcause.expr import BINARY_PREC, CMP_OPS
 
 
 def corpus_dir() -> Path:
@@ -75,6 +75,27 @@ EXPRESSIONS = st.recursive(
     max_leaves=14,
 )
 POOLS = st.lists(st.integers(-2, 3), min_size=1, max_size=3, unique=True)
+
+# Trees that `value_table` can evaluate bit-parallel: over a to e, each drawn
+# from a pool inside {0, 1}, with only the operators and constants that have
+# a bitwise form.  Nested under `+` or a piecewise form, they must take the
+# list path instead.
+BINARY_POOLS = st.sampled_from([(0, 1), (1, 0), (0,), (1,)])
+BIT_NAMES = "abcde"
+BIT_OPS = ("|", "&", *CMP_OPS)
+BIT_EXPRESSIONS = st.recursive(
+    st.sampled_from([*map(Var, BIT_NAMES), Const(0), Const(1)]),
+    lambda children: st.one_of(
+        children.map(Not),
+        st.builds(Binary, st.sampled_from(BIT_OPS), children, children),
+    ),
+    max_leaves=14,
+)
+NESTED_BIT_EXPRESSIONS = st.one_of(
+    BIT_EXPRESSIONS,
+    st.builds(Binary, st.just("+"), BIT_EXPRESSIONS, BIT_EXPRESSIONS),
+    _piecewise(BIT_EXPRESSIONS),
+)
 
 
 def make_scenario(

@@ -20,9 +20,9 @@ from actualcause import (
     substitute,
 )
 from actualcause.dsl import MAX_DEPTH
-from actualcause.expr import value_table
+from actualcause.expr import BIT_TABLE_MIN, value_table
 
-from conftest import EXPRESSIONS, POOLS
+from conftest import BINARY_POOLS, BIT_NAMES, EXPRESSIONS, NESTED_BIT_EXPRESSIONS, POOLS
 
 
 @pytest.mark.parametrize(
@@ -257,3 +257,63 @@ def test_value_table_marks_only_rows_that_raise():
     # a guard that raises ends the search even where a later guard holds
     guarded = parse_expression("{1 if 2 / a, 3 if 1}")
     assert value_table(guarded, ["a"], [(0, 1)]) == [None, 1]
+
+
+def layout_of(names, pools):
+    """The layout `value_table` builds, for asking which path a tree takes."""
+    layout, inner = {}, 1
+    for name, pool in zip(reversed(names), reversed(pools)):
+        layout[name] = (pool, inner)
+        inner *= len(pool)
+    return layout
+
+
+@settings(max_examples=800, deadline=None)
+@given(NESTED_BIT_EXPRESSIONS, st.lists(BINARY_POOLS, min_size=5, max_size=5))
+def test_bit_path_matches_rowwise_evaluation(expr, pools):
+    names = list(BIT_NAMES)
+    assert value_table(expr, names, pools) == rowwise_table(expr, names, pools)
+
+
+# Eight settings of a, b and c, each from (0, 1): enough for the bit path.
+ABC = (["a", "b", "c"], [(0, 1)] * 3)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "2 | a",  # 2 is true, but not the 1 of a bit column
+        "~2",
+        "a == 2",
+        "2 > a",
+        "(a | b) + c",  # the sum leaves {0, 1}
+        "{a if b, c if 1}",
+    ],
+)
+def test_trees_without_a_bitwise_form_take_the_list_path(source):
+    expr = parse_expression(source)
+    names, pools = ABC
+    assert not expr.bitwise(layout_of(names, pools))
+    assert value_table(expr, names, pools) == rowwise_table(expr, names, pools)
+
+
+def test_bit_path_needs_every_variable_in_zero_one():
+    expr = parse_expression("a | b | c")
+    assert expr.bitwise(layout_of(*ABC))
+    assert not expr.bitwise(layout_of(["a", "b", "c"], [(0, 1), (0, 2), (0, 1)]))
+    assert not expr.bitwise(layout_of(["a", "b"], [(0, 1), (0, 1)]))  # c not laid out
+
+
+def test_bit_path_keeps_the_mixed_radix_order():
+    # settings (a, b, c) in order: (1,0,1) (1,0,0) (1,1,1) (1,1,0) (0,0,1)
+    # (0,0,0) (0,1,1) (0,1,0); a > b | c reads (a > b) | c
+    expr = parse_expression("a > b | c")
+    names, pools = ["a", "b", "c"], [(1, 0), (0, 1), (1, 0)]
+    assert len(list(itertools.product(*pools))) >= BIT_TABLE_MIN
+    assert expr.bitwise(layout_of(names, pools))
+    assert value_table(expr, names, pools) == [1, 1, 1, 0, 1, 0, 1, 0]
+    assert value_table(expr, names, pools) == rowwise_table(expr, names, pools)
+    # a one-value pool and a name the tree does not read, whose three values
+    # make the table no power of two long
+    names, pools = ["a", "d", "b", "c"], [(1, 0), (0, 1, 2), (1,), (0, 1)]
+    assert value_table(expr, names, pools) == rowwise_table(expr, names, pools)

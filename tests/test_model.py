@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actualcause import (
+    Binary,
     Const,
     CycleError,
     Domain,
@@ -20,13 +21,23 @@ from actualcause import (
     ModelError,
     NonExhaustivePiecewiseError,
     UnknownVariableError,
+    Var,
     enumerate_settings,
     event_set,
     render_events,
     solve,
 )
 from actualcause.model import minimal_passing_sets
-from conftest import EXPRESSIONS, POOLS, WIDE_FORMULAS, make_scenario
+from conftest import (
+    BINARY_POOLS,
+    BIT_NAMES,
+    BIT_OPS,
+    EXPRESSIONS,
+    NESTED_BIT_EXPRESSIONS,
+    POOLS,
+    WIDE_FORMULAS,
+    make_scenario,
+)
 
 
 class TestDomain:
@@ -126,6 +137,45 @@ class TestModelValidation:
         with pytest.raises(SearchTooLargeError):
             make_scenario(f"{formulas}; e={' | '.join(names)}")
 
+    def test_value_table_size_is_checked_before_compiling(self, monkeypatch):
+        from actualcause import SearchTooLargeError
+
+        def compile_nothing(*args):
+            raise AssertionError("value_table called")
+
+        monkeypatch.setattr("actualcause.model.value_table", compile_nothing)
+        names = [f"x{i}" for i in range(21)]
+        formulas = "; ".join(f"{name}=0" for name in names)
+        with pytest.raises(
+            SearchTooLargeError,
+            match=r"^equation for 'e' has 2097152 parent settings, cap 1048576$",
+        ):
+            make_scenario(f"{formulas}; e={' | '.join(names)}")
+
+    def test_or_of_20_compiles_bit_parallel(self):
+        # 2**20 parent settings, at the cap: the table is read back at the
+        # all-zero setting, each one-hot setting and the all-ones setting
+        names = [f"x{i}" for i in range(20)]
+        formulas = "; ".join(f"{name}=0" for name in names)
+        model = make_scenario(f"{formulas}; e=~({' | '.join(names)})").model
+        settings = [dict.fromkeys(names, 0), dict.fromkeys(names, 1)]
+        settings += [{name: int(name == hot) for name in names} for hot in names]
+        for env in settings:
+            assert model.lookup("e", env) == model.equations["e"].evaluate(env)
+
+    @pytest.mark.parametrize(
+        ("formula", "at"),
+        [
+            ("a | b", "{'a': 0, 'b': 0}"),  # 4 settings: the list path
+            ("a | b | c", "{'a': 0, 'b': 0, 'c': 0}"),  # 8: the bit path
+        ],
+    )
+    def test_zero_one_table_outside_the_domain(self, formula, at):
+        message = f"equation for 'e' yields 0 outside domain (1, 2) at {at}"
+        with pytest.raises(DomainError) as caught:
+            make_scenario(f"a=1; b=1; c=1; e={formula}", domains={"e": (1, 2)})
+        assert str(caught.value) == message
+
     def test_check_value(self):
         model = make_scenario("a=1; e=a", domains={"a": (0, 1, 2), "e": (0, 1, 2)}).model
         model.check_value("a", 2)
@@ -166,6 +216,25 @@ def table_or_error(build):
         return type(err), str(err)
 
 
+def assert_compiles_rowwise(names, expr, pools, effect_pool, effect):
+    """`Model` builds the table of `effect = expr`, the other names constant,
+    as `rowwise_compile` does, or raises the same exception class and
+    message."""
+    domains = {name: Domain(tuple(pool)) for name, pool in zip(names, pools)}
+    domains[effect] = Domain(tuple(effect_pool))
+    equations = {name: Const(domains[name].values[0]) for name in names}
+    equations[effect] = expr
+
+    def compiled():
+        model = Model([*names, effect], equations, domains)
+        parents = model.parent_tuple(effect)
+        combos = itertools.product(*(domains[p].values for p in parents))
+        return [model.lookup(effect, dict(zip(parents, combo))) for combo in combos]
+
+    expected = table_or_error(lambda: rowwise_compile(effect, expr, domains))
+    assert table_or_error(compiled) == expected
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     EXPRESSIONS,
@@ -173,21 +242,33 @@ def table_or_error(build):
     st.lists(st.integers(-3, 4), min_size=1, max_size=8, unique=True),
 )
 def test_tables_match_a_rowwise_compile(expr, pools, effect_pool):
-    # The same table, or the same exception class and message.
-    names = ["a", "b", "c", "d"]
-    domains = {name: Domain(tuple(pool)) for name, pool in zip(names, pools)}
-    domains["e"] = Domain(tuple(effect_pool))
-    equations = {name: Const(domains[name].values[0]) for name in names}
-    equations["e"] = expr
+    assert_compiles_rowwise(["a", "b", "c", "d"], expr, pools, effect_pool, "e")
 
-    def compiled():
-        model = Model([*names, "e"], equations, domains)
-        parents = model.parent_tuple("e")
-        combos = itertools.product(*(domains[p].values for p in parents))
-        return [model.lookup("e", dict(zip(parents, combo))) for combo in combos]
 
-    expected = table_or_error(lambda: rowwise_compile("e", expr, domains))
-    assert table_or_error(compiled) == expected
+def join_names(tree, ops):
+    """`tree`, joined by each operator of `ops` that is not None to the name
+    of a to e in the same place, so that it reads enough names for the bit
+    path."""
+    for op, name in zip(ops, BIT_NAMES):
+        if op is not None:
+            tree = Binary(op, tree, Var(name))
+    return tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.builds(
+        join_names,
+        NESTED_BIT_EXPRESSIONS,
+        st.lists(st.sampled_from((None, *BIT_OPS)), min_size=5, max_size=5),
+    ),
+    st.lists(BINARY_POOLS, min_size=5, max_size=5),
+    st.lists(st.integers(-1, 2), min_size=1, max_size=4, unique=True),
+)
+def test_zero_one_tables_match_a_rowwise_compile(expr, pools, effect_pool):
+    # trees that take the bit path, or, nested, the list path; effect
+    # domains with and without 0 and 1
+    assert_compiles_rowwise(list(BIT_NAMES), expr, pools, effect_pool, "z")
 
 
 class TestScenario:
