@@ -59,7 +59,7 @@ def main() -> None:
     default=None,
     help="Override the scenario's declared mode (primary definition only).",
 )
-@click.option("--verbose", is_flag=True, help="Show witnesses and chains.")
+@click.option("--verbose", is_flag=True, help="Show plans, chains, reasons and contrast sets.")
 def check(case_file: str, definition: str, variant: str, mode: str | None, verbose: bool) -> None:
     """Analyze a single case file and compare against its intuition."""
     try:

@@ -17,19 +17,16 @@ values) as a deviation, distinct deviations being incomparable.  The actual
 world is ranked by the same unpinned rule, so a middle-level pin is
 admissible exactly where actuality itself deviates.
 
-Under that lattice most of the search collapses: a contrast member can
-only take its default, or -- when the reduction makes it initial and its
-actual value is off-default -- any other value; a freeze survives only on a
-strict descendant of the contrast set, and there only at a default, on a
-variable the reduction removed, or on one it made initial with an
-off-default actual value.  Freezing a non-descendant changes no value, and
-unfreezing it ranks it exactly as in actuality, so dropping it from a
-passing freeze set leaves a passing set that the search tries first.  Every
-surviving candidate world is still verified rank-by-rank rather than
-trusted to the collapse, because a contrast set with internal paths can
-push removed variables off their actual values and break kept variables'
-reduced conformity.  The pruning is exercised against a direct
-definition-unfolding oracle in the test suite and in `verify`.
+Only values at which a pin ranks no lower than actuality are pinned, as
+`Reduction.pinnable` lists them: contrast members at those other than their
+actual value, freezes where the actual value is one of them.  So each solved
+world ranks just its unpinned variables, and those are still verified one by
+one, because a contrast set with internal paths can push removed variables
+off their actual values and break kept variables' reduced conformity.
+Freezes are further limited to strict descendants of the contrast set, which
+keeps the first witness (see `_find_witness`).  The pruning is exercised
+against a direct definition-unfolding oracle in the test suite and in
+`verify`.
 """
 
 from __future__ import annotations
@@ -141,19 +138,12 @@ def _find_witness(
     reduction = Reduction(scenario, contrast_set)
 
     ordered = [v for v in model.variables if v in contrast_set]
+    # each member's pinnable values but its actual one, the default first
     choices: list[list[int]] = []
     for var in ordered:
         default = scenario.defaults[var]
-        legal = [default] if default in model.domains[var] else []
-        if var in reduction.initial:
-            legal.extend(
-                value
-                for value in model.domains[var]
-                if value != actual[var] and value != default
-            )
-        if not legal:
-            return None
-        choices.append(legal)
+        values = [x for x in reduction.pinnable(var, _pinned_rank) if x != actual[var]]
+        choices.append(sorted(values, key=lambda x: x != default))
 
     # the contrast set and its strict descendants: nothing else can move
     moved = set(contrast_set)
@@ -166,11 +156,7 @@ def _find_witness(
         if var in moved
         and var not in contrast_set
         and var != effect.var
-        and (
-            var in reduction.removed
-            or actual[var] == scenario.defaults[var]
-            or var in reduction.initial
-        )
+        and actual[var] in reduction.pinnable(var, _pinned_rank)
     ]
 
     check_search_size(
@@ -188,9 +174,7 @@ def _find_witness(
                 world = solve(scenario, overrides)
                 if world[effect.var] == effect.value:
                     continue
-                if reduction.no_less_normal(
-                    world, overrides, _pinned_rank, unranked=effect.var
-                ):
+                if reduction.no_less_normal(world, overrides, unranked=effect.var):
                     return HPHWitness(
                         contrast=frozenset(
                             Event(v, contrast[v]) for v in ordered

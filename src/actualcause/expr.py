@@ -81,11 +81,12 @@ BitKernel = Callable[[int, int, int], int]
 Operator = tuple[RowFunction, Kernel, BitKernel | None]
 
 
-def _total(apply: RowFunction) -> Operator:
-    """An operator that never raises: None wherever an operand is None."""
+def _total(apply: RowFunction, bits: BitKernel | None = None) -> Operator:
+    """An operator that never raises: None wherever an operand is None.
+    `bits` is its bit kernel where its results stay in {0, 1}."""
     return apply, lambda xs, ys: [
         None if a is None or b is None else apply(a, b) for a, b in zip(xs, ys)
-    ], None
+    ], bits
 
 
 def _comparison(test: Callable[[int, int], bool], bits: BitKernel) -> Operator:
@@ -110,26 +111,10 @@ def _division(apply: RowFunction) -> Operator:
 
 # What each binary operator computes: at one row of operands, over two whole
 # columns, and over two bit columns of operands that are 0 or 1 at every
-# setting (None for arithmetic, whose results leave {0, 1}).  The `&` and `|`
-# kernels are written out: a function call per element would slow their
-# columns, which dominate wide disjunctions.
+# setting (None for arithmetic, whose results leave {0, 1}).
 _OPERATORS: dict[str, Operator] = {
-    "|": (
-        lambda a, b: 1 if a or b else 0,
-        lambda xs, ys: [
-            None if a is None or b is None else (1 if a or b else 0)
-            for a, b in zip(xs, ys)
-        ],
-        lambda x, y, full: x | y,
-    ),
-    "&": (
-        lambda a, b: 1 if a and b else 0,
-        lambda xs, ys: [
-            None if a is None or b is None else (1 if a and b else 0)
-            for a, b in zip(xs, ys)
-        ],
-        lambda x, y, full: x & y,
-    ),
+    "|": _total(lambda a, b: 1 if a or b else 0, lambda x, y, full: x | y),
+    "&": _total(lambda a, b: 1 if a and b else 0, lambda x, y, full: x & y),
     "==": _comparison(operator.eq, lambda x, y, full: full ^ (x ^ y)),
     "!=": _comparison(operator.ne, lambda x, y, full: x ^ y),
     ">=": _comparison(operator.ge, lambda x, y, full: x | (full ^ y)),

@@ -10,10 +10,13 @@ at Mid otherwise, so that off-default, off-actual contrasts are tolerated
 exactly when the actual side deviates too.
 
 The reduction is read from the scenario's value tables (`Reduction`), not
-built; its `no_less_normal` also serves the contrastive comparator.  One
-abnormality search per plan (`plan_abnormality`) serves both of the engine's
-screens: the set-level one reads its first witness and certified members, the
-single-event one the first witness that moves each member alone.
+built, and serves the contrastive comparator too.  A pin's rank depends only
+on the pinned value, so `Reduction.pinnable` ranks each pin once, up front:
+both searches pin only the values it keeps, and `no_less_normal` ranks just
+the unpinned variables of each solved world.  One abnormality search per
+plan (`plan_abnormality`) serves both of the engine's screens: the set-level
+one reads its first witness and certified members, the single-event one the
+first witness that moves each member alone.
 """
 
 from __future__ import annotations
@@ -218,9 +221,11 @@ class Reduction:
     ) -> list[int]:
         """The values of `var`, in domain order, at which a pin ranks no
         lower than actuality.  A pin's rank `pin_rank(value, actual value,
-        default)` does not depend on the rest of the world, so
-        `no_less_normal` rejects every world that pins `var` at any other
-        value.  A removed variable is never ranked: all its values stay."""
+        default)` does not depend on the rest of the world, so this is the
+        one place a pin is ranked: a world that pins `var` at any other
+        value is never as normal as actuality, and searches that pin only
+        these values leave `no_less_normal` the unpinned variables to rank.
+        A removed variable is never ranked: all its values stay."""
         values = self.scenario.model.domains[var].values
         if var not in self.actual_ranks:
             return list(values)
@@ -237,23 +242,18 @@ class Reduction:
         self,
         world: Mapping[str, int],
         pinned: Container[str],
-        pin_rank: Callable[[int, int, int], Rank],
         unranked: str | None = None,
     ) -> bool:
         """Whether `world` is at least as normal as the actual world (EQUAL or
         GREATER_OR_EQUAL) over the kept variables but `unranked`, that is, no
-        variable ranks lower or incomparably.  A pinned variable ranks by
-        `pin_rank(value, actual value, default)`, any other by its free rank."""
+        variable ranks lower or incomparably.  Only unpinned variables are
+        ranked, by their free rank: every pin is taken to be at a `pinnable`
+        value, where it ranks no lower than actuality."""
         values = self._reduced(world)
-        defaults = self.scenario.defaults
         for var in self.kept:
-            if var == unranked:
+            if var == unranked or var in pinned:
                 continue
-            if var in pinned:
-                found = pin_rank(world[var], self.actual[var], defaults[var])
-            else:
-                found = self._rank(var, values)
-            if _component(found, self.actual_ranks[var]) not in ("eq", "gt"):
+            if _component(self._rank(var, values), self.actual_ranks[var]) not in ("eq", "gt"):
                 return False
         return True
 
@@ -391,7 +391,7 @@ def _plan_abnormality(
             world = solve(scenario, overrides)
             if world[effect.var] == effect.value:
                 continue
-            if not reduction.no_less_normal(world, overrides, _pin_rank):
+            if not reduction.no_less_normal(world, overrides):
                 continue
             flipped.update(delta)
             if first_witness is not None and (lone is None or lone in single):

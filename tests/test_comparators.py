@@ -64,6 +64,22 @@ class TestHandModels:
             for ev in verdict.witness.frozen:
                 assert ev.value == scenario.actual_value(ev.var)
 
+    def test_a_freeze_outside_the_effects_ancestors_can_matter(self):
+        # v is no ancestor of e, but unfrozen it follows r off its default
+        # and ranks below its actual Top; only freezing it at 1 keeps the
+        # world for {x, y} as normal as actuality.  Without that freeze y
+        # would leave the result and r join it.
+        scenario = make_scenario(
+            "x=1; w=1; r=x; y=r | w; v=r; e=x | y | r", defaults={"v": 1}
+        )
+        effect = Event("e", 1)
+        result = hph_causes(scenario, effect)
+        assert result.vars() == frozenset({"w", "x", "y"})
+        assert result.vars() == oracle_hph_vars(scenario, effect)
+        verdict = next(v for v in result.verdicts if v.event.var == "y")
+        assert verdict.witness.contrast == frozenset({Event("x", 0), Event("y", 0)})
+        assert verdict.witness.frozen == frozenset({Event("v", 1)})
+
     def test_non_actual_effect_rejected(self):
         scenario = make_scenario("a=1; e=a")
         with pytest.raises(ActualityError):
@@ -196,8 +212,11 @@ def test_agrees_with_brute_force_on_a_random_stream():
 def unpruned_hph(scenario, effect):
     """`hph_causes` with its freeze pool unpruned: every kept-or-removed
     variable the lattice lets survive is a freeze candidate, whether or not
-    the contrast set can move it.  Returns the result and how many freeze
-    pools held a variable outside the contrast set's descendants."""
+    the contrast set can move it.  Which contrast values and freezes the
+    lattice lets survive is written out here by hand, so comparing results
+    also checks `Reduction.pinnable`, which `hph_causes` reads them from.
+    Returns the result and how many freeze pools held a variable outside
+    the contrast set's descendants."""
     model = scenario.model
     actual = scenario.actual()
     contrastable = [
@@ -248,9 +267,7 @@ def unpruned_hph(scenario, effect):
                     world = solve(scenario, overrides)
                     if world[effect.var] == effect.value:
                         continue
-                    if reduction.no_less_normal(
-                        world, overrides, comparators._pinned_rank, unranked=effect.var
-                    ):
+                    if reduction.no_less_normal(world, overrides, unranked=effect.var):
                         return HPHWitness(
                             contrast=frozenset(Event(v, contrast[v]) for v in ordered),
                             frozen=frozenset(Event(v, actual[v]) for v in frozen),

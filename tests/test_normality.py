@@ -17,13 +17,15 @@ from actualcause import (
     UnknownVariableError,
     causes_of,
     compare,
+    hph_causes,
+    intentional_causes,
     intrinsic_scenario,
     minimal_sufficient_sets,
     parse_case,
     plan_abnormality,
     rank,
 )
-from actualcause import normality
+from actualcause import comparators, normality
 from actualcause.model import enumerate_settings, reduced_model, solve
 from actualcause.normality import AbnormalityWitness, PlanAbnormality, Reduction
 from actualcause.randmodel import scenario_stream
@@ -179,6 +181,19 @@ class TestPlanAbnormality:
             plan_abnormality(scenario, ("a",), effect)
 
 
+def pins_rank_no_lower(reduction, world, pinned):
+    """Whether every pinned kept variable ranks, by `_pin_rank`, no lower
+    than it does in actuality: the per-world pin check that `no_less_normal`
+    leaves to `Reduction.pinnable`.  A pin ranks Top or Mid, never Deviant."""
+    defaults = reduction.scenario.defaults
+    return all(
+        normality._pin_rank(world[v], reduction.actual[v], defaults[v]).level
+        >= reduction.actual_ranks[v].level
+        for v in pinned
+        if v in reduction.actual_ranks
+    )
+
+
 def single_event_witnesses(scenario, pins, effect):
     """Each pin's first witness among the contrasts that move it alone,
     searched on its own for every pin, in the set-level search's order."""
@@ -195,8 +210,10 @@ def single_event_witnesses(scenario, pins, effect):
             for background in enumerate_settings(model, roaming):
                 overrides = {**contrast, **background}
                 world = solve(scenario, overrides)
-                if world[effect.var] != effect.value and reduction.no_less_normal(
-                    world, overrides, normality._pin_rank
+                if (
+                    world[effect.var] != effect.value
+                    and pins_rank_no_lower(reduction, world, overrides)
+                    and reduction.no_less_normal(world, overrides)
                 ):
                     return normality.AbnormalityWitness(
                         contrast=frozenset(Event(v, contrast[v]) for v in ordered),
@@ -317,7 +334,10 @@ def unpruned_plan_abnormality(scenario, pins, effect):
             world = solve(scenario, overrides)
             if world[effect.var] == effect.value:
                 continue
-            if not reduction.no_less_normal(world, overrides, normality._pin_rank):
+            if not (
+                pins_rank_no_lower(reduction, world, overrides)
+                and reduction.no_less_normal(world, overrides)
+            ):
                 continue
             flipped.update(delta)
             if first_witness is not None and (lone is None or lone in single):
@@ -443,6 +463,33 @@ class TestAbnormalityWork:
             cases += 1
         assert cases == 66
         assert len(solved) == 2448
+
+    def test_rank_count_over_the_corpus(self, monkeypatch):
+        # Pins are ranked only by `Reduction.pinnable`, up front, never per
+        # solved world (a per-world pin check would make 5 813 pin ranks);
+        # free ranks are the actual and solved worlds' own.
+        counts = {"pin": 0, "free": 0}
+
+        def counting(function, key):
+            def counted(*args):
+                counts[key] += 1
+                return function(*args)
+
+            return counted
+
+        monkeypatch.setattr(normality, "_pin_rank", counting(normality._pin_rank, "pin"))
+        monkeypatch.setattr(
+            comparators, "_pinned_rank", counting(comparators._pinned_rank, "pin")
+        )
+        monkeypatch.setattr(Reduction, "_rank", counting(Reduction._rank, "free"))
+        cases = 0
+        for path in sorted(corpus_dir().glob("*.case")):
+            case = parse_case(path.read_text(encoding="utf-8"))
+            intentional_causes(case.scenario, case.effect)
+            hph_causes(case.scenario, case.effect)
+            cases += 1
+        assert cases == 66
+        assert counts == {"pin": 3033, "free": 7268}
 
     def test_pins_at_their_defaults_do_not_count(self, monkeypatch):
         # 21 binary pins at their actual values, which are their defaults:
