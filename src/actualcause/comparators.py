@@ -27,6 +27,21 @@ Freezes are further limited to strict descendants of the contrast set, which
 keeps the first witness (see `_find_witness`).  The pruning is exercised
 against a direct definition-unfolding oracle in the test suite and in
 `verify`.
+
+Before anything is ranked or solved, `_reach` bounds the values each
+ancestor of the effect, and the effect, can take in any candidate world of
+the contrast set -- whatever its contrast vector and freeze set -- from
+the value tables alone: a contrast member any domain value but its actual
+one, a variable the contrast set cannot move its actual value, and a moved
+one every value its table gives over its parents' sets, plus its actual
+value, at which it may be frozen.  By induction over the topological order
+every candidate world keeps each such variable inside its set: a contrast
+member is pinned off its actual value; an unmoved variable is neither
+pinned nor has a moved parent, so its parents sit at their actual values
+and it reads its actual value from its table; a moved one is frozen at its
+actual value or reads its table at parent values inside their sets.  So
+when the effect's set is its actual value alone, no candidate world breaks
+the effect, and the contrast set has no witness without one world solved.
 """
 
 from __future__ import annotations
@@ -117,6 +132,33 @@ def _pinned_rank(value: int, actual_value: int, default: int) -> Rank:
     return TOP if value == default else MID
 
 
+def _reach(
+    scenario: Scenario, contrast_set: frozenset[str], effect_var: str
+) -> tuple[set[str], set[int]]:
+    """The contrast set with its strict descendants, which are all that a
+    candidate world of the contrast set can move, and a sound set of the
+    values the effect takes in those worlds (see the module docstring)."""
+    model = scenario.model
+    actual = scenario.actual()
+    ancestors = model.ancestors(effect_var)
+    moved = set(contrast_set)
+    possible: dict[str, set[int]] = {}  # moved ancestors and the effect
+    for var in model.topological_order():
+        if var in contrast_set:
+            possible[var] = {x for x in model.domains[var] if x != actual[var]}
+        elif not moved.isdisjoint(model.parents(var)):
+            moved.add(var)
+            if var in ancestors or var == effect_var:
+                parents = model.parent_tuple(var)
+                pools = [possible.get(p, (actual[p],)) for p in parents]
+                values = {
+                    model.lookup(var, dict(zip(parents, combo)))
+                    for combo in itertools.product(*pools)
+                }
+                possible[var] = values | {actual[var]}
+    return moved, possible.get(effect_var, {actual[effect_var]})
+
+
 def _find_witness(
     scenario: Scenario, contrast_set: frozenset[str], effect: Event
 ) -> HPHWitness | None:
@@ -130,11 +172,18 @@ def _find_witness(
     changes no value and no other variable's rank, and unfreezing v ranks
     it by its free rank, which equals its actual rank.  So if a freeze set
     F passes, F minus v passes too and comes earlier in the canonical
-    order, and the first witness never freezes v.  The pre-check against
-    ENUMERATION_CAP counts only the candidates that remain.
+    order, and the first witness never freezes v.
+
+    A contrast set under which the effect cannot change (`_reach`) has no
+    witness and is answered before the pre-check against ENUMERATION_CAP,
+    however large its search would be.  The pre-check counts only the
+    candidates that remain.
     """
     model = scenario.model
     actual = scenario.actual()
+    moved, effect_values = _reach(scenario, contrast_set, effect.var)
+    if effect_values == {effect.value}:
+        return None
     reduction = Reduction(scenario, contrast_set)
 
     ordered = [v for v in model.variables if v in contrast_set]
@@ -145,11 +194,6 @@ def _find_witness(
         values = [x for x in reduction.pinnable(var, _pinned_rank) if x != actual[var]]
         choices.append(sorted(values, key=lambda x: x != default))
 
-    # the contrast set and its strict descendants: nothing else can move
-    moved = set(contrast_set)
-    for var in model.topological_order():
-        if not moved.isdisjoint(model.parents(var)):
-            moved.add(var)
     freeze_pool = [
         var
         for var in model.variables

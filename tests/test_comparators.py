@@ -28,6 +28,19 @@ from actualcause.randmodel import random_effect, random_scenario, scenario_strea
 from conftest import grouped_conjunction, make_scenario
 
 
+def counting_solves(monkeypatch):
+    """Every call `comparators` makes to `solve`, recorded from now on."""
+    solved = []
+    original = comparators.solve
+
+    def counting_solve(*args):
+        solved.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(comparators, "solve", counting_solve)
+    return solved
+
+
 class TestHandModels:
     def test_conjunction_blames_both(self):
         scenario = make_scenario("a=1; b=1; e=a & b")
@@ -137,6 +150,17 @@ class TestEnumerationCap:
         with pytest.raises(SearchTooLargeError, match="2097152 candidate worlds"):
             hph_causes(scenario, Event("e", 1))
 
+    def test_an_effect_that_cannot_change_is_answered_past_the_cap(self):
+        # The same 21 freeze candidates, but e = d0 | ~d0 holds whatever d0
+        # is, so {a} has no witness and is answered before its 2**21
+        # candidate worlds are counted; checking the cap first raised.
+        moved = "; ".join(f"d{i}=~a" for i in range(21))
+        scenario = make_scenario(f"a=1; {moved}; e=d0 | ~d0")
+        assert comparators._reach(scenario, frozenset({"a"}), "e")[1] == {1}
+        assert hph_causes(scenario, Event("e", 1)) == HPHResult(
+            Event("e", 1), frozenset(), ()
+        )
+
 
 class TestCorpusAnchors:
     """Frozen contrastive verdicts on benchmark cases, including every case
@@ -167,24 +191,102 @@ class TestCorpusAnchors:
     def test_world_count_over_the_corpus(self, corpus_cases, monkeypatch):
         # A work-count regression gate: the worlds the comparator solves
         # over all 66 cases move only when its search changes on purpose.
-        solved = []
-        original = comparators.solve
-
-        def counting_solve(*args):
-            solved.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(comparators, "solve", counting_solve)
+        # Contrast sets under which the effect cannot change are not
+        # searched; searching them too would solve 351.
+        solved = counting_solves(monkeypatch)
         for case in corpus_cases.values():
             hph_causes(case.scenario, case.effect)
         assert len(corpus_cases) == 66
-        assert len(solved) == 351
+        assert len(solved) == 185
 
     def test_agrees_with_brute_force_on_all_cases(self, corpus_cases):
         for case in corpus_cases.values():
             computed = hph_causes(case.scenario, case.effect).vars()
             reference = oracle_hph_vars(case.scenario, case.effect)
             assert computed == reference, f"case {case.id}: {computed} != {reference}"
+
+
+def candidate_effect_values(scenario, contrast_set, effect_var):
+    """The effect's value in every candidate world of the contrast set,
+    solved one by one: each contrast vector off the actual values, times
+    each freeze set of the contrast set's strict descendants."""
+    model = scenario.model
+    actual = scenario.actual()
+    ordered = sorted(contrast_set)
+    descendants = [
+        v
+        for v in model.variables
+        if v not in contrast_set and model.ancestors(v) & contrast_set
+    ]
+    off_actual = [[x for x in model.domains[v] if x != actual[v]] for v in ordered]
+    values = set()
+    for vector in itertools.product(*off_actual):
+        for mask in range(1 << len(descendants)):
+            pins = dict(zip(ordered, vector))
+            pins.update({v: actual[v] for i, v in enumerate(descendants) if mask >> i & 1})
+            values.add(solve(scenario, pins)[effect_var])
+    return values
+
+
+class TestEffectReach:
+    """`_reach` bounds the effect's values before any world is solved."""
+
+    def test_its_values_hold_every_candidate_world(self):
+        # Every nonempty set of ancestors of each model's deepest variable:
+        # a sound bound holds every value a candidate world gives the
+        # effect, so the sets it rules out never break the effect.
+        contrast_sets = ruled_out = 0
+        for index, scenario in scenario_stream(23, 400, max_vars=8):
+            effect = random_effect(scenario)
+            ancestors = sorted(scenario.model.ancestors(effect.var))
+            for size in range(1, len(ancestors) + 1):
+                for combo in itertools.combinations(ancestors, size):
+                    contrast_set = frozenset(combo)
+                    moved, values = comparators._reach(scenario, contrast_set, effect.var)
+                    reached = candidate_effect_values(scenario, contrast_set, effect.var)
+                    assert reached <= values, (index, combo)
+                    assert moved == contrast_set | {
+                        v
+                        for v in scenario.model.variables
+                        if scenario.model.ancestors(v) & contrast_set
+                    }
+                    contrast_sets += 1
+                    ruled_out += values == {effect.value}
+        assert (contrast_sets, ruled_out) == (2708, 1404)
+
+    def test_contrast_sets_ruled_out_over_the_corpus(self, corpus_cases, monkeypatch):
+        # Of the contrast sets the comparator searches over the 66 cases,
+        # those under which the effect cannot change; none has a witness.
+        searched = []
+        original = comparators._find_witness
+
+        def counting(scenario, contrast_set, effect):
+            witness = original(scenario, contrast_set, effect)
+            values = comparators._reach(scenario, contrast_set, effect.var)[1]
+            searched.append(values == {effect.value})
+            assert witness is None or not searched[-1]
+            return witness
+
+        monkeypatch.setattr(comparators, "_find_witness", counting)
+        for case in corpus_cases.values():
+            hph_causes(case.scenario, case.effect)
+        assert (len(searched), sum(searched)) == (245, 100)
+
+    @pytest.mark.parametrize(
+        ("max_vars", "index", "expected", "solves"),
+        [(32, 7, set(), 0), (40, 1, {"a", "b", "c", "j", "l", "q", "s"}, 17)],
+    )
+    def test_stream_models_with_internal_paths(
+        self, monkeypatch, max_vars, index, expected, solves
+    ):
+        # 26-variable models with contrast sets of up to 262 144 candidate
+        # worlds each: searching every contrast set solves 589 833 and
+        # 3 485 742 worlds, though most of those sets cannot change the
+        # effect.
+        scenario = next(s for i, s in scenario_stream(1, 60, max_vars=max_vars) if i == index)
+        solved = counting_solves(monkeypatch)
+        assert hph_causes(scenario, random_effect(scenario)).vars() == expected
+        assert len(solved) == solves
 
 
 @settings(max_examples=40, deadline=None)
