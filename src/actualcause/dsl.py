@@ -424,11 +424,13 @@ def parse_case(text: str) -> BenchCase:
 
 def read_case(path: str | Path) -> BenchCase:
     """Parse one case file.  A leading UTF-8 byte-order mark is skipped; a
-    file that is not UTF-8 text or does not parse raises ParseError naming
-    the file."""
+    file that cannot be read, is not UTF-8 text or does not parse raises
+    ParseError naming the file."""
     path = Path(path)
     try:
         return parse_case(path.read_text(encoding="utf-8-sig"))
+    except OSError as err:
+        raise ParseError(f"{path.name}: cannot read ({err.strerror or err})") from err
     except UnicodeDecodeError as err:
         raise ParseError(f"{path.name}: not UTF-8 text ({err})") from err
     except ParseError as err:

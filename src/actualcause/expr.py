@@ -8,18 +8,18 @@ binary operator is one `Binary` node: `BINARY_PREC` gives how tightly each
 binds, and `_OPERATORS` what each computes.
 
 An expression evaluates at one environment (`Expr.evaluate`) or at every
-setting of its variables at once (`value_table`), which evaluates each node
-once over a whole column of settings.  A column is a list, or, where every
-node of the tree has a bitwise form (`|`, `&`, `~`, the comparisons, the
-constants 0 and 1, and variables whose values are all 0 or 1) and there are
-at least `BIT_TABLE_MIN` settings, one int with a bit per setting, so that
-each node costs a few int operations however many settings there are.  The
-choice is made once per tree, and the int is turned into the list once, at
-the end.
+setting of its variables (`value_table`).  Where every node of the tree has
+a bitwise form (`|`, `&`, `~`, the comparisons, the constants 0 and 1, and
+variables whose values are all 0 or 1), `value_table` evaluates each node
+once over all settings, as one int with a bit per setting, so that each
+node costs a few int operations however many settings there are, and turns
+the root's int into the table once, at the end.  Every other tree is
+evaluated one setting at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -66,8 +66,8 @@ BINARY_PREC = {
     "%": PREC_PROD,
 }
 
-# A column holds one value per setting, or None where `evaluate` raises.  A
-# bit column (`Expr.bits`) holds a 0/1 column that never raises as one int,
+# A table holds one value per setting, or None where `evaluate` raises.  A
+# bit column (`Expr.bits`) holds a 0/1 table that never raises as one int,
 # bit k the value at setting k.
 Column = list[int | None]
 # Settings in mixed-radix order: each variable's pool of values, and how many
@@ -75,62 +75,36 @@ Column = list[int | None]
 Layout = dict[str, tuple[Sequence[int], int]]
 
 RowFunction = Callable[[int, int], int]
-Kernel = Callable[[Column, Column], Column]
 # Over two bit columns and `full`, the int with a bit at every setting.
 BitKernel = Callable[[int, int, int], int]
-Operator = tuple[RowFunction, Kernel, BitKernel | None]
-
-
-def _total(apply: RowFunction, bits: BitKernel | None = None) -> Operator:
-    """An operator that never raises: None wherever an operand is None.
-    `bits` is its bit kernel where its results stay in {0, 1}."""
-    return apply, lambda xs, ys: [
-        None if a is None or b is None else apply(a, b) for a, b in zip(xs, ys)
-    ], bits
+Operator = tuple[RowFunction, BitKernel | None]
 
 
 def _comparison(test: Callable[[int, int], bool], bits: BitKernel) -> Operator:
     """1 where `test` holds, 0 where it fails."""
-    return (
-        lambda a, b: 1 if test(a, b) else 0,
-        lambda xs, ys: [
-            None if a is None or b is None else (1 if test(a, b) else 0)
-            for a, b in zip(xs, ys)
-        ],
-        bits,
-    )
+    return lambda a, b: 1 if test(a, b) else 0, bits
 
 
-def _division(apply: RowFunction) -> Operator:
-    """Floor quotient or remainder: by zero, the row function raises
-    ZeroDivisionError and the kernel gives None."""
-    return apply, lambda xs, ys: [
-        None if a is None or not b else apply(a, b) for a, b in zip(xs, ys)
-    ], None
-
-
-# What each binary operator computes: at one row of operands, over two whole
-# columns, and over two bit columns of operands that are 0 or 1 at every
-# setting (None for arithmetic, whose results leave {0, 1}).
+# What each binary operator computes: at one row of operands (floor division
+# and remainder by zero raise ZeroDivisionError), and over two bit columns of
+# operands that are 0 or 1 at every setting (None for arithmetic, whose
+# results leave {0, 1}).
 _OPERATORS: dict[str, Operator] = {
-    "|": _total(lambda a, b: 1 if a or b else 0, lambda x, y, full: x | y),
-    "&": _total(lambda a, b: 1 if a and b else 0, lambda x, y, full: x & y),
+    "|": (lambda a, b: 1 if a or b else 0, lambda x, y, full: x | y),
+    "&": (lambda a, b: 1 if a and b else 0, lambda x, y, full: x & y),
     "==": _comparison(operator.eq, lambda x, y, full: full ^ (x ^ y)),
     "!=": _comparison(operator.ne, lambda x, y, full: x ^ y),
     ">=": _comparison(operator.ge, lambda x, y, full: x | (full ^ y)),
     ">": _comparison(operator.gt, lambda x, y, full: x & (full ^ y)),
     "<=": _comparison(operator.le, lambda x, y, full: (full ^ x) | y),
     "<": _comparison(operator.lt, lambda x, y, full: (full ^ x) & y),
-    "+": _total(operator.add),
-    "-": _total(operator.sub),
-    "*": _total(operator.mul),
-    "/": _division(operator.floordiv),
-    "%": _division(operator.mod),
+    "+": (operator.add, None),
+    "-": (operator.sub, None),
+    "*": (operator.mul, None),
+    "/": (operator.floordiv, None),
+    "%": (operator.mod, None),
 }
 
-# Smaller tables are faster as lists: the bit path's fixed cost of about a
-# microsecond exceeds what it saves below this many settings.
-BIT_TABLE_MIN = 8
 _BIT_VALUES = frozenset((0, 1))
 # "0"/"1" characters to the byte values 0/1
 _DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -165,20 +139,15 @@ class Expr:
     def evaluate(self, env: Mapping[str, int]) -> int:
         raise NotImplementedError
 
-    def column(self, layout: Layout, size: int) -> Column:
-        """`evaluate` at each of `size` settings at once: the value at every
-        setting, None where `evaluate` raises.  `layout` lays out the
-        variables' values over the settings."""
-        raise NotImplementedError
-
     def bitwise(self, layout: Layout) -> bool:
         """Whether `bits` applies: every node of the tree has a bitwise form,
         and every variable is laid out with values in {0, 1}."""
         return False
 
     def bits(self, layout: Layout, full: int) -> int:
-        """`column` as one int, bit k the value at setting k, for a `bitwise`
-        tree.  `full` has a bit at each setting."""
+        """`evaluate` at every setting at once, for a `bitwise` tree: one
+        int, bit k the value at setting k of `layout`.  `full` has a bit at
+        each setting."""
         raise NotImplementedError
 
     def variables(self) -> frozenset[str]:
@@ -209,9 +178,6 @@ class Const(Expr):
     def evaluate(self, env: Mapping[str, int]) -> int:
         return self.value
 
-    def column(self, layout: Layout, size: int) -> Column:
-        return [self.value] * size
-
     def bitwise(self, layout: Layout) -> bool:
         return self.value in _BIT_VALUES
 
@@ -235,19 +201,6 @@ class Var(Expr):
         except KeyError:
             raise EvaluationError(f"unbound variable {self.name!r}") from None
 
-    def column(self, layout: Layout, size: int) -> Column:
-        # built afresh for each reference, so that a wide table holds only
-        # the columns still in use rather than one per variable
-        if self.name not in layout:
-            return [None] * size
-        pool, inner = layout[self.name]
-        if inner == 1:
-            return list(pool) * (size // len(pool))
-        block: Column = []
-        for value in pool:
-            block += [value] * inner
-        return block * (size // len(block))
-
     def bitwise(self, layout: Layout) -> bool:
         entry = layout.get(self.name)
         return entry is not None and _BIT_VALUES.issuperset(entry[0])
@@ -269,12 +222,6 @@ class Not(Expr):
 
     def evaluate(self, env: Mapping[str, int]) -> int:
         return 0 if _truth(self.operand.evaluate(env)) else 1
-
-    def column(self, layout: Layout, size: int) -> Column:
-        return [
-            0 if a else (None if a is None else 1)
-            for a in self.operand.column(layout, size)
-        ]
 
     def bitwise(self, layout: Layout) -> bool:
         return self.operand.bitwise(layout)
@@ -315,19 +262,15 @@ class Binary(Expr):
         except ZeroDivisionError:
             raise EvaluationError(f"division by zero in {self.render()!r}") from None
 
-    def column(self, layout: Layout, size: int) -> Column:
-        kernel = _OPERATORS[self.op][1]
-        return kernel(self.left.column(layout, size), self.right.column(layout, size))
-
     def bitwise(self, layout: Layout) -> bool:
         return (
-            _OPERATORS[self.op][2] is not None
+            _OPERATORS[self.op][1] is not None
             and self.left.bitwise(layout)
             and self.right.bitwise(layout)
         )
 
     def bits(self, layout: Layout, full: int) -> int:
-        kernel = _OPERATORS[self.op][2]
+        kernel = _OPERATORS[self.op][1]
         return kernel(self.left.bits(layout, full), self.right.bits(layout, full), full)
 
     def variables(self) -> frozenset[str]:
@@ -359,24 +302,6 @@ class Piecewise(Expr):
             if _truth(guard.evaluate(env)):
                 return value.evaluate(env)
         raise EvaluationError(f"no true guard in {self.render()!r}")
-
-    def column(self, layout: Layout, size: int) -> Column:
-        # Each setting takes the value of its first true guard, or None where
-        # a guard it reaches raises or no guard holds.
-        out: Column = [None] * size
-        pending = range(size)
-        for value, guard in self.cases:
-            tests = guard.column(layout, size)
-            values = value.column(layout, size)
-            undecided = []
-            for row in pending:
-                test = tests[row]
-                if test:
-                    out[row] = values[row]
-                elif test is not None:
-                    undecided.append(row)
-            pending = undecided
-        return out
 
     def variables(self) -> frozenset[str]:
         names: frozenset[str] = frozenset()
@@ -423,9 +348,15 @@ def value_table(
     for name, pool in zip(reversed(names), reversed(pools)):
         layout[name] = (pool, size)
         size *= len(pool)
-    if size >= BIT_TABLE_MIN and expr.bitwise(layout):
+    if expr.bitwise(layout):
         bits = expr.bits(layout, (1 << size) - 1)
         # C-level string ops make the table: `bin` writes the highest bit
         # first, after "0b" and the sentinel bit at `size`
         return list(bin(bits | 1 << size)[:2:-1].encode().translate(_DIGITS_TO_BITS))
-    return expr.column(layout, size)
+    table: Column = []
+    for combo in itertools.product(*pools):
+        try:
+            table.append(expr.evaluate(dict(zip(names, combo))))
+        except EvaluationError:
+            table.append(None)
+    return table

@@ -129,11 +129,11 @@ class Model:
     missing domains, out-of-domain constants, non-exhaustive piecewise
     equations, and equations whose value can leave the variable's domain for
     some setting of its parents.  Validation already evaluates every equation
-    at every setting of its parents, all settings at once (`value_table`,
-    bit-parallel where the equation and its parents are all 0/1 and the
-    settings are many), or, with no parents, once; those values are kept as one flat list per variable,
-    indexed by the mixed-radix code of the parent values (last parent in
-    sorted order varies fastest), and `lookup` reads them.
+    at every setting of its parents (`value_table`, all settings at once
+    where the equation and its parents are all 0/1, one setting at a time
+    otherwise), or, with no parents, once; those values are kept as one flat
+    list per variable, indexed by the mixed-radix code of the parent values
+    (last parent in sorted order varies fastest), and `lookup` reads them.
     """
 
     def __init__(

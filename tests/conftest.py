@@ -78,8 +78,8 @@ POOLS = st.lists(st.integers(-2, 3), min_size=1, max_size=3, unique=True)
 
 # Trees that `value_table` can evaluate bit-parallel: over a to e, each drawn
 # from a pool inside {0, 1}, with only the operators and constants that have
-# a bitwise form.  Nested under `+` or a piecewise form, they must take the
-# list path instead.
+# a bitwise form.  Nested under `+` or a piecewise form, they must be
+# evaluated one setting at a time instead.
 BINARY_POOLS = st.sampled_from([(0, 1), (1, 0), (0,), (1,)])
 BIT_NAMES = "abcde"
 BIT_OPS = ("|", "&", *CMP_OPS)

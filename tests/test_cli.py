@@ -170,6 +170,14 @@ class TestBench:
         assert result.exit_code == 2
         assert "parse error: 99-bad.case: not UTF-8 text" in result.output
 
+    def test_unreadable_case_exits_two(self, runner, corpus_path, tmp_path):
+        good = Path(case_file(corpus_path, "13"))
+        (tmp_path / good.name).write_text(good.read_text(encoding="utf-8"))
+        (tmp_path / "99-dir.case").mkdir()  # matches the glob, cannot be read
+        result = runner.invoke(main, ["bench", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "parse error: 99-dir.case: cannot read" in result.output
+
     def test_search_too_large_names_the_file(self, runner, corpus_path, tmp_path):
         good = Path(case_file(corpus_path, "13"))
         (tmp_path / good.name).write_text(good.read_text(encoding="utf-8"))

@@ -20,7 +20,7 @@ from actualcause import (
     substitute,
 )
 from actualcause.dsl import MAX_DEPTH
-from actualcause.expr import BIT_TABLE_MIN, value_table
+from actualcause.expr import value_table
 
 from conftest import BINARY_POOLS, BIT_NAMES, EXPRESSIONS, NESTED_BIT_EXPRESSIONS, POOLS
 
@@ -290,7 +290,7 @@ ABC = (["a", "b", "c"], [(0, 1)] * 3)
         "{a if b, c if 1}",
     ],
 )
-def test_trees_without_a_bitwise_form_take_the_list_path(source):
+def test_trees_without_a_bitwise_form_take_the_row_path(source):
     expr = parse_expression(source)
     names, pools = ABC
     assert not expr.bitwise(layout_of(names, pools))
@@ -309,7 +309,6 @@ def test_bit_path_keeps_the_mixed_radix_order():
     # (0,0,0) (0,1,1) (0,1,0); a > b | c reads (a > b) | c
     expr = parse_expression("a > b | c")
     names, pools = ["a", "b", "c"], [(1, 0), (0, 1), (1, 0)]
-    assert len(list(itertools.product(*pools))) >= BIT_TABLE_MIN
     assert expr.bitwise(layout_of(names, pools))
     assert value_table(expr, names, pools) == [1, 1, 1, 0, 1, 0, 1, 0]
     assert value_table(expr, names, pools) == rowwise_table(expr, names, pools)
@@ -317,3 +316,9 @@ def test_bit_path_keeps_the_mixed_radix_order():
     # make the table no power of two long
     names, pools = ["a", "d", "b", "c"], [(1, 0), (0, 1, 2), (1,), (0, 1)]
     assert value_table(expr, names, pools) == rowwise_table(expr, names, pools)
+    # tables of one and of two settings take the bit path too
+    names = ["a", "b", "c"]
+    for pools, table in ([(1,), (0,), (1,)], [1]), ([(1,), (0, 1), (0,)], [1, 0]):
+        assert expr.bitwise(layout_of(names, pools))
+        assert value_table(expr, names, pools) == table
+        assert value_table(expr, names, pools) == rowwise_table(expr, names, pools)

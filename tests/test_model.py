@@ -166,7 +166,7 @@ class TestModelValidation:
     @pytest.mark.parametrize(
         ("formula", "at"),
         [
-            ("a | b", "{'a': 0, 'b': 0}"),  # 4 settings: the list path
+            ("a | b", "{'a': 0, 'b': 0}"),  # 4 settings: the bit path
             ("a | b | c", "{'a': 0, 'b': 0, 'c': 0}"),  # 8: the bit path
         ],
     )
@@ -266,7 +266,7 @@ def join_names(tree, ops):
     st.lists(st.integers(-1, 2), min_size=1, max_size=4, unique=True),
 )
 def test_zero_one_tables_match_a_rowwise_compile(expr, pools, effect_pool):
-    # trees that take the bit path, or, nested, the list path; effect
+    # trees that take the bit path, or, nested, the row path; effect
     # domains with and without 0 and 1
     assert_compiles_rowwise(list(BIT_NAMES), expr, pools, effect_pool, "z")
 
