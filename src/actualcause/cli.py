@@ -2,7 +2,8 @@
 
 Exit codes for ``check``: 0 when the computed causes match the recorded
 intuition (or no intuition is recorded), 1 on a mismatch, 2 on a parse
-error, 3 when a search exceeds ENUMERATION_CAP.
+error, 3 when a search exceeds ENUMERATION_CAP.  ``bench`` exits the same
+way over its cases, and also 2 when the ``--out`` file cannot be written.
 """
 
 from __future__ import annotations
@@ -146,7 +147,11 @@ def bench(directory: str, fmt: str, out: str | None) -> None:
     if out is None:
         click.echo(text, nl=False)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as err:
+            click.echo(f"cannot write {out}: {err.strerror}", err=True)
+            sys.exit(2)
     click.echo(f"completed in {elapsed:.2f}s", err=True)
     failed = report.primary_mismatches
     sys.exit(1 if failed else 0)

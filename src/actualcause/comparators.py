@@ -205,7 +205,7 @@ def _find_witness(
 
     check_search_size(
         (2 ** len(freeze_pool)) * math.prod(len(c) for c in choices),
-        f"contrast search over {sorted(contrast_set)}",
+        lambda: f"contrast search over {sorted(contrast_set)}",
         "candidate worlds",
     )
 

@@ -45,6 +45,8 @@ __all__ = [
 ENUMERATION_CAP = 1 << 20
 
 Assignment = dict[str, int]
+# a parent slot of a value table: the parent, its value -> position, its domain size
+Slot = tuple[str, dict[int, int], int]
 
 T = TypeVar("T")
 
@@ -133,7 +135,12 @@ class Model:
     where the equation and its parents are all 0/1, one setting at a time
     otherwise), or, with no parents, once; those values are kept as one flat
     list per variable, indexed by the mixed-radix code of the parent values
-    (last parent in sorted order varies fastest), and `lookup` reads them.
+    (last parent in sorted order varies fastest).
+
+    Construction also builds the evaluation plan that `solve` and `lookup`
+    read, so that neither recomputes it per call: per variable, its parent
+    slots (the parent, its value -> domain position map, its domain size)
+    and its table, and those entries again in topological order.
     """
 
     def __init__(
@@ -175,7 +182,15 @@ class Model:
         self._initial = frozenset(v for v in self.variables if not self._parents[v])
         self._validate_references()
         self._order = self._toposort()
-        self._tables = {v: self._compile(v) for v in self.variables}
+        # the evaluation plan (see the class docstring); `_steps` holds
+        # (variable, slots, table) in topological order
+        slot: dict[str, Slot] = {v: (v, index, len(index)) for v, index in self._index.items()}
+        self._plan: dict[str, tuple[tuple[Slot, ...], list[int]]] = {
+            v: (tuple(map(slot.__getitem__, self._parent_tuple[v])), self._compile(v))
+            for v in self.variables
+        }
+        self._steps = tuple([(v, *self._plan[v]) for v in self._order])
+        self._declared_order = self._order == self.variables
         # strict ancestors of single variables, filled as they are asked for
         self._ancestor_sets: dict[str, frozenset[str]] = {}
 
@@ -214,10 +229,10 @@ class Model:
         if parents:
             pools = [self.domains[p].values for p in parents]
             check_search_size(
-                math.prod(map(len, pools)), f"equation for {var!r}", "parent settings"
+                math.prod(map(len, pools)), lambda: f"equation for {var!r}", "parent settings"
             )
             table = value_table(expr, parents, pools)
-            if all(map(index.__contains__, table)):
+            if index.keys() >= set(table):
                 return table
             # Re-evaluate the first failing setting alone, for its error.
             code = next(i for i, value in enumerate(table) if value not in index)
@@ -299,12 +314,13 @@ class Model:
 
     def lookup(self, var: str, values: Mapping[str, int]) -> int:
         """The equation of `var` at the parent values found in `values`, which
-        must hold an in-domain value for every parent."""
+        must hold an in-domain value for every parent: its table read at the
+        code its plan's parent slots give those values."""
+        slots, table = self._plan[var]
         code = 0
-        for parent in self._parent_tuple[var]:
-            index = self._index[parent]
-            code = code * len(index) + index[values[parent]]
-        return self._tables[var][code]
+        for parent, index, radix in slots:
+            code = code * radix + index[values[parent]]
+        return table[code]
 
     # -- equality / hashing ----------------------------------------------------
 
@@ -412,7 +428,8 @@ def checked_solve(
 
 def solve(scenario: Scenario, pins: Mapping[str, int] | None = None) -> Assignment:
     """Evaluate every variable: pinned ones take their pins, the rest read
-    their value tables in topological order.
+    their value tables, walking the model's plan in topological order.  The
+    result lists the variables in declaration order.
 
     The pins are not checked: each must name a variable of the model at a
     value in its domain.  The engine's searches pin only domain values and
@@ -421,16 +438,25 @@ def solve(scenario: Scenario, pins: Mapping[str, int] | None = None) -> Assignme
     model = scenario.model
     pins = pins or {}
     out: Assignment = {}
-    for var in model.topological_order():
-        out[var] = pins[var] if var in pins else model.lookup(var, out)
-    return {v: out[v] for v in model.variables}
+    for var, slots, table in model._steps:
+        if var in pins:
+            out[var] = pins[var]
+        else:
+            code = 0
+            for parent, index, radix in slots:
+                code = code * radix + index[out[parent]]
+            out[var] = table[code]
+    return out if model._declared_order else {v: out[v] for v in model.variables}
 
 
-def check_search_size(size: int, space: str, unit: str) -> None:
+def check_search_size(size: int, space: str | Callable[[], str], unit: str) -> None:
     """Raise SearchTooLargeError, before anything is enumerated, when a
     search over `space` would try `size` (in `unit`) past ENUMERATION_CAP.
-    Every bounded search in the package checks here."""
+    Every bounded search in the package checks here.  `space` may be a
+    function that names it, called only to raise."""
     if size > ENUMERATION_CAP:
+        if callable(space):
+            space = space()
         raise SearchTooLargeError(f"{space} has {size} {unit}, cap {ENUMERATION_CAP}")
 
 
@@ -462,16 +488,15 @@ def enumerate_settings(model: Model, variables: Iterable[str]) -> Iterator[Assig
     domain sizes exceeds ENUMERATION_CAP.
     """
     wanted = set(variables)
-    loose = wanted - set(model.variables)
-    if loose:
-        raise UnknownVariableError(f"unknown variable(s) {sorted(loose)}")
+    known = model._index.keys()
+    if not wanted <= known:
+        raise UnknownVariableError(f"unknown variable(s) {sorted(wanted - known)}")
     ordered = [v for v in model.variables if v in wanted]
+    pools = [model.domains[v].values for v in ordered]
     check_search_size(
-        math.prod(len(model.domains[v]) for v in ordered),
-        f"assignment space over {ordered}",
-        "settings",
+        math.prod(map(len, pools)), lambda: f"assignment space over {ordered}", "settings"
     )
-    for combo in itertools.product(*(model.domains[v].values for v in ordered)):
+    for combo in itertools.product(*pools):
         yield dict(zip(ordered, combo))
 
 

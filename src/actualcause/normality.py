@@ -371,7 +371,7 @@ def _plan_abnormality(
     backgrounds = [reduction.pinnable(v, _pin_rank) for v in roaming]
     check_search_size(
         (math.prod(map(len, contrasts)) - 1) * math.prod(map(len, backgrounds)),
-        f"abnormality search over {ordered_pins}",
+        lambda: f"abnormality search over {ordered_pins}",
         "candidate worlds",
     )
 

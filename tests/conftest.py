@@ -117,6 +117,21 @@ def make_scenario(
     return Scenario(model, mode=mode, defaults=defaults or {}, intentions=intentions)
 
 
+def counting_calls(monkeypatch, module, name: str) -> list[tuple]:
+    """Every call to `module.<name>`, recorded from now on.  The searches
+    call `solve` and the other kernels by module-level name, so rebinding
+    the name in the calling module sees every call it makes."""
+    calls: list[tuple] = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def corpus_path() -> Path:
     path = corpus_dir()

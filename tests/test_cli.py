@@ -162,6 +162,18 @@ class TestBench:
         assert json.loads(target.read_text())["summary"]["cases"] == 66
 
 
+    def test_unwritable_out_exits_two(self, runner, corpus_path, tmp_path):
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        good = Path(case_file(corpus_path, "13"))
+        (cases / good.name).write_text(good.read_text(encoding="utf-8"))
+        out = tmp_path / "missing" / "r.txt"
+        result = runner.invoke(main, ["bench", str(cases), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.output == f"cannot write {out}: No such file or directory\n"
+        assert not out.parent.exists()
+
     def test_undecodable_file_exits_two(self, runner, corpus_path, tmp_path):
         good = Path(case_file(corpus_path, "13"))
         (tmp_path / good.name).write_text(good.read_text(encoding="utf-8"))

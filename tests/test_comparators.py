@@ -25,20 +25,7 @@ from actualcause.normality import Reduction
 from actualcause.oracle import oracle_hph_vars
 from actualcause.randmodel import random_effect, random_scenario, scenario_stream
 
-from conftest import grouped_conjunction, make_scenario
-
-
-def counting_solves(monkeypatch):
-    """Every call `comparators` makes to `solve`, recorded from now on."""
-    solved = []
-    original = comparators.solve
-
-    def counting_solve(*args):
-        solved.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(comparators, "solve", counting_solve)
-    return solved
+from conftest import counting_calls, grouped_conjunction, make_scenario
 
 
 class TestHandModels:
@@ -147,7 +134,10 @@ class TestEnumerationCap:
         # Each di follows a, so all 21 are freeze candidates for {a}.
         moved = "; ".join(f"d{i}=~a" for i in range(21))
         scenario = make_scenario(f"a=1; {moved}; e=a | d0")
-        with pytest.raises(SearchTooLargeError, match="2097152 candidate worlds"):
+        with pytest.raises(
+            SearchTooLargeError,
+            match=r"^contrast search over \['a'\] has 2097152 candidate worlds, cap 1048576$",
+        ):
             hph_causes(scenario, Event("e", 1))
 
     def test_an_effect_that_cannot_change_is_answered_past_the_cap(self):
@@ -193,7 +183,7 @@ class TestCorpusAnchors:
         # over all 66 cases move only when its search changes on purpose.
         # Contrast sets under which the effect cannot change are not
         # searched; searching them too would solve 351.
-        solved = counting_solves(monkeypatch)
+        solved = counting_calls(monkeypatch, comparators, "solve")
         for case in corpus_cases.values():
             hph_causes(case.scenario, case.effect)
         assert len(corpus_cases) == 66
@@ -284,7 +274,7 @@ class TestEffectReach:
         # 3 485 742 worlds, though most of those sets cannot change the
         # effect.
         scenario = next(s for i, s in scenario_stream(1, 60, max_vars=max_vars) if i == index)
-        solved = counting_solves(monkeypatch)
+        solved = counting_calls(monkeypatch, comparators, "solve")
         assert hph_causes(scenario, random_effect(scenario)).vars() == expected
         assert len(solved) == solves
 

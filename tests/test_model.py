@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,10 @@ from actualcause import (
     render_events,
     solve,
 )
-from actualcause.model import minimal_passing_sets
+from actualcause.model import Scenario, minimal_passing_sets
+from actualcause.model import solve as kernel_solve
+from actualcause.oracle import oracle_solve
+from actualcause.randmodel import scenario_stream
 from conftest import (
     BINARY_POOLS,
     BIT_NAMES,
@@ -174,6 +178,45 @@ class TestModelValidation:
         message = f"equation for 'e' yields 0 outside domain (1, 2) at {at}"
         with pytest.raises(DomainError) as caught:
             make_scenario(f"a=1; b=1; c=1; e={formula}", domains={"e": (1, 2)})
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        ("formula", "domain", "error", "message"),
+        [
+            # the row path, table [0, -1, None, None]: out of domain first
+            (
+                "b / (a - 1)",
+                (0, 1),
+                DomainError,
+                "equation for 'e' yields -1 outside domain (0, 1) at {'a': 0, 'b': 1}",
+            ),
+            # the row path, table [1, None, 3, None]: a failed evaluation first
+            (
+                "a * 2 + 1 / (1 - b)",
+                (0, 1),
+                ModelError,
+                "equation for 'e' fails at {'a': 0, 'b': 1}: division by zero in '1 / (1 - b)'",
+            ),
+            # the bit path, table [1, 0, 0, 1]
+            (
+                "a == b",
+                (1, 2),
+                DomainError,
+                "equation for 'e' yields 0 outside domain (1, 2) at {'a': 0, 'b': 1}",
+            ),
+            # the bit path, table [0, 1, 1, 1]
+            (
+                "a | b",
+                (0,),
+                DomainError,
+                "equation for 'e' yields 1 outside domain (0,) at {'a': 0, 'b': 1}",
+            ),
+        ],
+    )
+    def test_the_first_failing_setting_is_reported(self, formula, domain, error, message):
+        with pytest.raises(ModelError) as caught:
+            make_scenario(f"a=1; b=1; e={formula}", domains={"e": domain})
+        assert type(caught.value) is error
         assert str(caught.value) == message
 
     def test_check_value(self):
@@ -329,6 +372,41 @@ class TestSolve:
             solve(scenario, {"z": 0})
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.randoms(use_true_random=False))
+def test_solve_matches_a_reference(seed, rng):
+    # each stream model as declared (in topological order) and declared
+    # backwards, under random in-domain pins, against the oracle's solver,
+    # which evaluates each equation by `Expr.evaluate`
+    for _, scenario in scenario_stream(seed, 4, max_vars=8):
+        model = scenario.model
+        backwards = Model(model.variables[::-1], model.equations, model.domains)
+        for built in (model, backwards):
+            chosen = rng.sample(built.variables, rng.randint(0, len(built.variables)))
+            pins = {v: rng.choice(built.domains[v].values) for v in chosen}
+            solved = kernel_solve(Scenario(built), pins)
+            assert solved == oracle_solve(Scenario(built), pins)
+            assert list(solved) == list(built.variables)
+
+
+class TestSolveOutOfOrder:
+    """A model declared out of topological order solves in its own
+    declaration order."""
+
+    def test_unpinned(self):
+        scenario = make_scenario("e=a & b; b=a; a=1")
+        solved = kernel_solve(scenario)
+        assert solved == {"e": 1, "b": 1, "a": 1}
+        assert list(solved) == ["e", "b", "a"]
+
+    def test_pinned(self):
+        scenario = make_scenario("e=a & b; b=a; a=1")
+        solved = kernel_solve(scenario, {"b": 0})
+        assert solved == {"e": 0, "b": 0, "a": 1}
+        assert list(solved) == ["e", "b", "a"]
+        assert solved == oracle_solve(scenario, {"b": 0})
+
+
 class TestEnumerateSettings:
     def test_grid(self):
         model = make_scenario("a=1; b=0; e=a & b", domains={"a": (0, 1, 2)}).model
@@ -343,7 +421,9 @@ class TestEnumerateSettings:
         initial = sorted(model.initial_variables())
         assert 2 ** len(initial) > ENUMERATION_CAP
         settings = enumerate_settings(model, initial)
-        with pytest.raises(SearchTooLargeError):
+        declared = [f"x{i}" for i in range(22)]
+        message = f"assignment space over {declared} has 4194304 settings, cap 1048576"
+        with pytest.raises(SearchTooLargeError, match=f"^{re.escape(message)}$"):
             next(settings)
         # a space of exactly ENUMERATION_CAP settings is still enumerated
         assert 2**20 == ENUMERATION_CAP

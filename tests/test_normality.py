@@ -4,6 +4,7 @@ per-plan abnormality screen."""
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
@@ -30,7 +31,7 @@ from actualcause.model import enumerate_settings, reduced_model, solve
 from actualcause.normality import AbnormalityWitness, PlanAbnormality, Reduction
 from actualcause.randmodel import scenario_stream
 
-from conftest import WIDE_FORMULAS, corpus_dir, make_scenario
+from conftest import WIDE_FORMULAS, corpus_dir, counting_calls, make_scenario
 
 
 class TestRank:
@@ -424,19 +425,6 @@ class TestPinPruning:
                         ]
 
 
-def counting_solves(monkeypatch):
-    """Every call `normality` makes to `solve`, recorded from now on."""
-    solved = []
-    original = normality.solve
-
-    def counting_solve(*args):
-        solved.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(normality, "solve", counting_solve)
-    return solved
-
-
 class TestAbnormalityWork:
     """Work-count regression gates and the enumeration cap."""
 
@@ -448,14 +436,14 @@ class TestAbnormalityWork:
             "; ".join([f"x{i}=0" for i in range(11)])
             + "; e=~(" + " | ".join(f"x{i}" for i in range(11)) + ")"
         )
-        solved = counting_solves(monkeypatch)
+        solved = counting_calls(monkeypatch, normality, "solve")
         assert causes_of(scenario, Event("e", 1)) == frozenset()
         assert solved == []
 
     def test_solve_count_over_the_corpus(self, monkeypatch):
         # Fresh scenarios, so no memo entry is shared with other tests; the
         # unpruned search solves 4 142 worlds.
-        solved = counting_solves(monkeypatch)
+        solved = counting_calls(monkeypatch, normality, "solve")
         cases = 0
         for path in sorted(corpus_dir().glob("*.case")):
             case = parse_case(path.read_text(encoding="utf-8"))
@@ -499,7 +487,7 @@ class TestAbnormalityWork:
         # solve, where the unpruned search refuses 2**21 contrasts.
         scenario = make_scenario(WIDE_FORMULAS)
         pins = [f"x{i}" for i in range(21)]
-        solved = counting_solves(monkeypatch)
+        solved = counting_calls(monkeypatch, normality, "solve")
         result = plan_abnormality(scenario, pins, Event("e", 1))
         assert result == PlanAbnormality(False, None, frozenset(), ())
         assert solved == []
@@ -509,7 +497,9 @@ class TestAbnormalityWork:
         # the deviant actual one: 2**21 - 1 contrasts times one background.
         defaults = {f"x{i}": 1 for i in range(21)}
         scenario = make_scenario(WIDE_FORMULAS, defaults=defaults)
-        solved = counting_solves(monkeypatch)
-        with pytest.raises(SearchTooLargeError, match="2097151 candidate worlds"):
+        solved = counting_calls(monkeypatch, normality, "solve")
+        pins = [f"x{i}" for i in range(21)]
+        message = f"abnormality search over {pins} has 2097151 candidate worlds, cap 1048576"
+        with pytest.raises(SearchTooLargeError, match=f"^{re.escape(message)}$"):
             plan_abnormality(scenario, list(defaults), Event("e", 1))
         assert solved == []

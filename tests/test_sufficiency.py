@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
@@ -13,6 +14,8 @@ from actualcause import (
     SearchTooLargeError,
     direct_cause_graph,
     direct_cause_sets,
+    hph_causes,
+    intentional_causes,
     is_direct_cause,
     is_sufficient,
     minimal_sufficient_sets,
@@ -22,7 +25,7 @@ from actualcause import parse_case, sufficiency
 from actualcause.oracle import oracle_minimal_sufficient_sets
 from actualcause.randmodel import random_effect, scenario_stream
 
-from conftest import WIDE_FORMULAS, copy_chain, corpus_dir, make_scenario
+from conftest import WIDE_FORMULAS, copy_chain, corpus_dir, counting_calls, make_scenario
 
 
 def plan_of(*events: Event) -> frozenset[Event]:
@@ -47,24 +50,6 @@ def plain_minimal_sufficient_sets(scenario, effect) -> list[frozenset[Event]]:
             if is_sufficient(scenario, events, effect):
                 found.append(events)
     return found
-
-
-def counting_calls(monkeypatch, name: str) -> list[tuple]:
-    """Every call to `sufficiency.<name>`, recorded from now on."""
-    calls: list[tuple] = []
-    original = getattr(sufficiency, name)
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(sufficiency, name, counting)
-    return calls
-
-
-def counting_solves(monkeypatch) -> list[tuple]:
-    """Every call `sufficiency` makes to `solve`, recorded from now on."""
-    return counting_calls(monkeypatch, "solve")
 
 
 class TestIsSufficient:
@@ -279,7 +264,7 @@ class TestFalsifyingWorldReuse:
         # holds a target whose answer changes if a broken equation is
         # ignored.  In reliable mode the 852 queries whose ancestors are all
         # initial take the transversal search and the rest take the walk.
-        searched = counting_calls(monkeypatch, "_transversal_search")
+        searched = counting_calls(monkeypatch, sufficiency, "_transversal_search")
         queries = 0
         for index, scenario in scenario_stream(seed=4, count=100, max_vars=8, mode=mode):
             for var in scenario.model.variables:
@@ -299,7 +284,7 @@ class TestFalsifyingWorldReuse:
             "; ".join([f"x{i}=0" for i in range(11)])
             + "; e=~(" + " | ".join(f"x{i}" for i in range(11)) + ")"
         )
-        solved = counting_solves(monkeypatch)
+        solved = counting_calls(monkeypatch, sufficiency, "solve")
         sets = minimal_sufficient_sets(scenario, Event("e", 1))
         assert var_sets(sets) == [sorted(f"x{i}" for i in range(11))]
         assert len(solved) == 23
@@ -307,7 +292,7 @@ class TestFalsifyingWorldReuse:
     def test_solve_count_over_the_corpus(self, monkeypatch):
         # Fresh scenarios, so no memo entry is shared with other tests; a
         # plain walk solves 1 355 worlds.
-        solved = counting_solves(monkeypatch)
+        solved = counting_calls(monkeypatch, sufficiency, "solve")
         cases = 0
         for path in sorted(corpus_dir().glob("*.case")):
             case = parse_case(path.read_text(encoding="utf-8"))
@@ -315,6 +300,28 @@ class TestFalsifyingWorldReuse:
             cases += 1
         assert cases == 66
         assert len(solved) == 935
+
+    def test_settings_count_over_the_corpus(self, monkeypatch):
+        # A work-count regression gate on the backgrounds the sufficiency
+        # checks enumerate (before each one's early exit) for the bench's
+        # two queries, on fresh scenarios.
+        settings = []
+        original = sufficiency.enumerate_settings
+
+        def counting(*args):
+            for setting in original(*args):
+                settings.append(setting)
+                yield setting
+
+        monkeypatch.setattr(sufficiency, "enumerate_settings", counting)
+        cases = 0
+        for path in sorted(corpus_dir().glob("*.case")):
+            case = parse_case(path.read_text(encoding="utf-8"))
+            intentional_causes(case.scenario, case.effect)
+            hph_causes(case.scenario, case.effect)
+            cases += 1
+        assert cases == 66
+        assert len(settings) == 1923
 
 
 class TestTransversalSearch:
@@ -339,8 +346,8 @@ class TestTransversalSearch:
         # transversals are the four pairs below, and each passes.
         scenario = make_scenario("a=1; b=1; c=1; d=1; e=(a|b)&(c|d)", mode=mode)
         effect = Event("e", 1)
-        solved = counting_solves(monkeypatch)
-        searched = counting_calls(monkeypatch, "_transversal_search")
+        solved = counting_calls(monkeypatch, sufficiency, "solve")
+        searched = counting_calls(monkeypatch, sufficiency, "_transversal_search")
         sets = minimal_sufficient_sets(scenario, effect)
         assert var_sets(sets) == [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]]
         assert len(searched) == 1
@@ -379,8 +386,8 @@ class TestWalkBound:
         # 2**20 candidate masks, but every singleton passes, so the walk
         # tests the empty set and the 20 singletons alone: 21 sets, whose
         # backgrounds take 41 solves (x0 roams under all but {x0}).
-        tested = counting_calls(monkeypatch, "_falsifying_world")
-        solved = counting_solves(monkeypatch)
+        tested = counting_calls(monkeypatch, sufficiency, "_falsifying_world")
+        solved = counting_calls(monkeypatch, sufficiency, "solve")
         sets = minimal_sufficient_sets(make_scenario(copy_chain(20)), Event("x20", 0))
         assert var_sets(sets) == [[v] for v in sorted(f"x{i}" for i in range(20))]
         assert len(tested) == 21
@@ -389,5 +396,7 @@ class TestWalkBound:
     def test_a_wide_background_keeps_its_message(self):
         # The empty set's background is checked before the walk's masks.
         scenario = make_scenario(WIDE_FORMULAS)
-        with pytest.raises(SearchTooLargeError, match=r"^assignment space over"):
+        roaming = [f"x{i}" for i in range(22)]
+        message = f"assignment space over {roaming} has 4194304 settings, cap 1048576"
+        with pytest.raises(SearchTooLargeError, match=f"^{re.escape(message)}$"):
             minimal_sufficient_sets(scenario, Event("e", 1))
