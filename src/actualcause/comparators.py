@@ -117,7 +117,10 @@ def hph_causes(scenario: Scenario, effect: Event) -> HPHResult:
         return contrast_set in found
 
     minimal_passing_sets(
-        len(contrastable), passes, f"contrast-set walk for {effect.render()}", "contrast sets"
+        len(contrastable),
+        passes,
+        lambda: f"contrast-set walk for {effect.render()}",
+        "contrast sets",
     )
     verdicts: dict[Event, HPHVerdict] = {}  # each event's first minimal set
     for contrast_set, witness in found.items():

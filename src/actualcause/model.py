@@ -449,18 +449,18 @@ def solve(scenario: Scenario, pins: Mapping[str, int] | None = None) -> Assignme
     return out if model._declared_order else {v: out[v] for v in model.variables}
 
 
-def check_search_size(size: int, space: str | Callable[[], str], unit: str) -> None:
+def check_search_size(size: int, space: Callable[[], str], unit: str) -> None:
     """Raise SearchTooLargeError, before anything is enumerated, when a
-    search over `space` would try `size` (in `unit`) past ENUMERATION_CAP.
-    Every bounded search in the package checks here.  `space` may be a
-    function that names it, called only to raise."""
+    search would try `size` (in `unit`) past ENUMERATION_CAP.  Every bounded
+    search in the package checks here.  `space` names the search; it is
+    called only to raise, so the error text costs nothing when it passes."""
     if size > ENUMERATION_CAP:
-        if callable(space):
-            space = space()
-        raise SearchTooLargeError(f"{space} has {size} {unit}, cap {ENUMERATION_CAP}")
+        raise SearchTooLargeError(f"{space()} has {size} {unit}, cap {ENUMERATION_CAP}")
 
 
-def minimal_passing_sets(n: int, passes: Callable[[int], bool], space: str, unit: str) -> list[int]:
+def minimal_passing_sets(
+    n: int, passes: Callable[[int], bool], space: Callable[[], str], unit: str
+) -> list[int]:
     """The inclusion-minimal masks over n positions that pass, tested by size
     then positions.  The empty one is tested before 2**n is checked against
     the cap.  Level k + 1 grows from level k's failing masks alone, by one bit

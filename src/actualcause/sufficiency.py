@@ -222,7 +222,10 @@ def _walk(
         return False
 
     return minimal_passing_sets(
-        len(candidates), passes, f"sufficient-set walk for {effect.render()}", "candidate sets"
+        len(candidates),
+        passes,
+        lambda: f"sufficient-set walk for {effect.render()}",
+        "candidate sets",
     )
 
 

@@ -472,14 +472,14 @@ class TestMinimalPassingSets:
 
         helper, helper_calls = recorded(passes)
         plain, plain_calls = recorded(passes)
-        found = minimal_passing_sets(n, helper, "test walk", "masks")
+        found = minimal_passing_sets(n, helper, lambda: "test walk", "masks")
         assert found == combinations_walk(n, plain)
         assert helper_calls == plain_calls
 
     def test_singletons_pass_after_n_plus_one_tests(self):
         # at the real cap: 2**20 masks, of which only 21 are built
         passes, calls = recorded(lambda mask: mask.bit_count() == 1)
-        found = minimal_passing_sets(20, passes, "test walk", "masks")
+        found = minimal_passing_sets(20, passes, lambda: "test walk", "masks")
         assert found == [1 << i for i in range(20)]
         assert len(calls) == 21
 
@@ -489,5 +489,5 @@ class TestMinimalPassingSets:
         monkeypatch.setattr("actualcause.model.ENUMERATION_CAP", 1 << 3)
         passes, calls = recorded(lambda mask: False)
         with pytest.raises(SearchTooLargeError, match=r"^test walk has 16 masks, cap 8$"):
-            minimal_passing_sets(4, passes, "test walk", "masks")
+            minimal_passing_sets(4, passes, lambda: "test walk", "masks")
         assert calls == [0]
