@@ -10,7 +10,8 @@ Minimal sufficient sets are found by dualize-and-advance over the minimal
 transversals of the falsifying worlds met, when sufficiency is monotone (in
 general mode, and in reliable mode when every candidate is an initial
 variable); other reliable-mode searches walk the candidate subsets by size
-with `model.minimal_passing_sets`, growing only the sets that fail.
+with `model.minimal_passing_sets`, growing only the sets that fail.  Direct
+causes are read from the target's own value table (`direct_cause_sets`).
 
 Sufficient sets and direct causes are memoized per scenario and arguments;
 each call returns a fresh copy.
@@ -18,24 +19,22 @@ each call returns a fresh copy.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
-from .expr import Const
 from .model import (
     ActualityError,
     Assignment,
     Event,
-    Model,
     ModelError,
     Scenario,
-    UnknownVariableError,
     enumerate_settings,
     event_set,
     memoized,
     minimal_passing_sets,
     solve,
 )
-from .normality import plan_abnormality
+# not called here; perfbench's test_tracer_wraps_names_in_every_importing_module reads it
+from .normality import plan_abnormality  # noqa: F401
 
 __all__ = [
     "NoParentsError",
@@ -45,7 +44,6 @@ __all__ = [
     "is_direct_cause",
     "is_sufficient",
     "minimal_sufficient_sets",
-    "restricted_scenario",
 ]
 
 
@@ -133,7 +131,9 @@ def _minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozense
     actual = scenario.actual()
     candidates = sorted(model.ancestors(effect.var))
     if scenario.mode != "reliable" or model.initial_variables().issuperset(candidates):
-        found = _transversal_search(scenario, effect, candidates, actual)
+        found = _transversal_search(
+            lambda pins: _falsifying_world(scenario, pins, effect), candidates, actual
+        )
     else:
         found = _walk(scenario, effect, candidates, actual)
     return [event_set(_pins(candidates, actual, mask)) for mask in found]
@@ -155,7 +155,7 @@ def _walk_order(mask: int) -> tuple[int, list[int]]:
 
 
 def _transversal_search(
-    scenario: Scenario, effect: Event, candidates: list[str], actual: Assignment
+    falsify: Callable[[Assignment], Assignment | None], candidates: list[str], actual: Assignment
 ) -> list[int]:
     """Dualize and advance: keep the minimal transversals of the D masks met
     so far and test the untested ones in the walk's order.  A passing
@@ -164,15 +164,16 @@ def _transversal_search(
     when every transversal passes, so every minimal sufficient set, being a
     transversal of the final family that contains some passing one, is one
     of them.  The walk solves exactly the same sets in the same order.  An
-    empty D(w) (the effect misses its value with every ancestor actual)
-    leaves no transversal, and the answer is []."""
+    empty D(w) (the effect misses its value with every candidate actual)
+    leaves no transversal, and the answer is [].  `falsify(pins)` is a world
+    over the candidates that keeps the pins and misses the effect, or None."""
     transversals = [0]  # in the walk's order
     passing: set[int] = set()
     while True:
         mask = next((t for t in transversals if t not in passing), None)
         if mask is None:
             return transversals
-        world = _falsifying_world(scenario, _pins(candidates, actual, mask), effect)
+        world = falsify(_pins(candidates, actual, mask))
         if world is None:
             passing.add(mask)
         else:
@@ -229,25 +230,19 @@ def _walk(
     )
 
 
-def restricted_scenario(scenario: Scenario, target: str) -> Scenario:
-    """The scenario cut down to the target's parents (as constants at their
-    actual values) plus the target itself."""
-    model = scenario.model
-    if target not in model.domains:
-        raise UnknownVariableError(f"unknown variable {target!r}")
-    parents = model.parents(target)
-    keep = [v for v in model.variables if v in parents] + [target]
-    equations = {p: Const(scenario.actual_value(p)) for p in parents}
-    equations[target] = model.equations[target]
-    domains = {v: model.domains[v] for v in keep}
-    small = Model(keep, equations, domains)
-    defaults = {v: scenario.defaults[v] for v in keep}
-    return Scenario(model=small, mode=scenario.mode, defaults=defaults)
-
-
 def direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Event]]:
-    """Minimal robust parent sets of the target that also pass the
-    abnormality screen, in canonical order."""
+    """Minimal robust parent sets of the target that pass the abnormality
+    screen, in canonical order.  A parent set is robust when every row of the
+    target's value table that keeps it at its actual values gives the
+    target's value; no model is built.
+
+    The screen wants a world that moves some members and misses the target
+    no less normally than actuality.  Such a world pins every parent, so only
+    the target is ranked, and it obeys its equation.  A parent at its default
+    ranks lower pinned anywhere else, any other parent no lower anywhere, and
+    any world that misses the target moves a member of a robust set.  So a
+    set passes exactly when the parents at their defaults are not robust:
+    every minimal set passes, or, if one lies inside those parents, none does."""
     return list(memoized(scenario, _direct_cause_sets, target))
 
 
@@ -256,17 +251,24 @@ def _direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Even
     model.check_value(target.var, target.value)
     if model.is_initial(target.var):
         raise NoParentsError(f"{target.var!r} has no parents")
-    if scenario.actual_value(target.var) != target.value:
+    actual = scenario.actual()
+    if actual[target.var] != target.value:
         raise ActualityError(
-            f"target {target.render()} is not the actual value "
-            f"{scenario.actual_value(target.var)}"
+            f"target {target.render()} is not the actual value {actual[target.var]}"
         )
-    small = restricted_scenario(scenario, target.var)
-    return [
-        events
-        for events in minimal_sufficient_sets(small, target)
-        if plan_abnormality(small, {ev.var for ev in events}, target).passed
-    ]
+    parents = list(model.parent_tuple(target.var))
+
+    def falsify(pins: Assignment) -> Assignment | None:
+        for row in enumerate_settings(model, [p for p in parents if p not in pins]):
+            row.update(pins)
+            if model.lookup(target.var, row) != target.value:
+                return row
+        return None
+
+    found = _transversal_search(falsify, parents, actual)
+    sets = [event_set(_pins(parents, actual, mask)) for mask in found]
+    at_default = event_set(scenario.defaults)
+    return [] if any(events <= at_default for events in sets) else sets
 
 
 def is_direct_cause(scenario: Scenario, cause: Event, target: Event) -> bool:

@@ -12,16 +12,26 @@ from actualcause import (
     ActualityError,
     EngineOptions,
     Event,
+    Model,
     ModelError,
+    NoParentsError,
+    ReasoningError,
     analyze,
+    cause_nets,
     causes_of,
+    distance,
+    extrapolate,
+    flank,
+    hph_causes,
     intentional_causes,
+    interpolate,
     is_actual_cause,
+    parse_case,
 )
 from actualcause.oracle import oracle_causes_of
-from actualcause.randmodel import scenario_stream
+from actualcause.randmodel import random_effect, scenario_stream
 
-from conftest import make_scenario
+from conftest import corpus_dir, counting_calls, make_scenario
 
 
 def cause_strings(scenario, effect, options=DEFAULT_OPTIONS):
@@ -196,3 +206,46 @@ class TestAnalyze:
         assert analysis.verdict_for(Event("a", 1)).is_cause
         assert analysis.chain_for("a") == ("a", "b", "e")
         assert analysis.chain_for("e") == ("e",)
+
+
+def test_no_model_is_built_after_parsing(monkeypatch):
+    # Every query reads the value tables of the model it was given: both
+    # abnormality variants, the comparator, and the net operations on the
+    # first nets, over the corpus and a random sample, on fresh scenarios.
+    queries = [
+        (case.scenario, case.effect)
+        for case in (
+            parse_case(path.read_text(encoding="utf-8"))
+            for path in sorted(corpus_dir().glob("*.case"))
+        )
+    ]
+    queries += [
+        (scenario, random_effect(scenario))
+        for _, scenario in scenario_stream(seed=5, count=60, max_vars=9)
+    ]
+    built = counting_calls(monkeypatch, Model, "__init__")
+    prime = EngineOptions(abnormality_variant="3prime")
+    operations = 0
+    for scenario, effect in queries:
+        intentional_causes(scenario, effect)
+        causes_of(scenario, effect, prime)
+        hph_causes(scenario, effect)
+        try:
+            nets = cause_nets(scenario, effect)[:5]
+        except (ReasoningError, NoParentsError):
+            continue
+        for net in nets:
+            calls = [(distance, net, effect)] + [
+                (operation, net, member, effect)
+                for member in sorted(net.events)
+                for operation in (interpolate, extrapolate, flank)
+            ]
+            for operation, *args in calls:
+                try:
+                    operation(scenario, *args)
+                except ReasoningError:
+                    pass
+                operations += 1
+    assert len(queries) == 126
+    assert operations > 500
+    assert built == []

@@ -441,8 +441,10 @@ class TestAbnormalityWork:
         assert solved == []
 
     def test_solve_count_over_the_corpus(self, monkeypatch):
-        # Fresh scenarios, so no memo entry is shared with other tests; the
-        # unpruned search solves 4 142 worlds.
+        # Fresh scenarios, so no memo entry is shared with other tests.
+        # Direct causes no longer run this search on a model cut down to each
+        # target's parents; with those screens the count was 2 448, where the
+        # unpruned search solved 4 142 worlds.
         solved = counting_calls(monkeypatch, normality, "solve")
         cases = 0
         for path in sorted(corpus_dir().glob("*.case")):
@@ -450,14 +452,16 @@ class TestAbnormalityWork:
             causes_of(case.scenario, case.effect)
             cases += 1
         assert cases == 66
-        assert len(solved) == 2448
+        assert len(solved) == 2064
 
     def test_rank_count_over_the_corpus(self, monkeypatch):
         # Pins are ranked only by `Reduction.pinnable`, up front, never per
-        # solved world (a per-world pin check would make 5 813 pin ranks);
-        # free ranks are the actual and solved worlds' own.  A contrast set
-        # under which the effect cannot change ranks nothing (ranking those
-        # too would make 3 033 and 7 268).
+        # solved world; free ranks are the actual and solved worlds' own.  A
+        # contrast set under which the effect cannot change ranks nothing.
+        # Direct causes rank nothing either.  While they still screened on a
+        # model cut down to each target's parents, the count was
+        # {"pin": 2540, "free": 6733}; a per-world pin check then made 5 813
+        # pin ranks, and ranking those contrast sets too made 3 033 and 7 268.
         counts = {"pin": 0, "free": 0}
 
         def counting(function, key):
@@ -479,7 +483,7 @@ class TestAbnormalityWork:
             hph_causes(case.scenario, case.effect)
             cases += 1
         assert cases == 66
-        assert counts == {"pin": 2540, "free": 6733}
+        assert counts == {"pin": 1991, "free": 6081}
 
     def test_pins_at_their_defaults_do_not_count(self, monkeypatch):
         # 21 binary pins at their actual values, which are their defaults:

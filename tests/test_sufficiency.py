@@ -1,16 +1,21 @@
-"""Sufficient sets, minimality, direct causes, and the restricted scenario."""
+"""Sufficient sets, minimality and direct causes."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import random
 import re
 
 import pytest
 
 from actualcause import (
     ActualityError,
+    Const,
     Event,
+    Model,
     NoParentsError,
+    Scenario,
     SearchTooLargeError,
     direct_cause_graph,
     direct_cause_sets,
@@ -19,10 +24,10 @@ from actualcause import (
     is_direct_cause,
     is_sufficient,
     minimal_sufficient_sets,
-    restricted_scenario,
+    plan_abnormality,
 )
 from actualcause import parse_case, sufficiency
-from actualcause.oracle import oracle_minimal_sufficient_sets
+from actualcause.oracle import oracle_direct_cause_sets, oracle_minimal_sufficient_sets
 from actualcause.randmodel import random_effect, scenario_stream
 
 from conftest import WIDE_FORMULAS, copy_chain, corpus_dir, counting_calls, make_scenario
@@ -50,6 +55,27 @@ def plain_minimal_sufficient_sets(scenario, effect) -> list[frozenset[Event]]:
             if is_sufficient(scenario, events, effect):
                 found.append(events)
     return found
+
+
+def restricted_direct_cause_sets(scenario, target) -> list[frozenset[Event]]:
+    """Direct causes as the engine once computed them: a scenario cut down to
+    the target's parents (constants at their actual values) plus the target,
+    whose minimal sufficient sets are screened by its abnormality search."""
+    model = scenario.model
+    parents = model.parents(target.var)
+    keep = [v for v in model.variables if v in parents] + [target.var]
+    equations = {p: Const(scenario.actual_value(p)) for p in parents}
+    equations[target.var] = model.equations[target.var]
+    small = Scenario(
+        Model(keep, equations, {v: model.domains[v] for v in keep}),
+        mode=scenario.mode,
+        defaults={v: scenario.defaults[v] for v in keep},
+    )
+    return [
+        events
+        for events in minimal_sufficient_sets(small, target)
+        if plan_abnormality(small, {ev.var for ev in events}, target).passed
+    ]
 
 
 class TestIsSufficient:
@@ -200,15 +226,72 @@ class TestDirectCauses:
         }
 
 
-class TestRestrictedScenario:
-    def test_parents_become_initial(self):
-        scenario = make_scenario("a=1; b=a; e=~b")
-        restricted = restricted_scenario(scenario, "e")
-        assert restricted.model.is_initial("b")
-        assert restricted.actual_value("b") == 1
-        assert restricted.actual_value("e") == 0
-        # Non-parents keep their equations.
-        assert not restricted.model.is_initial("e")
+class TestDirectCausesFromTheTable:
+    """Direct causes are read from the target's value table; the screen
+    passes every minimal set or none, by the parents at their defaults."""
+
+    def test_constant_target(self):
+        # The empty set is robust, and it lies inside any set of parents.
+        scenario = make_scenario("a=1; e=a | ~a")
+        assert direct_cause_sets(scenario, Event("e", 1)) == []
+        assert restricted_direct_cause_sets(scenario, Event("e", 1)) == []
+
+    def test_a_minimal_set_at_its_defaults_blocks_every_set(self):
+        # {a} is the only minimal set and a=0 sits at its default, so no
+        # contrast on it can be as normal as actuality, though b=1 is off
+        # its default.  With a's default at 1 the same set passes.
+        formulas = "a=0; b=1; e=~a | (a & ~b)"
+        target = Event("e", 1)
+        at_default = make_scenario(formulas)
+        assert var_sets(minimal_sufficient_sets(at_default, target)) == [["a"]]
+        assert direct_cause_sets(at_default, target) == []
+        assert restricted_direct_cause_sets(at_default, target) == []
+        off_default = make_scenario(formulas, defaults={"a": 1})
+        assert direct_cause_sets(off_default, target) == [frozenset({Event("a", 0)})]
+        assert restricted_direct_cause_sets(off_default, target) == [
+            frozenset({Event("a", 0)})
+        ]
+
+    def test_an_off_default_parent_with_three_values(self):
+        # a=2 is off its default 0, so its contrasts 0 and 1 are pinnable;
+        # b=0 at its default is not robust alone, so {a} passes.
+        scenario = make_scenario(
+            "a=2; b=0; e=(a >= 1) | b", domains={"a": (0, 1, 2)}
+        )
+        target = Event("e", 1)
+        expected = [frozenset({Event("a", 2)})]
+        assert direct_cause_sets(scenario, target) == expected
+        assert restricted_direct_cause_sets(scenario, target) == expected
+        assert oracle_direct_cause_sets(scenario, target) == expected
+
+    @pytest.mark.parametrize("mode", ["reliable", "general"])
+    def test_matches_the_oracle_and_the_restricted_model(self, mode):
+        # Defaults are re-drawn from each domain (the stream draws 0 only),
+        # so a parent can sit off its default at any of its values.  The full
+        # parent set is always robust, so every empty answer is one the screen
+        # blocked.
+        rng = random.Random(f"direct-causes:{mode}")
+        targets = passing = 0
+        for index, scenario in scenario_stream(seed=7, count=60, max_vars=9, mode=mode):
+            defaults = {
+                v: rng.choice(scenario.model.domains[v].values)
+                for v in scenario.model.variables
+            }
+            scenario = dataclasses.replace(scenario, defaults=defaults)
+            other = dataclasses.replace(
+                scenario, mode="general" if mode == "reliable" else "reliable"
+            )
+            for var in scenario.model.variables:
+                if scenario.model.is_initial(var):
+                    continue
+                target = Event(var, scenario.actual_value(var))
+                sets = direct_cause_sets(scenario, target)
+                assert sets == oracle_direct_cause_sets(scenario, target), (index, var)
+                assert sets == restricted_direct_cause_sets(scenario, target), (index, var)
+                assert sets == direct_cause_sets(other, target), (index, var)
+                targets += 1
+                passing += bool(sets)
+        assert (targets, passing) == {"reliable": (214, 75), "general": (214, 86)}[mode]
 
 
 class TestProperties:
