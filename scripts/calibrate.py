@@ -21,7 +21,6 @@ from pathlib import Path
 
 from actualcause.bench import run_bench, _set_text, _witness_text
 from actualcause.engine import DEFAULT_OPTIONS, EngineOptions, causes_of
-from actualcause.dsl import parse_case
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "actualcause" / "corpus"
 
@@ -106,13 +105,12 @@ def main() -> int:
         failures.append(f"strict variant keeps omissions on {omission_bad}")
 
     print("\n== intention rule ==")
-    for path in sorted(CORPUS.glob("*.case")):
-        case = parse_case(path.read_text(encoding="utf-8"))
+    for res in report.results:
+        case = res.case
         if not case.scenario.intentions:
             continue
         raw = causes_of(case.scenario, case.effect)
-        ruled = res_by_id(report, case.id).primary
-        print(f"case {case.id}: raw {_set_text(raw)} -> ruled {_set_text(ruled)}")
+        print(f"case {case.id}: raw {_set_text(raw)} -> ruled {_set_text(res.primary)}")
 
     print("\n== continuity diff (plan-membership vs chain-certified) ==")
     alt = run_bench(CORPUS, EngineOptions(continuity="chain-certified"))
@@ -132,13 +130,6 @@ def main() -> int:
         return 1
     print("all calibration gates pass")
     return 0
-
-
-def res_by_id(report, case_id):
-    for res in report.results:
-        if res.case.id == case_id:
-            return res
-    raise KeyError(case_id)
 
 
 if __name__ == "__main__":

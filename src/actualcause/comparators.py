@@ -1,4 +1,4 @@
-"""Contrastive counterfactual comparator over a pin-aware three-level lattice.
+"""Contrastive counterfactual comparator over the pin-tolerant rank lattice.
 
 An event X=x is reported when X belongs to some minimal contrast set: pin
 the contrast set componentwise away from its actual values, hold a freeze
@@ -8,25 +8,23 @@ require the effect to break in a world no less normal than the actual one.
 Normality is judged inside the intrinsic reduction (strict ancestors of the
 contrast set dropped, their actual values substituted), which
 `normality.Reduction` reads from the parent's tables without building it,
-over every kept variable except the effect.  Pinned variables -- contrast
-members and freezes alike -- sit at Top when pinned at their default and at
-a tolerated middle level otherwise; unpinned variables rank Top when they
-are initial-in-the-reduction at their default or derived and obeying their
-reduced equation, and otherwise carry their value (and their kept parents'
-values) as a deviation, distinct deviations being incomparable.  The actual
-world is ranked by the same unpinned rule, so a middle-level pin is
-admissible exactly where actuality itself deviates.
+over every kept variable except the effect.  A pinned variable -- contrast
+member and freeze alike -- may take any value where it deviates in
+actuality, and otherwise only its top value, its default; unpinned variables
+rank Top when they are initial-in-the-reduction at their default or derived
+and obeying their reduced equation, and otherwise carry their value (and
+their kept parents' values) as a deviation, distinct deviations being
+incomparable.  The actual world is ranked by the same unpinned rule.
 
-Only values at which a pin ranks no lower than actuality are pinned, as
-`Reduction.pinnable` lists them: contrast members at those other than their
-actual value, freezes where the actual value is one of them.  So each solved
-world ranks just its unpinned variables, and those are still verified one by
-one, because a contrast set with internal paths can push removed variables
-off their actual values and break kept variables' reduced conformity.
-Freezes are further limited to strict descendants of the contrast set, which
-keeps the first witness (see `_find_witness`).  The pruning is exercised
-against a direct definition-unfolding oracle in the test suite and in
-`verify`.
+Only the values `Reduction.pinnable` lists are pinned: contrast members at
+those other than their actual value, freezes where the actual value is one
+of them.  So each solved world ranks just its unpinned variables, and those
+are still verified one by one, because a contrast set with internal paths
+can push removed variables off their actual values and break kept
+variables' reduced conformity.  Freezes are further limited to strict
+descendants of the contrast set, which keeps the first witness (see
+`_find_witness`).  The pruning is exercised against a direct
+definition-unfolding oracle in the test suite and in `verify`.
 
 Before anything is ranked or solved, `_reach` bounds the values each
 ancestor of the effect, and the effect, can take in any candidate world of
@@ -51,7 +49,6 @@ import math
 from dataclasses import dataclass
 
 from .model import (
-    ActualityError,
     Assignment,
     Event,
     Scenario,
@@ -59,7 +56,7 @@ from .model import (
     minimal_passing_sets,
     solve,
 )
-from .normality import MID, TOP, Rank, Reduction
+from .normality import Reduction
 
 __all__ = [
     "HPHResult",
@@ -99,12 +96,7 @@ class HPHResult:
 def hph_causes(scenario: Scenario, effect: Event) -> HPHResult:
     """Members of minimal contrast sets admitting an admissible witness."""
     model = scenario.model
-    model.check_value(effect.var, effect.value)
-    if scenario.actual_value(effect.var) != effect.value:
-        raise ActualityError(
-            f"effect {effect.render()} is not the actual value "
-            f"{scenario.actual_value(effect.var)}"
-        )
+    scenario.check_actual(effect, "effect")
     actual = scenario.actual()
     ancestors = sorted(model.ancestors(effect.var))
     contrastable = [v for v in ancestors if actual[v] != scenario.defaults[v]]
@@ -128,11 +120,6 @@ def hph_causes(scenario: Scenario, effect: Event) -> HPHResult:
             event = Event(var, actual[var])
             verdicts.setdefault(event, HPHVerdict(event, contrast_set, witness))
     return HPHResult(effect=effect, events=frozenset(verdicts), verdicts=tuple(verdicts.values()))
-
-
-def _pinned_rank(value: int, actual_value: int, default: int) -> Rank:
-    """A pinned value ranks Top at its default only, else Mid."""
-    return TOP if value == default else MID
 
 
 def _reach(
@@ -194,7 +181,7 @@ def _find_witness(
     choices: list[list[int]] = []
     for var in ordered:
         default = scenario.defaults[var]
-        values = [x for x in reduction.pinnable(var, _pinned_rank) if x != actual[var]]
+        values = [x for x in reduction.pinnable(var, (default,)) if x != actual[var]]
         choices.append(sorted(values, key=lambda x: x != default))
 
     freeze_pool = [
@@ -203,7 +190,7 @@ def _find_witness(
         if var in moved
         and var not in contrast_set
         and var != effect.var
-        and actual[var] in reduction.pinnable(var, _pinned_rank)
+        and actual[var] in reduction.pinnable(var, (scenario.defaults[var],))
     ]
 
     check_search_size(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ActualityError, Event, ModelError, Scenario
+from .model import Event, ModelError, Scenario
 from .normality import AbnormalityWitness, plan_abnormality
 from .sufficiency import direct_cause_parents, minimal_sufficient_sets
 
@@ -158,11 +158,7 @@ class ScenarioAnalysis:
     # -- verdicts ---------------------------------------------------------------
 
     def verdict_for(self, cause: Event) -> CauseVerdict:
-        actual = self.scenario.actual_value(cause.var)
-        if actual != cause.value:
-            raise ActualityError(
-                f"candidate {cause.render()} is not the actual value {actual}"
-            )
+        self.scenario.check_actual(cause, "candidate")
         record = self.certified.get(cause.var)
         if record is None:
             return CauseVerdict(
@@ -197,11 +193,7 @@ def analyze(
     effect: Event,
     options: EngineOptions = DEFAULT_OPTIONS,
 ) -> ScenarioAnalysis:
-    if scenario.actual_value(effect.var) != effect.value:
-        raise ActualityError(
-            f"effect {effect.render()} is not the actual value "
-            f"{scenario.actual_value(effect.var)}"
-        )
+    scenario.check_actual(effect, "effect")
     return ScenarioAnalysis(scenario, effect, options)
 
 

@@ -387,6 +387,17 @@ class Scenario:
             raise UnknownVariableError(f"unknown variable {var!r}")
         return self._actual[var]
 
+    def check_actual(self, event: Event, role: str) -> None:
+        """Raise unless `event` names a variable (UnknownVariableError), a
+        value in its domain (DomainError) and its actual value
+        (ActualityError); `role` names the event in the message."""
+        self.model.check_value(event.var, event.value)
+        actual = self._actual[event.var]
+        if actual != event.value:
+            raise ActualityError(
+                f"{role} {event.render()} is not the actual value {actual}"
+            )
+
     def default_value(self, var: str) -> int:
         if var not in self.model.domains:
             raise UnknownVariableError(f"unknown variable {var!r}")

@@ -1,22 +1,22 @@
 """Normality ranks, assignment comparison, intrinsic reduction, abnormality.
 
-Two rank styles live here.  The public two-level lattice (`rank`, `compare`)
-ranks a variable Top when it is at its default (initial variables) or obeys
-its equation (derived variables), and Deviant otherwise; distinct deviations
-are incomparable.  The abnormality check used by the cause engine works
-inside the intrinsically reduced scenario and adds a pin-aware middle level:
-a pinned variable sits at Top when pinned at its actual or default value and
-at Mid otherwise, so that off-default, off-actual contrasts are tolerated
-exactly when the actual side deviates too.
+The public two-level lattice (`rank`, `compare`) ranks a variable Top when it
+is at its default (initial variables) or obeys its equation (derived
+variables), and Deviant otherwise; distinct deviations are incomparable.  The
+abnormality check used by the cause engine ranks the same way inside the
+intrinsically reduced scenario, and tolerates pins: a pin may take any value
+where its variable deviates in actuality, and otherwise only its top values
+(its actual or default value), so that off-default, off-actual contrasts are
+tolerated exactly when the actual side deviates too.
 
 The reduction is read from the scenario's value tables (`Reduction`), not
-built, and serves the contrastive comparator too.  A pin's rank depends only
-on the pinned value, so `Reduction.pinnable` ranks each pin once, up front:
-both searches pin only the values it keeps, and `no_less_normal` ranks just
-the unpinned variables of each solved world.  One abnormality search per
-plan (`plan_abnormality`) serves both of the engine's screens: the set-level
-one reads its first witness and certified members, the single-event one the
-first witness that moves each member alone.
+built, and serves the contrastive comparator too.  Whether a pin is tolerated
+depends only on the pinned value, so `Reduction.pinnable` lists each pin's
+values once, up front: both searches pin only those, and `no_less_normal`
+ranks just the unpinned variables of each solved world.  One abnormality
+search per plan (`plan_abnormality`) serves both of the engine's screens: the
+set-level one reads its first witness and certified members, the single-event
+one the first witness that moves each member alone.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .model import (
-    ActualityError,
     Assignment,
     Event,
     ModelError,
@@ -66,7 +65,6 @@ class OrderResult(enum.Enum):
 
 
 _LEVEL_DEVIANT = 0
-_LEVEL_MID = 1
 _LEVEL_TOP = 2
 
 
@@ -83,7 +81,6 @@ class Rank:
 
 
 TOP = Rank(_LEVEL_TOP)
-MID = Rank(_LEVEL_MID)
 
 
 def _deviant(value: int, context: tuple[int, ...] = ()) -> Rank:
@@ -96,7 +93,7 @@ def rank(
     value: int,
     parent_values: Mapping[str, int] | None = None,
 ) -> Rank:
-    """Public two-level rank: Top or Deviant, no pins, no middle level."""
+    """Public two-level rank: Top or Deviant, no pins."""
     model = scenario.model
     model.check_value(var, value)
     if scenario.mode == "general" or model.is_initial(var):
@@ -216,27 +213,17 @@ class Reduction:
             return TOP
         return _deviant(value, tuple(values[p] for p in self.kept_parents[var]))
 
-    def pinnable(
-        self, var: str, pin_rank: Callable[[int, int, int], Rank]
-    ) -> list[int]:
-        """The values of `var`, in domain order, at which a pin ranks no
-        lower than actuality.  A pin's rank `pin_rank(value, actual value,
-        default)` does not depend on the rest of the world, so this is the
-        one place a pin is ranked: a world that pins `var` at any other
-        value is never as normal as actuality, and searches that pin only
-        these values leave `no_less_normal` the unpinned variables to rank.
-        A removed variable is never ranked: all its values stay."""
+    def pinnable(self, var: str, tops: Container[int]) -> list[int]:
+        """The values of `var`, in domain order, that a search may pin it at:
+        every value when `var` is removed (it is never ranked) or deviates in
+        actuality, else only its top values, those in `tops`.  A world that
+        pins `var` at any other value is never as normal as actuality, so
+        searches that pin only these values leave `no_less_normal` the
+        unpinned variables to rank."""
         values = self.scenario.model.domains[var].values
-        if var not in self.actual_ranks:
+        if self.actual_ranks.get(var) is not TOP:
             return list(values)
-        actual = self.actual[var]
-        default = self.scenario.defaults[var]
-        return [
-            value
-            for value in values
-            if _component(pin_rank(value, actual, default), self.actual_ranks[var])
-            in ("eq", "gt")
-        ]
+        return [value for value in values if value in tops]
 
     def no_less_normal(
         self,
@@ -247,13 +234,15 @@ class Reduction:
         """Whether `world` is at least as normal as the actual world (EQUAL or
         GREATER_OR_EQUAL) over the kept variables but `unranked`, that is, no
         variable ranks lower or incomparably.  Only unpinned variables are
-        ranked, by their free rank: every pin is taken to be at a `pinnable`
-        value, where it ranks no lower than actuality."""
+        ranked, by their free rank, which is at least as normal as the actual
+        rank exactly when it is Top or equal to it: every pin is taken to be
+        at a `pinnable` value."""
         values = self._reduced(world)
         for var in self.kept:
             if var == unranked or var in pinned:
                 continue
-            if _component(self._rank(var, values), self.actual_ranks[var]) not in ("eq", "gt"):
+            free = self._rank(var, values)
+            if free is not TOP and free != self.actual_ranks[var]:
                 return False
         return True
 
@@ -267,11 +256,7 @@ def intrinsic_scenario(
     frozen at its actual value and folded into the equations."""
     events = frozenset(cause_set)
     for ev in events:
-        if scenario.actual_value(ev.var) != ev.value:
-            raise ActualityError(
-                f"cause set pins {ev.render()} but the actual value is "
-                f"{scenario.actual_value(ev.var)}"
-            )
+        scenario.check_actual(ev, "cause-set member")
     from .sufficiency import is_sufficient
 
     if not is_sufficient(scenario, events, effect):
@@ -318,13 +303,6 @@ class PlanAbnormality:
     single_flips: tuple[tuple[str, AbnormalityWitness], ...]
 
 
-def _pin_rank(value: int, actual_value: int, default_value: int) -> Rank:
-    """A pinned value ranks Top at its actual or default value, else Mid."""
-    if value == actual_value or value == default_value:
-        return TOP
-    return MID
-
-
 def plan_abnormality(
     scenario: Scenario,
     plan_vars: Iterable[str],
@@ -334,9 +312,9 @@ def plan_abnormality(
     for a world that breaks the effect no less normally than actuality.
 
     Every contrast vector differing from the actual one is tried, in
-    enumeration order, under every background; a value at which its pin
-    ranks below actuality (`Reduction.pinnable`) can never be a witness's,
-    so it is skipped unsolved.  The contrasts left other than the actual
+    enumeration order, under every background; a pin value that
+    `Reduction.pinnable` leaves out can never be a witness's, so it is
+    skipped unsolved.  The contrasts left other than the actual
     one, times the backgrounds left, are the candidate worlds counted
     against ENUMERATION_CAP before the first solve.  `witness` is the first
     world found; `certified` holds each variable some witness flips, plus,
@@ -365,10 +343,11 @@ def _plan_abnormality(
     reduction = Reduction(scenario, pins)
     roaming_set = scenario.roaming_vars(pins, effect.var)
     roaming = [v for v in model.variables if v in roaming_set]
-    # only pin values that can rank no lower than actuality: the actual
+    # a pin's top values are its actual and default ones, so the actual
     # value always stays, and the order of the rest is kept
-    contrasts = [reduction.pinnable(v, _pin_rank) for v in ordered_pins]
-    backgrounds = [reduction.pinnable(v, _pin_rank) for v in roaming]
+    defaults = scenario.defaults
+    contrasts = [reduction.pinnable(v, (actual[v], defaults[v])) for v in ordered_pins]
+    backgrounds = [reduction.pinnable(v, (actual[v], defaults[v])) for v in roaming]
     check_search_size(
         (math.prod(map(len, contrasts)) - 1) * math.prod(map(len, backgrounds)),
         lambda: f"abnormality search over {ordered_pins}",

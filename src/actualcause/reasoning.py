@@ -110,6 +110,7 @@ def cause_nets(scenario: Scenario, effect: Event) -> list[CauseNet]:
     the member's own direct-cause sets, breadth first, deduplicated, and at
     most as many replacements deep as the model has variables."""
     _require_reliable(scenario)
+    scenario.check_actual(effect, "effect")
     model = scenario.model
     if model.is_initial(effect.var):
         raise NoParentsError(f"{effect.var!r} has no parents")
@@ -261,12 +262,14 @@ def distance(
     itself contributes a single chain of length zero.  The chains are
     counted, not enumerated, so the cost is linear in the graph's size."""
     _require_reliable(scenario)
+    scenario.check_actual(effect, "effect")
     net = _as_net(net)
     if not net.events:
         raise ReasoningError("distance of an empty net is undefined")
     count, length, _ = _chain_counts(scenario, effect.var)
     chains = total = 0
     for member in sorted(net.events):
+        scenario.check_actual(member, "net member")
         if member.var not in count:
             raise NoChainError(
                 f"{member.render()} has no direct-cause chain to "

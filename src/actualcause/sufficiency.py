@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 
 from .model import (
-    ActualityError,
     Assignment,
     Event,
     ModelError,
@@ -56,12 +55,7 @@ def _actual_pins(scenario: Scenario, events: Iterable[Event]) -> dict[str, int]:
     variable can be pinned twice."""
     pins: dict[str, int] = {}
     for ev in events:
-        scenario.model.check_value(ev.var, ev.value)
-        if scenario.actual_value(ev.var) != ev.value:
-            raise ActualityError(
-                f"plan pins {ev.render()} but the actual value is "
-                f"{scenario.actual_value(ev.var)}"
-            )
+        scenario.check_actual(ev, "plan pin")
         pins[ev.var] = ev.value
     return pins
 
@@ -248,14 +242,10 @@ def direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Event
 
 def _direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Event]]:
     model = scenario.model
-    model.check_value(target.var, target.value)
+    scenario.check_actual(target, "target")
     if model.is_initial(target.var):
         raise NoParentsError(f"{target.var!r} has no parents")
     actual = scenario.actual()
-    if actual[target.var] != target.value:
-        raise ActualityError(
-            f"target {target.render()} is not the actual value {actual[target.var]}"
-        )
     parents = list(model.parent_tuple(target.var))
 
     def falsify(pins: Assignment) -> Assignment | None:

@@ -26,7 +26,7 @@ from actualcause import (
     plan_abnormality,
     rank,
 )
-from actualcause import comparators, normality
+from actualcause import normality
 from actualcause.model import enumerate_settings, reduced_model, solve
 from actualcause.normality import AbnormalityWitness, PlanAbnormality, Reduction
 from actualcause.randmodel import scenario_stream
@@ -182,17 +182,44 @@ class TestPlanAbnormality:
             plan_abnormality(scenario, ("a",), effect)
 
 
+# The ranked pin rule that `Reduction.pinnable(var, tops)` states in closed
+# form, kept as its reference: a pin ranks Top at its top values and at a
+# middle level, between Deviant (0) and Top (2), elsewhere, and may take a
+# value whose rank compares equal to or above the actual rank.
+MID = normality.Rank(1)
+
+
+def screen_pin_rank(value, actual, default):
+    """The abnormality screen's pin rank: Top at the actual or default value."""
+    return normality.TOP if value in (actual, default) else MID
+
+
+def comparator_pin_rank(value, actual, default):
+    """The comparator's pin rank: Top at the default only."""
+    return normality.TOP if value == default else MID
+
+
+def ranked_pinnable(reduction, var, pin_rank):
+    """The values of `var`, in domain order, at which its pin ranks no lower
+    than actuality; a removed variable is never ranked and keeps them all."""
+    values = reduction.scenario.model.domains[var].values
+    if var not in reduction.actual_ranks:
+        return list(values)
+    actual = reduction.actual[var]
+    default = reduction.scenario.defaults[var]
+    return [
+        value
+        for value in values
+        if normality._component(pin_rank(value, actual, default), reduction.actual_ranks[var])
+        in ("eq", "gt")
+    ]
+
+
 def pins_rank_no_lower(reduction, world, pinned):
-    """Whether every pinned kept variable ranks, by `_pin_rank`, no lower
-    than it does in actuality: the per-world pin check that `no_less_normal`
-    leaves to `Reduction.pinnable`.  A pin ranks Top or Mid, never Deviant."""
-    defaults = reduction.scenario.defaults
-    return all(
-        normality._pin_rank(world[v], reduction.actual[v], defaults[v]).level
-        >= reduction.actual_ranks[v].level
-        for v in pinned
-        if v in reduction.actual_ranks
-    )
+    """Whether every pin ranks, by `screen_pin_rank`, no lower than it does
+    in actuality: the per-world pin check that `no_less_normal` leaves to
+    `Reduction.pinnable`."""
+    return all(world[v] in ranked_pinnable(reduction, v, screen_pin_rank) for v in pinned)
 
 
 def single_event_witnesses(scenario, pins, effect):
@@ -308,6 +335,18 @@ class TestReduction:
                             checked += 1
         assert checked > 10_000
 
+    def test_a_different_deviation_is_incomparable(self):
+        # a deviates in actuality at 2; a world at its default is more
+        # normal, one at the same deviation equal, one at another deviation
+        # incomparable.
+        scenario = make_scenario("a=2; e=a", domains={"a": (0, 1, 2), "e": (0, 1, 2)})
+        reduction = Reduction(scenario, frozenset())
+        verdicts = {
+            value: reduction.no_less_normal(solve(scenario, {"a": value}), ())
+            for value in (0, 1, 2)
+        }
+        assert verdicts == {0: True, 1: False, 2: True}
+
 
 def unpruned_plan_abnormality(scenario, pins, effect):
     """The abnormality search without pin pruning: every contrast differing
@@ -383,7 +422,7 @@ def pruned_somewhere(scenario, pins, effect):
     reduction = Reduction(scenario, pins)
     pool = pins | scenario.roaming_vars(pins, effect.var)
     return any(
-        len(reduction.pinnable(v, normality._pin_rank)) < len(scenario.model.domains[v])
+        len(ranked_pinnable(reduction, v, screen_pin_rank)) < len(scenario.model.domains[v])
         for v in pool
     )
 
@@ -418,11 +457,38 @@ class TestPinPruning:
                 for effect, pins in pin_sets(scenario):
                     reduction = Reduction(scenario, frozenset(pins))
                     for var in scenario.model.variables:
-                        values = reduction.pinnable(var, normality._pin_rank)
+                        tops = (actual[var], scenario.defaults[var])
+                        values = reduction.pinnable(var, tops)
                         assert actual[var] in values
                         assert values == [
                             v for v in scenario.model.domains[var].values if v in values
                         ]
+
+    def test_pinnable_matches_the_ranked_rule(self):
+        # Under both searches' pin ranks, for every kept and removed variable
+        # of every reduction, the closed form lists what ranking each pin
+        # against the actual rank would.
+        checked = {"kept": 0, "removed": 0, "pruned": 0}
+        for mode in ("reliable", "general"):
+            for _, scenario in scenario_stream(13, 40, max_vars=7, mode=mode):
+                actual = scenario.actual()
+                defaults = scenario.defaults
+                for _, pins in pin_sets(scenario):
+                    reduction = Reduction(scenario, frozenset(pins))
+                    for var in scenario.model.variables:
+                        screen = reduction.pinnable(var, (actual[var], defaults[var]))
+                        assert screen == ranked_pinnable(reduction, var, screen_pin_rank)
+                        comparator = reduction.pinnable(var, (defaults[var],))
+                        assert comparator == ranked_pinnable(
+                            reduction, var, comparator_pin_rank
+                        )
+                        checked["removed" if var in reduction.removed else "kept"] += 1
+                        checked["pruned"] += len(comparator) < len(
+                            scenario.model.domains[var]
+                        )
+        assert checked["kept"] > 3000 and checked["removed"] > 300
+        # variables where the comparator's rule leaves out some value
+        assert checked["pruned"] > 2000
 
 
 class TestAbnormalityWork:
@@ -455,27 +521,11 @@ class TestAbnormalityWork:
         assert len(solved) == 2064
 
     def test_rank_count_over_the_corpus(self, monkeypatch):
-        # Pins are ranked only by `Reduction.pinnable`, up front, never per
-        # solved world; free ranks are the actual and solved worlds' own.  A
-        # contrast set under which the effect cannot change ranks nothing.
-        # Direct causes rank nothing either.  While they still screened on a
-        # model cut down to each target's parents, the count was
-        # {"pin": 2540, "free": 6733}; a per-world pin check then made 5 813
-        # pin ranks, and ranking those contrast sets too made 3 033 and 7 268.
-        counts = {"pin": 0, "free": 0}
-
-        def counting(function, key):
-            def counted(*args):
-                counts[key] += 1
-                return function(*args)
-
-            return counted
-
-        monkeypatch.setattr(normality, "_pin_rank", counting(normality._pin_rank, "pin"))
-        monkeypatch.setattr(
-            comparators, "_pinned_rank", counting(comparators._pinned_rank, "pin")
-        )
-        monkeypatch.setattr(Reduction, "_rank", counting(Reduction._rank, "free"))
+        # No pin is ranked: `Reduction.pinnable` reads each pin's values off
+        # the actual rank, up front.  Free ranks are the actual and solved
+        # worlds' own.  A contrast set under which the effect cannot change
+        # ranks nothing, and direct causes rank nothing either.
+        ranked = counting_calls(monkeypatch, Reduction, "_rank")
         cases = 0
         for path in sorted(corpus_dir().glob("*.case")):
             case = parse_case(path.read_text(encoding="utf-8"))
@@ -483,7 +533,7 @@ class TestAbnormalityWork:
             hph_causes(case.scenario, case.effect)
             cases += 1
         assert cases == 66
-        assert counts == {"pin": 1991, "free": 6081}
+        assert len(ranked) == 6081
 
     def test_pins_at_their_defaults_do_not_count(self, monkeypatch):
         # 21 binary pins at their actual values, which are their defaults:

@@ -7,14 +7,20 @@ import random
 import pytest
 
 from actualcause import (
+    ActualityError,
+    DomainError,
     Event,
     NoChainError,
     NoParentsError,
     ReasoningError,
+    UnknownVariableError,
+    causes_of,
     cause_nets,
+    direct_cause_sets,
     distance,
     extrapolate,
     flank,
+    hph_causes,
     interpolate,
 )
 from actualcause.randmodel import random_effect, random_scenario
@@ -133,10 +139,43 @@ class TestDistance:
         with pytest.raises(ReasoningError):
             distance(fork, frozenset(), EFFECT)
 
+    @pytest.mark.parametrize(
+        "member, error", [(Event("a", 0), ActualityError), (Event("a", 7), DomainError)]
+    )
+    def test_bad_member_rejected(self, fork, member, error):
+        with pytest.raises(error):
+            distance(fork, frozenset({member}), EFFECT)
+
     def test_unreachable_member(self):
         scenario = make_scenario("a=0; b=1; e=b")
         with pytest.raises(NoChainError):
             distance(scenario, frozenset({Event("a", 0)}), EFFECT)
+
+
+# Each entry point rejects a bad effect through the same check, so with the
+# same error.
+ENTRY_POINTS = {
+    "causes_of": causes_of,
+    "hph_causes": hph_causes,
+    "direct_cause_sets": direct_cause_sets,
+    "cause_nets": cause_nets,
+    "distance": lambda scenario, effect: distance(scenario, {Event("a", 1)}, effect),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "effect, error",
+    [
+        (Event("e", 0), ActualityError),
+        (Event("e", 5), DomainError),
+        (Event("zz", 1), UnknownVariableError),
+    ],
+)
+def test_entry_points_reject_a_bad_effect_alike(entry, effect, error):
+    scenario = make_scenario("a=1; b=a; e=b")
+    with pytest.raises(error):
+        ENTRY_POINTS[entry](scenario, effect)
 
 
 class TestKnownLimitation:
