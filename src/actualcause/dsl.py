@@ -44,11 +44,19 @@ class ParseError(Exception):
 # Expression language
 # ---------------------------------------------------------------------------
 
+# One match per token, each a tuple of the four groups below, of which the
+# token's own is the only one not empty: an integer, a name, an operator, or
+# (last, and only on the last match) the untokenizable rest of the text.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>==|!=|>=|<=|>|<|[~&|+\-*/%(){},]))"
+    r"\s*(?:(\d+)"
+    r"|([A-Za-z_][A-Za-z0-9_]*)"
+    r"|(==|!=|>=|<=|>|<|[~&|+\-*/%(){},])"
+    r"|(\S.*))",
+    re.DOTALL,
 )
+Token = tuple[str, str, str, str]
+# past the last token: no group matched
+_END: Token = ("", "", "", "")
 
 _RESERVED = {"if"}
 
@@ -58,27 +66,6 @@ _RESERVED = {"if"}
 MAX_DEPTH = 100
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            remainder = text[pos:].strip()
-            if not remainder:
-                break
-            raise ParseError(f"cannot tokenize {remainder!r} in {text!r}")
-        pos = match.end()
-        if match.lastgroup == "int":
-            tokens.append(("int", match.group("int")))
-        elif match.lastgroup == "name":
-            name = match.group("name")
-            tokens.append(("if", name) if name in _RESERVED else ("name", name))
-        else:
-            tokens.append(("op", match.group("op")))
-    return tokens
-
-
 def _to_int(text: str, where: str) -> int:
     try:
         return int(text)
@@ -86,128 +73,121 @@ def _to_int(text: str, where: str) -> int:
         raise ParseError(f"integer too long in {where!r}") from err
 
 
-class _ExprParser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.nesting = 0
+def _kind(token: Token) -> tuple[str, str]:
+    """A token as (kind, text), for error messages: kind is "int", "name",
+    "if" for a reserved name, or "op"."""
+    integer, name, op, _ = token
+    if integer:
+        return "int", integer
+    if name:
+        return ("if" if name in _RESERVED else "name"), name
+    return "op", op
 
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self) -> tuple[str, str]:
-        token = self.peek()
-        if token is None:
-            raise ParseError(f"unexpected end of expression in {self.text!r}")
-        self.pos += 1
-        return token
+def _unexpected(token: Token, wanted: str, text: str) -> ParseError:
+    """The error for `token` where `wanted` (a message naming what was
+    expected, or "" for an operand) should have been."""
+    if token is _END:
+        return ParseError(f"unexpected end of expression in {text!r}")
+    if not wanted:
+        return ParseError(f"unexpected token {_kind(token)[1]!r} in {text!r}")
+    return ParseError(f"{wanted}, found {_kind(token)[1]!r} in {text!r}")
 
-    def expect_op(self, op: str) -> None:
-        token = self.take()
-        if token != ("op", op):
-            raise ParseError(f"expected {op!r}, found {token[1]!r} in {self.text!r}")
 
-    # Grammar: `binary` climbs the binding powers of expr.BINARY_PREC, so
-    # precedence is taken from expr.py, not encoded here.  Each rule returns
-    # the parsed tree and its depth; `node` and `enter` enforce MAX_DEPTH.
-    def parse(self) -> Expr:
-        expr, _ = self.binary(PREC_OR)
-        if self.peek() is not None:
-            raise ParseError(
-                f"trailing input {self.tokens[self.pos:]} in {self.text!r}"
-            )
-        return expr
+def _too_deep(text: str) -> ParseError:
+    return ParseError(f"expression nests deeper than {MAX_DEPTH} levels in {text!r}")
 
-    def too_deep(self) -> ParseError:
-        return ParseError(f"expression nests deeper than {MAX_DEPTH} levels in {self.text!r}")
 
-    def node(self, expr: Expr, *child_depths: int) -> tuple[Expr, int]:
-        depth = 1 + max(child_depths, default=0)
+# The parser reads `tokens`, which ends in _END, from `pos` and returns the
+# tree, its depth and the position after it; `nesting` counts the brackets
+# and negations open around `pos`, and `text` is for error messages.  Both
+# depths are checked against MAX_DEPTH as they grow.
+def _binary(
+    tokens: list[Token], pos: int, floor: int, nesting: int, text: str
+) -> tuple[Expr, int, int]:
+    """Operators binding at least as tightly as `floor` (expr.BINARY_PREC,
+    so precedence is taken from expr.py, not encoded here), left
+    associative.  Comparisons do not chain: one may follow only an operand
+    that no comparison or looser operator has closed here."""
+    expr, depth, pos = _unary(tokens, pos, nesting, text)
+    closed = PREC_ATOM  # binding power of the last operator applied
+    while True:
+        op = tokens[pos][2]
+        prec = BINARY_PREC.get(op, 0)  # 0: no operator
+        if prec < floor or (prec == PREC_CMP and closed <= PREC_CMP):
+            return expr, depth, pos
+        rhs, rhs_depth, pos = _binary(tokens, pos + 1, prec + 1, nesting, text)
+        depth = 1 + (depth if depth > rhs_depth else rhs_depth)
         if depth > MAX_DEPTH:
-            raise self.too_deep()
-        return expr, depth
+            raise _too_deep(text)
+        expr = Binary(op, expr, rhs)
+        closed = prec
 
-    def enter(self) -> None:
-        """Open a bracket or negation, which the parser recurses into."""
-        self.nesting += 1
-        if self.nesting > MAX_DEPTH:
-            raise self.too_deep()
 
-    def binary(self, floor: int) -> tuple[Expr, int]:
-        """Parse operators binding at least as tightly as `floor`, left
-        associative.  Comparisons do not chain: one may follow only an
-        operand that no comparison or looser operator has closed here."""
-        expr, depth = self.unary()
-        closed = PREC_ATOM  # binding power of the last operator applied
-        while True:
-            token = self.peek()
-            prec = BINARY_PREC.get(token[1], 0) if token else 0  # 0: no operator
-            if prec < floor or (prec == PREC_CMP and closed <= PREC_CMP):
-                return expr, depth
-            op = self.take()[1]
-            rhs, rhs_depth = self.binary(prec + 1)
-            expr, depth = self.node(Binary(op, expr, rhs), depth, rhs_depth)
-            closed = prec
+def _unary(
+    tokens: list[Token], pos: int, nesting: int, text: str
+) -> tuple[Expr, int, int]:
+    """An operand: a constant, a name, or a negation, bracket or piecewise
+    form, each of which opens one more level of nesting."""
+    integer, name, op, _ = token = tokens[pos]
+    if integer:
+        return Const(_to_int(integer, text)), 1, pos + 1
+    if name and name not in _RESERVED:
+        return Var(name), 1, pos + 1
+    if op != "~" and op != "(" and op != "{":
+        raise _unexpected(token, "", text)
+    nesting += 1
+    if nesting > MAX_DEPTH:
+        raise _too_deep(text)
+    if op == "~":
+        operand, depth, pos = _unary(tokens, pos + 1, nesting, text)
+        if depth >= MAX_DEPTH:
+            raise _too_deep(text)
+        return Not(operand), depth + 1, pos
+    if op == "{":
+        return _piecewise(tokens, pos + 1, nesting, text)
+    inner, depth, pos = _binary(tokens, pos + 1, PREC_OR, nesting, text)
+    if tokens[pos][2] != ")":
+        raise _unexpected(tokens[pos], "expected ')'", text)
+    return inner, depth, pos + 1
 
-    def unary(self) -> tuple[Expr, int]:
-        if self.peek() == ("op", "~"):
-            self.take()
-            self.enter()
-            operand, depth = self.unary()
-            self.nesting -= 1
-            return self.node(Not(operand), depth)
-        return self.atom()
 
-    def atom(self) -> tuple[Expr, int]:
-        token = self.take()
-        kind, text = token
-        if kind == "int":
-            return self.node(Const(_to_int(text, self.text)))
-        if kind == "name":
-            return self.node(Var(text))
-        if kind == "op" and text == "(":
-            self.enter()
-            inner = self.binary(PREC_OR)
-            self.expect_op(")")
-            self.nesting -= 1
-            return inner
-        if kind == "op" and text == "{":
-            self.enter()
-            inner = self.piecewise()
-            self.nesting -= 1
-            return inner
-        raise ParseError(f"unexpected token {text!r} in {self.text!r}")
-
-    def piecewise(self) -> tuple[Expr, int]:
-        cases: list[tuple[Expr, Expr]] = []
-        depths: list[int] = []
-        while True:
-            value, value_depth = self.binary(PREC_OR)
-            token = self.take()
-            if token != ("if", "if"):
-                raise ParseError(
-                    f"expected 'if' after piecewise value, found {token[1]!r} "
-                    f"in {self.text!r}"
-                )
-            guard, guard_depth = self.binary(PREC_OR)
-            cases.append((value, guard))
-            depths += (value_depth, guard_depth)
-            token = self.take()
-            if token == ("op", "}"):
-                return self.node(Piecewise(tuple(cases)), *depths)
-            if token != ("op", ","):
-                raise ParseError(
-                    f"expected ',' or '}}' in piecewise, found {token[1]!r} "
-                    f"in {self.text!r}"
-                )
+def _piecewise(
+    tokens: list[Token], pos: int, nesting: int, text: str
+) -> tuple[Expr, int, int]:
+    """The cases of ``{value if guard, ...}``, after its "{"."""
+    cases: list[tuple[Expr, Expr]] = []
+    depth = 0  # deepest value or guard
+    while True:
+        value, value_depth, pos = _binary(tokens, pos, PREC_OR, nesting, text)
+        if tokens[pos][1] != "if":
+            raise _unexpected(tokens[pos], "expected 'if' after piecewise value", text)
+        guard, guard_depth, pos = _binary(tokens, pos + 1, PREC_OR, nesting, text)
+        cases.append((value, guard))
+        depth = max(depth, value_depth, guard_depth)
+        closer = tokens[pos][2]
+        if closer == "}":
+            if depth >= MAX_DEPTH:
+                raise _too_deep(text)
+            return Piecewise(tuple(cases)), depth + 1, pos + 1
+        if closer != ",":
+            raise _unexpected(tokens[pos], "expected ',' or '}' in piecewise", text)
+        pos += 1
 
 
 def parse_expression(text: str) -> Expr:
     """Parse one equation right-hand side."""
     if not text.strip():
         raise ParseError("empty expression")
-    return _ExprParser(text).parse()
+    tokens = _TOKEN_RE.findall(text)
+    rest = tokens[-1][3]
+    if rest:
+        raise ParseError(f"cannot tokenize {rest.rstrip()!r} in {text!r}")
+    tokens.append(_END)
+    expr, _, pos = _binary(tokens, 0, PREC_OR, 0, text)
+    if tokens[pos] is not _END:
+        raise ParseError(f"trailing input {list(map(_kind, tokens[pos:-1]))} in {text!r}")
+    return expr
 
 
 # ---------------------------------------------------------------------------

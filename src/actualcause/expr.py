@@ -13,8 +13,9 @@ a bitwise form (`|`, `&`, `~`, the comparisons, the constants 0 and 1, and
 variables whose values are all 0 or 1), `value_table` evaluates each node
 once over all settings, as one int with a bit per setting, so that each
 node costs a few int operations however many settings there are, and turns
-the root's int into the table once, at the end.  Every other tree is
-evaluated one setting at a time.
+the root's int into the table once, at the end; which of 0 and 1 the table
+holds is read off that int too.  Every other tree is evaluated one setting
+at a time.
 """
 
 from __future__ import annotations
@@ -338,25 +339,34 @@ def substitute(expr: Expr, values: Mapping[str, int]) -> Expr:
 
 def value_table(
     expr: Expr, names: Sequence[str], pools: Sequence[Sequence[int]]
-) -> Column:
+) -> tuple[Column, set[int | None]]:
     """`expr` evaluated at every setting of `names`, each drawing its value
     from the matching pool: one entry per setting in mixed-radix order (the
     last name varies fastest, as in `itertools.product`), None where
-    `expr.evaluate` raises on that setting."""
+    `expr.evaluate` raises on that setting; and the set of the table's
+    entries."""
     layout: Layout = {}
     size = 1
     for name, pool in zip(reversed(names), reversed(pools)):
         layout[name] = (pool, size)
         size *= len(pool)
     if expr.bitwise(layout):
-        bits = expr.bits(layout, (1 << size) - 1)
+        full = (1 << size) - 1
+        bits = expr.bits(layout, full)
         # C-level string ops make the table: `bin` writes the highest bit
         # first, after "0b" and the sentinel bit at `size`
-        return list(bin(bits | 1 << size)[:2:-1].encode().translate(_DIGITS_TO_BITS))
+        table = list(bin(bits | 1 << size)[:2:-1].encode().translate(_DIGITS_TO_BITS))
+        # the table holds 0 unless every bit is set, and 1 unless none is
+        values: set[int | None] = set()
+        if bits != full:
+            values.add(0)
+        if bits:
+            values.add(1)
+        return table, values
     table: Column = []
     for combo in itertools.product(*pools):
         try:
             table.append(expr.evaluate(dict(zip(names, combo))))
         except EvaluationError:
             table.append(None)
-    return table
+    return table, set(table)

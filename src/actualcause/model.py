@@ -45,7 +45,7 @@ __all__ = [
 ENUMERATION_CAP = 1 << 20
 
 Assignment = dict[str, int]
-# a parent slot of a value table: the parent, its value -> position, its domain size
+# a parent slot of a value table: the parent, its `Domain.positions`, its domain size
 Slot = tuple[str, dict[int, int], int]
 
 T = TypeVar("T")
@@ -81,15 +81,22 @@ class ActualityError(ModelError):
 
 @dataclass(frozen=True)
 class Domain:
-    """A finite, duplicate-free tuple of integer values, in declared order."""
+    """A finite, duplicate-free tuple of integer values, in declared order.
+
+    `positions` maps each value to its position.  It is built once, with
+    the domain, and every model reads it from there, so all variables that
+    share a domain (every binary one shares `BINARY`) share the one map."""
 
     values: tuple[int, ...]
+    positions: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.values:
             raise DomainError("domain must not be empty")
-        if len(set(self.values)) != len(self.values):
+        positions = {value: i for i, value in enumerate(self.values)}
+        if len(positions) != len(self.values):
             raise DomainError(f"domain has duplicate values: {self.values}")
+        object.__setattr__(self, "positions", positions)
 
     def __contains__(self, value: int) -> bool:
         return value in self.values
@@ -139,7 +146,7 @@ class Model:
 
     Construction also builds the evaluation plan that `solve` and `lookup`
     read, so that neither recomputes it per call: per variable, its parent
-    slots (the parent, its value -> domain position map, its domain size)
+    slots (the parent, its domain's `Domain.positions` map, its domain size)
     and its table, and those entries again in topological order.
     """
 
@@ -169,10 +176,6 @@ class Model:
                 f"domains declared for unknown variable(s): {sorted(domains)}"
             )
         self.domains: dict[str, Domain] = full
-        # value -> position in the domain, per variable
-        self._index: dict[str, dict[int, int]] = {
-            v: {value: i for i, value in enumerate(full[v])} for v in self.variables
-        }
         self._parents: dict[str, frozenset[str]] = {
             v: expr.variables() for v, expr in self.equations.items()
         }
@@ -184,7 +187,9 @@ class Model:
         self._order = self._toposort()
         # the evaluation plan (see the class docstring); `_steps` holds
         # (variable, slots, table) in topological order
-        slot: dict[str, Slot] = {v: (v, index, len(index)) for v, index in self._index.items()}
+        slot: dict[str, Slot] = {
+            v: (v, domain.positions, len(domain.values)) for v, domain in full.items()
+        }
         self._plan: dict[str, tuple[tuple[Slot, ...], list[int]]] = {
             v: (tuple(map(slot.__getitem__, self._parent_tuple[v])), self._compile(v))
             for v in self.variables
@@ -225,14 +230,14 @@ class Model:
         """The value table of one equation, validated for totality."""
         expr = self.equations[var]
         parents = self._parent_tuple[var]
-        index = self._index[var]
+        index = self.domains[var].positions
         if parents:
             pools = [self.domains[p].values for p in parents]
             check_search_size(
                 math.prod(map(len, pools)), lambda: f"equation for {var!r}", "parent settings"
             )
-            table = value_table(expr, parents, pools)
-            if index.keys() >= set(table):
+            table, values = value_table(expr, parents, pools)
+            if index.keys() >= values:
                 return table
             # Re-evaluate the first failing setting alone, for its error.
             code = next(i for i, value in enumerate(table) if value not in index)
@@ -305,12 +310,11 @@ class Model:
         return not self.parents(var)
 
     def check_value(self, var: str, value: int) -> None:
-        if var not in self._index:
+        domain = self.domains.get(var)
+        if domain is None:
             raise UnknownVariableError(f"unknown variable {var!r}")
-        if value not in self._index[var]:
-            raise DomainError(
-                f"value {value} outside domain {self.domains[var].values} of {var!r}"
-            )
+        if value not in domain.positions:
+            raise DomainError(f"value {value} outside domain {domain.values} of {var!r}")
 
     def lookup(self, var: str, values: Mapping[str, int]) -> int:
         """The equation of `var` at the parent values found in `values`, which
@@ -499,7 +503,7 @@ def enumerate_settings(model: Model, variables: Iterable[str]) -> Iterator[Assig
     domain sizes exceeds ENUMERATION_CAP.
     """
     wanted = set(variables)
-    known = model._index.keys()
+    known = model.domains.keys()
     if not wanted <= known:
         raise UnknownVariableError(f"unknown variable(s) {sorted(wanted - known)}")
     ordered = [v for v in model.variables if v in wanted]

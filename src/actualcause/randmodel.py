@@ -95,9 +95,9 @@ def _equation(
     for _attempt in range(24):
         candidate = _tree(rng, parents, depth=2)
         used = sorted(candidate.variables())
-        table = value_table(candidate, used, [domains[p].values for p in used])
+        _, values = value_table(candidate, used, [domains[p].values for p in used])
         # None, where evaluation fails, is outside every domain
-        if all(map(domain.values.__contains__, table)):
+        if domain.positions.keys() >= values:
             return candidate
     return Const(rng.choice(domain.values))
 

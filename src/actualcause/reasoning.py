@@ -70,11 +70,21 @@ def _as_net(net: CauseNet | frozenset[Event]) -> CauseNet:
     return CauseNet(events=frozenset(net))
 
 
-def _member_check(net: CauseNet, member: Event) -> None:
+def _operands(
+    scenario: Scenario, net: CauseNet | frozenset[Event], member: Event, effect: Event
+) -> CauseNet:
+    """`net` as a CauseNet, once the scenario is in reliable mode, the effect
+    holds its actual value, and the member is in the net at its actual
+    value; the one entry check of `interpolate`, `extrapolate` and `flank`."""
+    _require_reliable(scenario)
+    scenario.check_actual(effect, "effect")
+    net = _as_net(net)
     if member not in net.events:
         raise ReasoningError(
             f"{member.render()} is not a member of net {render_events(net.events)}"
         )
+    scenario.check_actual(member, "net member")
+    return net
 
 
 ChainCounts = tuple[dict[str, int], dict[str, int], dict[str, list[str]]]
@@ -177,9 +187,7 @@ def interpolate(
     the member to the effect: the successors from which the effect is
     reachable.  A member adjacent to the effect pulls the effect itself into
     the net (where it is trivially sufficient)."""
-    _require_reliable(scenario)
-    net = _as_net(net)
-    _member_check(net, member)
+    net = _operands(scenario, net, member, effect)
     if member.var == effect.var:
         return net
     _, _, onward = _chain_counts(scenario, effect.var)
@@ -207,9 +215,7 @@ def extrapolate(
     canonical order is size then variable tuple, and a set is eligible when
     it is non-empty and does not contain the member itself.  With no
     eligible set (initial members in particular) the net is unchanged."""
-    _require_reliable(scenario)
-    net = _as_net(net)
-    _member_check(net, member)
+    net = _operands(scenario, net, member, effect)
     chosen: frozenset[Event] | None = None
     for events in minimal_sufficient_sets(scenario, member):
         if not events:
@@ -241,8 +247,7 @@ def flank(
 ) -> CauseNet:
     """Interpolate the member, then extrapolate each newly added member
     once (in canonical event order)."""
-    net = _as_net(net)
-    _member_check(net, member)
+    net = _operands(scenario, net, member, effect)
     stepped = interpolate(scenario, net, member, effect)
     added = stepped.events - (net.events - {member})
     out = stepped

@@ -22,7 +22,14 @@ from actualcause import (
 from actualcause.dsl import MAX_DEPTH
 from actualcause.expr import value_table
 
-from conftest import BINARY_POOLS, BIT_NAMES, EXPRESSIONS, NESTED_BIT_EXPRESSIONS, POOLS
+from conftest import (
+    BINARY_POOLS,
+    BIT_EXPRESSIONS,
+    BIT_NAMES,
+    EXPRESSIONS,
+    NESTED_BIT_EXPRESSIONS,
+    POOLS,
+)
 
 
 @pytest.mark.parametrize(
@@ -243,7 +250,9 @@ def rowwise_table(expr, names, pools):
 )
 def test_value_table_matches_rowwise_evaluation(expr, names, data):
     pools = [data.draw(POOLS) for _ in names]
-    assert value_table(expr, names, pools) == rowwise_table(expr, names, pools)
+    table, values = value_table(expr, names, pools)
+    assert table == rowwise_table(expr, names, pools)
+    assert values == set(table)
 
 
 def test_value_table_marks_only_rows_that_raise():
@@ -252,11 +261,12 @@ def test_value_table_marks_only_rows_that_raise():
     pools = [(0, 2), (0, 1), (1,)]
     # a=0,b=0: the last guard reaches c % 0; a=2,b=0: the first guard's
     # branch divides by zero; a=0,b=1 takes 7 without reaching a / b
-    assert value_table(expr, names, pools) == [None, 7, None, 2]
-    assert value_table(expr, names, pools) == rowwise_table(expr, names, pools)
+    table, values = value_table(expr, names, pools)
+    assert table == [None, 7, None, 2] == rowwise_table(expr, names, pools)
+    assert values == {None, 7, 2}
     # a guard that raises ends the search even where a later guard holds
     guarded = parse_expression("{1 if 2 / a, 3 if 1}")
-    assert value_table(guarded, ["a"], [(0, 1)]) == [None, 1]
+    assert value_table(guarded, ["a"], [(0, 1)]) == ([None, 1], {None, 1})
 
 
 def layout_of(names, pools):
@@ -272,7 +282,20 @@ def layout_of(names, pools):
 @given(NESTED_BIT_EXPRESSIONS, st.lists(BINARY_POOLS, min_size=5, max_size=5))
 def test_bit_path_matches_rowwise_evaluation(expr, pools):
     names = list(BIT_NAMES)
-    assert value_table(expr, names, pools) == rowwise_table(expr, names, pools)
+    table, values = value_table(expr, names, pools)
+    assert table == rowwise_table(expr, names, pools)
+    assert values == set(table)
+
+
+@settings(max_examples=400, deadline=None)
+@given(BIT_EXPRESSIONS, st.lists(BINARY_POOLS, min_size=5, max_size=5))
+def test_the_bit_path_reads_its_values_off_the_root(expr, pools):
+    # every tree here takes the bit path, which reads which of 0 and 1 the
+    # table holds off the root's int instead of scanning the table
+    names = list(BIT_NAMES)
+    assert expr.bitwise(layout_of(names, pools))
+    table, values = value_table(expr, names, pools)
+    assert values == set(table)
 
 
 # Eight settings of a, b and c, each from (0, 1): enough for the bit path.
@@ -294,7 +317,9 @@ def test_trees_without_a_bitwise_form_take_the_row_path(source):
     expr = parse_expression(source)
     names, pools = ABC
     assert not expr.bitwise(layout_of(names, pools))
-    assert value_table(expr, names, pools) == rowwise_table(expr, names, pools)
+    table, values = value_table(expr, names, pools)
+    assert table == rowwise_table(expr, names, pools)
+    assert values == set(table)
 
 
 def test_bit_path_needs_every_variable_in_zero_one():
@@ -310,15 +335,19 @@ def test_bit_path_keeps_the_mixed_radix_order():
     expr = parse_expression("a > b | c")
     names, pools = ["a", "b", "c"], [(1, 0), (0, 1), (1, 0)]
     assert expr.bitwise(layout_of(names, pools))
-    assert value_table(expr, names, pools) == [1, 1, 1, 0, 1, 0, 1, 0]
-    assert value_table(expr, names, pools) == rowwise_table(expr, names, pools)
+    table, values = value_table(expr, names, pools)
+    assert table == [1, 1, 1, 0, 1, 0, 1, 0] == rowwise_table(expr, names, pools)
+    assert values == {0, 1}
     # a one-value pool and a name the tree does not read, whose three values
     # make the table no power of two long
     names, pools = ["a", "d", "b", "c"], [(1, 0), (0, 1, 2), (1,), (0, 1)]
-    assert value_table(expr, names, pools) == rowwise_table(expr, names, pools)
+    table, values = value_table(expr, names, pools)
+    assert table == rowwise_table(expr, names, pools)
+    assert values == set(table)
     # tables of one and of two settings take the bit path too
     names = ["a", "b", "c"]
-    for pools, table in ([(1,), (0,), (1,)], [1]), ([(1,), (0, 1), (0,)], [1, 0]):
+    for pools, expected in ([(1,), (0,), (1,)], [1]), ([(1,), (0, 1), (0,)], [1, 0]):
         assert expr.bitwise(layout_of(names, pools))
-        assert value_table(expr, names, pools) == table
-        assert value_table(expr, names, pools) == rowwise_table(expr, names, pools)
+        table, values = value_table(expr, names, pools)
+        assert table == expected == rowwise_table(expr, names, pools)
+        assert values == set(expected)

@@ -28,7 +28,7 @@ from actualcause import (
     render_events,
     solve,
 )
-from actualcause.model import Scenario, minimal_passing_sets
+from actualcause.model import BINARY, Scenario, minimal_passing_sets
 from actualcause.model import solve as kernel_solve
 from actualcause.oracle import oracle_solve
 from actualcause.randmodel import scenario_stream
@@ -58,6 +58,19 @@ class TestDomain:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             Domain(())
+
+    def test_positions_are_built_once(self):
+        dom = Domain((0, 2, 5))
+        assert dom.positions == {0: 0, 2: 1, 5: 2}
+        assert dom.positions is dom.positions
+        assert dom == Domain((0, 2, 5))
+
+    def test_models_read_their_domains_maps(self):
+        # every binary variable shares BINARY's one map
+        model = make_scenario("a=1; b=a; e=a | b", domains={"b": (0, 1, 2)}).model
+        maps = {parent: index for slots, _ in model._plan.values() for parent, index, _ in slots}
+        assert maps["a"] is BINARY.positions
+        assert maps["b"] is model.domains["b"].positions
 
 
 class TestEvent:
@@ -210,6 +223,26 @@ class TestModelValidation:
                 (0,),
                 DomainError,
                 "equation for 'e' yields 1 outside domain (0,) at {'a': 0, 'b': 1}",
+            ),
+            # the bit path, table [0, 0, 0, 1]: only the last setting leaves
+            (
+                "a & b",
+                (0, 2),
+                DomainError,
+                "equation for 'e' yields 1 outside domain (0, 2) at {'a': 1, 'b': 1}",
+            ),
+            # the bit path, tables of ones only and of zeros only
+            (
+                "a | ~a",
+                (0, 2),
+                DomainError,
+                "equation for 'e' yields 1 outside domain (0, 2) at {'a': 0}",
+            ),
+            (
+                "a & ~a",
+                (1, 2),
+                DomainError,
+                "equation for 'e' yields 0 outside domain (1, 2) at {'a': 0}",
             ),
         ],
     )

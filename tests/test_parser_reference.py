@@ -1,6 +1,7 @@
-"""The precedence-climbing expression parser against the recursive-descent
-parser it replaced, kept below verbatim as the reference: on every input both
-return the same tree or raise a ParseError with the same message."""
+"""The expression parser against the recursive-descent parser and the
+match-at-a-time tokenizer it replaced, kept below verbatim as the reference:
+on every input both return the same tree or raise a ParseError with the same
+message."""
 
 from __future__ import annotations
 
@@ -10,9 +11,48 @@ import re
 import pytest
 
 from actualcause import ParseError, parse_expression
-from actualcause.dsl import MAX_DEPTH, _tokenize, _to_int
+from actualcause.dsl import MAX_DEPTH
 from actualcause.expr import Binary, Const, Expr, Not, Piecewise, Var
 from actualcause.randmodel import scenario_stream
+
+
+# Copy of actualcause.dsl's tokenizer as it was before one findall over a
+# single pattern replaced it: one match per token, from the end of the last.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>==|!=|>=|<=|>|<|[~&|+\-*/%(){},]))"
+)
+
+_RESERVED = {"if"}
+
+
+def _tokenize(text: str) -> list[tuple[str, str]]:
+    tokens: list[tuple[str, str]] = []
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if match is None:
+            remainder = text[pos:].strip()
+            if not remainder:
+                break
+            raise ParseError(f"cannot tokenize {remainder!r} in {text!r}")
+        pos = match.end()
+        if match.lastgroup == "int":
+            tokens.append(("int", match.group("int")))
+        elif match.lastgroup == "name":
+            name = match.group("name")
+            tokens.append(("if", name) if name in _RESERVED else ("name", name))
+        else:
+            tokens.append(("op", match.group("op")))
+    return tokens
+
+
+def _to_int(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError as err:  # more digits than int() converts
+        raise ParseError(f"integer too long in {where!r}") from err
 
 
 # Copy of actualcause.dsl._ExprParser as it was before operator precedence
@@ -274,6 +314,48 @@ def test_one_token_mutations(corpus_path):
         "a % 2 - b / (c + 1) >= ~a & b | c < 2",
     ]
     assert assert_same(m for text in texts for m in mutations(text, rng)) > 3000
+
+
+# Where the old tokenizer stopped matching, the new pattern's last group
+# takes the rest of the text, and only whitespace may be left unmatched;
+# error messages render the tokens as the old tokenizer's (kind, text) pairs.
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("a $ b", "cannot tokenize '$ b' in 'a $ b'"),
+        ("a !", "cannot tokenize '!' in 'a !'"),
+        ("a = b", "cannot tokenize '= b' in 'a = b'"),
+        ("a =", "cannot tokenize '=' in 'a ='"),
+        ("(a | b) $\t\n", "cannot tokenize '$' in '(a | b) $\\t\\n'"),
+        ("a $\n b \t", "cannot tokenize '$\\n b' in 'a $\\n b \\t'"),
+        ("é", "cannot tokenize 'é' in 'é'"),
+        ("a | é", "cannot tokenize 'é' in 'a | é'"),
+        ("aé", "cannot tokenize 'é' in 'aé'"),
+        ("\t\n(a | ", "unexpected end of expression in '\\t\\n(a | '"),
+        ("a +", "unexpected end of expression in 'a +'"),
+        ("a b", "trailing input [('name', 'b')] in 'a b'"),
+        ("x٣ if", "trailing input [('int', '٣'), ('if', 'if')] in 'x٣ if'"),
+    ],
+)
+def test_errors_at_the_edges_of_the_pattern(text, message):
+    assert outcome(parse_expression, text) == outcome(reference_parse, text)
+    assert outcome(parse_expression, text) == ("error", message)
+
+
+@pytest.mark.parametrize(
+    ("text", "tree"),
+    [
+        ("\ta | b", Binary("|", Var("a"), Var("b"))),
+        ("\n\ta\t\n", Var("a")),
+        ("a\n&\tb\n\n", Binary("&", Var("a"), Var("b"))),
+        ("\u00a0a\u2003", Var("a")),  # Unicode spaces are whitespace too
+        ("a + ٣", Binary("+", Var("a"), Const(3))),  # \d takes every decimal digit
+        ("1٣", Const(13)),
+    ],
+)
+def test_whitespace_and_non_ascii_digits(text, tree):
+    assert outcome(parse_expression, text) == outcome(reference_parse, text)
+    assert parse_expression(text) == tree
 
 
 @pytest.mark.parametrize("op", BINARY_OPS)

@@ -160,6 +160,12 @@ ENTRY_POINTS = {
     "direct_cause_sets": direct_cause_sets,
     "cause_nets": cause_nets,
     "distance": lambda scenario, effect: distance(scenario, {Event("a", 1)}, effect),
+    **{
+        operation.__name__: lambda scenario, effect, operation=operation: operation(
+            scenario, {Event("a", 1)}, Event("a", 1), effect
+        )
+        for operation in (interpolate, extrapolate, flank)
+    },
 }
 
 
@@ -176,6 +182,23 @@ def test_entry_points_reject_a_bad_effect_alike(entry, effect, error):
     scenario = make_scenario("a=1; b=a; e=b")
     with pytest.raises(error):
         ENTRY_POINTS[entry](scenario, effect)
+
+
+@pytest.mark.parametrize("operation", [interpolate, extrapolate, flank])
+@pytest.mark.parametrize(
+    "member, error, message",
+    [
+        (Event("a", 0), ActualityError, "net member a=0 is not the actual value 1"),
+        (Event("a", 7), DomainError, "value 7 outside domain (0, 1) of 'a'"),
+    ],
+    ids=["non-actual", "out-of-domain"],
+)
+def test_net_operations_reject_a_non_actual_member(operation, member, error, message):
+    # before the check, interpolate turned {a=0} into {b=1}
+    scenario = make_scenario("a=1; b=a; e=b")
+    with pytest.raises(error) as caught:
+        operation(scenario, {member}, member, EFFECT)
+    assert str(caught.value) == message
 
 
 class TestKnownLimitation:
