@@ -250,7 +250,7 @@ def _split_named(item: str, sep: str, what: str) -> tuple[str, str]:
 
 
 def _split_items(body: str) -> list[str]:
-    return [piece.strip() for piece in body.split(";") if piece.strip()]
+    return [piece for piece in map(str.strip, body.split(";")) if piece]
 
 
 def _parse_name_list(body: str, what: str) -> list[str] | None:

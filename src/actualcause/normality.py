@@ -16,7 +16,9 @@ values once, up front: both searches pin only those, and `no_less_normal`
 ranks just the unpinned variables of each solved world.  One abnormality
 search per plan (`plan_abnormality`) serves both of the engine's screens: the
 set-level one reads its first witness and certified members, the single-event
-one the first witness that moves each member alone.
+one the first witness that moves each member alone.  Since nothing else is
+read, the search stops each contrast at its first witness and skips, unsolved,
+a contrast whose witnesses could add none of these.
 """
 
 from __future__ import annotations
@@ -311,16 +313,20 @@ def plan_abnormality(
     """Search contrasts over the plan variables (and free background pins)
     for a world that breaks the effect no less normally than actuality.
 
-    Every contrast vector differing from the actual one is tried, in
-    enumeration order, under every background; a pin value that
-    `Reduction.pinnable` leaves out can never be a witness's, so it is
-    skipped unsolved.  The contrasts left other than the actual
-    one, times the backgrounds left, are the candidate worlds counted
-    against ENUMERATION_CAP before the first solve.  `witness` is the first
-    world found; `certified` holds each variable some witness flips, plus,
-    when the plan passes, each plan variable at its default.  `single_flips`
-    records, per variable, the first witness whose contrast moves that
-    variable alone, which is what the engine's "3prime" screen reads.
+    Contrast vectors differing from the actual one are tried in
+    enumeration order, each under the backgrounds in enumeration order until
+    its first witness; a pin value that `Reduction.pinnable` leaves out can
+    never be a witness's, so it is skipped unsolved.  The contrasts left
+    other than the actual one, times the backgrounds left, are the candidate
+    worlds counted against ENUMERATION_CAP before the first solve.
+    `witness` is the first world found; `certified` holds each variable some
+    witness flips, plus, when the plan passes, each plan variable at its
+    default.  `single_flips` records, per variable, the first witness whose
+    contrast moves that variable alone, which is what the engine's "3prime"
+    screen reads.  A contrast's later witnesses add nothing to these, and
+    once a witness is found, a contrast that flips only variables some
+    witness has flipped, and is not the first lone flip of its variable to
+    be tried, could add nothing either: it is skipped unsolved.
 
     The result is memoized per scenario and arguments.
     """
@@ -335,12 +341,12 @@ def _plan_abnormality(
 ) -> PlanAbnormality:
     model = scenario.model
     model.check_value(effect.var, effect.value)
-    actual = scenario.actual()
     ordered_pins = [v for v in model.variables if v in pins]
     if len(ordered_pins) != len(pins):
         unknown = pins - set(model.variables)
         raise UnknownVariableError(f"unknown plan variable(s) {sorted(unknown)}")
     reduction = Reduction(scenario, pins)
+    actual = reduction.actual
     roaming_set = scenario.roaming_vars(pins, effect.var)
     roaming = [v for v in model.variables if v in roaming_set]
     # a pin's top values are its actual and default ones, so the actual
@@ -364,6 +370,10 @@ def _plan_abnormality(
         if not delta:
             continue
         lone = delta[0] if len(delta) == 1 else None
+        # a witness here could add no flipped variable and no single flip
+        if first_witness is not None and flipped.issuperset(delta):
+            if lone is None or lone in single:
+                continue
         for combo in itertools.product(*backgrounds):
             background = dict(zip(roaming, combo))
             overrides = {**contrast, **background}
@@ -373,17 +383,17 @@ def _plan_abnormality(
             if not reduction.no_less_normal(world, overrides):
                 continue
             flipped.update(delta)
-            if first_witness is not None and (lone is None or lone in single):
-                continue
-            witness = AbnormalityWitness(
-                contrast=frozenset(Event(v, contrast[v]) for v in ordered_pins),
-                background=frozenset(Event(v, background[v]) for v in roaming),
-                outcome=tuple(sorted(world.items())),
-            )
-            if first_witness is None:
-                first_witness = witness
-            if lone is not None:
-                single[lone] = witness
+            if first_witness is None or (lone is not None and lone not in single):
+                witness = AbnormalityWitness(
+                    contrast=frozenset(Event(v, contrast[v]) for v in ordered_pins),
+                    background=frozenset(Event(v, background[v]) for v in roaming),
+                    outcome=tuple(sorted(world.items())),
+                )
+                if first_witness is None:
+                    first_witness = witness
+                if lone is not None:
+                    single[lone] = witness
+            break  # the contrast's later witnesses would add nothing
 
     passed = first_witness is not None
     certified: set[str] = set(flipped)

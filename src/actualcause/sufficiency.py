@@ -256,9 +256,10 @@ def _direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Even
         return None
 
     found = _transversal_search(falsify, parents, actual)
-    sets = [event_set(_pins(parents, actual, mask)) for mask in found]
-    at_default = event_set(scenario.defaults)
-    return [] if any(events <= at_default for events in sets) else sets
+    off_default = _differs(parents, actual, scenario.defaults)
+    if any(not mask & off_default for mask in found):
+        return []
+    return [event_set(_pins(parents, actual, mask)) for mask in found]
 
 
 def is_direct_cause(scenario: Scenario, cause: Event, target: Event) -> bool:

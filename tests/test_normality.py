@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 
 import pytest
 
 from actualcause import (
     ActualityError,
     DomainError,
+    EngineOptions,
     Event,
     OrderResult,
     PlanNotSufficientError,
@@ -29,7 +31,7 @@ from actualcause import (
 from actualcause import normality
 from actualcause.model import enumerate_settings, reduced_model, solve
 from actualcause.normality import AbnormalityWitness, PlanAbnormality, Reduction
-from actualcause.randmodel import scenario_stream
+from actualcause.randmodel import random_effect, scenario_stream
 
 from conftest import WIDE_FORMULAS, corpus_dir, counting_calls, make_scenario
 
@@ -180,6 +182,34 @@ class TestPlanAbnormality:
         scenario = make_scenario("a=1; e=a")
         with pytest.raises(error):
             plan_abnormality(scenario, ("a",), effect)
+
+
+class TestAbnormalityExits:
+    """The search stops a contrast at its first witness and skips a contrast
+    whose witnesses could change nothing; neither exit may lose a result."""
+
+    def test_a_later_contrast_still_certifies(self):
+        # e holds when a and b agree.  Contrasts go (0,0), (0,1), (1,0): the
+        # first keeps e, the second is the first witness and flips a alone,
+        # and only the third flips b.
+        scenario = make_scenario("a=1; b=1; e=(a & b) | (~a & ~b)")
+        result = plan_abnormality(scenario, ("a", "b"), Event("e", 1))
+        assert result.witness.contrast == frozenset({Event("a", 0), Event("b", 1)})
+        assert result.certified == frozenset({"a", "b"})
+        assert [var for var, _ in result.single_flips] == ["a", "b"]
+
+    def test_a_lone_flip_after_a_wider_witness_is_recorded(self):
+        # The first witness (0,0) flips a and b together; the lone flips of
+        # (0,1) and (1,0) change no certified member, but each is its
+        # variable's first single flip.
+        scenario = make_scenario("a=1; b=1; e=a & b")
+        result = plan_abnormality(scenario, ("a", "b"), Event("e", 1))
+        assert result.witness.contrast == frozenset({Event("a", 0), Event("b", 0)})
+        assert result.certified == frozenset({"a", "b"})
+        flips = dict(result.single_flips)
+        assert list(flips) == ["a", "b"]
+        assert flips["a"].contrast == frozenset({Event("a", 0), Event("b", 1)})
+        assert flips["b"].contrast == frozenset({Event("a", 1), Event("b", 0)})
 
 
 # The ranked pin rule that `Reduction.pinnable(var, tops)` states in closed
@@ -430,7 +460,7 @@ def pruned_somewhere(scenario, pins, effect):
 class TestPinPruning:
     """The search skips pin values that rank below actuality, unsolved."""
 
-    def test_results_match_the_unpruned_search(self):
+    def test_results_match_the_unpruned_search(self, monkeypatch):
         # Whole results are compared with ==, witnesses and single flips
         # included; a repr would depend on the hash seed through frozensets.
         scenarios = [
@@ -439,16 +469,29 @@ class TestPinPruning:
         ]
         for mode in ("reliable", "general"):
             scenarios += [s for _, s in scenario_stream(11, 150, max_vars=8, mode=mode)]
-        queries = pruned = 0
+        searched = counting_calls(monkeypatch, normality, "solve")
+        # the reference calls this module's own `solve`
+        unpruned = counting_calls(monkeypatch, sys.modules[__name__], "solve")
+        queries = pruned = fewer = 0
         for scenario in scenarios:
+            seen = set()  # a repeated query is answered from the memo, unsolved
             for pins, effect in plan_queries(scenario):
+                searched.clear()
+                unpruned.clear()
                 expected = unpruned_plan_abnormality(scenario, pins, effect)
                 assert plan_abnormality(scenario, pins, effect) == expected
                 queries += 1
                 pruned += pruned_somewhere(scenario, pins, effect)
+                if (pins, effect) not in seen:
+                    fewer += len(searched) < len(unpruned)
+                    seen.add((pins, effect))
         assert queries == 6020
         # queries where some pin or roaming variable loses a value
         assert pruned > 4000
+        # queries that solve fewer worlds than the unpruned search; pin
+        # pruning alone gives 2 975, and stopping each contrast at its first
+        # witness and skipping contrasts that cannot change the result 3 649
+        assert fewer > 3600
 
     def test_the_actual_value_always_stays(self):
         for mode in ("reliable", "general"):
@@ -508,7 +551,10 @@ class TestAbnormalityWork:
 
     def test_solve_count_over_the_corpus(self, monkeypatch):
         # Fresh scenarios, so no memo entry is shared with other tests.
-        # Direct causes no longer run this search on a model cut down to each
+        # Each contrast stops at its first witness, and a contrast whose
+        # witnesses could change nothing is skipped unsolved; solving every
+        # background of every contrast left, the count was 2 064.  Direct
+        # causes no longer run this search on a model cut down to each
         # target's parents; with those screens the count was 2 448, where the
         # unpruned search solved 4 142 worlds.
         solved = counting_calls(monkeypatch, normality, "solve")
@@ -518,13 +564,15 @@ class TestAbnormalityWork:
             causes_of(case.scenario, case.effect)
             cases += 1
         assert cases == 66
-        assert len(solved) == 2064
+        assert len(solved) == 587
 
     def test_rank_count_over_the_corpus(self, monkeypatch):
         # No pin is ranked: `Reduction.pinnable` reads each pin's values off
         # the actual rank, up front.  Free ranks are the actual and solved
         # worlds' own.  A contrast set under which the effect cannot change
-        # ranks nothing, and direct causes rank nothing either.
+        # ranks nothing, and direct causes rank nothing either.  Worlds the
+        # search no longer solves (see the solve count) are not ranked: the
+        # count was 6 081 when every background of every contrast was.
         ranked = counting_calls(monkeypatch, Reduction, "_rank")
         cases = 0
         for path in sorted(corpus_dir().glob("*.case")):
@@ -533,7 +581,23 @@ class TestAbnormalityWork:
             hph_causes(case.scenario, case.effect)
             cases += 1
         assert cases == 66
-        assert len(ranked) == 6081
+        assert len(ranked) == 3262
+
+    def test_solve_count_over_the_random_nets_pool(self, monkeypatch):
+        # The benchmark's random-nets pool, each model with its deepest
+        # variable as the effect, under both abnormality variants (one memo
+        # entry per plan serves both).  Solving every background of every
+        # contrast left, the count was 532.
+        solved = counting_calls(monkeypatch, normality, "solve")
+        prime = EngineOptions(abnormality_variant="3prime")
+        models = 0
+        for _, scenario in scenario_stream(1, 200, max_vars=12):
+            effect = random_effect(scenario)
+            causes_of(scenario, effect)
+            causes_of(scenario, effect, prime)
+            models += 1
+        assert models == 200
+        assert len(solved) == 231
 
     def test_pins_at_their_defaults_do_not_count(self, monkeypatch):
         # 21 binary pins at their actual values, which are their defaults:
