@@ -47,6 +47,8 @@ ENUMERATION_CAP = 1 << 20
 Assignment = dict[str, int]
 # a parent slot of a value table: the parent, its `Domain.positions`, its domain size
 Slot = tuple[str, dict[int, int], int]
+# a plan step: a variable, its parent slots and its table
+Step = tuple[str, tuple[Slot, ...], list[int]]
 
 T = TypeVar("T")
 
@@ -196,8 +198,9 @@ class Model:
         }
         self._steps = tuple([(v, *self._plan[v]) for v in self._order])
         self._declared_order = self._order == self.variables
-        # strict ancestors of single variables, filled as they are asked for
+        # strict ancestors of single variables and their cones, filled as asked for
         self._ancestor_sets: dict[str, frozenset[str]] = {}
+        self._cones: dict[str, tuple[Step, ...]] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -288,6 +291,15 @@ class Model:
                 found = self._ancestor_sets[seeds] = self._walk_up((seeds,))
             return found
         return self._walk_up(seeds)
+
+    def cone(self, var: str) -> tuple[Step, ...]:
+        """The plan steps of `var` and its ancestors, in topological order, so
+        `var`'s own step is last: all `solve` must walk for `var`'s value."""
+        steps = self._cones.get(var)
+        if steps is None:
+            members = self.ancestors(var) | {var}
+            steps = self._cones[var] = tuple([s for s in self._steps if s[0] in members])
+        return steps
 
     def _walk_up(self, seeds: Iterable[str]) -> frozenset[str]:
         seen: set[str] = set()
@@ -441,10 +453,14 @@ def checked_solve(
     return solve(scenario, pins)
 
 
-def solve(scenario: Scenario, pins: Mapping[str, int] | None = None) -> Assignment:
+def solve(
+    scenario: Scenario, pins: Mapping[str, int] | None = None, steps: Sequence[Step] = ()
+) -> Assignment:
     """Evaluate every variable: pinned ones take their pins, the rest read
     their value tables, walking the model's plan in topological order.  The
-    result lists the variables in declaration order.
+    result lists the variables in declaration order.  Given `steps` (a
+    `Model.cone`, or its last step), it walks only those and returns them and
+    the pins; each unpinned step's parents must be pinned or stepped first.
 
     The pins are not checked: each must name a variable of the model at a
     value in its domain.  The engine's searches pin only domain values and
@@ -452,8 +468,8 @@ def solve(scenario: Scenario, pins: Mapping[str, int] | None = None) -> Assignme
     `checked_solve`."""
     model = scenario.model
     pins = pins or {}
-    out: Assignment = {}
-    for var, slots, table in model._steps:
+    out: Assignment = dict(pins) if steps else {}
+    for var, slots, table in steps or model._steps:
         if var in pins:
             out[var] = pins[var]
         else:
@@ -461,7 +477,7 @@ def solve(scenario: Scenario, pins: Mapping[str, int] | None = None) -> Assignme
             for parent, index, radix in slots:
                 code = code * radix + index[out[parent]]
             out[var] = table[code]
-    return out if model._declared_order else {v: out[v] for v in model.variables}
+    return out if steps or model._declared_order else {v: out[v] for v in model.variables}
 
 
 def check_search_size(size: int, space: Callable[[], str], unit: str) -> None:

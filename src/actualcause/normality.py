@@ -213,7 +213,7 @@ class Reduction:
             return TOP if value == self.scenario.defaults[var] else _deviant(value)
         if self.scenario.model.lookup(var, values) == value:
             return TOP
-        return _deviant(value, tuple(values[p] for p in self.kept_parents[var]))
+        return _deviant(value, tuple([values[p] for p in self.kept_parents[var]]))
 
     def pinnable(self, var: str, tops: Container[int]) -> list[int]:
         """The values of `var`, in domain order, that a search may pin it at:

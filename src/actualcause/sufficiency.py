@@ -12,21 +12,25 @@ general mode, and in reliable mode when every candidate is an initial
 variable); other reliable-mode searches walk the candidate subsets by size
 with `model.minimal_passing_sets`, growing only the sets that fail.  Direct
 causes are read from the target's own value table (`direct_cause_sets`).
+Every one of these questions is put to one falsifier per target
+(`_falsifier`), which answers `falsify(mask)` for a mask of candidates.
 
-Sufficient sets and direct causes are memoized per scenario and arguments;
-each call returns a fresh copy.
+Sufficient sets, direct causes and `is_sufficient` answers are memoized per
+scenario and arguments; each call returns a fresh copy.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+import itertools
+import math
+from collections.abc import Callable, Container, Iterable
 
 from .model import (
     Assignment,
     Event,
     ModelError,
     Scenario,
-    enumerate_settings,
+    check_search_size,
     event_set,
     memoized,
     minimal_passing_sets,
@@ -34,6 +38,9 @@ from .model import (
 )
 # not called here; perfbench's test_tracer_wraps_names_in_every_importing_module reads it
 from .normality import plan_abnormality  # noqa: F401
+
+# `falsify(mask)`: a world that keeps the masked candidates actual and misses the target, or None
+Falsify = Callable[[int], Assignment | None]
 
 __all__ = [
     "NoParentsError",
@@ -50,41 +57,70 @@ class NoParentsError(ModelError):
     """Direct causes were requested for an initial variable."""
 
 
-def _actual_pins(scenario: Scenario, events: Iterable[Event]) -> dict[str, int]:
-    """The events as a pin map; each must be at its actual value, so no
-    variable can be pinned twice."""
-    pins: dict[str, int] = {}
-    for ev in events:
-        scenario.check_actual(ev, "plan pin")
-        pins[ev.var] = ev.value
-    return pins
+def _falsifier(
+    scenario: Scenario, target: Event, candidates: list[str], roams: Container[str], steps: tuple
+) -> Falsify:
+    """`falsify` for one target, set up once: it pins the masked candidates
+    at their actual values, tries the other candidates in `roams` in the
+    order of `enumerate_settings` and solves only `steps`, the target's
+    cone.  While the target's value is actual, the background that keeps
+    every roaming candidate actual reproduces the actual world on the cone,
+    so it is skipped unsolved."""
+    actual = scenario.actual()
+    position = {v: i for i, v in enumerate(candidates)}
+    roaming = [
+        (position[v], v, scenario.model.domains[v].values)
+        for v in scenario.model.variables
+        if v in position and v in roams
+    ]
+    skips = actual[target.var] == target.value
+
+    def falsify(mask: int) -> Assignment | None:
+        pins = _pins(candidates, actual, mask)
+        names = [v for i, v, _ in roaming if not mask >> i & 1]
+        pools = [values for i, _, values in roaming if not mask >> i & 1]
+        check_search_size(
+            math.prod(map(len, pools)), lambda: f"assignment space over {names}", "settings"
+        )
+        skip = tuple([actual[v] for v in names]) if skips else None
+        for background in itertools.product(*pools):
+            if background != skip:
+                pins.update(zip(names, background))
+                world = solve(scenario, pins, steps)
+                if world[target.var] != target.value:
+                    return world
+        return None
+
+    return falsify
 
 
-def _falsifying_world(
-    scenario: Scenario, pins: dict[str, int], effect: Event
-) -> Assignment | None:
-    """A solved world in which the pins hold and the effect misses its value,
-    or None when the pins force the effect.  Only the roaming ancestors of
-    the effect are enumerated: the others cannot change it."""
-    model = scenario.model
-    roaming = scenario.roaming_vars(frozenset(pins), effect.var) & model.ancestors(
-        effect.var
+def _effect_falsifier(scenario: Scenario, effect: Event) -> tuple[list[str], Falsify]:
+    """The effect's sorted ancestors and their falsifier (`Scenario.roaming_vars`)."""
+    candidates = sorted(scenario.model.ancestors(effect.var))
+    roams = scenario.roaming_vars(frozenset(), effect.var)
+    return candidates, _falsifier(
+        scenario, effect, candidates, roams, scenario.model.cone(effect.var)
     )
-    for background in enumerate_settings(model, roaming):
-        world = solve(scenario, {**pins, **background})
-        if world[effect.var] != effect.value:
-            return world
-    return None
 
 
 def is_sufficient(scenario: Scenario, events: Iterable[Event], effect: Event) -> bool:
     """Does pinning the events force the effect under every roaming
-    background?"""
+    background?  Each event must be actual, so no variable is pinned twice.
+    Once they are checked, the answer is memoized per scenario on the pinned
+    variables and the effect."""
     scenario.model.check_value(effect.var, effect.value)
-    pins = _actual_pins(scenario, events)
-    if effect.var in pins:
-        return pins[effect.var] == effect.value
-    return _falsifying_world(scenario, pins, effect) is None
+    pinned: set[str] = set()
+    for ev in events:
+        scenario.check_actual(ev, "plan pin")
+        pinned.add(ev.var)
+    if effect.var in pinned:
+        return scenario.actual_value(effect.var) == effect.value
+    return memoized(scenario, _is_sufficient, frozenset(pinned), effect)
+
+
+def _is_sufficient(scenario: Scenario, pinned: frozenset[str], effect: Event) -> bool:
+    candidates, falsify = memoized(scenario, _effect_falsifier, effect)
+    return falsify(sum(1 << i for i, v in enumerate(candidates) if v in pinned)) is None
 
 
 def minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozenset[Event]]:
@@ -123,13 +159,11 @@ def _minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozense
     model = scenario.model
     model.check_value(effect.var, effect.value)
     actual = scenario.actual()
-    candidates = sorted(model.ancestors(effect.var))
+    candidates, falsify = _effect_falsifier(scenario, effect)
     if scenario.mode != "reliable" or model.initial_variables().issuperset(candidates):
-        found = _transversal_search(
-            lambda pins: _falsifying_world(scenario, pins, effect), candidates, actual
-        )
+        found = _transversal_search(falsify, candidates, actual)
     else:
-        found = _walk(scenario, effect, candidates, actual)
+        found = _walk(scenario, effect, candidates, actual, falsify)
     return [event_set(_pins(candidates, actual, mask)) for mask in found]
 
 
@@ -143,14 +177,22 @@ def _pins(candidates: list[str], actual: Assignment, mask: int) -> dict[str, int
     return {v: actual[v] for i, v in enumerate(candidates) if mask >> i & 1}
 
 
-def _walk_order(mask: int) -> tuple[int, list[int]]:
-    """The walk's order: size, then the tuple of candidate positions."""
-    return mask.bit_count(), [i for i in range(mask.bit_length()) if mask >> i & 1]
+class _WalkKeys(dict):
+    """The walk's order over n positions, size then the tuple of positions,
+    as one int per mask, computed once: the size above the complement of the
+    n-bit reversal, where a lower first differing position sets a higher
+    reversed bit."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def __missing__(self, mask: int) -> int:
+        n = self.n
+        key = self[mask] = mask.bit_count() << n | (1 << n) - 1 ^ int(f"{mask:0{n}b}"[::-1], 2)
+        return key
 
 
-def _transversal_search(
-    falsify: Callable[[Assignment], Assignment | None], candidates: list[str], actual: Assignment
-) -> list[int]:
+def _transversal_search(falsify: Falsify, candidates: list[str], actual: Assignment) -> list[int]:
     """Dualize and advance: keep the minimal transversals of the D masks met
     so far and test the untested ones in the walk's order.  A passing
     transversal is a minimal sufficient set, since each of its proper subsets
@@ -159,20 +201,20 @@ def _transversal_search(
     transversal of the final family that contains some passing one, is one
     of them.  The walk solves exactly the same sets in the same order.  An
     empty D(w) (the effect misses its value with every candidate actual)
-    leaves no transversal, and the answer is [].  `falsify(pins)` is a world
-    over the candidates that keeps the pins and misses the effect, or None."""
+    leaves no transversal, and the answer is []."""
     transversals = [0]  # in the walk's order
     passing: set[int] = set()
+    keys = _WalkKeys(len(candidates))
     while True:
         mask = next((t for t in transversals if t not in passing), None)
         if mask is None:
             return transversals
-        world = falsify(_pins(candidates, actual, mask))
+        world = falsify(mask)
         if world is None:
             passing.add(mask)
         else:
             edge = _differs(candidates, actual, world)
-            transversals = sorted(_add_edge(transversals, edge), key=_walk_order)
+            transversals = sorted(_add_edge(transversals, edge), key=keys.__getitem__)
 
 
 def _add_edge(transversals: list[int], edge: int) -> list[int]:
@@ -195,7 +237,7 @@ def _add_edge(transversals: list[int], edge: int) -> list[int]:
 
 
 def _walk(
-    scenario: Scenario, effect: Event, candidates: list[str], actual: Assignment
+    scenario: Scenario, effect: Event, candidates: list[str], actual: Assignment, falsify: Falsify
 ) -> list[int]:
     """The walk (`minimal_passing_sets`); a set a stored world refutes fails unsolved."""
     refuting: list[tuple[int, int]] = []
@@ -203,7 +245,7 @@ def _walk(
     def passes(mask: int) -> bool:
         if any(differs & mask == 0 and broken & ~mask == 0 for differs, broken in refuting):
             return False
-        world = _falsifying_world(scenario, _pins(candidates, actual, mask), effect)
+        world = falsify(mask)
         if world is None:
             return True
         # Only a pin can break its equation, and only a derived one: an
@@ -247,14 +289,7 @@ def _direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Even
         raise NoParentsError(f"{target.var!r} has no parents")
     actual = scenario.actual()
     parents = list(model.parent_tuple(target.var))
-
-    def falsify(pins: Assignment) -> Assignment | None:
-        for row in enumerate_settings(model, [p for p in parents if p not in pins]):
-            row.update(pins)
-            if model.lookup(target.var, row) != target.value:
-                return row
-        return None
-
+    falsify = _falsifier(scenario, target, parents, parents, model.cone(target.var)[-1:])
     found = _transversal_search(falsify, parents, actual)
     off_default = _differs(parents, actual, scenario.defaults)
     if any(not mask & off_default for mask in found):

@@ -280,6 +280,7 @@ def test_chains_match_enumeration_on_the_corpus():
 
 UNCACHED = (
     (sufficiency, "_minimal_sufficient_sets"),
+    (sufficiency, "_is_sufficient"),
     (sufficiency, "_direct_cause_sets"),
     (normality, "_plan_abnormality"),
     (reasoning, "_count_chains"),

@@ -27,7 +27,12 @@ from actualcause import (
     plan_abnormality,
 )
 from actualcause import parse_case, sufficiency
-from actualcause.oracle import oracle_direct_cause_sets, oracle_minimal_sufficient_sets
+from actualcause.model import event_set, solve
+from actualcause.oracle import (
+    oracle_direct_cause_sets,
+    oracle_is_sufficient,
+    oracle_minimal_sufficient_sets,
+)
 from actualcause.randmodel import random_effect, scenario_stream
 
 from conftest import WIDE_FORMULAS, copy_chain, corpus_dir, counting_calls, make_scenario
@@ -99,6 +104,12 @@ class TestIsSufficient:
         scenario = make_scenario("a=1; e=a")
         assert not is_sufficient(scenario, plan_of(), Event("e", 0))
 
+    def test_the_actual_background_can_falsify_a_non_actual_effect(self):
+        # Every other background zeroes a or b and keeps e at 0; only the
+        # actual one, a=1 and b=1, makes e=1, so no skip may leave it out.
+        scenario = make_scenario("a=1; b=1; e=a & b")
+        assert not is_sufficient(scenario, plan_of(), Event("e", 0))
+
     def test_non_actual_pin_rejected(self):
         scenario = make_scenario("a=1; e=a")
         with pytest.raises(ActualityError):
@@ -129,6 +140,17 @@ class TestIsSufficient:
         plan = plan_of(Event("a", 1))
         assert is_sufficient(reliable, plan, Event("e", 1))
         assert not is_sufficient(general, plan, Event("e", 1))
+
+    def test_answers_are_memoized_after_the_checks(self, monkeypatch):
+        # b=0 is the one background solved, and the repeat solves nothing;
+        # a non-actual pin on the same variable still raises.
+        scenario = make_scenario("a=1; b=1; e=a | b")
+        solved = counting_calls(monkeypatch, sufficiency, "solve")
+        assert is_sufficient(scenario, plan_of(Event("a", 1)), Event("e", 1))
+        assert is_sufficient(scenario, plan_of(Event("a", 1)), Event("e", 1))
+        assert len(solved) == 1
+        with pytest.raises(ActualityError):
+            is_sufficient(scenario, plan_of(Event("a", 0)), Event("e", 1))
 
 
 class TestMinimalSufficientSets:
@@ -322,6 +344,44 @@ class TestProperties:
                 engine = minimal_sufficient_sets(scenario, effect)
                 assert engine == oracle_minimal_sufficient_sets(scenario, effect)
 
+    @pytest.mark.parametrize("mode", ["reliable", "general"])
+    def test_non_actual_effects_match_the_oracle(self, mode):
+        # The actual background is skipped only while the target's value is
+        # actual; for any other value it is a falsifying world.
+        for index, scenario in scenario_stream(seed=29, count=60, max_vars=7, mode=mode):
+            model, actual = scenario.model, scenario.actual()
+            for var in model.variables:
+                others = {v: actual[v] for v in model.variables if v != var}
+                ancestors = {v: actual[v] for v in model.ancestors(var)}
+                for value in model.domains[var].values:
+                    if value == actual[var]:
+                        continue
+                    effect = Event(var, value)
+                    for pins in ({}, ancestors, others):
+                        expected = oracle_is_sufficient(scenario, pins, effect)
+                        assert is_sufficient(scenario, event_set(pins), effect) == expected
+                    engine = minimal_sufficient_sets(scenario, effect)
+                    assert engine == oracle_minimal_sufficient_sets(scenario, effect), index
+
+    def test_a_cone_solve_matches_the_full_solve(self):
+        # Pins inside and outside the cone, at any domain value.
+        rng = random.Random("cone")
+        for _, scenario in scenario_stream(seed=31, count=60, max_vars=9):
+            model = scenario.model
+            for var in model.variables:
+                cone = model.cone(var)
+                assert cone[-1][0] == var
+                assert {step[0] for step in cone} == model.ancestors(var) | {var}
+                for _ in range(4):
+                    pins = {
+                        v: rng.choice(model.domains[v].values)
+                        for v in model.variables
+                        if rng.random() < 0.4
+                    }
+                    full = solve(scenario, pins)
+                    world = solve(scenario, pins, cone)
+                    assert {v: world[v] for v, _, _ in cone} == {v: full[v] for v, _, _ in cone}
+
 
 class TestFalsifyingWorldReuse:
     """The walk skips a candidate that a stored falsifying world refutes."""
@@ -362,7 +422,8 @@ class TestFalsifyingWorldReuse:
     def test_solve_count_or_of_eleven(self, monkeypatch):
         # A work-count regression gate: a plain walk solves 4 095 worlds
         # here, but stored worlds that each raise one xi refute every set
-        # short of all eleven.
+        # short of all eleven.  Each of the eleven failing sets solves one
+        # world, its all-actual background skipped; the passing set solves none.
         scenario = make_scenario(
             "; ".join([f"x{i}=0" for i in range(11)])
             + "; e=~(" + " | ".join(f"x{i}" for i in range(11)) + ")"
@@ -370,7 +431,7 @@ class TestFalsifyingWorldReuse:
         solved = counting_calls(monkeypatch, sufficiency, "solve")
         sets = minimal_sufficient_sets(scenario, Event("e", 1))
         assert var_sets(sets) == [sorted(f"x{i}" for i in range(11))]
-        assert len(solved) == 23
+        assert len(solved) == 11
 
     def test_solve_count_over_the_corpus(self, monkeypatch):
         # Fresh scenarios, so no memo entry is shared with other tests; a
@@ -382,21 +443,12 @@ class TestFalsifyingWorldReuse:
             minimal_sufficient_sets(case.scenario, case.effect)
             cases += 1
         assert cases == 66
-        assert len(solved) == 935
+        assert len(solved) == 751
 
-    def test_settings_count_over_the_corpus(self, monkeypatch):
-        # A work-count regression gate on the backgrounds the sufficiency
-        # checks enumerate (before each one's early exit) for the bench's
-        # two queries, on fresh scenarios.
-        settings = []
-        original = sufficiency.enumerate_settings
-
-        def counting(*args):
-            for setting in original(*args):
-                settings.append(setting)
-                yield setting
-
-        monkeypatch.setattr(sufficiency, "enumerate_settings", counting)
+    def test_sufficiency_solve_count_for_the_bench_queries(self, monkeypatch):
+        # A work-count regression gate on the worlds the sufficiency checks
+        # solve for the bench's two queries, on fresh scenarios.
+        solved = counting_calls(monkeypatch, sufficiency, "solve")
         cases = 0
         for path in sorted(corpus_dir().glob("*.case")):
             case = parse_case(path.read_text(encoding="utf-8"))
@@ -404,12 +456,22 @@ class TestFalsifyingWorldReuse:
             hph_causes(case.scenario, case.effect)
             cases += 1
         assert cases == 66
-        assert len(settings) == 1923
+        assert len(solved) == 1420
 
 
 class TestTransversalSearch:
     """Where sufficiency is monotone, the minimal sufficient sets are the
     minimal transversals of the falsifying worlds' D masks."""
+
+    def test_walk_key_orders_by_size_then_positions(self):
+        def walk_order(mask):  # the order as a (size, positions) pair
+            return mask.bit_count(), [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+        for n in range(11):
+            masks = list(range(1 << n))
+            keys = sufficiency._WalkKeys(n)
+            assert sorted(masks, key=keys.__getitem__) == sorted(masks, key=walk_order)
+            assert len(keys) == 1 << n
 
     def test_add_edge(self):
         # Transversals of {a, b}, then of {a, b} and {c, d} (bit 0 is a);
@@ -435,8 +497,8 @@ class TestTransversalSearch:
         assert var_sets(sets) == [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]]
         assert len(searched) == 1
         # one solve for each of the seven failing sets, and the four
-        # backgrounds of each passing pair
-        assert len(solved) == 7 + 4 * 4
+        # backgrounds of each passing pair but its all-actual one
+        assert len(solved) == 7 + 4 * 3
         assert sets == plain_minimal_sufficient_sets(scenario, effect)
 
     @pytest.mark.parametrize("mode", ["reliable", "general"])
@@ -468,13 +530,21 @@ class TestWalkBound:
     def test_copy_chain_at_the_real_cap(self, monkeypatch):
         # 2**20 candidate masks, but every singleton passes, so the walk
         # tests the empty set and the 20 singletons alone: 21 sets, whose
-        # backgrounds take 41 solves (x0 roams under all but {x0}).
-        tested = counting_calls(monkeypatch, sufficiency, "_falsifying_world")
+        # backgrounds take 20 solves (x0 roams under all but {x0}, and its
+        # actual value is skipped).
+        tested = []
+        falsifier = sufficiency._falsifier
+
+        def counting(*args):
+            falsify = falsifier(*args)
+            return lambda mask: tested.append(mask) or falsify(mask)
+
+        monkeypatch.setattr(sufficiency, "_falsifier", counting)
         solved = counting_calls(monkeypatch, sufficiency, "solve")
         sets = minimal_sufficient_sets(make_scenario(copy_chain(20)), Event("x20", 0))
         assert var_sets(sets) == [[v] for v in sorted(f"x{i}" for i in range(20))]
         assert len(tested) == 21
-        assert len(solved) == 41
+        assert len(solved) == 20
 
     def test_a_wide_background_keeps_its_message(self):
         # The empty set's background is checked before the walk's masks.
