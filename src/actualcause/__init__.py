@@ -55,10 +55,8 @@ from .normality import (
     AbnormalityWitness,
     OrderResult,
     PlanAbnormality,
-    PlanNotSufficientError,
     Rank,
     compare,
-    intrinsic_scenario,
     plan_abnormality,
     rank,
 )
@@ -76,15 +74,14 @@ from .sufficiency import (
     NoParentsError,
     direct_cause_graph,
     direct_cause_sets,
-    is_direct_cause,
     is_sufficient,
     minimal_sufficient_sets,
 )
 
 __all__ = [
+    "AbnormalityWitness",
     "ActualityError",
     "Assignment",
-    "AbnormalityWitness",
     "BenchCase",
     "Binary",
     "CauseNet",
@@ -112,7 +109,6 @@ __all__ = [
     "ParseError",
     "Piecewise",
     "PlanAbnormality",
-    "PlanNotSufficientError",
     "Rank",
     "ReasoningError",
     "Scenario",
@@ -134,9 +130,7 @@ __all__ = [
     "hph_causes",
     "intentional_causes",
     "interpolate",
-    "intrinsic_scenario",
     "is_actual_cause",
-    "is_direct_cause",
     "is_sufficient",
     "minimal_sufficient_sets",
     "parse_case",

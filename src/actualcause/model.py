@@ -511,6 +511,7 @@ def minimal_passing_sets(
     return found
 
 
+# no engine caller: perfbench's tracer wraps it by name, and tests enumerate with it
 def enumerate_settings(model: Model, variables: Iterable[str]) -> Iterator[Assignment]:
     """All assignments over the given variables, in deterministic order.
 
@@ -531,6 +532,8 @@ def enumerate_settings(model: Model, variables: Iterable[str]) -> Iterator[Assig
         yield dict(zip(ordered, combo))
 
 
+# no engine caller: perfbench's tracer wraps it by name, and TestReduction checks
+# `normality.Reduction` against it
 def reduced_model(model: Model, removed: Mapping[str, int]) -> Model:
     """Drop the given variables, substituting their fixed values into every
     remaining equation.  Variables that lose all their parents become initial

@@ -1,13 +1,15 @@
 """Normality ranks, assignment comparison, intrinsic reduction, abnormality.
 
 The public two-level lattice (`rank`, `compare`) ranks a variable Top when it
-is at its default (initial variables) or obeys its equation (derived
-variables), and Deviant otherwise; distinct deviations are incomparable.  The
-abnormality check used by the cause engine ranks the same way inside the
-intrinsically reduced scenario, and tolerates pins: a pin may take any value
-where its variable deviates in actuality, and otherwise only its top values
-(its actual or default value), so that off-default, off-actual contrasts are
-tolerated exactly when the actual side deviates too.
+is at its default (initial variables, and every variable in general mode) or
+obeys its equation (derived variables in reliable mode), and Deviant
+otherwise; distinct deviations are incomparable.  The abnormality check used
+by the cause engine ranks inside the intrinsically reduced scenario, in both
+modes as the oracle does: a variable the reduction leaves initial ranks by its
+default and any other by its equation.  It tolerates pins: a pin may take
+any value where its variable deviates in actuality, and otherwise only its
+top values (its actual or default value), so that off-default, off-actual
+contrasts are tolerated exactly when the actual side deviates too.
 
 The reduction is read from the scenario's value tables (`Reduction`), not
 built, and serves the contrastive comparator too.  Whether a pin is tolerated
@@ -32,12 +34,10 @@ from typing import Container, Iterable, Mapping
 from .model import (
     Assignment,
     Event,
-    ModelError,
     Scenario,
     UnknownVariableError,
     check_search_size,
     memoized,
-    reduced_model,
     solve,
 )
 
@@ -45,18 +45,12 @@ __all__ = [
     "AbnormalityWitness",
     "OrderResult",
     "PlanAbnormality",
-    "PlanNotSufficientError",
     "Rank",
     "Reduction",
     "compare",
-    "intrinsic_scenario",
     "plan_abnormality",
     "rank",
 ]
-
-
-class PlanNotSufficientError(ModelError):
-    """intrinsic_scenario was given a cause set that is not sufficient."""
 
 
 class OrderResult(enum.Enum):
@@ -247,34 +241,6 @@ class Reduction:
             if free is not TOP and free != self.actual_ranks[var]:
                 return False
         return True
-
-
-def intrinsic_scenario(
-    scenario: Scenario,
-    cause_set: Iterable[Event],
-    effect: Event,
-) -> Scenario:
-    """The scenario with everything strictly upstream of the cause set
-    frozen at its actual value and folded into the equations."""
-    events = frozenset(cause_set)
-    for ev in events:
-        scenario.check_actual(ev, "cause-set member")
-    from .sufficiency import is_sufficient
-
-    if not is_sufficient(scenario, events, effect):
-        raise PlanNotSufficientError(
-            f"cause set {sorted(ev.render() for ev in events)} is not "
-            f"sufficient for {effect.render()}"
-        )
-    removed = Reduction(scenario, frozenset(ev.var for ev in events)).removed
-    small = reduced_model(scenario.model, removed)
-    defaults = {v: scenario.defaults[v] for v in small.variables}
-    intentions = tuple(
-        (i, a)
-        for i, a in scenario.intentions
-        if i in small.domains and a in small.domains and i in small.parents(a)
-    )
-    return Scenario(small, scenario.mode, defaults, intentions)
 
 
 # ---------------------------------------------------------------------------

@@ -31,15 +31,14 @@ _DOMAIN_CHOICES: list[tuple[tuple[int, ...], float]] = [
 _SUM_OPS = ("+", "-", "*")
 
 
-def _pick_domain(rng: random.Random, max_domain: int) -> Domain:
-    weights = [(values, weight) for values, weight in _DOMAIN_CHOICES if len(values) <= max_domain]
-    total = sum(weight for _, weight in weights)
+def _pick_domain(rng: random.Random) -> Domain:
+    total = sum(weight for _, weight in _DOMAIN_CHOICES)
     roll = rng.random() * total
-    for values, weight in weights:
+    for values, weight in _DOMAIN_CHOICES:
         roll -= weight
         if roll <= 0:
             return Domain(values)
-    return Domain(weights[-1][0])
+    return Domain(_DOMAIN_CHOICES[-1][0])
 
 
 def _leaf(rng: random.Random, parents: list[str]) -> Expr:
@@ -105,12 +104,11 @@ def _equation(
 def random_scenario(
     rng: random.Random,
     max_vars: int = 6,
-    max_domain: int = 3,
     mode: str = "reliable",
 ) -> Scenario:
     count = rng.randint(2, max_vars)
     names = list(string.ascii_lowercase[:count])
-    domains = {name: _pick_domain(rng, max_domain) for name in names}
+    domains = {name: _pick_domain(rng) for name in names}
     equations: dict[str, Expr] = {}
     for index, name in enumerate(names):
         pool = names[:index]
@@ -141,7 +139,6 @@ def scenario_stream(
     seed: int,
     count: int,
     max_vars: int = 6,
-    max_domain: int = 3,
     mode: str = "reliable",
 ) -> Iterator[tuple[int, Scenario]]:
     """(index, scenario) pairs; each index reseeds independently so any
@@ -151,7 +148,7 @@ def scenario_stream(
     while produced < count:
         rng = random.Random(f"{seed}:{index}")
         try:
-            scenario = random_scenario(rng, max_vars, max_domain, mode)
+            scenario = random_scenario(rng, max_vars, mode)
         except ModelError:
             index += 1
             continue

@@ -47,7 +47,6 @@ __all__ = [
     "direct_cause_graph",
     "direct_cause_parents",
     "direct_cause_sets",
-    "is_direct_cause",
     "is_sufficient",
     "minimal_sufficient_sets",
 ]
@@ -297,13 +296,6 @@ def _direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Even
     return [event_set(_pins(parents, actual, mask)) for mask in found]
 
 
-def is_direct_cause(scenario: Scenario, cause: Event, target: Event) -> bool:
-    """Membership in some direct-cause set of the target."""
-    if scenario.model.is_initial(target.var):
-        return False
-    return any(cause in group for group in direct_cause_sets(scenario, target))
-
-
 def direct_cause_parents(scenario: Scenario, var: str) -> frozenset[str]:
     """Incoming direct-cause edges of one variable at the actual world: every
     x in some direct-cause set of var (none when var is initial)."""
@@ -313,6 +305,7 @@ def direct_cause_parents(scenario: Scenario, var: str) -> frozenset[str]:
     return frozenset(ev.var for group in direct_cause_sets(scenario, target) for ev in group)
 
 
+# no engine caller: perfbench's tracer wraps it by name
 def direct_cause_graph(scenario: Scenario) -> dict[str, frozenset[str]]:
     """Incoming direct-cause edges for every variable, at the actual world:
     graph[y] is the set of x with an edge x -> y."""

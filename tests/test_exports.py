@@ -1,5 +1,6 @@
 """Every name a module exports in `__all__` resolves, so `from actualcause
-import *` works and no export outlives the name it refers to."""
+import *` works and no export outlives the name it refers to; the package's
+public names are pinned, so adding or dropping one shows up here."""
 
 from __future__ import annotations
 
@@ -7,6 +8,71 @@ import importlib
 import pkgutil
 
 import actualcause
+
+PUBLIC_API = [
+    "AbnormalityWitness",
+    "ActualityError",
+    "Assignment",
+    "BenchCase",
+    "Binary",
+    "CauseNet",
+    "CauseVerdict",
+    "Const",
+    "CycleError",
+    "DEFAULT_OPTIONS",
+    "Domain",
+    "DomainError",
+    "ENUMERATION_CAP",
+    "EngineOptions",
+    "EvaluationError",
+    "Event",
+    "Expr",
+    "HPHResult",
+    "HPHVerdict",
+    "HPHWitness",
+    "Model",
+    "ModelError",
+    "NoChainError",
+    "NoParentsError",
+    "NonExhaustivePiecewiseError",
+    "Not",
+    "OrderResult",
+    "ParseError",
+    "Piecewise",
+    "PlanAbnormality",
+    "Rank",
+    "ReasoningError",
+    "Scenario",
+    "ScenarioAnalysis",
+    "SearchTooLargeError",
+    "UnknownVariableError",
+    "Var",
+    "analyze",
+    "cause_nets",
+    "causes_of",
+    "compare",
+    "direct_cause_graph",
+    "direct_cause_sets",
+    "distance",
+    "enumerate_settings",
+    "event_set",
+    "extrapolate",
+    "flank",
+    "hph_causes",
+    "intentional_causes",
+    "interpolate",
+    "is_actual_cause",
+    "is_sufficient",
+    "minimal_sufficient_sets",
+    "parse_case",
+    "parse_expression",
+    "plan_abnormality",
+    "rank",
+    "render_events",
+    "serialize_case",
+    "solve",
+    "substitute",
+]
 
 
 def test_every_exported_name_resolves():
@@ -24,3 +90,7 @@ def test_star_import():
     namespace: dict[str, object] = {}
     exec("from actualcause import *", namespace)
     assert set(actualcause.__all__) <= set(namespace)
+
+
+def test_public_api_is_pinned():
+    assert actualcause.__all__ == PUBLIC_API

@@ -10,19 +10,16 @@ import sys
 import pytest
 
 from actualcause import (
-    ActualityError,
     DomainError,
     EngineOptions,
     Event,
     OrderResult,
-    PlanNotSufficientError,
     SearchTooLargeError,
     UnknownVariableError,
     causes_of,
     compare,
     hph_causes,
     intentional_causes,
-    intrinsic_scenario,
     minimal_sufficient_sets,
     parse_case,
     plan_abnormality,
@@ -105,25 +102,6 @@ class TestCompare:
         scenario = make_scenario("a=1; e=a")
         with pytest.raises(UnknownVariableError):
             compare(scenario, {"a": 1}, {"a": 1})
-
-
-class TestIntrinsicScenario:
-    def test_strict_ancestors_fold_away(self):
-        scenario = make_scenario("a=1; b=a; e=b")
-        reduced = intrinsic_scenario(scenario, (Event("b", 1),), Event("e", 1))
-        assert reduced.model.is_initial("b")
-        assert reduced.actual_value("b") == 1
-        assert reduced.actual_value("e") == 1
-
-    def test_non_actual_member_rejected(self):
-        scenario = make_scenario("a=1; b=a; e=b")
-        with pytest.raises(ActualityError):
-            intrinsic_scenario(scenario, (Event("b", 0),), Event("e", 1))
-
-    def test_insufficient_set_rejected(self):
-        scenario = make_scenario("a=1; b=1; e=a & b")
-        with pytest.raises(PlanNotSufficientError):
-            intrinsic_scenario(scenario, (Event("a", 1),), Event("e", 1))
 
 
 class TestPlanAbnormality:

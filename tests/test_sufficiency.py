@@ -21,7 +21,6 @@ from actualcause import (
     direct_cause_sets,
     hph_causes,
     intentional_causes,
-    is_direct_cause,
     is_sufficient,
     minimal_sufficient_sets,
     plan_abnormality,
@@ -215,8 +214,6 @@ class TestDirectCauses:
         assert direct_cause_sets(scenario, Event("e", 1)) == [
             frozenset({Event("b", 1)})
         ]
-        assert is_direct_cause(scenario, Event("b", 1), Event("e", 1))
-        assert not is_direct_cause(scenario, Event("a", 1), Event("e", 1))
 
     def test_initial_target_rejected(self):
         scenario = make_scenario("a=1; e=a")
