@@ -89,10 +89,6 @@ class BenchReport:
     def contrastive_adjusted_mismatches(self) -> list[CaseResult]:
         return [r for r in self.results if r.contrastive_adjusted_match is False]
 
-    @property
-    def total_ms(self) -> float:
-        return sum(r.wall_ms for r in self.results)
-
 
 def run_bench(
     directory: str | Path,

@@ -64,13 +64,6 @@ class CauseVerdict:
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class _PlanRecord:
-    events: frozenset[Event]
-    # the abnormality witness of each variable the active variant certifies
-    witnesses: dict[str, AbnormalityWitness]
-
-
 class ScenarioAnalysis:
     """The verdicts for one (scenario, effect, options) triple; the searches
     behind them are memoized on the scenario and shared across options."""
@@ -84,18 +77,17 @@ class ScenarioAnalysis:
         self.scenario = scenario
         self.effect = effect
         self.options = options
-        self.plans: list[_PlanRecord] = []
+        # each variable the active variant certifies -> its first certifying
+        # plan and that plan's witness for it
+        self.certified: dict[str, tuple[frozenset[Event], AbnormalityWitness]] = {}
         for events in minimal_sufficient_sets(scenario, effect):
             result = plan_abnormality(scenario, {ev.var for ev in events}, effect)
             if options.abnormality_variant == "3prime":
-                witnesses = dict(result.single_flips)
+                witnesses = result.single_flips
             else:
-                witnesses = dict.fromkeys(result.certified, result.witness)
-            self.plans.append(_PlanRecord(events=events, witnesses=witnesses))
-        self.certified: dict[str, _PlanRecord] = {}
-        for record in self.plans:
-            for var in record.witnesses:
-                self.certified.setdefault(var, record)
+                witnesses = ((var, result.witness) for var in result.certified)
+            for var, witness in witnesses:
+                self.certified.setdefault(var, (events, witness))
 
     # -- chains ---------------------------------------------------------------
 
@@ -159,30 +151,30 @@ class ScenarioAnalysis:
 
     def verdict_for(self, cause: Event) -> CauseVerdict:
         self.scenario.check_actual(cause, "candidate")
-        record = self.certified.get(cause.var)
-        if record is None:
+        if cause.var not in self.certified:
             return CauseVerdict(
                 cause=cause,
                 effect=self.effect,
                 is_cause=False,
                 reason="no passing plan certifies the event",
             )
+        plan, witness = self.certified[cause.var]
         chain = self.chain_for(cause.var)
         if chain is None:
             return CauseVerdict(
                 cause=cause,
                 effect=self.effect,
                 is_cause=False,
-                plan=record.events,
-                witness=record.witnesses[cause.var],
+                plan=plan,
+                witness=witness,
                 reason="certified, but no certified chain reaches the effect",
             )
         return CauseVerdict(
             cause=cause,
             effect=self.effect,
             is_cause=True,
-            plan=record.events,
-            witness=record.witnesses[cause.var],
+            plan=plan,
+            witness=witness,
             chain=chain,
             reason="certified with chain " + " -> ".join(chain),
         )
@@ -213,16 +205,14 @@ def causes_of(
     effect: Event,
     options: EngineOptions = DEFAULT_OPTIONS,
 ) -> frozenset[Event]:
-    """All actual causes of the effect, before the intention rule."""
+    """All actual causes of the effect, before the intention rule: the
+    certified variables, in model order, that a chain links to the effect."""
     analysis = analyze(scenario, effect, options)
-    found: set[Event] = set()
-    for var in analysis.scenario.model.variables:
-        if var == effect.var:
-            continue
-        candidate = Event(var, analysis.scenario.actual_value(var))
-        if analysis.verdict_for(candidate).is_cause:
-            found.add(candidate)
-    return frozenset(found)
+    return frozenset(
+        Event(var, scenario.actual_value(var))
+        for var in scenario.model.variables
+        if var in analysis.certified and analysis.chain_for(var) is not None
+    )
 
 
 def intentional_causes(

@@ -414,11 +414,6 @@ class Scenario:
                 f"{role} {event.render()} is not the actual value {actual}"
             )
 
-    def default_value(self, var: str) -> int:
-        if var not in self.model.domains:
-            raise UnknownVariableError(f"unknown variable {var!r}")
-        return self.defaults[var]
-
     def roaming_vars(self, pinned: frozenset[str], effect_var: str) -> frozenset[str]:
         """The variables a search over backgrounds lets vary while the pins
         hold: the initial variables in reliable mode (derived ones follow

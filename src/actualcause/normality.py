@@ -72,9 +72,6 @@ class Rank:
     value: int | None = None
     context: tuple[int, ...] = ()
 
-    def is_top(self) -> bool:
-        return self.level == _LEVEL_TOP
-
 
 TOP = Rank(_LEVEL_TOP)
 

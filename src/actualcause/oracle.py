@@ -52,16 +52,14 @@ def oracle_is_sufficient(
     scenario: Scenario,
     pinned: Mapping[str, int],
     effect: Event,
-    function_set: frozenset[str] = frozenset(),
 ) -> bool:
     model = scenario.model
     if effect.var in pinned:
         return pinned[effect.var] == effect.value
+    roam = set(model.variables) - set(pinned) - {effect.var}
     if scenario.mode == "reliable":
-        follow = {v for v in model.variables if model.parents(v)} - set(pinned)
-    else:
-        follow = set(function_set)
-    roam = set(model.variables) - set(pinned) - follow - {effect.var}
+        # derived variables follow their equations; in general mode all roam
+        roam = {v for v in roam if not model.parents(v)}
     for setting in _settings(model, roam):
         world = oracle_solve(scenario, {**pinned, **setting})
         if world[effect.var] != effect.value:

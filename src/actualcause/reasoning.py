@@ -55,9 +55,6 @@ class CauseNet:
     events: frozenset[Event]
     provenance: tuple[str, ...] = ()
 
-    def vars(self) -> frozenset[str]:
-        return frozenset(ev.var for ev in self.events)
-
 
 def _require_reliable(scenario: Scenario) -> None:
     if scenario.mode != "reliable":

@@ -136,7 +136,7 @@ def test_criterion_4_single_event_variant_restriction(corpus_cases):
             at_default = {
                 ev
                 for ev in case.intuition
-                if ev.value == case.scenario.default_value(ev.var)
+                if ev.value == case.scenario.defaults[ev.var]
             }
             assert at_default, f"case {case.id}: flagged without omission causes"
             overlap = strict & at_default

@@ -134,7 +134,7 @@ def test_omission_flags(corpus_cases):
     for case_id in flagged:
         case = corpus_cases[case_id]
         assert any(
-            ev.value == case.scenario.default_value(ev.var)
+            ev.value == case.scenario.defaults[ev.var]
             for ev in case.intuition
         ), case_id
 
@@ -181,7 +181,7 @@ def test_wide_domains_and_shifted_defaults_present(corpus_cases):
         i
         for i, case in corpus_cases.items()
         if any(
-            case.scenario.default_value(v) != 0
+            case.scenario.defaults[v] != 0
             for v in case.scenario.model.variables
         )
     }

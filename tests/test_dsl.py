@@ -32,8 +32,8 @@ def test_parse_golden():
     assert case.scenario.mode == "reliable"
     assert case.scenario.model.variables == ("f", "a", "b", "e")
     assert case.scenario.model.domains["a"].values == (0, 1, 2)
-    assert case.scenario.default_value("f") == 1
-    assert case.scenario.default_value("a") == 0
+    assert case.scenario.defaults["f"] == 1
+    assert case.scenario.defaults["a"] == 0
     assert case.effect == Event("e", 1)
     assert case.intuition == frozenset({Event("a", 1), Event("b", 1)})
     assert case.expected_hph == frozenset({Event("a", 1)})

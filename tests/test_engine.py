@@ -28,6 +28,7 @@ from actualcause import (
     is_actual_cause,
     parse_case,
 )
+from actualcause import engine
 from actualcause.oracle import oracle_causes_of
 from actualcause.randmodel import random_effect, scenario_stream
 
@@ -207,18 +208,90 @@ class TestAnalyze:
         assert analysis.chain_for("a") == ("a", "b", "e")
         assert analysis.chain_for("e") == ("e",)
 
+    def test_certified_maps_each_variable_to_its_first_plan(self):
+        # e = a | b: {a} and {b} are both sufficient plans, each certifying
+        # only its own member
+        scenario = make_scenario("a=1; b=1; e=a | b")
+        analysis = analyze(scenario, Event("e", 1))
+        assert {var: plan for var, (plan, _) in analysis.certified.items()} == {
+            "a": frozenset({Event("a", 1)}),
+            "b": frozenset({Event("b", 1)}),
+        }
+        verdict = analysis.verdict_for(Event("a", 1))
+        assert (verdict.plan, verdict.witness) == analysis.certified["a"]
 
-def test_no_model_is_built_after_parsing(monkeypatch):
-    # Every query reads the value tables of the model it was given: both
-    # abnormality variants, the comparator, and the net operations on the
-    # first nets, over the corpus and a random sample, on fresh scenarios.
-    queries = [
+
+ALL_OPTIONS = [
+    EngineOptions(variant, continuity)
+    for variant in ("3", "3prime")
+    for continuity in ("plan-membership", "chain-certified")
+]
+
+
+def corpus_queries():
+    """Each corpus case as a freshly parsed (scenario, effect) pair."""
+    return [
         (case.scenario, case.effect)
         for case in (
             parse_case(path.read_text(encoding="utf-8"))
             for path in sorted(corpus_dir().glob("*.case"))
         )
     ]
+
+
+def split_path_queries():
+    """The corpus cases, then a seeded random sample in each solve mode."""
+    queries = corpus_queries()
+    for mode in ("reliable", "general"):
+        queries += [
+            (scenario, random_effect(scenario))
+            for _, scenario in scenario_stream(27, 100, max_vars=7, mode=mode)
+        ]
+    return queries
+
+
+@pytest.mark.parametrize(
+    "options", ALL_OPTIONS, ids=lambda o: f"{o.abnormality_variant}-{o.continuity}"
+)
+def test_causes_of_agrees_with_verdict_for(options):
+    # causes_of reads the certification map and the chains directly;
+    # verdict_for builds the receipts.  Both must name the same causes.
+    queries = split_path_queries()
+    for index, (scenario, effect) in enumerate(queries):
+        analysis = analyze(scenario, effect, options)
+        expected = set()
+        for var in scenario.model.variables:
+            candidate = Event(var, scenario.actual_value(var))
+            if var != effect.var and analysis.verdict_for(candidate).is_cause:
+                expected.add(candidate)
+        assert causes_of(scenario, effect, options) == expected, (index, effect)
+    assert len(queries) == 266
+
+
+def test_causes_of_builds_no_verdicts(monkeypatch, corpus_cases):
+    built = []
+    original = engine.CauseVerdict
+
+    def counting(*args, **kwargs):
+        built.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "CauseVerdict", counting)
+    for case in corpus_cases.values():
+        for options in ALL_OPTIONS:
+            causes_of(case.scenario, case.effect, options)
+    assert built == []
+    # the counter sees the verdicts the receipts path builds
+    case = corpus_cases["01"]
+    is_actual_cause(case.scenario, Event("c", 1), case.effect)
+    assert len(built) == 1
+
+
+def test_no_model_is_built_after_parsing(monkeypatch):
+    # Every query reads the value tables of the model it was given: both
+    # abnormality variants, the comparator, and the net operations on the
+    # first nets, over the corpus and a random sample, on fresh scenarios.
+    queries = corpus_queries()
     queries += [
         (scenario, random_effect(scenario))
         for _, scenario in scenario_stream(seed=5, count=60, max_vars=9)

@@ -354,8 +354,8 @@ class TestScenario:
 
     def test_defaults_fill_to_zero(self):
         scenario = make_scenario("a=1; e=a", defaults={"a": 1})
-        assert scenario.default_value("a") == 1
-        assert scenario.default_value("e") == 0
+        assert scenario.defaults["a"] == 1
+        assert scenario.defaults["e"] == 0
 
     def test_default_out_of_domain(self):
         with pytest.raises(DomainError):

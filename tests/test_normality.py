@@ -292,7 +292,9 @@ def reference_rank(model, defaults, var, world):
 
 
 def rank_key(found):
-    return (True, None, ()) if found.is_top() else (False, found.value, found.context)
+    if found is normality.TOP:
+        return (True, None, ())
+    return (False, found.value, found.context)
 
 
 def pin_sets(scenario):
