@@ -137,7 +137,12 @@ class ScenarioAnalysis:
 
     def _member_of_passing_plan(self, cause_var: str, vertex: str) -> bool:
         """Plan-membership continuity: the cause belongs to some minimal
-        sufficient, abnormality-passing plan for the intermediate vertex."""
+        sufficient, abnormality-passing plan for the intermediate vertex.
+        Every plan member is an ancestor of the vertex, so a vertex that
+        does not descend from the cause is rejected before its plans are
+        computed."""
+        if cause_var not in self.scenario.model.ancestors(vertex):
+            return False
         target = Event(vertex, self.scenario.actual_value(vertex))
         for events in minimal_sufficient_sets(self.scenario, target):
             plan_vars = frozenset(ev.var for ev in events)

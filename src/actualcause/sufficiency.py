@@ -6,14 +6,19 @@ every derived variable outside the pins follows its equation and only the
 remaining initial variables roam; in general mode every variable outside the
 pins roams.
 
-Minimal sufficient sets are found by dualize-and-advance over the minimal
-transversals of the falsifying worlds met, when sufficiency is monotone (in
-general mode, and in reliable mode when every candidate is an initial
-variable); other reliable-mode searches walk the candidate subsets by size
-with `model.minimal_passing_sets`, growing only the sets that fail.  Direct
-causes are read from the target's own value table (`direct_cause_sets`).
-Every one of these questions is put to one falsifier per target
-(`_falsifier`), which answers `falsify(mask)` for a mask of candidates.
+Sufficiency is monotone in general mode, and in reliable mode when every
+parent of the target is initial (`_monotone`).  Then every parent roams
+unless pinned, and a pinned non-parent constrains nothing the target reads,
+so a set is sufficient exactly when every row of the target's value table
+that keeps its pinned parents actual gives the target's value.  Those
+questions are read from the table (`_rows`) without a solve, and the minimal
+sufficient sets are the minimal robust parent sets, found by
+dualize-and-advance (`_robust_sets`).  Direct causes are those same sets,
+screened (`direct_cause_sets`), so a target asked both questions is searched
+once.  The other reliable-mode questions, where a pinned derived ancestor
+can break its equation, solve the target's cone (`_falsifier`), and their
+minimal sets walk the ancestor subsets by size with
+`model.minimal_passing_sets`, growing only the sets that fail.
 
 Sufficient sets, direct causes and `is_sufficient` answers are memoized per
 scenario and arguments; each call returns a fresh copy.
@@ -23,15 +28,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Container, Iterable
+from collections.abc import Callable, Iterable, Sequence
 
 from .model import (
-    Assignment,
     Event,
     ModelError,
     Scenario,
     check_search_size,
-    event_set,
     memoized,
     minimal_passing_sets,
     solve,
@@ -39,8 +42,9 @@ from .model import (
 # not called here; perfbench's test_tracer_wraps_names_in_every_importing_module reads it
 from .normality import plan_abnormality  # noqa: F401
 
-# `falsify(mask)`: a world that keeps the masked candidates actual and misses the target, or None
-Falsify = Callable[[int], Assignment | None]
+# `probe(mask)`: None when pinning the masked candidates at their actual
+# values forces the target, else what the first falsifying world refutes
+Probe = Callable[[int], object]
 
 __all__ = [
     "NoParentsError",
@@ -56,50 +60,128 @@ class NoParentsError(ModelError):
     """Direct causes were requested for an initial variable."""
 
 
-def _falsifier(
-    scenario: Scenario, target: Event, candidates: list[str], roams: Container[str], steps: tuple
-) -> Falsify:
-    """`falsify` for one target, set up once: it pins the masked candidates
-    at their actual values, tries the other candidates in `roams` in the
-    order of `enumerate_settings` and solves only `steps`, the target's
-    cone.  While the target's value is actual, the background that keeps
-    every roaming candidate actual reproduces the actual world on the cone,
-    so it is skipped unsolved."""
+def _monotone(scenario: Scenario, var: str) -> bool:
+    """Is sufficiency for var a question about its own value table?"""
+    model = scenario.model
+    return scenario.mode == "general" or model.initial_variables().issuperset(
+        model.parent_tuple(var)
+    )
+
+
+def _rows(scenario: Scenario, target: Event) -> tuple[tuple[str, ...], Probe]:
+    """The target's sorted parents and `probe(mask)` over them, read from
+    the target's value table with every unmasked parent roaming.  Each
+    parent's row offsets (its code weight times each value's position) and
+    its actual offset are computed once.  A probe adds the masked parents'
+    actual offsets, walks the other parents' offsets with the parents in
+    declaration order and each one's values in domain order, and reads the
+    table at each code.  It returns D(w) for the first row that misses the
+    target, the parents it sets off their actual values, or None.  While the
+    target's value is actual, the all-actual row gives it, so it is skipped
+    unread.  The table has at most ENUMERATION_CAP rows, so no probe is
+    checked against the cap."""
+    model = scenario.model
+    _, slots, table = model.cone(target.var)[-1]
+    parents = model.parent_tuple(target.var)
+    offsets: list[range] = []
+    weight = 1
+    for _, _, radix in reversed(slots):
+        offsets.append(range(0, radix * weight, weight))
+        weight *= radix
+    offsets.reverse()
+    actual = [offsets[i][index[scenario.actual_value(p)]] for i, (p, index, _) in enumerate(slots)]
+    declared = sorted(range(len(parents)), key=lambda i: model.variables.index(parents[i]))
+    skip = sum(actual) if scenario.actual_value(target.var) == target.value else -1
+    value = target.value
+
+    def probe(mask: int) -> int | None:
+        base = 0
+        free = []
+        for i in declared:
+            if mask >> i & 1:
+                base += actual[i]
+            else:
+                free.append(i)
+        for row in itertools.product(*[offsets[i] for i in free]):
+            code = base + sum(row)
+            if code != skip and table[code] != value:
+                return sum(1 << i for i, offset in zip(free, row) if offset != actual[i])
+        return None
+
+    return parents, probe
+
+
+def _falsifier(scenario: Scenario, target: Event, candidates: Sequence[str]) -> Probe:
+    """`falsify(mask)` over the sorted ancestors of a reliable-mode target
+    with a derived parent: it pins the masked candidates at their actual
+    values, tries the other initial candidates in the order of
+    `enumerate_settings`, and solves the target's cone without the steps of
+    the candidates that every background pins.  It returns the first
+    falsifying world's (D(w), B(w)) (see `_walk`), or None.  While the
+    target's value is actual, the background that keeps every roaming
+    candidate actual reproduces the actual world on the cone, so it is
+    skipped unsolved."""
+    model = scenario.model
     actual = scenario.actual()
+    roams = scenario.roaming_vars(frozenset(), target.var)
     position = {v: i for i, v in enumerate(candidates)}
     roaming = [
-        (position[v], v, scenario.model.domains[v].values)
-        for v in scenario.model.variables
+        (position[v], v, model.domains[v].values)
+        for v in model.variables
         if v in position and v in roams
     ]
+    derived = [(i, v) for i, v in enumerate(candidates) if v not in roams]
+    steps = [step for step in model.cone(target.var) if step[0] not in roams]
     skips = actual[target.var] == target.value
 
-    def falsify(mask: int) -> Assignment | None:
-        pins = _pins(candidates, actual, mask)
+    def falsify(mask: int) -> tuple[int, int] | None:
+        pins = {v: actual[v] for i, v in enumerate(candidates) if mask >> i & 1}
         names = [v for i, v, _ in roaming if not mask >> i & 1]
         pools = [values for i, _, values in roaming if not mask >> i & 1]
         check_search_size(
             math.prod(map(len, pools)), lambda: f"assignment space over {names}", "settings"
         )
+        unpinned = [step for step in steps if step[0] not in pins]
         skip = tuple([actual[v] for v in names]) if skips else None
         for background in itertools.product(*pools):
             if background != skip:
                 pins.update(zip(names, background))
-                world = solve(scenario, pins, steps)
+                world = solve(scenario, pins, unpinned)
                 if world[target.var] != target.value:
-                    return world
+                    differs = sum(
+                        1 << i for i, v in enumerate(candidates) if world[v] != actual[v]
+                    )
+                    broken = sum(
+                        1 << i
+                        for i, v in derived
+                        if mask >> i & 1 and model.lookup(v, world) != world[v]
+                    )
+                    return differs, broken
         return None
 
     return falsify
 
 
-def _effect_falsifier(scenario: Scenario, effect: Event) -> tuple[list[str], Falsify]:
-    """The effect's sorted ancestors and their falsifier (`Scenario.roaming_vars`)."""
+def _effect_probe(scenario: Scenario, effect: Event) -> tuple[Sequence[str], Probe]:
+    """The effect's candidates and their probe: its parents and `_rows`
+    where sufficiency is monotone, else its sorted ancestors and
+    `_falsifier`."""
+    if _monotone(scenario, effect.var):
+        return memoized(scenario, _rows, effect)
     candidates = sorted(scenario.model.ancestors(effect.var))
-    roams = scenario.roaming_vars(frozenset(), effect.var)
-    return candidates, _falsifier(
-        scenario, effect, candidates, roams, scenario.model.cone(effect.var)
-    )
+    return candidates, _falsifier(scenario, effect, candidates)
+
+
+def _event_sets(
+    scenario: Scenario, candidates: Sequence[str], masks: Iterable[int]
+) -> list[frozenset[Event]]:
+    """Each mask's candidates, at their actual values."""
+    return [
+        frozenset(
+            Event(v, scenario.actual_value(v)) for i, v in enumerate(candidates) if mask >> i & 1
+        )
+        for mask in masks
+    ]
 
 
 def is_sufficient(scenario: Scenario, events: Iterable[Event], effect: Event) -> bool:
@@ -118,17 +200,19 @@ def is_sufficient(scenario: Scenario, events: Iterable[Event], effect: Event) ->
 
 
 def _is_sufficient(scenario: Scenario, pinned: frozenset[str], effect: Event) -> bool:
-    candidates, falsify = memoized(scenario, _effect_falsifier, effect)
-    return falsify(sum(1 << i for i, v in enumerate(candidates) if v in pinned)) is None
+    candidates, probe = memoized(scenario, _effect_probe, effect)
+    return probe(sum(1 << i for i, v in enumerate(candidates) if v in pinned)) is None
 
 
 def minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozenset[Event]]:
     """All inclusion-minimal sufficient sets of actual events, ordered by
     size then variable tuple.
 
-    Only ancestors of the effect are candidates.  The effect's value depends
-    on its ancestors alone, so adding a non-ancestor to a set never changes
-    whether it is sufficient, and a non-ancestor is never in a minimal set.
+    Where sufficiency is monotone only the effect's parents are candidates:
+    every other variable is pinned or roams without changing a row the
+    effect reads.  Otherwise only its ancestors are: the effect's value
+    depends on its ancestors alone, so adding a non-ancestor to a set never
+    changes whether it is sufficient.
     """
     return list(memoized(scenario, _minimal_sufficient_sets, effect))
 
@@ -142,38 +226,33 @@ def _minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozense
     setting its roaming ancestors as in w reproduces w on every ancestor, so
     the effect misses its value again.
 
-    In general mode every unpinned variable roams, and in reliable mode an
-    initial pin cannot break its equation, so when the mode is general or
-    every candidate is initial, B(w) is always 0.  Sufficiency is then
-    monotone: S is insufficient exactly when it misses D(w) for some
-    falsifying world w, and the minimal sufficient sets are the minimal
-    transversals of the D family.  These are found by dualize-and-advance
-    (`_transversal_search`).  Other reliable-mode candidate sets, where a
-    pinned derived candidate can break its equation, keep the walk (`_walk`).
-
-    Both solve the empty set first: it roams widest, so it raises
-    SearchTooLargeError if any set would.  The walk then checks its 2**n
+    Where sufficiency is monotone the candidates are the effect's parents,
+    every unpinned one roams, and B(w) is always 0: S is insufficient
+    exactly when it misses D(w) for some falsifying world w, so the minimal
+    sufficient sets are the minimal transversals of the D family
+    (`_robust_sets`).  Other reliable-mode candidate sets, where a pinned
+    derived candidate can break its equation, keep the walk (`_walk`).  The
+    walk tests the empty set first: it roams widest, so it raises
+    SearchTooLargeError if any set would.  It then checks its 2**n
     candidate masks against the cap too, though it builds few of them.
     """
     model = scenario.model
     model.check_value(effect.var, effect.value)
-    actual = scenario.actual()
-    candidates, falsify = _effect_falsifier(scenario, effect)
-    if scenario.mode != "reliable" or model.initial_variables().issuperset(candidates):
-        found = _transversal_search(falsify, candidates, actual)
-    else:
-        found = _walk(scenario, effect, candidates, actual, falsify)
-    return [event_set(_pins(candidates, actual, mask)) for mask in found]
+    if _monotone(scenario, effect.var):
+        return _event_sets(
+            scenario, model.parent_tuple(effect.var), memoized(scenario, _robust_sets, effect)
+        )
+    candidates = sorted(model.ancestors(effect.var))
+    found = _walk(effect, len(candidates), _falsifier(scenario, effect, candidates))
+    return _event_sets(scenario, candidates, found)
 
 
-def _differs(candidates: list[str], actual: Assignment, world: Assignment) -> int:
-    """D(w): the candidates at which the world differs from the actual one."""
-    return sum(1 << i for i, v in enumerate(candidates) if world[v] != actual[v])
-
-
-def _pins(candidates: list[str], actual: Assignment, mask: int) -> dict[str, int]:
-    """The candidates in the mask, at their actual values."""
-    return {v: actual[v] for i, v in enumerate(candidates) if mask >> i & 1}
+def _robust_sets(scenario: Scenario, target: Event) -> list[int]:
+    """The minimal robust parent sets of the target, as masks over its
+    sorted parents, in the walk's order: the minimal sets that hold the
+    target's value on every table row that keeps them actual."""
+    parents, probe = memoized(scenario, _rows, target)
+    return _transversal_search(probe, len(parents))
 
 
 class _WalkKeys(dict):
@@ -191,28 +270,27 @@ class _WalkKeys(dict):
         return key
 
 
-def _transversal_search(falsify: Falsify, candidates: list[str], actual: Assignment) -> list[int]:
-    """Dualize and advance: keep the minimal transversals of the D masks met
-    so far and test the untested ones in the walk's order.  A passing
-    transversal is a minimal sufficient set, since each of its proper subsets
-    misses some D(w).  A falsifying world adds its D(w); the search stops
-    when every transversal passes, so every minimal sufficient set, being a
-    transversal of the final family that contains some passing one, is one
-    of them.  The walk solves exactly the same sets in the same order.  An
-    empty D(w) (the effect misses its value with every candidate actual)
-    leaves no transversal, and the answer is []."""
+def _transversal_search(probe: Probe, n: int) -> list[int]:
+    """Dualize and advance over n candidates: keep the minimal transversals
+    of the D masks met so far and test the untested ones in the walk's
+    order.  A passing transversal is a minimal sufficient set, since each of
+    its proper subsets misses some D(w).  A falsifying world adds its D(w);
+    the search stops when every transversal passes, so every minimal
+    sufficient set, being a transversal of the final family that contains
+    some passing one, is one of them.  The walk tests exactly the same sets
+    in the same order.  An empty D(w) (the target misses its value with
+    every candidate actual) leaves no transversal, and the answer is []."""
     transversals = [0]  # in the walk's order
     passing: set[int] = set()
-    keys = _WalkKeys(len(candidates))
+    keys = _WalkKeys(n)
     while True:
         mask = next((t for t in transversals if t not in passing), None)
         if mask is None:
             return transversals
-        world = falsify(mask)
-        if world is None:
+        edge = probe(mask)
+        if edge is None:
             passing.add(mask)
         else:
-            edge = _differs(candidates, actual, world)
             transversals = sorted(_add_edge(transversals, edge), key=keys.__getitem__)
 
 
@@ -235,33 +313,23 @@ def _add_edge(transversals: list[int], edge: int) -> list[int]:
     return meeting + grown
 
 
-def _walk(
-    scenario: Scenario, effect: Event, candidates: list[str], actual: Assignment, falsify: Falsify
-) -> list[int]:
-    """The walk (`minimal_passing_sets`); a set a stored world refutes fails unsolved."""
+def _walk(effect: Event, n: int, falsify: Probe) -> list[int]:
+    """The walk (`minimal_passing_sets`); a set a stored world refutes fails
+    untested.  Only a pin can break its equation, and only a derived one: an
+    initial variable's actual value is its equation's."""
     refuting: list[tuple[int, int]] = []
 
     def passes(mask: int) -> bool:
         if any(differs & mask == 0 and broken & ~mask == 0 for differs, broken in refuting):
             return False
-        world = falsify(mask)
-        if world is None:
+        refutation = falsify(mask)
+        if refutation is None:
             return True
-        # Only a pin can break its equation, and only a derived one: an
-        # initial variable's actual value is its equation's.
-        broken = sum(
-            1 << i
-            for i, v in enumerate(candidates)
-            if mask >> i & 1 and scenario.model.lookup(v, world) != world[v]
-        )
-        refuting.append((_differs(candidates, actual, world), broken))
+        refuting.append(refutation)
         return False
 
     return minimal_passing_sets(
-        len(candidates),
-        passes,
-        lambda: f"sufficient-set walk for {effect.render()}",
-        "candidate sets",
+        n, passes, lambda: f"sufficient-set walk for {effect.render()}", "candidate sets"
     )
 
 
@@ -269,7 +337,7 @@ def direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Event
     """Minimal robust parent sets of the target that pass the abnormality
     screen, in canonical order.  A parent set is robust when every row of the
     target's value table that keeps it at its actual values gives the
-    target's value; no model is built.
+    target's value (`_robust_sets`); no model is built.
 
     The screen wants a world that moves some members and misses the target
     no less normally than actuality.  Such a world pins every parent, so only
@@ -286,14 +354,16 @@ def _direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Even
     scenario.check_actual(target, "target")
     if model.is_initial(target.var):
         raise NoParentsError(f"{target.var!r} has no parents")
-    actual = scenario.actual()
-    parents = list(model.parent_tuple(target.var))
-    falsify = _falsifier(scenario, target, parents, parents, model.cone(target.var)[-1:])
-    found = _transversal_search(falsify, parents, actual)
-    off_default = _differs(parents, actual, scenario.defaults)
+    parents = model.parent_tuple(target.var)
+    found = memoized(scenario, _robust_sets, target)
+    off_default = sum(
+        1 << i
+        for i, v in enumerate(parents)
+        if scenario.defaults[v] != scenario.actual_value(v)
+    )
     if any(not mask & off_default for mask in found):
         return []
-    return [event_set(_pins(parents, actual, mask)) for mask in found]
+    return _event_sets(scenario, parents, found)
 
 
 def direct_cause_parents(scenario: Scenario, var: str) -> frozenset[str]:

@@ -4,6 +4,7 @@ expressions."""
 from __future__ import annotations
 
 import importlib.resources
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from actualcause import (
     parse_case,
     parse_expression,
 )
+from actualcause import model, sufficiency
 from actualcause.expr import BINARY_PREC, CMP_OPS
 
 
@@ -55,6 +57,35 @@ def grouped_conjunction(*widths: int) -> str:
         groups.append(f"y{g}")
         start += width
     return "; ".join(formulas + ["e=" + " & ".join(groups)])
+
+
+def tree(k: int) -> str:
+    """2**k leaves li=1 joined in pairs, level by level, up to one top join,
+    which e copies.  A join at even depth is `&` and at odd depth `|`,
+    counting the top join as depth 0, so tree(2) is
+    e = (l0 | l1) & (l2 | l3)."""
+    formulas = [f"l{i}=1" for i in range(2**k)]
+    level = [f"l{i}" for i in range(2**k)]
+    for depth in reversed(range(k)):
+        op = " & " if depth % 2 == 0 else " | "
+        joins = [f"t{len(formulas) - 2**k + i}" for i in range(len(level) // 2)]
+        formulas += [f"{t}={level[2 * i]}{op}{level[2 * i + 1]}" for i, t in enumerate(joins)]
+        level = joins
+    return "; ".join(formulas + [f"e={level[0]}"])
+
+
+def lattice(width: int, depth: int) -> str:
+    """`depth` rows of `width` columns: ai_j for row i and column j.  Row 0
+    is a0_j=1; each later ai_j joins a(i-1)_j to a(i-1)_(j+1 mod width), by
+    `|` on odd rows and `&` on even ones, and e is the `&` of the last row."""
+    formulas = [f"a0_{j}=1" for j in range(width)]
+    for i in range(1, depth):
+        op = " | " if i % 2 else " & "
+        formulas += [
+            f"a{i}_{j}=a{i - 1}_{j}{op}a{i - 1}_{(j + 1) % width}" for j in range(width)
+        ]
+    last = " & ".join(f"a{depth - 1}_{j}" for j in range(width))
+    return "; ".join(formulas + [f"e={last}"])
 
 
 def _piecewise(children):
@@ -130,6 +161,32 @@ def counting_calls(monkeypatch, module, name: str) -> list[tuple]:
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def counting_work(monkeypatch) -> list:
+    """The work the sufficiency searches do from now on: an entry for each
+    cone solve (`sufficiency.solve`) and one for each value-table row that
+    `sufficiency` reads itself.  Rows are seen on models built from now on,
+    whose tables of variables with parents record each read made from a
+    frame of `actualcause.sufficiency`; the reads inside `solve` and
+    `Model.lookup` are not counted."""
+    work = counting_calls(monkeypatch, sufficiency, "solve")
+    searches = vars(sufficiency)
+
+    class Rows(list):
+        def __getitem__(self, code):
+            if sys._getframe(1).f_globals is searches:
+                work.append(code)
+            return list.__getitem__(self, code)
+
+    tabulate = model.value_table
+
+    def counting(*args):
+        table, values = tabulate(*args)
+        return Rows(table), values
+
+    monkeypatch.setattr(model, "value_table", counting)
+    return work
 
 
 @pytest.fixture(scope="session")

@@ -282,6 +282,8 @@ UNCACHED = (
     (sufficiency, "_minimal_sufficient_sets"),
     (sufficiency, "_is_sufficient"),
     (sufficiency, "_direct_cause_sets"),
+    (sufficiency, "_robust_sets"),
+    (sufficiency, "_rows"),
     (normality, "_plan_abnormality"),
     (reasoning, "_count_chains"),
 )

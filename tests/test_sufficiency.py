@@ -17,6 +17,7 @@ from actualcause import (
     NoParentsError,
     Scenario,
     SearchTooLargeError,
+    causes_of,
     direct_cause_graph,
     direct_cause_sets,
     hph_causes,
@@ -28,13 +29,24 @@ from actualcause import (
 from actualcause import parse_case, sufficiency
 from actualcause.model import event_set, solve
 from actualcause.oracle import (
+    oracle_causes_of,
     oracle_direct_cause_sets,
     oracle_is_sufficient,
     oracle_minimal_sufficient_sets,
 )
 from actualcause.randmodel import random_effect, scenario_stream
 
-from conftest import WIDE_FORMULAS, copy_chain, corpus_dir, counting_calls, make_scenario
+from conftest import (
+    WIDE_FORMULAS,
+    copy_chain,
+    corpus_dir,
+    counting_calls,
+    counting_work,
+    grouped_conjunction,
+    lattice,
+    make_scenario,
+    tree,
+)
 
 
 def plan_of(*events: Event) -> frozenset[Event]:
@@ -141,13 +153,14 @@ class TestIsSufficient:
         assert not is_sufficient(general, plan, Event("e", 1))
 
     def test_answers_are_memoized_after_the_checks(self, monkeypatch):
-        # b=0 is the one background solved, and the repeat solves nothing;
-        # a non-actual pin on the same variable still raises.
+        # b=0 is the one table row read, and the repeat reads nothing; a
+        # non-actual pin on the same variable still raises.
+        work = counting_work(monkeypatch)
         scenario = make_scenario("a=1; b=1; e=a | b")
-        solved = counting_calls(monkeypatch, sufficiency, "solve")
         assert is_sufficient(scenario, plan_of(Event("a", 1)), Event("e", 1))
+        assert len(work) == 1
         assert is_sufficient(scenario, plan_of(Event("a", 1)), Event("e", 1))
-        assert len(solved) == 1
+        assert len(work) == 1
         with pytest.raises(ActualityError):
             is_sufficient(scenario, plan_of(Event("a", 0)), Event("e", 1))
 
@@ -419,33 +432,34 @@ class TestFalsifyingWorldReuse:
     def test_solve_count_or_of_eleven(self, monkeypatch):
         # A work-count regression gate: a plain walk solves 4 095 worlds
         # here, but stored worlds that each raise one xi refute every set
-        # short of all eleven.  Each of the eleven failing sets solves one
-        # world, its all-actual background skipped; the passing set solves none.
+        # short of all eleven.  Each of the eleven failing sets reads one
+        # table row, its all-actual row skipped; the passing set reads none.
+        work = counting_work(monkeypatch)
         scenario = make_scenario(
             "; ".join([f"x{i}=0" for i in range(11)])
             + "; e=~(" + " | ".join(f"x{i}" for i in range(11)) + ")"
         )
-        solved = counting_calls(monkeypatch, sufficiency, "solve")
         sets = minimal_sufficient_sets(scenario, Event("e", 1))
         assert var_sets(sets) == [sorted(f"x{i}" for i in range(11))]
-        assert len(solved) == 11
+        assert len(work) == 11
 
     def test_solve_count_over_the_corpus(self, monkeypatch):
         # Fresh scenarios, so no memo entry is shared with other tests; a
-        # plain walk solves 1 355 worlds.
-        solved = counting_calls(monkeypatch, sufficiency, "solve")
+        # plain walk solves 1 355 worlds.  Cone solves plus table rows read.
+        work = counting_work(monkeypatch)
         cases = 0
         for path in sorted(corpus_dir().glob("*.case")):
             case = parse_case(path.read_text(encoding="utf-8"))
             minimal_sufficient_sets(case.scenario, case.effect)
             cases += 1
         assert cases == 66
-        assert len(solved) == 751
+        assert len(work) == 751
 
     def test_sufficiency_solve_count_for_the_bench_queries(self, monkeypatch):
-        # A work-count regression gate on the worlds the sufficiency checks
-        # solve for the bench's two queries, on fresh scenarios.
-        solved = counting_calls(monkeypatch, sufficiency, "solve")
+        # A work-count regression gate on the cone solves and table rows the
+        # sufficiency checks make for the bench's two queries, on fresh
+        # scenarios.
+        work = counting_work(monkeypatch)
         cases = 0
         for path in sorted(corpus_dir().glob("*.case")):
             case = parse_case(path.read_text(encoding="utf-8"))
@@ -453,7 +467,7 @@ class TestFalsifyingWorldReuse:
             hph_causes(case.scenario, case.effect)
             cases += 1
         assert cases == 66
-        assert len(solved) == 1420
+        assert len(work) == 1229
 
 
 class TestTransversalSearch:
@@ -486,17 +500,30 @@ class TestTransversalSearch:
         # {a,c,d}, {a,b,d} and {a,b,c}; their transversals are the six pairs.
         # {a,b} and {c,d} fail next, adding {c,d} and {a,b}, whose minimal
         # transversals are the four pairs below, and each passes.
+        work = counting_work(monkeypatch)
         scenario = make_scenario("a=1; b=1; c=1; d=1; e=(a|b)&(c|d)", mode=mode)
         effect = Event("e", 1)
-        solved = counting_calls(monkeypatch, sufficiency, "solve")
         searched = counting_calls(monkeypatch, sufficiency, "_transversal_search")
         sets = minimal_sufficient_sets(scenario, effect)
         assert var_sets(sets) == [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]]
         assert len(searched) == 1
-        # one solve for each of the seven failing sets, and the four
-        # backgrounds of each passing pair but its all-actual one
-        assert len(solved) == 7 + 4 * 3
+        # one table row for each of the seven failing sets, and the four
+        # rows of each passing pair but its all-actual one
+        assert len(work) == 7 + 4 * 3
         assert sets == plain_minimal_sufficient_sets(scenario, effect)
+
+    def test_one_search_answers_both_questions(self, monkeypatch):
+        # c's parents are initial, so its minimal sufficient sets are its
+        # minimal robust parent sets, and its direct causes screen the same
+        # search.  e has a derived parent: its sufficient sets take the walk.
+        searched = counting_calls(monkeypatch, sufficiency, "_transversal_search")
+        scenario = make_scenario("a=1; b=1; c=a | b; e=c & a")
+        target = Event("c", 1)
+        assert var_sets(minimal_sufficient_sets(scenario, target)) == [["a"], ["b"]]
+        assert var_sets(direct_cause_sets(scenario, target)) == [["a"], ["b"]]
+        assert len(searched) == 1
+        assert var_sets(minimal_sufficient_sets(scenario, Event("e", 1))) == [["a"]]
+        assert len(searched) == 1
 
     @pytest.mark.parametrize("mode", ["reliable", "general"])
     def test_effect_that_misses_with_every_ancestor_actual(self, mode):
@@ -550,3 +577,48 @@ class TestWalkBound:
         message = f"assignment space over {roaming} has 4194304 settings, cap 1048576"
         with pytest.raises(SearchTooLargeError, match=f"^{re.escape(message)}$"):
             minimal_sufficient_sets(scenario, Event("e", 1))
+
+
+class TestStructuredFamilies:
+    """Models whose parent sets are a small part of the ancestors.  In
+    general mode every unpinned variable roams, so the searches run over the
+    target's parents alone; in reliable mode most targets take the walk."""
+
+    @pytest.mark.parametrize("mode", ["reliable", "general"])
+    @pytest.mark.parametrize(
+        "formulas",
+        [tree(2), grouped_conjunction(3, 3), lattice(3, 3)],
+        ids=["tree(2^2)", "grouped_conjunction(3, 3)", "lattice 3x3"],
+    )
+    def test_matches_the_oracle(self, formulas, mode):
+        scenario = make_scenario(formulas, mode=mode)
+        effect = Event("e", 1)
+        assert causes_of(scenario, effect) == oracle_causes_of(scenario, effect)
+        for var in scenario.model.variables:
+            target = Event(var, scenario.actual_value(var))
+            expected = oracle_minimal_sufficient_sets(scenario, target)
+            assert minimal_sufficient_sets(scenario, target) == expected, var
+
+    @pytest.mark.parametrize(
+        ("formulas", "causes", "work"),
+        [(tree(3), ["t6"], 1), (grouped_conjunction(6, 6), ["y0", "y1"], 3)],
+        ids=["tree(2^3)", "grouped_conjunction(6, 6)"],
+    )
+    def test_causes_of_reads_only_the_effects_table(self, formulas, causes, work, monkeypatch):
+        # A work-count regression gate, in cone solves plus table rows read;
+        # a search over every ancestor would make 32 768 and 16 512 cone
+        # solves.  tree(2^3) reads one row, the one that misses e
+        # with t6 free; grouped_conjunction(6, 6) reads the rows that refute
+        # {}, {y0} and {y1}, and {y0, y1} has no row left to read.
+        counted = counting_work(monkeypatch)
+        scenario = make_scenario(formulas, mode="general")
+        assert sorted(ev.var for ev in causes_of(scenario, Event("e", 1))) == causes
+        assert len(counted) == work
+
+    def test_ancestors_past_the_cap_do_not_count(self):
+        # e's 22 initial ancestors have 2**22 settings, past ENUMERATION_CAP,
+        # and searching them raised; its 11 parents have 2**11.
+        scenario = make_scenario(WIDE_FORMULAS, mode="general")
+        sets = minimal_sufficient_sets(scenario, Event("e", 1))
+        assert var_sets(sets) == [sorted(f"y{i}" for i in range(11))]
+        assert not is_sufficient(scenario, sets[0] - {Event("y0", 0)}, Event("e", 1))
