@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .comparators import HPHVerdict, hph_causes
 from .dsl import BenchCase, read_case
-from .engine import DEFAULT_OPTIONS, EngineOptions, intentional_causes
+from .engine import intentional_causes
 from .model import Event, SearchTooLargeError
 
 __all__ = ["BenchReport", "CaseResult", "render_report", "run_bench"]
@@ -90,10 +90,7 @@ class BenchReport:
         return [r for r in self.results if r.contrastive_adjusted_match is False]
 
 
-def run_bench(
-    directory: str | Path,
-    options: EngineOptions = DEFAULT_OPTIONS,
-) -> BenchReport:
+def run_bench(directory: str | Path) -> BenchReport:
     """Parse and evaluate every ``*.case`` file under the directory, in
     filename order.  A parse failure or a search too large aborts the run
     naming the file."""
@@ -103,7 +100,7 @@ def run_bench(
         case = read_case(path)
         start = time.perf_counter()
         try:
-            primary = intentional_causes(case.scenario, case.effect, options)
+            primary = intentional_causes(case.scenario, case.effect)
             contrastive = hph_causes(case.scenario, case.effect)
         except SearchTooLargeError as err:
             raise SearchTooLargeError(f"{path.name}: {err}") from err

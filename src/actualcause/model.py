@@ -47,8 +47,6 @@ ENUMERATION_CAP = 1 << 20
 Assignment = dict[str, int]
 # a parent slot of a value table: the parent, its `Domain.positions`, its domain size
 Slot = tuple[str, dict[int, int], int]
-# a plan step: a variable, its parent slots and its table
-Step = tuple[str, tuple[Slot, ...], list[int]]
 
 T = TypeVar("T")
 
@@ -146,10 +144,10 @@ class Model:
     list per variable, indexed by the mixed-radix code of the parent values
     (last parent in sorted order varies fastest).
 
-    Construction also builds the evaluation plan that `solve` and `lookup`
-    read, so that neither recomputes it per call: per variable, its parent
-    slots (the parent, its domain's `Domain.positions` map, its domain size)
-    and its table, and those entries again in topological order.
+    Construction also builds the evaluation plan that `solve`, `lookup` and
+    `table` read, so that none recomputes it per call: per variable, its
+    parent slots (the parent, its domain's `Domain.positions` map, its domain
+    size) and its table, and those entries again in topological order.
     """
 
     def __init__(
@@ -198,9 +196,8 @@ class Model:
         }
         self._steps = tuple([(v, *self._plan[v]) for v in self._order])
         self._declared_order = self._order == self.variables
-        # strict ancestors of single variables and their cones, filled as asked for
+        # strict ancestors of single variables, filled as asked for
         self._ancestor_sets: dict[str, frozenset[str]] = {}
-        self._cones: dict[str, tuple[Step, ...]] = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -292,15 +289,6 @@ class Model:
             return found
         return self._walk_up(seeds)
 
-    def cone(self, var: str) -> tuple[Step, ...]:
-        """The plan steps of `var` and its ancestors, in topological order, so
-        `var`'s own step is last: all `solve` must walk for `var`'s value."""
-        steps = self._cones.get(var)
-        if steps is None:
-            members = self.ancestors(var) | {var}
-            steps = self._cones[var] = tuple([s for s in self._steps if s[0] in members])
-        return steps
-
     def _walk_up(self, seeds: Iterable[str]) -> frozenset[str]:
         seen: set[str] = set()
         frontier = list(seeds)
@@ -327,6 +315,11 @@ class Model:
             raise UnknownVariableError(f"unknown variable {var!r}")
         if value not in domain.positions:
             raise DomainError(f"value {value} outside domain {domain.values} of {var!r}")
+
+    def table(self, var: str) -> tuple[tuple[Slot, ...], list[int]]:
+        """The plan entry of `var`: its parent slots, in `parent_tuple`
+        order, and its value table, indexed by the code they give."""
+        return self._plan[var]
 
     def lookup(self, var: str, values: Mapping[str, int]) -> int:
         """The equation of `var` at the parent values found in `values`, which
@@ -448,14 +441,10 @@ def checked_solve(
     return solve(scenario, pins)
 
 
-def solve(
-    scenario: Scenario, pins: Mapping[str, int] | None = None, steps: Sequence[Step] = ()
-) -> Assignment:
+def solve(scenario: Scenario, pins: Mapping[str, int] | None = None) -> Assignment:
     """Evaluate every variable: pinned ones take their pins, the rest read
     their value tables, walking the model's plan in topological order.  The
-    result lists the variables in declaration order.  Given `steps` (a
-    `Model.cone`, or its last step), it walks only those and returns them and
-    the pins; each unpinned step's parents must be pinned or stepped first.
+    result lists the variables in declaration order.
 
     The pins are not checked: each must name a variable of the model at a
     value in its domain.  The engine's searches pin only domain values and
@@ -463,8 +452,8 @@ def solve(
     `checked_solve`."""
     model = scenario.model
     pins = pins or {}
-    out: Assignment = dict(pins) if steps else {}
-    for var, slots, table in steps or model._steps:
+    out: Assignment = {}
+    for var, slots, table in model._steps:
         if var in pins:
             out[var] = pins[var]
         else:
@@ -472,7 +461,7 @@ def solve(
             for parent, index, radix in slots:
                 code = code * radix + index[out[parent]]
             out[var] = table[code]
-    return out if steps or model._declared_order else {v: out[v] for v in model.variables}
+    return out if model._declared_order else {v: out[v] for v in model.variables}
 
 
 def check_search_size(size: int, space: Callable[[], str], unit: str) -> None:

@@ -87,18 +87,14 @@ def _operands(
 ChainCounts = tuple[dict[str, int], dict[str, int], dict[str, list[str]]]
 
 
-def _chain_counts(scenario: Scenario, goal: str) -> ChainCounts:
+def _count_chains(scenario: Scenario, goal: str) -> ChainCounts:
     """For every variable with a direct-cause chain to the goal: the number
     of such chains, the sum of their edge counts, and its successors on
-    them.  The goal itself has one chain of length zero.  Memoized per
-    scenario and goal; callers only read the dicts."""
-    return memoized(scenario, _count_chains, goal)
-
-
-def _count_chains(scenario: Scenario, goal: str) -> ChainCounts:
-    """One pass over the reverse topological order pushes each on-chain
-    vertex's counts to its direct-cause parents, so only the goal and its
-    ancestors are read."""
+    them.  The goal itself has one chain of length zero.  One pass over the
+    reverse topological order pushes each on-chain vertex's counts to its
+    direct-cause parents, so only the goal and its ancestors are read.
+    Memoized per scenario and goal: callers go through `memoized` and only
+    read the dicts."""
     count = {goal: 1}
     length = {goal: 0}
     onward: dict[str, list[str]] = {}
@@ -187,7 +183,7 @@ def interpolate(
     net = _operands(scenario, net, member, effect)
     if member.var == effect.var:
         return net
-    _, _, onward = _chain_counts(scenario, effect.var)
+    _, _, onward = memoized(scenario, _count_chains, effect.var)
     step = {Event(var, scenario.actual_value(var)) for var in onward.get(member.var, ())}
     if not step:
         raise NoChainError(
@@ -268,7 +264,7 @@ def distance(
     net = _as_net(net)
     if not net.events:
         raise ReasoningError("distance of an empty net is undefined")
-    count, length, _ = _chain_counts(scenario, effect.var)
+    count, length, _ = memoized(scenario, _count_chains, effect.var)
     chains = total = 0
     for member in sorted(net.events):
         scenario.check_actual(member, "net member")

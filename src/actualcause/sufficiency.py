@@ -16,8 +16,8 @@ sufficient sets are the minimal robust parent sets, found by
 dualize-and-advance (`_robust_sets`).  Direct causes are those same sets,
 screened (`direct_cause_sets`), so a target asked both questions is searched
 once.  The other reliable-mode questions, where a pinned derived ancestor
-can break its equation, solve the target's cone (`_falsifier`), and their
-minimal sets walk the ancestor subsets by size with
+can break its equation, solve one world per background (`_falsifier`), and
+their minimal sets walk the ancestor subsets by size with
 `model.minimal_passing_sets`, growing only the sets that fail.
 
 Sufficient sets, direct causes and `is_sufficient` answers are memoized per
@@ -81,7 +81,7 @@ def _rows(scenario: Scenario, target: Event) -> tuple[tuple[str, ...], Probe]:
     unread.  The table has at most ENUMERATION_CAP rows, so no probe is
     checked against the cap."""
     model = scenario.model
-    _, slots, table = model.cone(target.var)[-1]
+    slots, table = model.table(target.var)
     parents = model.parent_tuple(target.var)
     offsets: list[range] = []
     weight = 1
@@ -115,11 +115,10 @@ def _falsifier(scenario: Scenario, target: Event, candidates: Sequence[str]) -> 
     """`falsify(mask)` over the sorted ancestors of a reliable-mode target
     with a derived parent: it pins the masked candidates at their actual
     values, tries the other initial candidates in the order of
-    `enumerate_settings`, and solves the target's cone without the steps of
-    the candidates that every background pins.  It returns the first
-    falsifying world's (D(w), B(w)) (see `_walk`), or None.  While the
-    target's value is actual, the background that keeps every roaming
-    candidate actual reproduces the actual world on the cone, so it is
+    `enumerate_settings`, and solves the world each background gives.  It
+    returns the first falsifying world's (D(w), B(w)) (see `_walk`), or
+    None.  While the target's value is actual, the background that keeps
+    every roaming candidate actual reproduces the actual world, so it is
     skipped unsolved."""
     model = scenario.model
     actual = scenario.actual()
@@ -131,7 +130,6 @@ def _falsifier(scenario: Scenario, target: Event, candidates: Sequence[str]) -> 
         if v in position and v in roams
     ]
     derived = [(i, v) for i, v in enumerate(candidates) if v not in roams]
-    steps = [step for step in model.cone(target.var) if step[0] not in roams]
     skips = actual[target.var] == target.value
 
     def falsify(mask: int) -> tuple[int, int] | None:
@@ -141,12 +139,11 @@ def _falsifier(scenario: Scenario, target: Event, candidates: Sequence[str]) -> 
         check_search_size(
             math.prod(map(len, pools)), lambda: f"assignment space over {names}", "settings"
         )
-        unpinned = [step for step in steps if step[0] not in pins]
         skip = tuple([actual[v] for v in names]) if skips else None
         for background in itertools.product(*pools):
             if background != skip:
                 pins.update(zip(names, background))
-                world = solve(scenario, pins, unpinned)
+                world = solve(scenario, pins)
                 if world[target.var] != target.value:
                     differs = sum(
                         1 << i for i, v in enumerate(candidates) if world[v] != actual[v]

@@ -165,7 +165,7 @@ def counting_calls(monkeypatch, module, name: str) -> list[tuple]:
 
 def counting_work(monkeypatch) -> list:
     """The work the sufficiency searches do from now on: an entry for each
-    cone solve (`sufficiency.solve`) and one for each value-table row that
+    world solve (`sufficiency.solve`) and one for each value-table row that
     `sufficiency` reads itself.  Rows are seen on models built from now on,
     whose tables of variables with parents record each read made from a
     frame of `actualcause.sufficiency`; the reads inside `solve` and

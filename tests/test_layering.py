@@ -1,6 +1,7 @@
 """The package's import graph: every intra-package import, including those
 inside functions, read from the source with `ast`.  The graph stays acyclic,
-and the oracle stays independent of the engine it checks."""
+and the oracle stays independent of the engine it checks.  The model's
+private state is read in `model.py` alone."""
 
 from __future__ import annotations
 
@@ -60,3 +61,24 @@ def test_normality_does_not_import_sufficiency():
 
 def test_oracle_imports_only_expr_and_model():
     assert import_graph()["oracle"] <= {"expr", "model"}
+
+
+def _private_reads(path: Path) -> set[str]:
+    """Each `obj._name` read in the module where obj is not self or cls;
+    dunders are public protocol, not private state."""
+    return {
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    }
+
+
+def test_private_model_state_is_read_only_in_model():
+    # the check does see model.py's own reads, such as the scenario memo
+    own = _private_reads(PACKAGE_DIR / "model.py")
+    assert any(read.endswith("scenario._memo") for read in own)
+    others = [path for path in sorted(PACKAGE_DIR.glob("*.py")) if path.stem != "model"]
+    assert set().union(*map(_private_reads, others)) == set()

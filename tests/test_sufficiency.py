@@ -27,7 +27,7 @@ from actualcause import (
     plan_abnormality,
 )
 from actualcause import parse_case, sufficiency
-from actualcause.model import event_set, solve
+from actualcause.model import event_set
 from actualcause.oracle import (
     oracle_causes_of,
     oracle_direct_cause_sets,
@@ -373,25 +373,6 @@ class TestProperties:
                     engine = minimal_sufficient_sets(scenario, effect)
                     assert engine == oracle_minimal_sufficient_sets(scenario, effect), index
 
-    def test_a_cone_solve_matches_the_full_solve(self):
-        # Pins inside and outside the cone, at any domain value.
-        rng = random.Random("cone")
-        for _, scenario in scenario_stream(seed=31, count=60, max_vars=9):
-            model = scenario.model
-            for var in model.variables:
-                cone = model.cone(var)
-                assert cone[-1][0] == var
-                assert {step[0] for step in cone} == model.ancestors(var) | {var}
-                for _ in range(4):
-                    pins = {
-                        v: rng.choice(model.domains[v].values)
-                        for v in model.variables
-                        if rng.random() < 0.4
-                    }
-                    full = solve(scenario, pins)
-                    world = solve(scenario, pins, cone)
-                    assert {v: world[v] for v, _, _ in cone} == {v: full[v] for v, _, _ in cone}
-
 
 class TestFalsifyingWorldReuse:
     """The walk skips a candidate that a stored falsifying world refutes."""
@@ -445,7 +426,7 @@ class TestFalsifyingWorldReuse:
 
     def test_solve_count_over_the_corpus(self, monkeypatch):
         # Fresh scenarios, so no memo entry is shared with other tests; a
-        # plain walk solves 1 355 worlds.  Cone solves plus table rows read.
+        # plain walk solves 1 355 worlds.  World solves plus table rows read.
         work = counting_work(monkeypatch)
         cases = 0
         for path in sorted(corpus_dir().glob("*.case")):
@@ -456,7 +437,7 @@ class TestFalsifyingWorldReuse:
         assert len(work) == 751
 
     def test_sufficiency_solve_count_for_the_bench_queries(self, monkeypatch):
-        # A work-count regression gate on the cone solves and table rows the
+        # A work-count regression gate on the world solves and table rows the
         # sufficiency checks make for the bench's two queries, on fresh
         # scenarios.
         work = counting_work(monkeypatch)
@@ -605,8 +586,8 @@ class TestStructuredFamilies:
         ids=["tree(2^3)", "grouped_conjunction(6, 6)"],
     )
     def test_causes_of_reads_only_the_effects_table(self, formulas, causes, work, monkeypatch):
-        # A work-count regression gate, in cone solves plus table rows read;
-        # a search over every ancestor would make 32 768 and 16 512 cone
+        # A work-count regression gate, in world solves plus table rows read;
+        # a search over every ancestor would make 32 768 and 16 512 world
         # solves.  tree(2^3) reads one row, the one that misses e
         # with t6 free; grouped_conjunction(6, 6) reads the rows that refute
         # {}, {y0} and {y1}, and {y0, y1} has no row left to read.
