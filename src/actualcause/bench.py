@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +27,6 @@ class CaseResult:
     primary: frozenset[Event]
     contrastive: frozenset[Event]
     contrastive_verdicts: tuple[HPHVerdict, ...]
-    wall_ms: float
 
     @property
     def primary_match(self) -> bool | None:
@@ -98,20 +96,17 @@ def run_bench(directory: str | Path) -> BenchReport:
     results: list[CaseResult] = []
     for path in sorted(root.glob("*.case")):
         case = read_case(path)
-        start = time.perf_counter()
         try:
             primary = intentional_causes(case.scenario, case.effect)
             contrastive = hph_causes(case.scenario, case.effect)
         except SearchTooLargeError as err:
             raise SearchTooLargeError(f"{path.name}: {err}") from err
-        elapsed = (time.perf_counter() - start) * 1000.0
         results.append(
             CaseResult(
                 case=case,
                 primary=primary,
                 contrastive=contrastive.events,
                 contrastive_verdicts=contrastive.verdicts,
-                wall_ms=elapsed,
             )
         )
     return BenchReport(results=tuple(results))

@@ -68,6 +68,9 @@ def check(case_file: str, definition: str, variant: str, mode: str | None, verbo
     except ParseError as err:
         click.echo(f"parse error: {err}", err=True)
         sys.exit(2)
+    except SearchTooLargeError as err:
+        click.echo(f"search too large: {err}", err=True)
+        sys.exit(3)
 
     options = EngineOptions(abnormality_variant=variant)
     # the mode override applies to the primary definition only

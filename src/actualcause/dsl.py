@@ -23,7 +23,7 @@ from .expr import (
     Piecewise,
     Var,
 )
-from .model import Domain, Event, Model, ModelError, Scenario
+from .model import Domain, Event, Model, ModelError, Scenario, SearchTooLargeError
 
 __all__ = [
     "BenchCase",
@@ -263,7 +263,9 @@ def _parse_name_list(body: str, what: str) -> list[str] | None:
 
 
 def parse_case(text: str) -> BenchCase:
-    """Parse one case file into a validated benchmark case."""
+    """Parse one case file into a validated benchmark case.  Malformed text
+    raises ParseError; a value table past ENUMERATION_CAP raises
+    SearchTooLargeError."""
     fields: dict[str, str] = {}
     notes: list[str] = []
     for raw_line in text.splitlines():
@@ -354,6 +356,8 @@ def parse_case(text: str) -> BenchCase:
             intentions=tuple(intentions),
         )
         actual = scenario.actual()
+    except SearchTooLargeError:
+        raise  # too large is not malformed: callers map it to its own exit code
     except ModelError as err:
         raise ParseError(f"case {case_id}: {err}") from err
 
@@ -405,7 +409,8 @@ def parse_case(text: str) -> BenchCase:
 def read_case(path: str | Path) -> BenchCase:
     """Parse one case file.  A leading UTF-8 byte-order mark is skipped; a
     file that cannot be read, is not UTF-8 text or does not parse raises
-    ParseError naming the file."""
+    ParseError naming the file, and one whose value table is past
+    ENUMERATION_CAP raises SearchTooLargeError naming it."""
     path = Path(path)
     try:
         return parse_case(path.read_text(encoding="utf-8-sig"))
@@ -415,6 +420,8 @@ def read_case(path: str | Path) -> BenchCase:
         raise ParseError(f"{path.name}: not UTF-8 text ({err})") from err
     except ParseError as err:
         raise ParseError(f"{path.name}: {err}") from err
+    except SearchTooLargeError as err:
+        raise SearchTooLargeError(f"{path.name}: {err}") from err
 
 
 def _format_cell(events: frozenset[Event]) -> str:

@@ -155,33 +155,29 @@ class ScenarioAnalysis:
     # -- verdicts ---------------------------------------------------------------
 
     def verdict_for(self, cause: Event) -> CauseVerdict:
+        """The verdict on `cause`, which must be at its actual value, with its
+        receipts: the first plan certifying it and that plan's witness, and
+        the chain that links it to the effect.  It is a cause exactly when
+        that chain exists."""
         self.scenario.check_actual(cause, "candidate")
+        plan = witness = chain = None
         if cause.var not in self.certified:
-            return CauseVerdict(
-                cause=cause,
-                effect=self.effect,
-                is_cause=False,
-                reason="no passing plan certifies the event",
-            )
-        plan, witness = self.certified[cause.var]
-        chain = self.chain_for(cause.var)
-        if chain is None:
-            return CauseVerdict(
-                cause=cause,
-                effect=self.effect,
-                is_cause=False,
-                plan=plan,
-                witness=witness,
-                reason="certified, but no certified chain reaches the effect",
-            )
+            reason = "no passing plan certifies the event"
+        else:
+            plan, witness = self.certified[cause.var]
+            chain = self.chain_for(cause.var)
+            if chain is None:
+                reason = "certified, but no certified chain reaches the effect"
+            else:
+                reason = "certified with chain " + " -> ".join(chain)
         return CauseVerdict(
             cause=cause,
             effect=self.effect,
-            is_cause=True,
+            is_cause=chain is not None,
             plan=plan,
             witness=witness,
             chain=chain,
-            reason="certified with chain " + " -> ".join(chain),
+            reason=reason,
         )
 
 

@@ -196,8 +196,11 @@ class Model:
         }
         self._steps = tuple([(v, *self._plan[v]) for v in self._order])
         self._declared_order = self._order == self.variables
-        # strict ancestors of single variables, filled as asked for
-        self._ancestor_sets: dict[str, frozenset[str]] = {}
+        # each variable's strict ancestors, filled as asked for; an initial
+        # variable has none, and a plan's many initial pins need no walk each
+        self._ancestor_sets: dict[str, frozenset[str]] = dict.fromkeys(
+            self._initial, frozenset()
+        )
 
     # -- construction helpers -------------------------------------------------
 
@@ -280,28 +283,21 @@ class Model:
     def topological_order(self) -> tuple[str, ...]:
         return self._order
 
-    def ancestors(self, seeds: Iterable[str] | str) -> frozenset[str]:
-        """Strict ancestors of the seed variable(s)."""
-        if isinstance(seeds, str):
-            found = self._ancestor_sets.get(seeds)
-            if found is None:
-                found = self._ancestor_sets[seeds] = self._walk_up((seeds,))
-            return found
-        return self._walk_up(seeds)
-
-    def _walk_up(self, seeds: Iterable[str]) -> frozenset[str]:
-        seen: set[str] = set()
-        frontier = list(seeds)
-        for var in frontier:
-            if var not in self._parents:
-                raise UnknownVariableError(f"unknown variable {var!r}")
-        while frontier:
-            var = frontier.pop()
-            for parent in self._parents[var]:
-                if parent not in seen:
-                    seen.add(parent)
-                    frontier.append(parent)
-        return frozenset(seen)
+    def ancestors(self, var: str) -> frozenset[str]:
+        """Strict ancestors of one variable, walked up its parents on the
+        first call and kept for the model's lifetime.  Several variables'
+        ancestors are the union of each one's."""
+        found = self._ancestor_sets.get(var)
+        if found is None:
+            seen: set[str] = set()
+            frontier = [var]
+            for node in frontier:
+                for parent in self.parents(node):
+                    if parent not in seen:
+                        seen.add(parent)
+                        frontier.append(parent)
+            found = self._ancestor_sets[var] = frozenset(seen)
+        return found
 
     def initial_variables(self) -> frozenset[str]:
         return self._initial

@@ -110,41 +110,16 @@ def rank(
     return _deviant(value, tuple(parent_values[p] for p in parents))
 
 
-def _component(witness: Rank, actual: Rank) -> str:
-    """'eq' | 'gt' | 'lt' | 'incomp' for one variable, witness vs actual."""
-    if witness.level == actual.level:
-        if witness.level == _LEVEL_DEVIANT:
-            same = (witness.value, witness.context) == (actual.value, actual.context)
-            return "eq" if same else "incomp"
-        return "eq"
-    return "gt" if witness.level > actual.level else "lt"
-
-
-def _aggregate(parts: Iterable[str]) -> OrderResult:
-    has_gt = False
-    has_lt = False
-    for part in parts:
-        if part == "incomp":
-            return OrderResult.INCOMPARABLE
-        if part == "gt":
-            has_gt = True
-        elif part == "lt":
-            has_lt = True
-    if has_gt and has_lt:
-        return OrderResult.INCOMPARABLE
-    if has_gt:
-        return OrderResult.GREATER_OR_EQUAL
-    if has_lt:
-        return OrderResult.LESS_OR_EQUAL
-    return OrderResult.EQUAL
-
-
 def compare(
     scenario: Scenario,
     first: Mapping[str, int],
     second: Mapping[str, int],
 ) -> OrderResult:
-    """Pointwise partial order on total assignments (public two-level ranks)."""
+    """Pointwise partial order on total assignments, by the public two-level
+    ranks: `first` against `second`.  Every variable is ranked in both before
+    any is compared, so a bad value raises wherever it sits.  Equal ranks
+    agree, a higher level is more normal, and distinct ranks at one level
+    (two different deviations) are incomparable."""
     model = scenario.model
     for assignment in (first, second):
         missing = set(model.variables) - set(assignment)
@@ -152,12 +127,18 @@ def compare(
             raise UnknownVariableError(
                 f"assignment is missing variable(s) {sorted(missing)}"
             )
-    parts = []
-    for var in model.variables:
-        rank_a = rank(scenario, var, first[var], first)
-        rank_b = rank(scenario, var, second[var], second)
-        parts.append(_component(rank_a, rank_b))
-    return _aggregate(parts)
+    pairs = [
+        (rank(scenario, var, first[var], first), rank(scenario, var, second[var], second))
+        for var in model.variables
+    ]
+    # per differing variable: 1 where `first` ranks higher, -1 where lower,
+    # 0 where both deviate differently
+    signs = {(a.level > b.level) - (a.level < b.level) for a, b in pairs if a != b}
+    if 0 in signs or len(signs) == 2:
+        return OrderResult.INCOMPARABLE
+    if not signs:
+        return OrderResult.EQUAL
+    return OrderResult.GREATER_OR_EQUAL if 1 in signs else OrderResult.LESS_OR_EQUAL
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +160,7 @@ class Reduction:
 
     def __init__(self, scenario: Scenario, pins: frozenset[str]) -> None:
         model = scenario.model
-        removed = model.ancestors(pins) - pins
+        removed = frozenset().union(*map(model.ancestors, pins)) - pins
         self.scenario = scenario
         self.actual = scenario.actual()
         self.removed = {v: self.actual[v] for v in sorted(removed)}

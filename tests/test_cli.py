@@ -26,6 +26,18 @@ def case_file(corpus_path, num: str):
     return str(path)
 
 
+# e is the OR of 21 binary constants: its value table alone has 2**21 rows,
+# past ENUMERATION_CAP, so the case fails while its model is built
+WIDE_TABLE = (
+    "case 1\nmode reliable\nformulas: "
+    + "; ".join([f"x{i}=0" for i in range(21)] + ["e=" + " | ".join(f"x{i}" for i in range(21))])
+    + "\n"
+)
+WIDE_TABLE_ERROR = (
+    "search too large: wide21.case: equation for 'e' has 2097152 parent settings, cap 1048576\n"
+)
+
+
 class TestCheck:
     def test_matching_case_exits_zero(self, runner, corpus_path):
         result = runner.invoke(main, ["check", case_file(corpus_path, "13")])
@@ -75,6 +87,13 @@ class TestCheck:
         result = runner.invoke(main, ["check", str(wide)])
         assert result.exit_code == 3
         assert "search too large" in result.output
+
+    def test_value_table_past_the_cap_exits_three(self, runner, tmp_path):
+        wide = tmp_path / "wide21.case"
+        wide.write_text(WIDE_TABLE)
+        result = runner.invoke(main, ["check", str(wide)])
+        assert result.exit_code == 3
+        assert result.output == WIDE_TABLE_ERROR
 
     def test_long_sufficient_set_walk_exits_three(self, runner, tmp_path, monkeypatch):
         # The walk for x11=0 has 2**11 candidate masks, past the lowered cap.
@@ -201,6 +220,12 @@ class TestBench:
         assert "search too large: 99-wide.case: sufficient-set walk for e=1 has 2097152" in (
             result.output
         )
+
+    def test_value_table_past_the_cap_exits_three(self, runner, tmp_path):
+        (tmp_path / "wide21.case").write_text(WIDE_TABLE)
+        result = runner.invoke(main, ["bench", str(tmp_path)])
+        assert result.exit_code == 3
+        assert result.output == WIDE_TABLE_ERROR
 
 
 class TestVerify:

@@ -1,7 +1,8 @@
 """The package's import graph: every intra-package import, including those
 inside functions, read from the source with `ast`.  The graph stays acyclic,
 and the oracle stays independent of the engine it checks.  The model's
-private state is read in `model.py` alone."""
+private state is read in `model.py` alone, and a name imported from a
+sibling module is read or re-exported where it is imported."""
 
 from __future__ import annotations
 
@@ -82,3 +83,36 @@ def test_private_model_state_is_read_only_in_model():
     assert any(read.endswith("scenario._memo") for read in own)
     others = [path for path in sorted(PACKAGE_DIR.glob("*.py")) if path.stem != "model"]
     assert set().union(*map(_private_reads, others)) == set()
+
+
+# imported and unused: perfbench's test_tracer_wraps_names_in_every_importing_module
+# looks the name up in `sufficiency`
+UNUSED_IMPORTS_KEPT = {"sufficiency.plan_abnormality"}
+
+
+def _unused_sibling_imports(path: Path) -> set[str]:
+    """Each name the module imports from a sibling module (at any depth)
+    that it neither reads nor lists in its `__all__`."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+    return {f"{path.stem}.{name}" for name in imported - read - exported}
+
+
+def test_every_sibling_import_is_used_or_exported():
+    # the check does see a kept import
+    assert _unused_sibling_imports(PACKAGE_DIR / "sufficiency.py") == UNUSED_IMPORTS_KEPT
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    assert set().union(*map(_unused_sibling_imports, paths)) == UNUSED_IMPORTS_KEPT

@@ -124,7 +124,7 @@ class TestModelValidation:
         assert model.ancestors("e") == frozenset({"a", "b", "c"})
         assert model.ancestors("e") is model.ancestors("e")  # kept once computed
         assert model.ancestors("a") == frozenset()
-        assert model.ancestors(["b", "e"]) == frozenset({"a", "b", "c"})
+        assert model.ancestors("b") | model.ancestors("e") == frozenset({"a", "b", "c"})
         for _ in range(2):
             with pytest.raises(UnknownVariableError):
                 model.ancestors("z")
@@ -259,6 +259,28 @@ class TestModelValidation:
             model.check_value("a", 3)
         with pytest.raises(UnknownVariableError):
             model.check_value("z", 0)
+
+
+def parent_closure(model, var):
+    """The least set that holds the parents of `var` and every parent of
+    its members: the transitive closure of `parents`, grown level by level."""
+    closure = set(model.parents(var))
+    while True:
+        grown = closure.union(*map(model.parents, closure))
+        if grown == closure:
+            return closure
+        closure = grown
+
+
+def test_ancestors_are_the_closure_of_parents(corpus_cases):
+    models = [case.scenario.model for case in corpus_cases.values()]
+    models += [scenario.model for _, scenario in scenario_stream(0, 200, max_vars=12)]
+    assert len(models) == 66 + 200
+    for model in models:
+        for var in model.variables:
+            assert model.ancestors(var) == parent_closure(model, var), var
+        with pytest.raises(UnknownVariableError):
+            model.ancestors("no-such-variable")
 
 
 def rowwise_compile(var, expr, domains):

@@ -103,6 +103,71 @@ class TestCompare:
         with pytest.raises(UnknownVariableError):
             compare(scenario, {"a": 1}, {"a": 1})
 
+    def test_a_bad_value_after_an_incomparable_variable_raises(self):
+        # a deviates differently on each side; b, read after it, is off its domain
+        scenario = make_scenario("a=1; b=0; e=a >= 0", domains={"a": (0, 1, 2)})
+        with pytest.raises(DomainError):
+            compare(scenario, {"a": 1, "b": 0, "e": 1}, {"a": 2, "b": 5, "e": 1})
+
+    @pytest.mark.parametrize("mode", ["reliable", "general"])
+    @pytest.mark.parametrize(
+        "formulas, domains, defaults",
+        [
+            ("a=1; d=0; e=a & ~d", {}, {}),
+            ("a=1; b=1; c=a & b; e=c | ~a", {}, {"b": 1}),
+            ("a=2; b=a; e=b >= 1", {"a": (0, 1, 2), "b": (0, 1, 2)}, {"a": 1}),
+        ],
+    )
+    def test_every_pair_of_worlds_matches_the_definition(
+        self, formulas, domains, defaults, mode
+    ):
+        scenario = make_scenario(formulas, domains, defaults, mode=mode)
+        model = scenario.model
+        worlds = list(enumerate_settings(model, model.variables))
+        flipped = {
+            OrderResult.GREATER_OR_EQUAL: OrderResult.LESS_OR_EQUAL,
+            OrderResult.LESS_OR_EQUAL: OrderResult.GREATER_OR_EQUAL,
+        }
+        seen = set()
+        for first, second in itertools.product(worlds, repeat=2):
+            found = compare(scenario, first, second)
+            assert found is defined_order(scenario, first, second), (first, second)
+            assert compare(scenario, second, first) is flipped.get(found, found)
+            seen.add(found)
+        assert seen == set(OrderResult)
+
+
+def defined_order(scenario, first, second):
+    """The order on two total assignments, read from its definition: a
+    variable is normal at its default (an initial variable, or any variable
+    in general mode) or where its equation gives its value, and otherwise
+    deviates with its value in its parents' context.  Two deviations compare
+    only when they are the same one."""
+    model = scenario.model
+
+    def deviation(var, world):
+        if scenario.mode == "general" or not model.parents(var):
+            if world[var] == scenario.defaults[var]:
+                return None
+            return world[var], ()
+        if model.equations[var].evaluate(world) == world[var]:
+            return None
+        return world[var], tuple(world[p] for p in sorted(model.parents(var)))
+
+    more = less = False
+    for var in model.variables:
+        mine, theirs = deviation(var, first), deviation(var, second)
+        if mine == theirs:
+            continue
+        if mine is not None and theirs is not None:
+            return OrderResult.INCOMPARABLE
+        more, less = more or mine is None, less or theirs is None
+    if more and less:
+        return OrderResult.INCOMPARABLE
+    if more:
+        return OrderResult.GREATER_OR_EQUAL
+    return OrderResult.LESS_OR_EQUAL if less else OrderResult.EQUAL
+
 
 class TestPlanAbnormality:
     """Hand-worked screen on e = a & ~d with a=1 (off default), d=0 (at
@@ -215,11 +280,12 @@ def ranked_pinnable(reduction, var, pin_rank):
         return list(values)
     actual = reduction.actual[var]
     default = reduction.scenario.defaults[var]
+    actual_rank = reduction.actual_ranks[var]
     return [
         value
         for value in values
-        if normality._component(pin_rank(value, actual, default), reduction.actual_ranks[var])
-        in ("eq", "gt")
+        if (pin := pin_rank(value, actual, default)) == actual_rank
+        or pin.level > actual_rank.level
     ]
 
 
@@ -322,7 +388,7 @@ class TestReduction:
                 for effect, pins in pin_sets(scenario):
                     removed = {
                         v: actual[v]
-                        for v in model.ancestors(pins) - set(pins)
+                        for v in frozenset().union(*map(model.ancestors, pins)) - set(pins)
                     }
                     reduced = reduced_model(model, removed)
                     reduction = Reduction(scenario, frozenset(pins))
