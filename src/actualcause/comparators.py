@@ -100,22 +100,25 @@ def hph_causes(scenario: Scenario, effect: Event) -> HPHResult:
     actual = scenario.actual()
     ancestors = sorted(model.ancestors(effect.var))
     contrastable = [v for v in ancestors if actual[v] != scenario.defaults[v]]
-    found: dict[frozenset[str], HPHWitness] = {}  # minimal contrast set -> witness
+    n = len(contrastable)
+    # each passing mask's contrast set and witness
+    found: dict[int, tuple[frozenset[str], HPHWitness]] = {}
 
-    def passes(mask: int) -> bool:
+    def test(mask: int) -> int | None:
+        # every prefix of a minimal contrast set fails, so growing a failing
+        # set only above its highest position reaches every one
         contrast_set = frozenset(v for i, v in enumerate(contrastable) if mask >> i & 1)
         if mask and (witness := _find_witness(scenario, contrast_set, effect)):
-            found[contrast_set] = witness
-        return contrast_set in found
+            found[mask] = contrast_set, witness
+            return None
+        return (1 << n) - (1 << mask.bit_length())
 
-    minimal_passing_sets(
-        len(contrastable),
-        passes,
-        lambda: f"contrast-set walk for {effect.render()}",
-        "contrast sets",
+    minimal = minimal_passing_sets(
+        n, test, lambda: f"contrast-set walk for {effect.render()}", "contrast sets"
     )
-    verdicts: dict[Event, HPHVerdict] = {}  # each event's first minimal set
-    for contrast_set, witness in found.items():
+    verdicts: dict[Event, HPHVerdict] = {}  # each event's first, by size then positions
+    for mask in minimal:
+        contrast_set, witness = found[mask]
         for var in sorted(contrast_set):
             event = Event(var, actual[var])
             verdicts.setdefault(event, HPHVerdict(event, contrast_set, witness))

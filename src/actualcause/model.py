@@ -418,11 +418,18 @@ class Scenario:
 def memoized(scenario: Scenario, compute: Callable[..., T], *args: Hashable) -> T:
     """`compute(scenario, *args)`, computed on the first call with these
     arguments and read from the scenario's memo afterwards.  Callers copy a
-    mutable result before handing it out."""
+    mutable result before handing it out.  A call that raises leaves the
+    memo as it found it, dropping what the calls inside it stored."""
     key = (compute, *args)
     memo = scenario._memo
     if key not in memo:
-        memo[key] = compute(scenario, *args)
+        size = len(memo)
+        try:
+            memo[key] = compute(scenario, *args)
+        except BaseException:
+            for stale in list(memo)[size:]:
+                del memo[stale]
+            raise
     return memo[key]
 
 
@@ -470,25 +477,37 @@ def check_search_size(size: int, space: Callable[[], str], unit: str) -> None:
 
 
 def minimal_passing_sets(
-    n: int, passes: Callable[[int], bool], space: Callable[[], str], unit: str
+    n: int, test: Callable[[int], int | None], space: Callable[[], str], unit: str
 ) -> list[int]:
-    """The inclusion-minimal masks over n positions that pass, tested by size
-    then positions.  The empty one is tested before 2**n is checked against
-    the cap.  Level k + 1 grows from level k's failing masks alone, by one bit
-    above each one's highest, skipping supersets of passing masks: a mask with
-    no passing subset has only failing prefixes, so every one is reached."""
-    found = [0] if passes(0) else []
+    """The inclusion-minimal masks over n positions that pass, sorted by size
+    then positions.  `test(mask)` returns None when the mask passes, and
+    otherwise positions outside it that every passing superset of it holds
+    one of.  Level k + 1 is every failing mask of level k grown by one of
+    its positions, deduplicated and tested in ascending mask order, with
+    supersets of passing masks skipped.  A minimal passing mask is reached:
+    each of its proper subsets fails and grows by one of its members.  The
+    empty mask is tested before 2**n is checked against the cap."""
+    first = test(0)
+    if first is None:
+        return [0]
     check_search_size(1 << n, space, unit)
-    level = [] if found else [0]
-    while level:
-        failing = []
+    found: list[int] = []
+    growing = {0: first}  # each failing mask of a level, and the positions it grows by
+    while growing:
+        level = sorted(
+            {failed | 1 << i for failed, by in growing.items() for i in range(n) if by >> i & 1}
+        )
+        growing = {}
         for mask in level:
-            for i in range(mask.bit_length(), n):
-                grown = mask | 1 << i
-                if all(small & ~grown for small in found):
-                    (found if passes(grown) else failing).append(grown)
-        level = failing
-    return found
+            if all(small & ~mask for small in found):
+                grow = test(mask)
+                if grow is None:
+                    found.append(mask)
+                else:
+                    growing[mask] = grow
+    return sorted(
+        found, key=lambda mask: (mask.bit_count(), [i for i in range(n) if mask >> i & 1])
+    )
 
 
 # no engine caller: perfbench's tracer wraps it by name, and tests enumerate with it

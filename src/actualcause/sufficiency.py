@@ -12,13 +12,14 @@ unless pinned, and a pinned non-parent constrains nothing the target reads,
 so a set is sufficient exactly when every row of the target's value table
 that keeps its pinned parents actual gives the target's value.  Those
 questions are read from the table (`_rows`) without a solve, and the minimal
-sufficient sets are the minimal robust parent sets, found by
-dualize-and-advance (`_robust_sets`).  Direct causes are those same sets,
-screened (`direct_cause_sets`), so a target asked both questions is searched
-once.  The other reliable-mode questions, where a pinned derived ancestor
-can break its equation, solve one world per background (`_falsifier`), and
-their minimal sets walk the ancestor subsets by size with
-`model.minimal_passing_sets`, growing only the sets that fail.
+sufficient sets are the minimal robust parent sets (`_robust_sets`).  Direct
+causes are those same sets, screened (`direct_cause_sets`), so a target
+asked both questions is searched once.  The other reliable-mode questions,
+where a pinned derived ancestor can break its equation, solve one world per
+background over the target's ancestors (`_falsifier`).  Both kernels answer
+a failing set with the first falsifying world they meet, and every minimal
+set search is one walk by size (`_walk` over `model.minimal_passing_sets`)
+that grows a failing set only by the candidates that world moves.
 
 Sufficient sets, direct causes and `is_sufficient` answers are memoized per
 scenario and arguments; each call returns a fresh copy.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from collections.abc import Callable, Iterable, Sequence
 
 from .model import (
@@ -43,8 +45,8 @@ from .model import (
 from .normality import plan_abnormality  # noqa: F401
 
 # `probe(mask)`: None when pinning the masked candidates at their actual
-# values forces the target, else what the first falsifying world refutes
-Probe = Callable[[int], object]
+# values forces the target, else the first falsifying world's (D(w), B(w))
+Probe = Callable[[int], tuple[int, int] | None]
 
 __all__ = [
     "NoParentsError",
@@ -69,32 +71,37 @@ def _monotone(scenario: Scenario, var: str) -> bool:
 
 
 def _rows(scenario: Scenario, target: Event) -> tuple[tuple[str, ...], Probe]:
-    """The target's sorted parents and `probe(mask)` over them, read from
-    the target's value table with every unmasked parent roaming.  Each
-    parent's row offsets (its code weight times each value's position) and
-    its actual offset are computed once.  A probe adds the masked parents'
-    actual offsets, walks the other parents' offsets with the parents in
-    declaration order and each one's values in domain order, and reads the
-    table at each code.  It returns D(w) for the first row that misses the
-    target, the parents it sets off their actual values, or None.  While the
+    """The target's candidates, its sorted parents with more than one
+    value, and `probe(mask)` over them, read from the target's value table
+    with every unmasked parent roaming.  Each parent's row offsets (its code
+    weight times each value's position) and its actual offset are computed
+    once.  A probe adds the masked candidates' actual offsets, walks the
+    other candidates' offsets with the parents in declaration order and each
+    one's values in domain order, and reads the table at each code.  It
+    returns (D(w), 0) for the first row w that misses the target, D(w) being
+    the candidates it sets off their actual values, or None.  While the
     target's value is actual, the all-actual row gives it, so it is skipped
-    unread.  The table has at most ENUMERATION_CAP rows, so no probe is
-    checked against the cap."""
+    unread.  A one-value parent's only offset is 0 and it is in no D(w), so
+    it is left out: every candidate doubles the table's rows at least, and
+    as the table has at most ENUMERATION_CAP rows, no search over the
+    candidates is past the cap."""
     model = scenario.model
     slots, table = model.table(target.var)
-    parents = model.parent_tuple(target.var)
+    candidates: list[str] = []
     offsets: list[range] = []
+    actual: list[int] = []
     weight = 1
-    for _, _, radix in reversed(slots):
-        offsets.append(range(0, radix * weight, weight))
+    for parent, index, radix in reversed(slots):
+        if radix > 1:
+            candidates.insert(0, parent)
+            offsets.insert(0, range(0, radix * weight, weight))
+            actual.insert(0, offsets[0][index[scenario.actual_value(parent)]])
         weight *= radix
-    offsets.reverse()
-    actual = [offsets[i][index[scenario.actual_value(p)]] for i, (p, index, _) in enumerate(slots)]
-    declared = sorted(range(len(parents)), key=lambda i: model.variables.index(parents[i]))
+    declared = sorted(range(len(candidates)), key=lambda i: model.variables.index(candidates[i]))
     skip = sum(actual) if scenario.actual_value(target.var) == target.value else -1
     value = target.value
 
-    def probe(mask: int) -> int | None:
+    def probe(mask: int) -> tuple[int, int] | None:
         base = 0
         free = []
         for i in declared:
@@ -105,10 +112,10 @@ def _rows(scenario: Scenario, target: Event) -> tuple[tuple[str, ...], Probe]:
         for row in itertools.product(*[offsets[i] for i in free]):
             code = base + sum(row)
             if code != skip and table[code] != value:
-                return sum(1 << i for i, offset in zip(free, row) if offset != actual[i])
+                return sum(1 << i for i, offset in zip(free, row) if offset != actual[i]), 0
         return None
 
-    return parents, probe
+    return tuple(candidates), probe
 
 
 def _falsifier(scenario: Scenario, target: Event, candidates: Sequence[str]) -> Probe:
@@ -123,6 +130,7 @@ def _falsifier(scenario: Scenario, target: Event, candidates: Sequence[str]) -> 
     model = scenario.model
     actual = scenario.actual()
     roams = scenario.roaming_vars(frozenset(), target.var)
+    this = weakref.proxy(scenario)  # weak, as the scenario's memo holds `falsify`
     position = {v: i for i, v in enumerate(candidates)}
     roaming = [
         (position[v], v, model.domains[v].values)
@@ -143,7 +151,7 @@ def _falsifier(scenario: Scenario, target: Event, candidates: Sequence[str]) -> 
         for background in itertools.product(*pools):
             if background != skip:
                 pins.update(zip(names, background))
-                world = solve(scenario, pins)
+                world = solve(this, pins)
                 if world[target.var] != target.value:
                     differs = sum(
                         1 << i for i, v in enumerate(candidates) if world[v] != actual[v]
@@ -160,9 +168,8 @@ def _falsifier(scenario: Scenario, target: Event, candidates: Sequence[str]) -> 
 
 
 def _effect_probe(scenario: Scenario, effect: Event) -> tuple[Sequence[str], Probe]:
-    """The effect's candidates and their probe: its parents and `_rows`
-    where sufficiency is monotone, else its sorted ancestors and
-    `_falsifier`."""
+    """The effect's candidates and their probe: `_rows` where sufficiency
+    is monotone, else its sorted ancestors and `_falsifier`."""
     if _monotone(scenario, effect.var):
         return memoized(scenario, _rows, effect)
     candidates = sorted(scenario.model.ancestors(effect.var))
@@ -205,128 +212,66 @@ def minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozenset
     """All inclusion-minimal sufficient sets of actual events, ordered by
     size then variable tuple.
 
-    Where sufficiency is monotone only the effect's parents are candidates:
-    every other variable is pinned or roams without changing a row the
-    effect reads.  Otherwise only its ancestors are: the effect's value
-    depends on its ancestors alone, so adding a non-ancestor to a set never
-    changes whether it is sufficient.
+    Where sufficiency is monotone only the effect's parents with more than
+    one value are candidates: every other variable is pinned or roams
+    without changing a row the effect reads.  Otherwise only its ancestors
+    are: the effect's value depends on its ancestors alone, so adding a
+    non-ancestor to a set never changes whether it is sufficient.
     """
     return list(memoized(scenario, _minimal_sufficient_sets, effect))
 
 
 def _minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozenset[Event]]:
-    """Candidate sets are bitmasks over the sorted candidates.  Each
-    falsifying world w met is kept as D(w), the candidates where w differs
-    from the actual world, and, in the walk, B(w), the derived candidates
-    that break their equation in w.  A set S with D(w) & S == 0 and
-    B(w) & ~S == 0 is insufficient: pinning S at its actual values and
-    setting its roaming ancestors as in w reproduces w on every ancestor, so
-    the effect misses its value again.
-
-    Where sufficiency is monotone the candidates are the effect's parents,
-    every unpinned one roams, and B(w) is always 0: S is insufficient
-    exactly when it misses D(w) for some falsifying world w, so the minimal
-    sufficient sets are the minimal transversals of the D family
-    (`_robust_sets`).  Other reliable-mode candidate sets, where a pinned
-    derived candidate can break its equation, keep the walk (`_walk`).  The
-    walk tests the empty set first: it roams widest, so it raises
-    SearchTooLargeError if any set would.  It then checks its 2**n
-    candidate masks against the cap too, though it builds few of them.
-    """
-    model = scenario.model
-    model.check_value(effect.var, effect.value)
+    """The walk over the effect's candidates and probe (`_effect_probe`);
+    where sufficiency is monotone, the one that direct causes share
+    (`_robust_sets`).  The empty set roams widest, so a background past the
+    cap raises for it first."""
+    scenario.model.check_value(effect.var, effect.value)
+    candidates, probe = memoized(scenario, _effect_probe, effect)
     if _monotone(scenario, effect.var):
-        return _event_sets(
-            scenario, model.parent_tuple(effect.var), memoized(scenario, _robust_sets, effect)
-        )
-    candidates = sorted(model.ancestors(effect.var))
-    found = _walk(effect, len(candidates), _falsifier(scenario, effect, candidates))
+        found = memoized(scenario, _robust_sets, effect)
+    else:
+        found = _walk(effect, len(candidates), probe)
     return _event_sets(scenario, candidates, found)
 
 
 def _robust_sets(scenario: Scenario, target: Event) -> list[int]:
     """The minimal robust parent sets of the target, as masks over its
-    sorted parents, in the walk's order: the minimal sets that hold the
-    target's value on every table row that keeps them actual."""
-    parents, probe = memoized(scenario, _rows, target)
-    return _transversal_search(probe, len(parents))
-
-
-class _WalkKeys(dict):
-    """The walk's order over n positions, size then the tuple of positions,
-    as one int per mask, computed once: the size above the complement of the
-    n-bit reversal, where a lower first differing position sets a higher
-    reversed bit."""
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-
-    def __missing__(self, mask: int) -> int:
-        n = self.n
-        key = self[mask] = mask.bit_count() << n | (1 << n) - 1 ^ int(f"{mask:0{n}b}"[::-1], 2)
-        return key
-
-
-def _transversal_search(probe: Probe, n: int) -> list[int]:
-    """Dualize and advance over n candidates: keep the minimal transversals
-    of the D masks met so far and test the untested ones in the walk's
-    order.  A passing transversal is a minimal sufficient set, since each of
-    its proper subsets misses some D(w).  A falsifying world adds its D(w);
-    the search stops when every transversal passes, so every minimal
-    sufficient set, being a transversal of the final family that contains
-    some passing one, is one of them.  The walk tests exactly the same sets
-    in the same order.  An empty D(w) (the target misses its value with
-    every candidate actual) leaves no transversal, and the answer is []."""
-    transversals = [0]  # in the walk's order
-    passing: set[int] = set()
-    keys = _WalkKeys(n)
-    while True:
-        mask = next((t for t in transversals if t not in passing), None)
-        if mask is None:
-            return transversals
-        edge = probe(mask)
-        if edge is None:
-            passing.add(mask)
-        else:
-            transversals = sorted(_add_edge(transversals, edge), key=keys.__getitem__)
-
-
-def _add_edge(transversals: list[int], edge: int) -> list[int]:
-    """The minimal transversals once `edge` joins the family (Berge): those
-    that meet it stay, and each other one grows by one bit of it.  A grown
-    set is not minimal exactly when it contains one that stayed; two grown
-    sets never contain one another, as neither old set meets the edge."""
-    meeting = [t for t in transversals if t & edge]
-    grown = []
-    for t in transversals:
-        if t & edge:
-            continue
-        rest = edge
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if all(m & ~(t | low) for m in meeting):
-                grown.append(t | low)
-    return meeting + grown
+    `_rows` candidates, by size then positions: the minimal sets that hold
+    the target's value on every table row that keeps them actual."""
+    candidates, probe = memoized(scenario, _rows, target)
+    return _walk(target, len(candidates), probe)
 
 
 def _walk(effect: Event, n: int, falsify: Probe) -> list[int]:
-    """The walk (`minimal_passing_sets`); a set a stored world refutes fails
-    untested.  Only a pin can break its equation, and only a derived one: an
-    initial variable's actual value is its equation's."""
+    """The minimal sufficient masks over n candidates, by size then
+    positions (`minimal_passing_sets`).  Each falsifying world w met is kept
+    as D(w), the candidates where w differs from the actual world, and B(w),
+    the pinned derived candidates that break their equation in w.  A set S
+    with D(w) & S == 0 and B(w) & ~S == 0 is insufficient: pinning S at its
+    actual values and setting its roaming ancestors as in w reproduces w on
+    every ancestor, so the effect misses its value again.  A set a stored
+    world refutes fails untested.  A failing set holds B(w), so a sufficient
+    superset of it must meet D(w), and the set grows by D(w) alone.  Only a
+    pin can break its equation, and only a derived one: an initial
+    variable's actual value is its equation's, and in a table read every
+    parent roams or sits at its actual value, so B(w) is 0.  An empty D(w)
+    (the effect misses its value with every candidate actual) leaves
+    nothing to grow, and the answer is []."""
     refuting: list[tuple[int, int]] = []
 
-    def passes(mask: int) -> bool:
-        if any(differs & mask == 0 and broken & ~mask == 0 for differs, broken in refuting):
-            return False
+    def test(mask: int) -> int | None:
+        for differs, broken in refuting:
+            if differs & mask == 0 and broken & ~mask == 0:
+                return differs
         refutation = falsify(mask)
         if refutation is None:
-            return True
+            return None
         refuting.append(refutation)
-        return False
+        return refutation[0]
 
     return minimal_passing_sets(
-        n, passes, lambda: f"sufficient-set walk for {effect.render()}", "candidate sets"
+        n, test, lambda: f"sufficient-set walk for {effect.render()}", "candidate sets"
     )
 
 
@@ -351,16 +296,16 @@ def _direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Even
     scenario.check_actual(target, "target")
     if model.is_initial(target.var):
         raise NoParentsError(f"{target.var!r} has no parents")
-    parents = model.parent_tuple(target.var)
+    candidates = memoized(scenario, _rows, target)[0]
     found = memoized(scenario, _robust_sets, target)
     off_default = sum(
         1 << i
-        for i, v in enumerate(parents)
+        for i, v in enumerate(candidates)
         if scenario.defaults[v] != scenario.actual_value(v)
     )
     if any(not mask & off_default for mask in found):
         return []
-    return _event_sets(scenario, parents, found)
+    return _event_sets(scenario, candidates, found)
 
 
 def direct_cause_parents(scenario: Scenario, var: str) -> frozenset[str]:

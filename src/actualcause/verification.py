@@ -150,8 +150,8 @@ def _oracle_section(models: int, seed: int, max_vars: int) -> Section:
 
 def _general_sufficiency_section(models: int, seed: int, max_vars: int) -> Section:
     # The section above runs in reliable mode, where a top-level effect
-    # mostly has derived ancestors and so takes the walk; in general mode
-    # every query takes the transversal search.
+    # mostly has derived ancestors and so solves worlds; in general mode
+    # every query reads the effect's value table.
     section = Section("engine vs oracle (sufficient sets, general mode)")
     for index, scenario in scenario_stream(seed + 404, models, max_vars, mode="general"):
         effect = random_effect(scenario)

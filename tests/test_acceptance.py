@@ -9,6 +9,7 @@ expected to fail with the counterexamples in its message — see the README.
 
 from __future__ import annotations
 
+import importlib.util
 import time
 from pathlib import Path
 
@@ -34,6 +35,14 @@ RAW_MISMATCH_IDS = {
 ADJUSTED_MISMATCH_IDS = {"21", "22", "28", "29", "33", "43", "52", "53", "62"}
 GOLDEN = Path(__file__).resolve().parent / "data"
 BENCH_FORMATS = ("plain", "json", "csv", "md")
+GOLDEN_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "golden.py"
+
+
+def golden_script():
+    spec = importlib.util.spec_from_file_location("golden", GOLDEN_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -257,11 +266,14 @@ def test_criterion_8_serialization_identity(verify_run, corpus_path):
 
 
 def test_criterion_9_outputs_match_the_golden_files(bench_run, verify_run):
-    # The bench report in every format and the 1000-model verification
-    # report stay byte-identical unless a change means to alter them; then
-    # scripts/golden.py rewrites tests/data.
+    # The bench report in every format, the 1000-model verification report
+    # and `check --definition all --verbose` on every corpus case stay
+    # byte-identical unless a change means to alter them; then
+    # scripts/golden.py rewrites tests/data.  The check output pins the
+    # order of each case's verdicts, which the bench report does not show.
     outputs = {f"bench.{fmt}": render_report(bench_run[0], fmt) for fmt in BENCH_FORMATS}
     outputs["verify.txt"] = verify_run[0].render()
+    outputs["check.txt"] = golden_script().check_report()
     changed = [
         name
         for name, text in outputs.items()

@@ -64,6 +64,21 @@ def test_oracle_imports_only_expr_and_model():
     assert import_graph()["oracle"] <= {"expr", "model"}
 
 
+def test_oracle_takes_only_the_model_types():
+    # not `minimal_passing_sets`, `solve`, `memoized` or `check_search_size`:
+    # the oracle searches and solves on its own
+    tree = ast.parse((PACKAGE_DIR / "oracle.py").read_text())
+    from_model = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level == 1 and node.module == "model" or node.module == "actualcause.model")
+        for alias in node.names
+    }
+    assert "Model" in from_model  # the check does see the import
+    assert from_model <= {"Event", "Model", "Scenario"}
+
+
 def _private_reads(path: Path) -> set[str]:
     """Each `obj._name` read in the module where obj is not self or cls;
     dunders are public protocol, not private state."""

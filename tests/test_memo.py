@@ -11,7 +11,9 @@ against brute-force chain enumeration.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -34,6 +36,7 @@ from actualcause import (
     hph_causes,
     intentional_causes,
     interpolate,
+    is_sufficient,
     minimal_sufficient_sets,
     parse_case,
     plan_abnormality,
@@ -135,6 +138,22 @@ def test_memo_keys_hold_every_argument():
     with pytest.raises(SearchTooLargeError):
         minimal_sufficient_sets(wide, Event("e", 1))
     assert wide._memo == {}
+
+
+def test_a_scenario_is_freed_without_the_cycle_collector():
+    # The memo keeps each search's kernel, so no kernel may hold its
+    # scenario strongly; e has a derived parent, so its kernel solves worlds.
+    gc.disable()
+    try:
+        scenario = make_scenario("a=1; b=a; e=b & a")
+        effect = Event("e", 1)
+        assert is_sufficient(scenario, {Event("a", 1)}, effect)
+        assert minimal_sufficient_sets(scenario, effect)
+        freed = weakref.ref(scenario)
+        del scenario
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -497,14 +497,38 @@ def combinations_walk(n, passes):
     return found
 
 
-def recorded(passes):
+def recorded(test):
     calls = []
 
     def recording(mask):
         calls.append(mask)
-        return passes(mask)
+        return test(mask)
 
     return recording, calls
+
+
+def above_highest(n, passes):
+    """A test that grows a failing mask by every position above its highest:
+    every prefix of a minimal passing mask fails, so this reaches all of
+    them, whatever the family."""
+    return lambda mask: None if passes(mask) else (1 << n) - (1 << mask.bit_length())
+
+
+def outside_a_maximal_failing_superset(n, passes, order):
+    """A test for a superset-closed family: a failing mask grows by the
+    positions outside a maximal failing superset of it, found by adding the
+    positions in `order` that keep it failing.  A passing superset of the
+    mask is no subset of that failing one, so it holds one of them."""
+
+    def test(mask):
+        if passes(mask):
+            return None
+        for i in order:
+            if not passes(mask | 1 << i):
+                mask |= 1 << i
+        return (1 << n) - 1 & ~mask
+
+    return test
 
 
 FAMILIES = st.integers(0, 8).flatmap(
@@ -512,10 +536,17 @@ FAMILIES = st.integers(0, 8).flatmap(
 )
 
 
+def walk_order(mask):
+    # by size, then ascending mask within a level
+    return mask.bit_count(), mask
+
+
 class TestMinimalPassingSets:
     @settings(max_examples=300, deadline=None)
     @given(FAMILIES, st.booleans())
     def test_tests_what_a_combinations_walk_tests(self, family, closed):
+        # growing above the highest position tests the same masks as the
+        # combinations walk, each level in ascending mask order
         n, members = family
         if closed:
             # superset-closed: a mask passes when it contains a member
@@ -525,16 +556,35 @@ class TestMinimalPassingSets:
             def passes(mask):
                 return mask in members
 
-        helper, helper_calls = recorded(passes)
+        helper, helper_calls = recorded(above_highest(n, passes))
         plain, plain_calls = recorded(passes)
         found = minimal_passing_sets(n, helper, lambda: "test walk", "masks")
         assert found == combinations_walk(n, plain)
-        assert helper_calls == plain_calls
+        assert helper_calls == sorted(plain_calls, key=walk_order)
+
+    @settings(max_examples=300, deadline=None)
+    @given(FAMILIES, st.booleans())
+    def test_growing_by_what_a_passing_superset_must_hold(self, family, reverse):
+        # for a superset-closed family, growing a failing mask only by the
+        # positions outside a maximal failing superset finds the same masks
+        # and tests none that the combinations walk does not
+        n, members = family
+
+        def passes(mask):
+            return any(m & ~mask == 0 for m in members)
+
+        order = range(n)[::-1] if reverse else range(n)
+        helper, helper_calls = recorded(outside_a_maximal_failing_superset(n, passes, order))
+        plain, plain_calls = recorded(passes)
+        found = minimal_passing_sets(n, helper, lambda: "test walk", "masks")
+        assert found == combinations_walk(n, plain)
+        assert set(helper_calls) <= set(plain_calls)
+        assert helper_calls == sorted(helper_calls, key=walk_order)
 
     def test_singletons_pass_after_n_plus_one_tests(self):
         # at the real cap: 2**20 masks, of which only 21 are built
-        passes, calls = recorded(lambda mask: mask.bit_count() == 1)
-        found = minimal_passing_sets(20, passes, lambda: "test walk", "masks")
+        test, calls = recorded(above_highest(20, lambda mask: mask.bit_count() == 1))
+        found = minimal_passing_sets(20, test, lambda: "test walk", "masks")
         assert found == [1 << i for i in range(20)]
         assert len(calls) == 21
 
@@ -542,7 +592,7 @@ class TestMinimalPassingSets:
         from actualcause import SearchTooLargeError
 
         monkeypatch.setattr("actualcause.model.ENUMERATION_CAP", 1 << 3)
-        passes, calls = recorded(lambda mask: False)
+        test, calls = recorded(above_highest(4, lambda mask: False))
         with pytest.raises(SearchTooLargeError, match=r"^test walk has 16 masks, cap 8$"):
-            minimal_passing_sets(4, passes, lambda: "test walk", "masks")
+            minimal_passing_sets(4, test, lambda: "test walk", "masks")
         assert calls == [0]

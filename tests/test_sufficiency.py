@@ -397,8 +397,8 @@ class TestFalsifyingWorldReuse:
         # effects are covered; domains up to {0, 1, 2}.  The reliable stream
         # holds a target whose answer changes if a broken equation is
         # ignored.  In reliable mode the 852 queries whose ancestors are all
-        # initial take the transversal search and the rest take the walk.
-        searched = counting_calls(monkeypatch, sufficiency, "_transversal_search")
+        # initial read the table (`_robust_sets`) and the rest solve worlds.
+        searched = counting_calls(monkeypatch, sufficiency, "_robust_sets")
         queries = 0
         for index, scenario in scenario_stream(seed=4, count=100, max_vars=8, mode=mode):
             for var in scenario.model.variables:
@@ -453,38 +453,21 @@ class TestFalsifyingWorldReuse:
 
 class TestTransversalSearch:
     """Where sufficiency is monotone, the minimal sufficient sets are the
-    minimal transversals of the falsifying worlds' D masks."""
-
-    def test_walk_key_orders_by_size_then_positions(self):
-        def walk_order(mask):  # the order as a (size, positions) pair
-            return mask.bit_count(), [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-        for n in range(11):
-            masks = list(range(1 << n))
-            keys = sufficiency._WalkKeys(n)
-            assert sorted(masks, key=keys.__getitem__) == sorted(masks, key=walk_order)
-            assert len(keys) == 1 << n
-
-    def test_add_edge(self):
-        # Transversals of {a, b}, then of {a, b} and {c, d} (bit 0 is a);
-        # an empty edge leaves none.
-        first = sufficiency._add_edge([0], 0b0011)
-        assert first == [0b0001, 0b0010]
-        assert sufficiency._add_edge(first, 0b1100) == [0b0101, 0b1001, 0b0110, 0b1010]
-        assert sufficiency._add_edge(first, 0b0110) == [0b0010, 0b0101]
-        assert sufficiency._add_edge(first, 0) == []
+    minimal transversals of the falsifying worlds' D masks, and the walk
+    grows each failing set by its D mask alone."""
 
     @pytest.mark.parametrize("mode", ["reliable", "general"])
     def test_two_disjunctions(self, mode, monkeypatch):
-        # The empty set, then {a}, {b}, {c} and {d}, each fail with every
-        # other variable at 0, adding the D masks {a,b,c,d}, {b,c,d},
-        # {a,c,d}, {a,b,d} and {a,b,c}; their transversals are the six pairs.
-        # {a,b} and {c,d} fail next, adding {c,d} and {a,b}, whose minimal
-        # transversals are the four pairs below, and each passes.
+        # The empty set fails with every variable at 0, adding the D mask
+        # {a,b,c,d}, so level 1 is {a}, {b}, {c} and {d}.  Each fails with
+        # every other variable at 0, adding {b,c,d}, {a,c,d}, {a,b,d} and
+        # {a,b,c}, which grow them to the six pairs.  {a,b} and {c,d} fail,
+        # adding {c,d} and {a,b}, and the four pairs below pass, so every
+        # set the two failing pairs grow to holds a passing pair.
         work = counting_work(monkeypatch)
         scenario = make_scenario("a=1; b=1; c=1; d=1; e=(a|b)&(c|d)", mode=mode)
         effect = Event("e", 1)
-        searched = counting_calls(monkeypatch, sufficiency, "_transversal_search")
+        searched = counting_calls(monkeypatch, sufficiency, "_robust_sets")
         sets = minimal_sufficient_sets(scenario, effect)
         assert var_sets(sets) == [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]]
         assert len(searched) == 1
@@ -496,8 +479,8 @@ class TestTransversalSearch:
     def test_one_search_answers_both_questions(self, monkeypatch):
         # c's parents are initial, so its minimal sufficient sets are its
         # minimal robust parent sets, and its direct causes screen the same
-        # search.  e has a derived parent: its sufficient sets take the walk.
-        searched = counting_calls(monkeypatch, sufficiency, "_transversal_search")
+        # search.  e has a derived parent: its sufficient sets solve worlds.
+        searched = counting_calls(monkeypatch, sufficiency, "_robust_sets")
         scenario = make_scenario("a=1; b=1; c=a | b; e=c & a")
         target = Event("c", 1)
         assert var_sets(minimal_sufficient_sets(scenario, target)) == [["a"], ["b"]]
@@ -550,6 +533,22 @@ class TestWalkBound:
         assert var_sets(sets) == [[v] for v in sorted(f"x{i}" for i in range(20))]
         assert len(tested) == 21
         assert len(solved) == 20
+
+    def test_a_table_read_never_reaches_the_cap(self):
+        # e has 21 parents, but z has one value, so it is in no D(w) and no
+        # candidate: the 20 others span the table's 2**20 rows, and their
+        # 2**20 masks are within the cap.
+        formulas = "; ".join(
+            [f"x{i}=0" for i in range(20)]
+            + ["z=0", "e=~(" + " | ".join(f"x{i}" for i in range(20)) + " | z)"]
+        )
+        scenario = make_scenario(formulas, domains={"z": (0,)}, mode="general")
+        effect = Event("e", 1)
+        xs = sorted(f"x{i}" for i in range(20))
+        assert var_sets(minimal_sufficient_sets(scenario, effect)) == [xs]
+        # every parent sits at its default, so the screen passes no set
+        assert direct_cause_sets(scenario, effect) == []
+        assert is_sufficient(scenario, plan_of(*(Event(x, 0) for x in xs)), effect)
 
     def test_a_wide_background_keeps_its_message(self):
         # The empty set's background is checked before the walk's masks.
