@@ -481,12 +481,15 @@ def minimal_passing_sets(
 ) -> list[int]:
     """The inclusion-minimal masks over n positions that pass, sorted by size
     then positions.  `test(mask)` returns None when the mask passes, and
-    otherwise positions outside it that every passing superset of it holds
-    one of.  Level k + 1 is every failing mask of level k grown by one of
-    its positions, deduplicated and tested in ascending mask order, with
-    supersets of passing masks skipped.  A minimal passing mask is reached:
-    each of its proper subsets fails and grows by one of its members.  The
-    empty mask is tested before 2**n is checked against the cap."""
+    otherwise the positions outside it to grow it by.  Level k + 1 is every
+    failing mask of level k grown by one of its positions, deduplicated and
+    tested in ascending mask order, with supersets of passing masks skipped.
+    Every minimal passing mask must be reached from the empty mask through
+    failing masks, each grown by a position its test returned: sufficiency
+    returns D(w), which every sufficient superset of the mask meets, and
+    the comparator every position above the mask's highest, as a minimal
+    contrast set's prefixes all fail.  The empty mask is tested before 2**n
+    is checked against the cap."""
     first = test(0)
     if first is None:
         return [0]

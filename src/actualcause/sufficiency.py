@@ -11,15 +11,16 @@ parent of the target is initial (`_monotone`).  Then every parent roams
 unless pinned, and a pinned non-parent constrains nothing the target reads,
 so a set is sufficient exactly when every row of the target's value table
 that keeps its pinned parents actual gives the target's value.  Those
-questions are read from the table (`_rows`) without a solve, and the minimal
-sufficient sets are the minimal robust parent sets (`_robust_sets`).  Direct
-causes are those same sets, screened (`direct_cause_sets`), so a target
-asked both questions is searched once.  The other reliable-mode questions,
-where a pinned derived ancestor can break its equation, solve one world per
-background over the target's ancestors (`_falsifier`).  Both kernels answer
-a failing set with the first falsifying world they meet, and every minimal
-set search is one walk by size (`_walk` over `model.minimal_passing_sets`)
-that grows a failing set only by the candidates that world moves.
+questions are read from the table (`_rows`) without a solve.  The other
+reliable-mode questions, where a pinned derived ancestor can break its
+equation, solve one world per background over the target's ancestors
+(`_falsifier`).  `_probe` picks one of the two kernels, keyed by target
+and kernel, and both answer a failing set with the first falsifying world
+they meet.  `_sets` is the one minimal-set search: a walk by size over
+`model.minimal_passing_sets` that grows a failing set only by the
+candidates that world moves.  Direct causes are the table kernel's sets,
+screened (`direct_cause_sets`), so a monotone target asked both questions
+is searched once.
 
 Sufficient sets, direct causes and `is_sufficient` answers are memoized per
 scenario and arguments; each call returns a fresh copy.
@@ -123,7 +124,7 @@ def _falsifier(scenario: Scenario, target: Event, candidates: Sequence[str]) -> 
     with a derived parent: it pins the masked candidates at their actual
     values, tries the other initial candidates in the order of
     `enumerate_settings`, and solves the world each background gives.  It
-    returns the first falsifying world's (D(w), B(w)) (see `_walk`), or
+    returns the first falsifying world's (D(w), B(w)) (see `_sets`), or
     None.  While the target's value is actual, the background that keeps
     every roaming candidate actual reproduces the actual world, so it is
     skipped unsolved."""
@@ -167,25 +168,13 @@ def _falsifier(scenario: Scenario, target: Event, candidates: Sequence[str]) -> 
     return falsify
 
 
-def _effect_probe(scenario: Scenario, effect: Event) -> tuple[Sequence[str], Probe]:
-    """The effect's candidates and their probe: `_rows` where sufficiency
-    is monotone, else its sorted ancestors and `_falsifier`."""
-    if _monotone(scenario, effect.var):
-        return memoized(scenario, _rows, effect)
-    candidates = sorted(scenario.model.ancestors(effect.var))
-    return candidates, _falsifier(scenario, effect, candidates)
-
-
-def _event_sets(
-    scenario: Scenario, candidates: Sequence[str], masks: Iterable[int]
-) -> list[frozenset[Event]]:
-    """Each mask's candidates, at their actual values."""
-    return [
-        frozenset(
-            Event(v, scenario.actual_value(v)) for i, v in enumerate(candidates) if mask >> i & 1
-        )
-        for mask in masks
-    ]
+def _probe(scenario: Scenario, target: Event, table: bool) -> tuple[Sequence[str], Probe]:
+    """The target's candidates and their probe: `_rows` when `table` is
+    true, else its sorted ancestors and `_falsifier`."""
+    if table:
+        return _rows(scenario, target)
+    candidates = sorted(scenario.model.ancestors(target.var))
+    return candidates, _falsifier(scenario, target, candidates)
 
 
 def is_sufficient(scenario: Scenario, events: Iterable[Event], effect: Event) -> bool:
@@ -204,7 +193,7 @@ def is_sufficient(scenario: Scenario, events: Iterable[Event], effect: Event) ->
 
 
 def _is_sufficient(scenario: Scenario, pinned: frozenset[str], effect: Event) -> bool:
-    candidates, probe = memoized(scenario, _effect_probe, effect)
+    candidates, probe = memoized(scenario, _probe, effect, _monotone(scenario, effect.var))
     return probe(sum(1 << i for i, v in enumerate(candidates) if v in pinned)) is None
 
 
@@ -218,46 +207,31 @@ def minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozenset
     are: the effect's value depends on its ancestors alone, so adding a
     non-ancestor to a set never changes whether it is sufficient.
     """
-    return list(memoized(scenario, _minimal_sufficient_sets, effect))
-
-
-def _minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozenset[Event]]:
-    """The walk over the effect's candidates and probe (`_effect_probe`);
-    where sufficiency is monotone, the one that direct causes share
-    (`_robust_sets`).  The empty set roams widest, so a background past the
-    cap raises for it first."""
     scenario.model.check_value(effect.var, effect.value)
-    candidates, probe = memoized(scenario, _effect_probe, effect)
-    if _monotone(scenario, effect.var):
-        found = memoized(scenario, _robust_sets, effect)
-    else:
-        found = _walk(effect, len(candidates), probe)
-    return _event_sets(scenario, candidates, found)
+    return list(memoized(scenario, _sets, effect, _monotone(scenario, effect.var)))
 
 
-def _robust_sets(scenario: Scenario, target: Event) -> list[int]:
-    """The minimal robust parent sets of the target, as masks over its
-    `_rows` candidates, by size then positions: the minimal sets that hold
-    the target's value on every table row that keeps them actual."""
-    candidates, probe = memoized(scenario, _rows, target)
-    return _walk(target, len(candidates), probe)
+def _sets(scenario: Scenario, target: Event, table: bool) -> list[frozenset[Event]]:
+    """The minimal sets of candidates (`_probe`) that force the target when
+    pinned at their actual values, by size then positions
+    (`minimal_passing_sets`).  With `table` true they are the minimal robust
+    parent sets, which minimal sufficient sets and direct causes share.
 
-
-def _walk(effect: Event, n: int, falsify: Probe) -> list[int]:
-    """The minimal sufficient masks over n candidates, by size then
-    positions (`minimal_passing_sets`).  Each falsifying world w met is kept
-    as D(w), the candidates where w differs from the actual world, and B(w),
-    the pinned derived candidates that break their equation in w.  A set S
-    with D(w) & S == 0 and B(w) & ~S == 0 is insufficient: pinning S at its
-    actual values and setting its roaming ancestors as in w reproduces w on
-    every ancestor, so the effect misses its value again.  A set a stored
-    world refutes fails untested.  A failing set holds B(w), so a sufficient
-    superset of it must meet D(w), and the set grows by D(w) alone.  Only a
-    pin can break its equation, and only a derived one: an initial
-    variable's actual value is its equation's, and in a table read every
-    parent roams or sits at its actual value, so B(w) is 0.  An empty D(w)
-    (the effect misses its value with every candidate actual) leaves
-    nothing to grow, and the answer is []."""
+    Each falsifying world w met is kept as D(w), the candidates where w
+    differs from the actual world, and B(w), the pinned derived candidates
+    that break their equation in w.  A set S with D(w) & S == 0 and
+    B(w) & ~S == 0 is insufficient: pinning S at its actual values and
+    setting its roaming ancestors as in w reproduces w on every ancestor, so
+    the target misses its value again.  A set a stored world refutes fails
+    untested.  A failing set holds B(w), so a sufficient superset of it must
+    meet D(w), and the set grows by D(w) alone.  Only a pin can break its
+    equation, and only a derived one: an initial variable's actual value is
+    its equation's, and in a table read every parent roams or sits at its
+    actual value, so B(w) is 0.  An empty D(w) (the target misses its value
+    with every candidate actual) leaves nothing to grow, and the answer is
+    [].  The empty set roams widest, so a background past the cap raises for
+    it first."""
+    candidates, falsify = memoized(scenario, _probe, target, table)
     refuting: list[tuple[int, int]] = []
 
     def test(mask: int) -> int | None:
@@ -270,16 +244,20 @@ def _walk(effect: Event, n: int, falsify: Probe) -> list[int]:
         refuting.append(refutation)
         return refutation[0]
 
-    return minimal_passing_sets(
-        n, test, lambda: f"sufficient-set walk for {effect.render()}", "candidate sets"
+    events = [Event(v, scenario.actual_value(v)) for v in candidates]
+    masks = minimal_passing_sets(
+        len(events), test, lambda: f"sufficient-set walk for {target.render()}", "candidate sets"
     )
+    return [frozenset(ev for i, ev in enumerate(events) if mask >> i & 1) for mask in masks]
 
 
 def direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Event]]:
     """Minimal robust parent sets of the target that pass the abnormality
     screen, in canonical order.  A parent set is robust when every row of the
     target's value table that keeps it at its actual values gives the
-    target's value (`_robust_sets`); no model is built.
+    target's value: the sets are `_sets` over the table's probe (`_probe`
+    with `table` true), which a monotone target's minimal sufficient sets
+    share; no model is built.
 
     The screen wants a world that moves some members and misses the target
     no less normally than actuality.  Such a world pins every parent, so only
@@ -292,20 +270,13 @@ def direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Event
 
 
 def _direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Event]]:
-    model = scenario.model
     scenario.check_actual(target, "target")
-    if model.is_initial(target.var):
+    if scenario.model.is_initial(target.var):
         raise NoParentsError(f"{target.var!r} has no parents")
-    candidates = memoized(scenario, _rows, target)[0]
-    found = memoized(scenario, _robust_sets, target)
-    off_default = sum(
-        1 << i
-        for i, v in enumerate(candidates)
-        if scenario.defaults[v] != scenario.actual_value(v)
-    )
-    if any(not mask & off_default for mask in found):
+    found = memoized(scenario, _sets, target, True)
+    if any(all(scenario.defaults[ev.var] == ev.value for ev in events) for events in found):
         return []
-    return _event_sets(scenario, candidates, found)
+    return found
 
 
 def direct_cause_parents(scenario: Scenario, var: str) -> frozenset[str]:

@@ -28,7 +28,7 @@ from actualcause import (
     is_actual_cause,
     parse_case,
 )
-from actualcause import engine, normality, sufficiency
+from actualcause import engine, normality
 from actualcause.oracle import oracle_causes_of
 from actualcause.randmodel import random_effect, scenario_stream
 
@@ -290,12 +290,14 @@ def test_causes_of_builds_no_verdicts(monkeypatch, corpus_cases):
 def test_chains_compute_plans_only_for_descendants_of_the_cause(monkeypatch):
     # A work-count regression gate on the bench's two queries, on fresh
     # scenarios.  Plan-membership continuity rejects a vertex that does not
-    # descend from the cause before computing its minimal sufficient sets.
-    computed = counting_calls(monkeypatch, sufficiency, "_minimal_sufficient_sets")
+    # descend from the cause before computing its minimal sufficient sets;
+    # each distinct (scenario, effect) question the engine asks counts once.
+    asked = counting_calls(monkeypatch, engine, "minimal_sufficient_sets")
     searched = counting_calls(monkeypatch, normality, "_plan_abnormality")
     for scenario, effect in corpus_queries():
         intentional_causes(scenario, effect)
         hph_causes(scenario, effect)
+    computed = {(id(scenario), effect) for scenario, effect in asked}
     assert (len(computed), len(searched)) == (125, 235)
 
 

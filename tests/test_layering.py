@@ -2,7 +2,8 @@
 inside functions, read from the source with `ast`.  The graph stays acyclic,
 and the oracle stays independent of the engine it checks.  The model's
 private state is read in `model.py` alone, and a name imported from a
-sibling module is read or re-exported where it is imported."""
+sibling module is read or re-exported where it is imported.  No private
+module-level helper outlives its last reader."""
 
 from __future__ import annotations
 
@@ -131,3 +132,54 @@ def test_every_sibling_import_is_used_or_exported():
     assert _unused_sibling_imports(PACKAGE_DIR / "sufficiency.py") == UNUSED_IMPORTS_KEPT
     paths = sorted(PACKAGE_DIR.glob("*.py"))
     assert set().union(*map(_unused_sibling_imports, paths)) == UNUSED_IMPORTS_KEPT
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _dead_private_names(sources: dict[str, str]) -> set[str]:
+    """Each private module-level function, class or constant that nothing
+    else in the package reads: not another top-level statement of its own
+    module by name, not another module through an import, and not any
+    module as an attribute."""
+    defined: dict[tuple[str, str], int] = {}  # (module, name): defining statement
+    read: set[tuple[str, str, int]] = set()  # (module, name, reading statement)
+    attributes: set[str] = set()
+    for module, source in sources.items():
+        for index, statement in enumerate(ast.parse(source).body):
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [statement.name]
+            elif isinstance(statement, ast.Assign):
+                targets = [node.id for node in statement.targets if isinstance(node, ast.Name)]
+            elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+                targets = [statement.target.id]
+            else:
+                targets = []
+            defined.update({(module, name): index for name in targets if _private(name)})
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add((module, node.id, index))
+                elif isinstance(node, ast.Attribute):
+                    attributes.add(node.attr)
+                elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                    read.update((node.module, alias.name, -1) for alias in node.names)
+    return {
+        f"{module}.{name}"
+        for (module, name), index in defined.items()
+        if name not in attributes
+        and not any(m == module and n == name and i != index for m, n, i in read)
+    }
+
+
+def test_no_private_helper_is_dead():
+    # the check does see a helper that only its own body reads, and a
+    # constant and a class that only an importing module reads
+    assert _dead_private_names(
+        {
+            "a": "def _f():\n    return _f()\n_K = 1\nclass _C:\n    pass\n",
+            "b": "from .a import _K, _C\n",
+        }
+    ) == {"a._f"}
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert _dead_private_names(sources) == set()

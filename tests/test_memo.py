@@ -298,11 +298,10 @@ def test_chains_match_enumeration_on_the_corpus():
 # ---------------------------------------------------------------------------
 
 UNCACHED = (
-    (sufficiency, "_minimal_sufficient_sets"),
+    (sufficiency, "_sets"),
+    (sufficiency, "_probe"),
     (sufficiency, "_is_sufficient"),
     (sufficiency, "_direct_cause_sets"),
-    (sufficiency, "_robust_sets"),
-    (sufficiency, "_rows"),
     (normality, "_plan_abnormality"),
     (reasoning, "_count_chains"),
 )

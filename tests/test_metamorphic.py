@@ -1,8 +1,9 @@
 """Relations the definitions imply, checked without the oracle, on models
 the oracle is too slow for.  Each search visits candidates in an order
 (declaration order, sorted names, ascending masks) and prunes on what it
-has met; no answer may depend on that order, and every answer must hold up
-when checked against `is_sufficient` directly."""
+has met; no answer may depend on that order, nor on variables that nothing
+reads, and every answer must hold up when checked against `is_sufficient`
+directly."""
 
 from __future__ import annotations
 
@@ -21,12 +22,13 @@ from actualcause import (
     Scenario,
     Var,
     causes_of,
+    direct_cause_sets,
     hph_causes,
     is_sufficient,
     minimal_sufficient_sets,
     parse_case,
 )
-from actualcause.randmodel import scenario_stream
+from actualcause.randmodel import random_effect, scenario_stream
 
 from conftest import corpus_dir, grouped_conjunction, lattice, make_scenario, tree
 
@@ -109,6 +111,75 @@ def test_renaming_and_reordering_random_models(mode):
         model = scenario.model
         effect = Event(model.variables[-1], scenario.actual_value(model.variables[-1]))
         assert_maps_over_a_renaming(scenario, effect, rng)
+
+
+def corpus_and_random_queries(seed: int) -> list[tuple[Scenario, Event]]:
+    """The 66 corpus cases, then 300 random reliable-mode models of up to 12
+    variables, each asked about its deepest variable."""
+    queries = []
+    for path in sorted(corpus_dir().glob("*.case")):
+        case = parse_case(path.read_text(encoding="utf-8"))
+        queries.append((case.scenario, case.effect))
+    for _, scenario in scenario_stream(seed=seed, count=300, max_vars=12):
+        queries.append((scenario, random_effect(scenario)))
+    return queries
+
+
+def actual_direct_causes(scenario: Scenario) -> dict[str, list[frozenset[Event]]]:
+    """Each derived variable's direct-cause sets at its actual value."""
+    model = scenario.model
+    return {
+        var: direct_cause_sets(scenario, Event(var, scenario.actual_value(var)))
+        for var in model.variables
+        if not model.is_initial(var)
+    }
+
+
+def test_direct_causes_map_over_a_renaming():
+    rng = random.Random(2)
+    targets = 0
+    for scenario, _ in corpus_and_random_queries(seed=43):
+        other, names = renamed(scenario, rng)
+        theirs = actual_direct_causes(other)
+        for var, sets in actual_direct_causes(scenario).items():
+            mapped = {frozenset(Event(names[ev.var], ev.value) for ev in group) for group in sets}
+            assert set(theirs[names[var]]) == mapped, var
+            targets += 1
+    assert targets == 1563
+
+
+def with_irrelevant_variables(scenario: Scenario, rng: random.Random) -> Scenario:
+    """The scenario plus an initial variable at 0 that nothing reads, and a
+    derived copy of a random variable, over its domain, that nothing reads."""
+    model = scenario.model
+    idle, copy = "zz_idle", "zz_copy"
+    assert not {idle, copy} & set(model.variables)
+    copied = rng.choice(model.variables)
+    return Scenario(
+        Model(
+            [*model.variables, idle, copy],
+            {**model.equations, idle: Const(0), copy: Var(copied)},
+            {**model.domains, copy: model.domains[copied]},
+        ),
+        mode=scenario.mode,
+        defaults=scenario.defaults,
+        intentions=scenario.intentions,
+    )
+
+
+def test_irrelevant_variables_change_no_answer():
+    rng = random.Random(3)
+    scenarios = 0
+    for scenario, effect in corpus_and_random_queries(seed=44):
+        other = with_irrelevant_variables(scenario, rng)
+        for options in OPTION_SETS:
+            assert causes_of(other, effect, options) == causes_of(scenario, effect, options)
+        assert minimal_sufficient_sets(other, effect) == minimal_sufficient_sets(scenario, effect)
+        assert hph_causes(other, effect).events == hph_causes(scenario, effect).events
+        ours = actual_direct_causes(scenario)
+        assert {var: actual_direct_causes(other)[var] for var in ours} == ours
+        scenarios += 1
+    assert scenarios == 366
 
 
 @pytest.mark.parametrize("mode", ["reliable", "general"])

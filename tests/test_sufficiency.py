@@ -73,6 +73,11 @@ def plain_minimal_sufficient_sets(scenario, effect) -> list[frozenset[Event]]:
     return found
 
 
+def table_searches(calls) -> int:
+    """How many of the recorded `_sets` calls searched a value table."""
+    return sum(1 for _, _, table in calls if table)
+
+
 def restricted_direct_cause_sets(scenario, target) -> list[frozenset[Event]]:
     """Direct causes as the engine once computed them: a scenario cut down to
     the target's parents (constants at their actual values) plus the target,
@@ -397,8 +402,9 @@ class TestFalsifyingWorldReuse:
         # effects are covered; domains up to {0, 1, 2}.  The reliable stream
         # holds a target whose answer changes if a broken equation is
         # ignored.  In reliable mode the 852 queries whose ancestors are all
-        # initial read the table (`_robust_sets`) and the rest solve worlds.
-        searched = counting_calls(monkeypatch, sufficiency, "_robust_sets")
+        # initial read the table (`_sets` with `table` true) and the rest
+        # solve worlds.
+        searched = counting_calls(monkeypatch, sufficiency, "_sets")
         queries = 0
         for index, scenario in scenario_stream(seed=4, count=100, max_vars=8, mode=mode):
             for var in scenario.model.variables:
@@ -408,7 +414,7 @@ class TestFalsifyingWorldReuse:
                     assert minimal_sufficient_sets(scenario, effect) == expected, (index, effect)
                     queries += 1
         assert queries == 1233
-        assert len(searched) == {"reliable": 852, "general": 1233}[mode]
+        assert table_searches(searched) == {"reliable": 852, "general": 1233}[mode]
 
     def test_solve_count_or_of_eleven(self, monkeypatch):
         # A work-count regression gate: a plain walk solves 4 095 worlds
@@ -467,10 +473,10 @@ class TestTransversalSearch:
         work = counting_work(monkeypatch)
         scenario = make_scenario("a=1; b=1; c=1; d=1; e=(a|b)&(c|d)", mode=mode)
         effect = Event("e", 1)
-        searched = counting_calls(monkeypatch, sufficiency, "_robust_sets")
+        searched = counting_calls(monkeypatch, sufficiency, "_sets")
         sets = minimal_sufficient_sets(scenario, effect)
         assert var_sets(sets) == [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]]
-        assert len(searched) == 1
+        assert table_searches(searched) == 1
         # one table row for each of the seven failing sets, and the four
         # rows of each passing pair but its all-actual one
         assert len(work) == 7 + 4 * 3
@@ -480,20 +486,56 @@ class TestTransversalSearch:
         # c's parents are initial, so its minimal sufficient sets are its
         # minimal robust parent sets, and its direct causes screen the same
         # search.  e has a derived parent: its sufficient sets solve worlds.
-        searched = counting_calls(monkeypatch, sufficiency, "_robust_sets")
+        searched = counting_calls(monkeypatch, sufficiency, "_sets")
         scenario = make_scenario("a=1; b=1; c=a | b; e=c & a")
         target = Event("c", 1)
         assert var_sets(minimal_sufficient_sets(scenario, target)) == [["a"], ["b"]]
         assert var_sets(direct_cause_sets(scenario, target)) == [["a"], ["b"]]
-        assert len(searched) == 1
+        assert table_searches(searched) == 1
         assert var_sets(minimal_sufficient_sets(scenario, Event("e", 1))) == [["a"]]
-        assert len(searched) == 1
+        assert table_searches(searched) == 1
 
     @pytest.mark.parametrize("mode", ["reliable", "general"])
     def test_effect_that_misses_with_every_ancestor_actual(self, mode):
         # D(w) is empty, so no set is sufficient.
         scenario = make_scenario("a=1; b=1; e=a & b", mode=mode)
         assert minimal_sufficient_sets(scenario, Event("e", 0)) == []
+
+    def test_the_two_kernels_agree(self):
+        # A reliable-mode target whose parents are all initial can be asked
+        # of its value table or of solved worlds: both give the same sets,
+        # and the same verdict on every mask.  Each kernel runs on its own
+        # scenario, so neither reads what the other stored.  The world
+        # kernel's candidates are all the parents; the table's leave out
+        # those with one value, so masks are matched by name.
+        def scenarios():
+            for path in sorted(corpus_dir().glob("*.case")):
+                yield parse_case(path.read_text(encoding="utf-8")).scenario
+            for _, scenario in scenario_stream(seed=41, count=300, max_vars=12):
+                yield scenario
+
+        targets = masks = 0
+        for scenario in scenarios():
+            scenario = dataclasses.replace(scenario, mode="reliable")
+            model = scenario.model
+            for var in model.variables:
+                if model.is_initial(var) or not sufficiency._monotone(scenario, var):
+                    continue
+                for value in model.domains[var].values:
+                    target = Event(var, value)
+                    other = dataclasses.replace(scenario)
+                    by_table = sufficiency._sets(scenario, target, True)
+                    assert by_table == sufficiency._sets(other, target, False), target
+                    rows, probe = sufficiency._probe(scenario, target, True)
+                    names, falsify = sufficiency._probe(other, target, False)
+                    for mask in range(1 << len(names)):
+                        pinned = {v for i, v in enumerate(names) if mask >> i & 1}
+                        row_mask = sum(1 << i for i, v in enumerate(rows) if v in pinned)
+                        passes = probe(row_mask) is None
+                        assert passes == (falsify(mask) is None), (target, pinned)
+                        masks += 1
+                    targets += 1
+        assert (targets, masks) == (1593, 3902)
 
 
 class TestWalkBound:
