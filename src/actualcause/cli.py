@@ -63,20 +63,12 @@ def main() -> None:
 @click.option("--verbose", is_flag=True, help="Show plans, chains, reasons and contrast sets.")
 def check(case_file: str, definition: str, variant: str, mode: str | None, verbose: bool) -> None:
     """Analyze a single case file and compare against its intuition."""
-    try:
-        case = read_case(case_file)
-    except ParseError as err:
-        click.echo(f"parse error: {err}", err=True)
-        sys.exit(2)
-    except SearchTooLargeError as err:
-        click.echo(f"search too large: {err}", err=True)
-        sys.exit(3)
-
-    options = EngineOptions(abnormality_variant=variant)
-    # the mode override applies to the primary definition only
-    scenario = case.scenario if mode is None else replace(case.scenario, mode=mode)
     mismatch = False
     try:
+        case = read_case(case_file)
+        options = EngineOptions(abnormality_variant=variant)
+        # the mode override applies to the primary definition only
+        scenario = case.scenario if mode is None else replace(case.scenario, mode=mode)
         if definition in ("primary", "all"):
             causes = intentional_causes(scenario, case.effect, options)
             click.echo(f"causes: {_fmt(causes)}")
@@ -110,6 +102,9 @@ def check(case_file: str, definition: str, variant: str, mode: str | None, verbo
             if definition == "hph" and case.intuition is not None:
                 if result.events != case.intuition:
                     mismatch = True
+    except ParseError as err:
+        click.echo(f"parse error: {err}", err=True)
+        sys.exit(2)
     except SearchTooLargeError as err:
         click.echo(f"search too large: {err}", err=True)
         sys.exit(3)

@@ -418,18 +418,12 @@ class Scenario:
 def memoized(scenario: Scenario, compute: Callable[..., T], *args: Hashable) -> T:
     """`compute(scenario, *args)`, computed on the first call with these
     arguments and read from the scenario's memo afterwards.  Callers copy a
-    mutable result before handing it out.  A call that raises leaves the
-    memo as it found it, dropping what the calls inside it stored."""
+    mutable result before handing it out.  A call that raises stores nothing
+    for itself; the complete answers of the calls inside it stay."""
     key = (compute, *args)
     memo = scenario._memo
     if key not in memo:
-        size = len(memo)
-        try:
-            memo[key] = compute(scenario, *args)
-        except BaseException:
-            for stale in list(memo)[size:]:
-                del memo[stale]
-            raise
+        memo[key] = compute(scenario, *args)
     return memo[key]
 
 

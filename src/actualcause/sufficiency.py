@@ -14,24 +14,24 @@ that keeps its pinned parents actual gives the target's value.  Those
 questions are read from the table (`_rows`) without a solve.  The other
 reliable-mode questions, where a pinned derived ancestor can break its
 equation, solve one world per background over the target's ancestors
-(`_falsifier`).  `_probe` picks one of the two kernels, keyed by target
-and kernel, and both answer a failing set with the first falsifying world
-they meet.  `_sets` is the one minimal-set search: a walk by size over
-`model.minimal_passing_sets` that grows a failing set only by the
-candidates that world moves.  Direct causes are the table kernel's sets,
-screened (`direct_cause_sets`), so a monotone target asked both questions
-is searched once.
+(`_falsifier`).  Each kernel returns the target's candidates and a probe,
+built afresh for each question, and both probes answer a failing set with
+the first falsifying world they meet.  `_sets` is the one minimal-set
+search: a walk by size over `model.minimal_passing_sets` that grows a
+failing set only by the candidates that world moves.  Direct causes are the
+table kernel's sets, screened (`direct_cause_sets`), so a monotone target
+asked both questions is searched once.
 
 Sufficient sets, direct causes and `is_sufficient` answers are memoized per
-scenario and arguments; each call returns a fresh copy.
+scenario and arguments; the kernels are not.  Each call returns a fresh
+copy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import weakref
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 
 from .model import (
     Event,
@@ -119,19 +119,19 @@ def _rows(scenario: Scenario, target: Event) -> tuple[tuple[str, ...], Probe]:
     return tuple(candidates), probe
 
 
-def _falsifier(scenario: Scenario, target: Event, candidates: Sequence[str]) -> Probe:
-    """`falsify(mask)` over the sorted ancestors of a reliable-mode target
-    with a derived parent: it pins the masked candidates at their actual
-    values, tries the other initial candidates in the order of
+def _falsifier(scenario: Scenario, target: Event) -> tuple[tuple[str, ...], Probe]:
+    """The sorted ancestors of a reliable-mode target with a derived parent,
+    and `falsify(mask)` over them: it pins the masked candidates at their
+    actual values, tries the other initial candidates in the order of
     `enumerate_settings`, and solves the world each background gives.  It
     returns the first falsifying world's (D(w), B(w)) (see `_sets`), or
     None.  While the target's value is actual, the background that keeps
     every roaming candidate actual reproduces the actual world, so it is
     skipped unsolved."""
     model = scenario.model
+    candidates = tuple(sorted(model.ancestors(target.var)))
     actual = scenario.actual()
     roams = scenario.roaming_vars(frozenset(), target.var)
-    this = weakref.proxy(scenario)  # weak, as the scenario's memo holds `falsify`
     position = {v: i for i, v in enumerate(candidates)}
     roaming = [
         (position[v], v, model.domains[v].values)
@@ -152,7 +152,7 @@ def _falsifier(scenario: Scenario, target: Event, candidates: Sequence[str]) -> 
         for background in itertools.product(*pools):
             if background != skip:
                 pins.update(zip(names, background))
-                world = solve(this, pins)
+                world = solve(scenario, pins)
                 if world[target.var] != target.value:
                     differs = sum(
                         1 << i for i, v in enumerate(candidates) if world[v] != actual[v]
@@ -165,16 +165,7 @@ def _falsifier(scenario: Scenario, target: Event, candidates: Sequence[str]) -> 
                     return differs, broken
         return None
 
-    return falsify
-
-
-def _probe(scenario: Scenario, target: Event, table: bool) -> tuple[Sequence[str], Probe]:
-    """The target's candidates and their probe: `_rows` when `table` is
-    true, else its sorted ancestors and `_falsifier`."""
-    if table:
-        return _rows(scenario, target)
-    candidates = sorted(scenario.model.ancestors(target.var))
-    return candidates, _falsifier(scenario, target, candidates)
+    return candidates, falsify
 
 
 def is_sufficient(scenario: Scenario, events: Iterable[Event], effect: Event) -> bool:
@@ -193,7 +184,8 @@ def is_sufficient(scenario: Scenario, events: Iterable[Event], effect: Event) ->
 
 
 def _is_sufficient(scenario: Scenario, pinned: frozenset[str], effect: Event) -> bool:
-    candidates, probe = memoized(scenario, _probe, effect, _monotone(scenario, effect.var))
+    kernel = _rows if _monotone(scenario, effect.var) else _falsifier
+    candidates, probe = kernel(scenario, effect)
     return probe(sum(1 << i for i, v in enumerate(candidates) if v in pinned)) is None
 
 
@@ -212,10 +204,12 @@ def minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozenset
 
 
 def _sets(scenario: Scenario, target: Event, table: bool) -> list[frozenset[Event]]:
-    """The minimal sets of candidates (`_probe`) that force the target when
-    pinned at their actual values, by size then positions
-    (`minimal_passing_sets`).  With `table` true they are the minimal robust
-    parent sets, which minimal sufficient sets and direct causes share.
+    """The minimal sets of candidates that force the target when pinned at
+    their actual values, by size then positions (`minimal_passing_sets`).
+    The candidates and their probe come from `_rows` when `table` is true,
+    else from `_falsifier`, built once for this search.  With `table` true
+    the sets are the minimal robust parent sets, which minimal sufficient
+    sets and direct causes share.
 
     Each falsifying world w met is kept as D(w), the candidates where w
     differs from the actual world, and B(w), the pinned derived candidates
@@ -231,7 +225,7 @@ def _sets(scenario: Scenario, target: Event, table: bool) -> list[frozenset[Even
     with every candidate actual) leaves nothing to grow, and the answer is
     [].  The empty set roams widest, so a background past the cap raises for
     it first."""
-    candidates, falsify = memoized(scenario, _probe, target, table)
+    candidates, falsify = (_rows if table else _falsifier)(scenario, target)
     refuting: list[tuple[int, int]] = []
 
     def test(mask: int) -> int | None:
@@ -255,9 +249,9 @@ def direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Event
     """Minimal robust parent sets of the target that pass the abnormality
     screen, in canonical order.  A parent set is robust when every row of the
     target's value table that keeps it at its actual values gives the
-    target's value: the sets are `_sets` over the table's probe (`_probe`
-    with `table` true), which a monotone target's minimal sufficient sets
-    share; no model is built.
+    target's value: the sets are `_sets` over the table's probe (`_rows`),
+    which a monotone target's minimal sufficient sets share; no model is
+    built.
 
     The screen wants a world that moves some members and misses the target
     no less normally than actuality.  Such a world pins every parent, so only

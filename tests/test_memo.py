@@ -78,6 +78,25 @@ def net_queries(scenario_for, effect) -> list:
     return out
 
 
+def memo_queries() -> list:
+    """Runs the corpus queries and `net_queries` on a few stream models and a
+    lattice, each on one shared scenario, and returns those scenarios."""
+    scenarios = []
+    for path in sorted(corpus_dir().glob("*.case")):
+        case = parse_case(path.read_text(encoding="utf-8"))
+        intentional_causes(case.scenario, case.effect)
+        causes_of(case.scenario, case.effect)
+        hph_causes(case.scenario, case.effect)
+        scenarios.append(case.scenario)
+    for _, scenario in scenario_stream(1, 3, max_vars=7):
+        net_queries(lambda: scenario, random_effect(scenario))
+        scenarios.append(scenario)
+    # the three random queries never count chains; this one does
+    lattice = make_scenario("a=1; b=a; c=a & b; d=b | c; f=c & d; e=d & f & b")
+    net_queries(lambda: lattice, Event("e", 1))
+    return scenarios + [lattice]
+
+
 def test_shared_scenario_matches_fresh_scenarios():
     for _, scenario in scenario_stream(31, 40, max_vars=7):
         effect = random_effect(scenario)
@@ -140,9 +159,63 @@ def test_memo_keys_hold_every_argument():
     assert wide._memo == {}
 
 
+def _holds_a_callable(value) -> bool:
+    return callable(value) or (
+        isinstance(value, tuple) and any(callable(item) for item in value)
+    )
+
+
+def test_the_memo_holds_answers_only():
+    # Kernels are built per question: no memo value is a search kernel or a
+    # tuple carrying one.
+    values = [value for scenario in memo_queries() for value in scenario._memo.values()]
+    assert values
+    assert not [value for value in values if _holds_a_callable(value)]
+
+
+# e's minimal sufficient sets are stored; then the abnormality search over
+# the plan {a} roams the ten off-default zi, (2 - 1) * 2**10 = 1024 worlds.
+ROAMING_WIDE = "; ".join(["a=1", "b=a", "e=b & a"] + [f"z{i}=1" for i in range(10)])
+# counting e's chains stores e's direct-cause sets, then walks p's 2**10
+# parent sets
+PARENT_WIDE = "; ".join(
+    [f"x{i}=1" for i in range(10)]
+    + ["p=" + " & ".join(f"x{i}" for i in range(10)), "q=1", "e=p & q"]
+)
+
+
+@pytest.mark.parametrize(
+    "formulas, query, stored",
+    [
+        (ROAMING_WIDE, causes_of, {"_sets"}),
+        (
+            PARENT_WIDE,
+            lambda scenario, effect: distance(scenario, frozenset({Event("q", 1)}), effect),
+            {"_sets", "_direct_cause_sets"},
+        ),
+    ],
+    ids=["causes_of", "distance"],
+)
+def test_a_call_that_raises_keeps_only_complete_answers(monkeypatch, formulas, query, stored):
+    # The query raises past the lowered cap after the searches it ran first
+    # stored their answers; `distance` raises inside `_count_chains`, which
+    # stores nothing.  Once the cap is back, the scenario answers as a
+    # fresh one does.
+    scenario = make_scenario(formulas)
+    effect = Event("e", 1)
+    monkeypatch.setattr("actualcause.model.ENUMERATION_CAP", 1 << 8)
+    with pytest.raises(SearchTooLargeError):
+        query(scenario, effect)
+    assert {compute.__name__ for compute, *_ in scenario._memo} == stored
+    monkeypatch.undo()
+    assert query(scenario, effect) == query(dataclasses.replace(scenario), effect)
+    fresh = net_queries(lambda: dataclasses.replace(scenario), effect)
+    assert net_queries(lambda: scenario, effect) == fresh
+
+
 def test_a_scenario_is_freed_without_the_cycle_collector():
-    # The memo keeps each search's kernel, so no kernel may hold its
-    # scenario strongly; e has a derived parent, so its kernel solves worlds.
+    # The memo holds answers only, so nothing in it refers back to its
+    # scenario; e has a derived parent, so its kernel solves worlds.
     gc.disable()
     try:
         scenario = make_scenario("a=1; b=a; e=b & a")
@@ -299,7 +372,6 @@ def test_chains_match_enumeration_on_the_corpus():
 
 UNCACHED = (
     (sufficiency, "_sets"),
-    (sufficiency, "_probe"),
     (sufficiency, "_is_sufficient"),
     (sufficiency, "_direct_cause_sets"),
     (normality, "_plan_abnormality"),
@@ -322,16 +394,7 @@ def test_no_memo_key_is_computed_twice(monkeypatch):
     for module, name in UNCACHED:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
 
-    for path in sorted(corpus_dir().glob("*.case")):
-        case = parse_case(path.read_text(encoding="utf-8"))
-        intentional_causes(case.scenario, case.effect)
-        causes_of(case.scenario, case.effect)
-        hph_causes(case.scenario, case.effect)
-    for _, scenario in scenario_stream(1, 3, max_vars=7):
-        net_queries(lambda: scenario, random_effect(scenario))
-    # the three random queries never count chains; this one does
-    lattice = make_scenario("a=1; b=a; c=a & b; d=b | c; f=c & d; e=d & f & b")
-    net_queries(lambda: lattice, Event("e", 1))
+    memo_queries()
 
     assert {name for _, name, _ in computed} == {name for _, name in UNCACHED}
     repeated = [key for key, count in computed.items() if count > 1]

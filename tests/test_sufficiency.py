@@ -526,8 +526,8 @@ class TestTransversalSearch:
                     other = dataclasses.replace(scenario)
                     by_table = sufficiency._sets(scenario, target, True)
                     assert by_table == sufficiency._sets(other, target, False), target
-                    rows, probe = sufficiency._probe(scenario, target, True)
-                    names, falsify = sufficiency._probe(other, target, False)
+                    rows, probe = sufficiency._rows(scenario, target)
+                    names, falsify = sufficiency._falsifier(other, target)
                     for mask in range(1 << len(names)):
                         pinned = {v for i, v in enumerate(names) if mask >> i & 1}
                         row_mask = sum(1 << i for i, v in enumerate(rows) if v in pinned)
@@ -566,8 +566,8 @@ class TestWalkBound:
         falsifier = sufficiency._falsifier
 
         def counting(*args):
-            falsify = falsifier(*args)
-            return lambda mask: tested.append(mask) or falsify(mask)
+            candidates, falsify = falsifier(*args)
+            return candidates, lambda mask: tested.append(mask) or falsify(mask)
 
         monkeypatch.setattr(sufficiency, "_falsifier", counting)
         solved = counting_calls(monkeypatch, sufficiency, "solve")
