@@ -142,7 +142,7 @@ def _reach(
         elif not moved.isdisjoint(model.parents(var)):
             moved.add(var)
             if var in ancestors or var == effect_var:
-                parents = model.parent_tuple(var)
+                parents = model.parents(var)
                 pools = [possible.get(p, (actual[p],)) for p in parents]
                 values = {
                     model.lookup(var, dict(zip(parents, combo)))

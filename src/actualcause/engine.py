@@ -110,29 +110,23 @@ class ScenarioAnalysis:
             return self._member_of_passing_plan(var, vertex)
 
         dist: dict[str, int] = {goal: 0}
-        parents: dict[str, frozenset[str]] = {}
+        onward: dict[str, str] = {}  # each vertex's smallest neighbour one edge closer
         frontier = [goal]
         while frontier and var not in dist:
             layer: list[str] = []
             for vertex in frontier:
-                parents[vertex] = direct_cause_parents(self.scenario, vertex)
-                for parent in parents[vertex]:
+                for parent in direct_cause_parents(self.scenario, vertex):
                     if parent not in dist and (parent == var or admissible(parent)):
                         dist[parent] = dist[vertex] + 1
                         layer.append(parent)
+                    if dist.get(parent) == dist[vertex] + 1:
+                        onward[parent] = min(onward.get(parent, vertex), vertex)
             frontier = layer
         if var not in dist:
             return None
         path = [var]
         while path[-1] != goal:
-            here = path[-1]
-            path.append(
-                min(
-                    vertex
-                    for vertex, near in parents.items()
-                    if here in near and dist[vertex] == dist[here] - 1
-                )
-            )
+            path.append(onward[path[-1]])
         return tuple(path)
 
     def _member_of_passing_plan(self, cause_var: str, vertex: str) -> bool:

@@ -14,8 +14,8 @@ variables whose values are all 0 or 1), `value_table` evaluates each node
 once over all settings, as one int with a bit per setting, so that each
 node costs a few int operations however many settings there are, and turns
 the root's int into the table once, at the end; which of 0 and 1 the table
-holds is read off that int too.  Every other tree is evaluated one setting
-at a time.
+holds is read off that int too.  Every other tree, for which `Expr.bits`
+gives None, is evaluated one setting at a time.
 """
 
 from __future__ import annotations
@@ -140,16 +140,12 @@ class Expr:
     def evaluate(self, env: Mapping[str, int]) -> int:
         raise NotImplementedError
 
-    def bitwise(self, layout: Layout) -> bool:
-        """Whether `bits` applies: every node of the tree has a bitwise form,
-        and every variable is laid out with values in {0, 1}."""
-        return False
-
-    def bits(self, layout: Layout, full: int) -> int:
-        """`evaluate` at every setting at once, for a `bitwise` tree: one
-        int, bit k the value at setting k of `layout`.  `full` has a bit at
-        each setting."""
-        raise NotImplementedError
+    def bits(self, layout: Layout, full: int) -> int | None:
+        """`evaluate` at every setting of `layout` at once: one int, bit k
+        the value at setting k, where `full` has a bit at each setting.
+        None unless every node of the tree has a bitwise form and every
+        variable is laid out with values in {0, 1}."""
+        return None
 
     def variables(self) -> frozenset[str]:
         raise NotImplementedError
@@ -179,10 +175,9 @@ class Const(Expr):
     def evaluate(self, env: Mapping[str, int]) -> int:
         return self.value
 
-    def bitwise(self, layout: Layout) -> bool:
-        return self.value in _BIT_VALUES
-
-    def bits(self, layout: Layout, full: int) -> int:
+    def bits(self, layout: Layout, full: int) -> int | None:
+        if self.value not in _BIT_VALUES:
+            return None
         return full if self.value else 0
 
     def variables(self) -> frozenset[str]:
@@ -202,12 +197,11 @@ class Var(Expr):
         except KeyError:
             raise EvaluationError(f"unbound variable {self.name!r}") from None
 
-    def bitwise(self, layout: Layout) -> bool:
+    def bits(self, layout: Layout, full: int) -> int | None:
         entry = layout.get(self.name)
-        return entry is not None and _BIT_VALUES.issuperset(entry[0])
-
-    def bits(self, layout: Layout, full: int) -> int:
-        pool, inner = layout[self.name]
+        if entry is None or not _BIT_VALUES.issuperset(entry[0]):
+            return None
+        pool, inner = entry
         return _bit_column(pool, inner, full.bit_length())
 
     def variables(self) -> frozenset[str]:
@@ -224,11 +218,9 @@ class Not(Expr):
     def evaluate(self, env: Mapping[str, int]) -> int:
         return 0 if _truth(self.operand.evaluate(env)) else 1
 
-    def bitwise(self, layout: Layout) -> bool:
-        return self.operand.bitwise(layout)
-
-    def bits(self, layout: Layout, full: int) -> int:
-        return full ^ self.operand.bits(layout, full)
+    def bits(self, layout: Layout, full: int) -> int | None:
+        operand = self.operand.bits(layout, full)
+        return None if operand is None else full ^ operand
 
     def variables(self) -> frozenset[str]:
         return self.operand.variables()
@@ -263,16 +255,12 @@ class Binary(Expr):
         except ZeroDivisionError:
             raise EvaluationError(f"division by zero in {self.render()!r}") from None
 
-    def bitwise(self, layout: Layout) -> bool:
-        return (
-            _OPERATORS[self.op][1] is not None
-            and self.left.bitwise(layout)
-            and self.right.bitwise(layout)
-        )
-
-    def bits(self, layout: Layout, full: int) -> int:
+    def bits(self, layout: Layout, full: int) -> int | None:
         kernel = _OPERATORS[self.op][1]
-        return kernel(self.left.bits(layout, full), self.right.bits(layout, full), full)
+        if kernel is None or (left := self.left.bits(layout, full)) is None:
+            return None
+        right = self.right.bits(layout, full)
+        return None if right is None else kernel(left, right, full)
 
     def variables(self) -> frozenset[str]:
         return self.left.variables() | self.right.variables()
@@ -350,9 +338,9 @@ def value_table(
     for name, pool in zip(reversed(names), reversed(pools)):
         layout[name] = (pool, size)
         size *= len(pool)
-    if expr.bitwise(layout):
-        full = (1 << size) - 1
-        bits = expr.bits(layout, full)
+    full = (1 << size) - 1
+    bits = expr.bits(layout, full)
+    if bits is not None:
         # C-level string ops make the table: `bin` writes the highest bit
         # first, after "0b" and the sentinel bit at `size`
         table = list(bin(bits | 1 << size)[:2:-1].encode().translate(_DIGITS_TO_BITS))

@@ -142,12 +142,13 @@ class Model:
     where the equation and its parents are all 0/1, one setting at a time
     otherwise), or, with no parents, once; those values are kept as one flat
     list per variable, indexed by the mixed-radix code of the parent values
-    (last parent in sorted order varies fastest).
+    (`parents` gives them sorted, and the last varies fastest).
 
     Construction also builds the evaluation plan that `solve`, `lookup` and
     `table` read, so that none recomputes it per call: per variable, its
-    parent slots (the parent, its domain's `Domain.positions` map, its domain
-    size) and its table, and those entries again in topological order.
+    parent slots in `parents` order (the parent, its domain's
+    `Domain.positions` map, its domain size) and its table, and those
+    entries again in topological order.
     """
 
     def __init__(
@@ -176,11 +177,8 @@ class Model:
                 f"domains declared for unknown variable(s): {sorted(domains)}"
             )
         self.domains: dict[str, Domain] = full
-        self._parents: dict[str, frozenset[str]] = {
-            v: expr.variables() for v, expr in self.equations.items()
-        }
-        self._parent_tuple: dict[str, tuple[str, ...]] = {
-            v: tuple(sorted(parents)) for v, parents in self._parents.items()
+        self._parents: dict[str, tuple[str, ...]] = {
+            v: tuple(sorted(expr.variables())) for v, expr in self.equations.items()
         }
         self._initial = frozenset(v for v in self.variables if not self._parents[v])
         self._validate_references()
@@ -191,7 +189,7 @@ class Model:
             v: (v, domain.positions, len(domain.values)) for v, domain in full.items()
         }
         self._plan: dict[str, tuple[tuple[Slot, ...], list[int]]] = {
-            v: (tuple(map(slot.__getitem__, self._parent_tuple[v])), self._compile(v))
+            v: (tuple(map(slot.__getitem__, self._parents[v])), self._compile(v))
             for v in self.variables
         }
         self._steps = tuple([(v, *self._plan[v]) for v in self._order])
@@ -207,7 +205,7 @@ class Model:
     def _validate_references(self) -> None:
         known = set(self.variables)
         for var, parents in self._parents.items():
-            loose = parents - known
+            loose = set(parents) - known
             if loose:
                 raise UnknownVariableError(
                     f"equation for {var!r} references unknown variable(s) {sorted(loose)}"
@@ -232,7 +230,7 @@ class Model:
     def _compile(self, var: str) -> list[int]:
         """The value table of one equation, validated for totality."""
         expr = self.equations[var]
-        parents = self._parent_tuple[var]
+        parents = self._parents[var]
         index = self.domains[var].positions
         if parents:
             pools = [self.domains[p].values for p in parents]
@@ -268,15 +266,11 @@ class Model:
 
     # -- structure ------------------------------------------------------------
 
-    def parents(self, var: str) -> frozenset[str]:
+    def parents(self, var: str) -> tuple[str, ...]:
+        """The variables the equation of `var` reads, sorted: the order of
+        its value table's parent slots."""
         try:
             return self._parents[var]
-        except KeyError:
-            raise UnknownVariableError(f"unknown variable {var!r}") from None
-
-    def parent_tuple(self, var: str) -> tuple[str, ...]:
-        try:
-            return self._parent_tuple[var]
         except KeyError:
             raise UnknownVariableError(f"unknown variable {var!r}") from None
 
@@ -313,8 +307,8 @@ class Model:
             raise DomainError(f"value {value} outside domain {domain.values} of {var!r}")
 
     def table(self, var: str) -> tuple[tuple[Slot, ...], list[int]]:
-        """The plan entry of `var`: its parent slots, in `parent_tuple`
-        order, and its value table, indexed by the code they give."""
+        """The plan entry of `var`: its parent slots, in `parents` order,
+        and its value table, indexed by the code they give."""
         return self._plan[var]
 
     def lookup(self, var: str, values: Mapping[str, int]) -> int:

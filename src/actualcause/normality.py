@@ -93,7 +93,7 @@ def rank(
         if value == scenario.defaults[var]:
             return TOP
         return _deviant(value)
-    parents = model.parent_tuple(var)
+    parents = model.parents(var)
     if parent_values is None:
         raise UnknownVariableError(
             f"rank of derived variable {var!r} needs its parent values"
@@ -167,9 +167,8 @@ class Reduction:
         # lists: tuple(generator) resizes, so freed tuples pile up on another size's free list
         self.kept = [v for v in model.variables if v not in removed]
         self.kept_parents = {
-            v: [p for p in model.parent_tuple(v) if p not in removed] for v in self.kept
+            v: [p for p in model.parents(v) if p not in removed] for v in self.kept
         }
-        self.initial = frozenset(v for v in self.kept if not self.kept_parents[v])
         self.actual_ranks = {v: self._rank(v, self.actual) for v in self.kept}
 
     def free_rank(self, var: str, world: Mapping[str, int]) -> Rank:
@@ -181,7 +180,7 @@ class Reduction:
 
     def _rank(self, var: str, values: Mapping[str, int]) -> Rank:
         value = values[var]
-        if var in self.initial:
+        if not self.kept_parents[var]:
             return TOP if value == self.scenario.defaults[var] else _deviant(value)
         if self.scenario.model.lookup(var, values) == value:
             return TOP

@@ -209,14 +209,8 @@ def extrapolate(
     it is non-empty and does not contain the member itself.  With no
     eligible set (initial members in particular) the net is unchanged."""
     net = _operands(scenario, net, member, effect)
-    chosen: frozenset[Event] | None = None
-    for events in minimal_sufficient_sets(scenario, member):
-        if not events:
-            continue
-        if member.var in {ev.var for ev in events}:
-            continue
-        chosen = events
-        break
+    sets = minimal_sufficient_sets(scenario, member)
+    chosen = next((events for events in sets if events and member not in events), None)
     if chosen is None:
         return CauseNet(
             events=net.events,

@@ -7,19 +7,20 @@ remaining initial variables roam; in general mode every variable outside the
 pins roams.
 
 Sufficiency is monotone in general mode, and in reliable mode when every
-parent of the target is initial (`_monotone`).  Then every parent roams
-unless pinned, and a pinned non-parent constrains nothing the target reads,
-so a set is sufficient exactly when every row of the target's value table
-that keeps its pinned parents actual gives the target's value.  Those
-questions are read from the table (`_rows`) without a solve.  The other
+parent of the target is initial.  Then every parent roams unless pinned,
+and a pinned non-parent constrains nothing the target reads, so a set is
+sufficient exactly when every row of the target's value table that keeps
+its pinned parents actual gives the target's value.  Those questions are
+read from the table (`_rows`) without a solve.  The other
 reliable-mode questions, where a pinned derived ancestor can break its
 equation, solve one world per background over the target's ancestors
-(`_falsifier`).  Each kernel returns the target's candidates and a probe,
-built afresh for each question, and both probes answer a failing set with
-the first falsifying world they meet.  `_sets` is the one minimal-set
-search: a walk by size over `model.minimal_passing_sets` that grows a
-failing set only by the candidates that world moves.  Direct causes are the
-table kernel's sets, screened (`direct_cause_sets`), so a monotone target
+(`_falsifier`).  `_kernel` picks one of the two for a target.  Each kernel
+returns the target's candidates and a probe, built afresh for each
+question, and both probes answer a failing set with the first falsifying
+world they meet.  `_sets` is the one minimal-set search, over the kernel it
+is given: a walk by size over `model.minimal_passing_sets` that grows a
+failing set only by the candidates that world moves.  Direct causes are
+`_sets` over `_rows`, screened (`direct_cause_sets`), so a monotone target
 asked both questions is searched once.
 
 Sufficient sets, direct causes and `is_sufficient` answers are memoized per
@@ -48,6 +49,8 @@ from .normality import plan_abnormality  # noqa: F401
 # `probe(mask)`: None when pinning the masked candidates at their actual
 # values forces the target, else the first falsifying world's (D(w), B(w))
 Probe = Callable[[int], tuple[int, int] | None]
+# `kernel(scenario, target)`: the target's candidates and their probe
+Kernel = Callable[[Scenario, Event], tuple[tuple[str, ...], Probe]]
 
 __all__ = [
     "NoParentsError",
@@ -63,29 +66,32 @@ class NoParentsError(ModelError):
     """Direct causes were requested for an initial variable."""
 
 
-def _monotone(scenario: Scenario, var: str) -> bool:
-    """Is sufficiency for var a question about its own value table?"""
+def _kernel(scenario: Scenario, var: str) -> Kernel:
+    """The kernel that answers sufficiency for var: its own value table
+    (`_rows`) where sufficiency is monotone, else solved worlds
+    (`_falsifier`)."""
     model = scenario.model
-    return scenario.mode == "general" or model.initial_variables().issuperset(
-        model.parent_tuple(var)
-    )
+    if scenario.mode == "general" or model.initial_variables().issuperset(model.parents(var)):
+        return _rows
+    return _falsifier
 
 
 def _rows(scenario: Scenario, target: Event) -> tuple[tuple[str, ...], Probe]:
-    """The target's candidates, its sorted parents with more than one
-    value, and `probe(mask)` over them, read from the target's value table
-    with every unmasked parent roaming.  Each parent's row offsets (its code
-    weight times each value's position) and its actual offset are computed
-    once.  A probe adds the masked candidates' actual offsets, walks the
-    other candidates' offsets with the parents in declaration order and each
-    one's values in domain order, and reads the table at each code.  It
-    returns (D(w), 0) for the first row w that misses the target, D(w) being
-    the candidates it sets off their actual values, or None.  While the
-    target's value is actual, the all-actual row gives it, so it is skipped
-    unread.  A one-value parent's only offset is 0 and it is in no D(w), so
-    it is left out: every candidate doubles the table's rows at least, and
-    as the table has at most ENUMERATION_CAP rows, no search over the
-    candidates is past the cap."""
+    """The table kernel: the target's candidates, its parents with more than
+    one value in `Model.parents` order, and `probe(mask)` over them, read
+    from the target's value table with every unmasked parent roaming.  Each
+    parent's row offsets (its code weight times each value's position) and
+    its actual offset are computed once.  A probe adds the masked
+    candidates' actual offsets, walks the other candidates' offsets with the
+    parents in declaration order and each one's values in domain order, and
+    reads the table at each code.  It returns (D(w), 0) for the first row w
+    that misses the target, D(w) being the candidates it sets off their
+    actual values, or None.  While the target's value is actual, the
+    all-actual row gives it, so it is skipped unread.  A one-value parent's
+    only offset is 0 and it is in no D(w), so it is left out: every
+    candidate doubles the table's rows at least, and as the table has at
+    most ENUMERATION_CAP rows, no search over the candidates is past the
+    cap."""
     model = scenario.model
     slots, table = model.table(target.var)
     candidates: list[str] = []
@@ -184,8 +190,7 @@ def is_sufficient(scenario: Scenario, events: Iterable[Event], effect: Event) ->
 
 
 def _is_sufficient(scenario: Scenario, pinned: frozenset[str], effect: Event) -> bool:
-    kernel = _rows if _monotone(scenario, effect.var) else _falsifier
-    candidates, probe = kernel(scenario, effect)
+    candidates, probe = _kernel(scenario, effect.var)(scenario, effect)
     return probe(sum(1 << i for i, v in enumerate(candidates) if v in pinned)) is None
 
 
@@ -200,16 +205,16 @@ def minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozenset
     non-ancestor to a set never changes whether it is sufficient.
     """
     scenario.model.check_value(effect.var, effect.value)
-    return list(memoized(scenario, _sets, effect, _monotone(scenario, effect.var)))
+    return list(memoized(scenario, _sets, effect, _kernel(scenario, effect.var)))
 
 
-def _sets(scenario: Scenario, target: Event, table: bool) -> list[frozenset[Event]]:
+def _sets(scenario: Scenario, target: Event, kernel: Kernel) -> list[frozenset[Event]]:
     """The minimal sets of candidates that force the target when pinned at
     their actual values, by size then positions (`minimal_passing_sets`).
-    The candidates and their probe come from `_rows` when `table` is true,
-    else from `_falsifier`, built once for this search.  With `table` true
-    the sets are the minimal robust parent sets, which minimal sufficient
-    sets and direct causes share.
+    The candidates and their probe come from `kernel`, `_rows` or
+    `_falsifier`, built once for this search.  Over `_rows` the sets are the
+    minimal robust parent sets, which minimal sufficient sets and direct
+    causes share.
 
     Each falsifying world w met is kept as D(w), the candidates where w
     differs from the actual world, and B(w), the pinned derived candidates
@@ -225,7 +230,7 @@ def _sets(scenario: Scenario, target: Event, table: bool) -> list[frozenset[Even
     with every candidate actual) leaves nothing to grow, and the answer is
     [].  The empty set roams widest, so a background past the cap raises for
     it first."""
-    candidates, falsify = (_rows if table else _falsifier)(scenario, target)
+    candidates, falsify = kernel(scenario, target)
     refuting: list[tuple[int, int]] = []
 
     def test(mask: int) -> int | None:
@@ -249,9 +254,9 @@ def direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Event
     """Minimal robust parent sets of the target that pass the abnormality
     screen, in canonical order.  A parent set is robust when every row of the
     target's value table that keeps it at its actual values gives the
-    target's value: the sets are `_sets` over the table's probe (`_rows`),
-    which a monotone target's minimal sufficient sets share; no model is
-    built.
+    target's value: the sets are `_sets` over the table kernel `_rows`, the
+    search that a monotone target's minimal sufficient sets share; no model
+    is built.
 
     The screen wants a world that moves some members and misses the target
     no less normally than actuality.  Such a world pins every parent, so only
@@ -267,7 +272,7 @@ def _direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Even
     scenario.check_actual(target, "target")
     if scenario.model.is_initial(target.var):
         raise NoParentsError(f"{target.var!r} has no parents")
-    found = memoized(scenario, _sets, target, True)
+    found = memoized(scenario, _sets, target, _rows)
     if any(all(scenario.defaults[ev.var] == ev.value for ev in events) for events in found):
         return []
     return found

@@ -321,12 +321,16 @@ def unpruned_hph(scenario, effect):
     def first_witness(contrast_set):
         nonlocal inert_pools
         reduction = Reduction(scenario, contrast_set)
+        # initial in the reduction: every parent removed
+        initial = {
+            v for v in model.variables if reduction.removed.keys() >= set(model.parents(v))
+        }
         ordered = [v for v in model.variables if v in contrast_set]
         choices = []
         for var in ordered:
             default = scenario.defaults[var]
             legal = [default] if default in model.domains[var] else []
-            if var in reduction.initial:
+            if var in initial:
                 legal.extend(
                     value
                     for value in model.domains[var]
@@ -343,12 +347,12 @@ def unpruned_hph(scenario, effect):
             and (
                 var in reduction.removed
                 or actual[var] == scenario.defaults[var]
-                or var in reduction.initial
+                or var in initial
             )
         ]
         moved = set()
         for var in model.topological_order():
-            if model.parents(var) & (contrast_set | moved):
+            if (contrast_set | moved).intersection(model.parents(var)):
                 moved.add(var)
         inert_pools += any(v not in moved for v in pool)
         for vector in itertools.product(*choices):

@@ -269,13 +269,14 @@ def test_value_table_marks_only_rows_that_raise():
     assert value_table(guarded, ["a"], [(0, 1)]) == ([None, 1], {None, 1})
 
 
-def layout_of(names, pools):
-    """The layout `value_table` builds, for asking which path a tree takes."""
+def bit_column(expr, names, pools):
+    """`expr.bits` over the layout `value_table` builds, for asking which
+    path a tree takes: None sends it to the row path."""
     layout, inner = {}, 1
     for name, pool in zip(reversed(names), reversed(pools)):
         layout[name] = (pool, inner)
         inner *= len(pool)
-    return layout
+    return expr.bits(layout, (1 << inner) - 1)
 
 
 @settings(max_examples=800, deadline=None)
@@ -293,7 +294,7 @@ def test_the_bit_path_reads_its_values_off_the_root(expr, pools):
     # every tree here takes the bit path, which reads which of 0 and 1 the
     # table holds off the root's int instead of scanning the table
     names = list(BIT_NAMES)
-    assert expr.bitwise(layout_of(names, pools))
+    assert bit_column(expr, names, pools) is not None
     table, values = value_table(expr, names, pools)
     assert values == set(table)
 
@@ -311,12 +312,15 @@ ABC = (["a", "b", "c"], [(0, 1)] * 3)
         "2 > a",
         "(a | b) + c",  # the sum leaves {0, 1}
         "{a if b, c if 1}",
+        # a bitwise subtree beside a node with none, on either side
+        "a & (b + c)",
+        "~(a | 2)",
     ],
 )
 def test_trees_without_a_bitwise_form_take_the_row_path(source):
     expr = parse_expression(source)
     names, pools = ABC
-    assert not expr.bitwise(layout_of(names, pools))
+    assert bit_column(expr, names, pools) is None
     table, values = value_table(expr, names, pools)
     assert table == rowwise_table(expr, names, pools)
     assert values == set(table)
@@ -324,9 +328,9 @@ def test_trees_without_a_bitwise_form_take_the_row_path(source):
 
 def test_bit_path_needs_every_variable_in_zero_one():
     expr = parse_expression("a | b | c")
-    assert expr.bitwise(layout_of(*ABC))
-    assert not expr.bitwise(layout_of(["a", "b", "c"], [(0, 1), (0, 2), (0, 1)]))
-    assert not expr.bitwise(layout_of(["a", "b"], [(0, 1), (0, 1)]))  # c not laid out
+    assert bit_column(expr, *ABC) is not None
+    assert bit_column(expr, ["a", "b", "c"], [(0, 1), (0, 2), (0, 1)]) is None
+    assert bit_column(expr, ["a", "b"], [(0, 1), (0, 1)]) is None  # c not laid out
 
 
 def test_bit_path_keeps_the_mixed_radix_order():
@@ -334,7 +338,7 @@ def test_bit_path_keeps_the_mixed_radix_order():
     # (0,0,0) (0,1,1) (0,1,0); a > b | c reads (a > b) | c
     expr = parse_expression("a > b | c")
     names, pools = ["a", "b", "c"], [(1, 0), (0, 1), (1, 0)]
-    assert expr.bitwise(layout_of(names, pools))
+    assert bit_column(expr, names, pools) is not None
     table, values = value_table(expr, names, pools)
     assert table == [1, 1, 1, 0, 1, 0, 1, 0] == rowwise_table(expr, names, pools)
     assert values == {0, 1}
@@ -347,7 +351,7 @@ def test_bit_path_keeps_the_mixed_radix_order():
     # tables of one and of two settings take the bit path too
     names = ["a", "b", "c"]
     for pools, expected in ([(1,), (0,), (1,)], [1]), ([(1,), (0, 1), (0,)], [1, 0]):
-        assert expr.bitwise(layout_of(names, pools))
+        assert bit_column(expr, names, pools) is not None
         table, values = value_table(expr, names, pools)
         assert table == expected == rowwise_table(expr, names, pools)
         assert values == set(expected)

@@ -10,14 +10,17 @@ against brute-force chain enumeration.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import gc
 import random
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import actualcause
 from actualcause import (
     EngineOptions,
     Event,
@@ -379,7 +382,26 @@ UNCACHED = (
 )
 
 
+def memoized_computes() -> set[tuple[str, str]]:
+    """(module, function) for every `compute` passed to `memoized` in the
+    package, read from the source with `ast`."""
+    found = set()
+    for path in sorted(Path(actualcause.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and "memoized" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            ):
+                compute = node.args[1]
+                assert isinstance(compute, ast.Name), (path.name, ast.dump(compute))
+                found.add((path.stem, compute.id))
+    return found
+
+
 def test_no_memo_key_is_computed_twice(monkeypatch):
+    # the list is every function the package memoizes, no more and no fewer
+    listed = {(module.__name__.rpartition(".")[2], name) for module, name in UNCACHED}
+    assert listed == memoized_computes()
     computed: Counter = Counter()
     alive: list = []  # keeps every scenario alive, so ids are never reused
 

@@ -120,7 +120,9 @@ class TestModelValidation:
         model = scenario.model
         assert model.initial_variables() == frozenset({"a", "c"})
         assert model.is_initial("a") and not model.is_initial("b")
-        assert model.parents("e") == frozenset({"b", "c"})
+        assert model.parents("e") == ("b", "c")
+        slots, _ = model.table("e")
+        assert tuple(parent for parent, _, _ in slots) == model.parents("e")
         assert model.ancestors("e") == frozenset({"a", "b", "c"})
         assert model.ancestors("e") is model.ancestors("e")  # kept once computed
         assert model.ancestors("a") == frozenset()
@@ -325,7 +327,7 @@ def assert_compiles_rowwise(names, expr, pools, effect_pool, effect):
 
     def compiled():
         model = Model([*names, effect], equations, domains)
-        parents = model.parent_tuple(effect)
+        parents = model.parents(effect)
         combos = itertools.product(*(domains[p].values for p in parents))
         return [model.lookup(effect, dict(zip(parents, combo))) for combo in combos]
 

@@ -353,7 +353,7 @@ def reference_rank(model, defaults, var, world):
         context = ()
     else:
         top = model.lookup(var, world) == value
-        context = tuple(world[p] for p in model.parent_tuple(var))
+        context = tuple(world[p] for p in model.parents(var))
     return (True, None, ()) if top else (False, value, context)
 
 
@@ -393,7 +393,10 @@ class TestReduction:
                     reduced = reduced_model(model, removed)
                     reduction = Reduction(scenario, frozenset(pins))
                     assert tuple(reduction.kept) == reduced.variables
-                    assert reduction.initial == reduced.initial_variables()
+                    # the same kept parents, so the same initial variables
+                    assert reduction.kept_parents == {
+                        v: list(reduced.parents(v)) for v in reduced.variables
+                    }
                     # every world the unpruned abnormality search solves
                     roaming = scenario.roaming_vars(frozenset(pins), effect.var)
                     worlds = [

@@ -75,7 +75,7 @@ def plain_minimal_sufficient_sets(scenario, effect) -> list[frozenset[Event]]:
 
 def table_searches(calls) -> int:
     """How many of the recorded `_sets` calls searched a value table."""
-    return sum(1 for _, _, table in calls if table)
+    return sum(1 for _, _, kernel in calls if kernel is sufficiency._rows)
 
 
 def restricted_direct_cause_sets(scenario, target) -> list[frozenset[Event]]:
@@ -402,7 +402,7 @@ class TestFalsifyingWorldReuse:
         # effects are covered; domains up to {0, 1, 2}.  The reliable stream
         # holds a target whose answer changes if a broken equation is
         # ignored.  In reliable mode the 852 queries whose ancestors are all
-        # initial read the table (`_sets` with `table` true) and the rest
+        # initial read the table (`_sets` over `_rows`) and the rest
         # solve worlds.
         searched = counting_calls(monkeypatch, sufficiency, "_sets")
         queries = 0
@@ -514,23 +514,24 @@ class TestTransversalSearch:
             for _, scenario in scenario_stream(seed=41, count=300, max_vars=12):
                 yield scenario
 
+        rows, worlds = sufficiency._rows, sufficiency._falsifier
         targets = masks = 0
         for scenario in scenarios():
             scenario = dataclasses.replace(scenario, mode="reliable")
             model = scenario.model
             for var in model.variables:
-                if model.is_initial(var) or not sufficiency._monotone(scenario, var):
+                if model.is_initial(var) or sufficiency._kernel(scenario, var) is not rows:
                     continue
                 for value in model.domains[var].values:
                     target = Event(var, value)
                     other = dataclasses.replace(scenario)
-                    by_table = sufficiency._sets(scenario, target, True)
-                    assert by_table == sufficiency._sets(other, target, False), target
-                    rows, probe = sufficiency._rows(scenario, target)
-                    names, falsify = sufficiency._falsifier(other, target)
+                    by_table = sufficiency._sets(scenario, target, rows)
+                    assert by_table == sufficiency._sets(other, target, worlds), target
+                    candidates, probe = rows(scenario, target)
+                    names, falsify = worlds(other, target)
                     for mask in range(1 << len(names)):
                         pinned = {v for i, v in enumerate(names) if mask >> i & 1}
-                        row_mask = sum(1 << i for i, v in enumerate(rows) if v in pinned)
+                        row_mask = sum(1 << i for i, v in enumerate(candidates) if v in pinned)
                         passes = probe(row_mask) is None
                         assert passes == (falsify(mask) is None), (target, pinned)
                         masks += 1
