@@ -14,7 +14,7 @@ actuality, and otherwise only its top value, its default; unpinned variables
 rank Top when they are initial-in-the-reduction at their default or derived
 and obeying their reduced equation, and otherwise carry their value (and
 their kept parents' values) as a deviation, distinct deviations being
-incomparable.  The actual world is ranked by the same unpinned rule.
+incomparable.  The actual world ranks by the same unpinned rule.
 
 Only the values `Reduction.pinnable` lists are pinned: contrast members at
 those other than their actual value, freezes where the actual value is one
@@ -28,18 +28,19 @@ definition-unfolding oracle in the test suite and in `verify`.
 
 Before anything is ranked or solved, `_reach` bounds the values each
 ancestor of the effect, and the effect, can take in any candidate world of
-the contrast set -- whatever its contrast vector and freeze set -- from
-the value tables alone: a contrast member any domain value but its actual
-one, a variable the contrast set cannot move its actual value, and a moved
-one every value its table gives over its parents' sets, plus its actual
-value, at which it may be frozen.  By induction over the topological order
-every candidate world keeps each such variable inside its set: a contrast
-member is pinned off its actual value; an unmoved variable is neither
-pinned nor has a moved parent, so its parents sit at their actual values
-and it reads its actual value from its table; a moved one is frozen at its
-actual value or reads its table at parent values inside their sets.  So
-when the effect's set is its actual value alone, no candidate world breaks
-the effect, and the contrast set has no witness without one world solved.
+the contrast set -- whatever its contrast vector and freeze set -- from the
+value tables alone: a contrast member any domain value but its actual one, a
+variable the contrast set cannot move its actual value, and a moved one
+every value its table (`Model.table`) gives at the codes of its parents'
+sets, plus its actual value, at which it may be frozen.  By induction over
+the topological order every candidate world keeps each such variable inside
+its set: a contrast member is pinned off its actual value; an unmoved
+variable is neither pinned nor has a moved parent, so its parents sit at
+their actual values and it reads its actual value from its table; a moved
+one is frozen at its actual value or reads its table at parent values inside
+their sets.  So when the effect's set is its actual value alone, no
+candidate world breaks the effect, and the contrast set has no witness
+without one world solved.
 """
 
 from __future__ import annotations
@@ -142,13 +143,13 @@ def _reach(
         elif not moved.isdisjoint(model.parents(var)):
             moved.add(var)
             if var in ancestors or var == effect_var:
-                parents = model.parents(var)
-                pools = [possible.get(p, (actual[p],)) for p in parents]
-                values = {
-                    model.lookup(var, dict(zip(parents, combo)))
-                    for combo in itertools.product(*pools)
-                }
-                possible[var] = values | {actual[var]}
+                # the table codes of every parent combination, parent by parent
+                slots, table = model.table(var)
+                codes = [0]
+                for parent, index, radix in slots:
+                    pool = [index[x] for x in possible.get(parent, (actual[parent],))]
+                    codes = [code * radix + i for code in codes for i in pool]
+                possible[var] = {table[code] for code in codes} | {actual[var]}
     return moved, possible.get(effect_var, {actual[effect_var]})
 
 
@@ -162,10 +163,10 @@ def _find_witness(
     this keeps the first witness.  A freeze v outside them sits at its
     actual value, as do its kept parents, since every other pin is at its
     actual value or a contrast v does not descend from.  Freezing v thus
-    changes no value and no other variable's rank, and unfreezing v ranks
-    it by its free rank, which equals its actual rank.  So if a freeze set
-    F passes, F minus v passes too and comes earlier in the canonical
-    order, and the first witness never freezes v.
+    changes no value and no other variable's rank, and unfrozen, v ranks as
+    in actuality, being at its actual value with its kept parents at theirs.
+    So if a freeze set F passes, F minus v passes too and comes earlier in
+    the canonical order, and the first witness never freezes v.
 
     A contrast set under which the effect cannot change (`_reach`) has no
     witness and is answered before the pre-check against ENUMERATION_CAP,
@@ -213,12 +214,8 @@ def _find_witness(
                     continue
                 if reduction.no_less_normal(world, overrides, unranked=effect.var):
                     return HPHWitness(
-                        contrast=frozenset(
-                            Event(v, contrast[v]) for v in ordered
-                        ),
-                        frozen=frozenset(
-                            Event(v, actual[v]) for v in frozen_combo
-                        ),
+                        contrast=frozenset(map(Event, ordered, vector)),
+                        frozen=frozenset(Event(v, actual[v]) for v in frozen_combo),
                         outcome=tuple(sorted(world.items())),
                     )
     return None

@@ -496,9 +496,10 @@ def minimal_passing_sets(
                     found.append(mask)
                 else:
                     growing[mask] = grow
-    return sorted(
-        found, key=lambda mask: (mask.bit_count(), [i for i in range(n) if mask >> i & 1])
-    )
+    # of two masks of one size, the one holding their lowest differing position
+    # comes first: there its complement's bits, read lowest first, show a "0"
+    full = (1 << n) - 1
+    return sorted(found, key=lambda mask: (mask.bit_count(), f"{full ^ mask:0{n}b}"[::-1]))
 
 
 # no engine caller: perfbench's tracer wraps it by name, and tests enumerate with it

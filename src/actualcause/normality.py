@@ -12,7 +12,10 @@ top values (its actual or default value), so that off-default, off-actual
 contrasts are tolerated exactly when the actual side deviates too.
 
 The reduction is read from the scenario's value tables (`Reduction`), not
-built, and serves the contrastive comparator too.  Whether a pin is tolerated
+built, and serves the contrastive comparator too.  It builds no rank: the
+actual world obeys every table, so a variable with a kept parent ranks no
+lower than there exactly when it obeys its table, and one with none exactly
+when it sits at its default or its actual value.  Whether a pin is tolerated
 depends only on the pinned value, so `Reduction.pinnable` lists each pin's
 values once, up front: both searches pin only those, and `no_less_normal`
 ranks just the unpinned variables of each solved world.  One abnormality
@@ -29,7 +32,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable, Mapping, Sequence
 
 from .model import (
     Assignment,
@@ -152,10 +155,17 @@ class Reduction:
 
     The strict ancestors of the pins, minus the pins, are removed and held at
     their actual values.  Substitution never simplifies, so a kept variable is
-    initial in the reduction exactly when it has no kept parents, and then ranks
-    Top at its default.  Any other kept variable ranks Top when it obeys its own
-    table, read with the removed parents at their actual values (never the
-    world's); a deviation's context is its kept parents' values.
+    initial in the reduction (in `initial`) exactly when it has no kept
+    parents, and then ranks Top at its default and deviates, with no context,
+    elsewhere.  Any other kept variable ranks Top when it obeys its own table,
+    read with the removed parents at their actual values (never the world's).
+
+    So no rank need be built.  The actual world is `solve`'s and obeys every
+    table, so a variable with a kept parent ranks Top there, and no lower in
+    a world exactly when it obeys its table.  One in `initial` ranks no lower
+    exactly when it sits at its default or its actual value, as distinct
+    deviations are incomparable.  Pins that remove nothing leave `kept` and
+    `initial` the model's own.
     """
 
     def __init__(self, scenario: Scenario, pins: frozenset[str]) -> None:
@@ -164,27 +174,12 @@ class Reduction:
         self.scenario = scenario
         self.actual = scenario.actual()
         self.removed = {v: self.actual[v] for v in sorted(removed)}
-        # lists: tuple(generator) resizes, so freed tuples pile up on another size's free list
-        self.kept = [v for v in model.variables if v not in removed]
-        self.kept_parents = {
-            v: [p for p in model.parents(v) if p not in removed] for v in self.kept
-        }
-        self.actual_ranks = {v: self._rank(v, self.actual) for v in self.kept}
-
-    def free_rank(self, var: str, world: Mapping[str, int]) -> Rank:
-        """Rank of the kept variable `var` in `world`, free of any pin."""
-        return self._rank(var, self._reduced(world))
-
-    def _reduced(self, world: Mapping[str, int]) -> dict[str, int]:
-        return {**world, **self.removed}
-
-    def _rank(self, var: str, values: Mapping[str, int]) -> Rank:
-        value = values[var]
-        if not self.kept_parents[var]:
-            return TOP if value == self.scenario.defaults[var] else _deviant(value)
-        if self.scenario.model.lookup(var, values) == value:
-            return TOP
-        return _deviant(value, tuple([values[p] for p in self.kept_parents[var]]))
+        if removed:
+            self.kept: Sequence[str] = [v for v in model.variables if v not in removed]
+            self.initial = {v for v in self.kept if removed.issuperset(model.parents(v))}
+        else:
+            self.kept = model.variables
+            self.initial = model.initial_variables()
 
     def pinnable(self, var: str, tops: Container[int]) -> list[int]:
         """The values of `var`, in domain order, that a search may pin it at:
@@ -194,7 +189,9 @@ class Reduction:
         searches that pin only these values leave `no_less_normal` the
         unpinned variables to rank."""
         values = self.scenario.model.domains[var].values
-        if self.actual_ranks.get(var) is not TOP:
+        if var in self.removed or (
+            var in self.initial and self.actual[var] != self.scenario.defaults[var]
+        ):
             return list(values)
         return [value for value in values if value in tops]
 
@@ -207,15 +204,19 @@ class Reduction:
         """Whether `world` is at least as normal as the actual world (EQUAL or
         GREATER_OR_EQUAL) over the kept variables but `unranked`, that is, no
         variable ranks lower or incomparably.  Only unpinned variables are
-        ranked, by their free rank, which is at least as normal as the actual
-        rank exactly when it is Top or equal to it: every pin is taken to be
-        at a `pinnable` value."""
-        values = self._reduced(world)
+        ranked, each by the value rule of the class docstring: every pin is
+        taken to be at a `pinnable` value."""
+        model = self.scenario.model
+        defaults = self.scenario.defaults
+        values = {**world, **self.removed} if self.removed else world
         for var in self.kept:
             if var == unranked or var in pinned:
                 continue
-            free = self._rank(var, values)
-            if free is not TOP and free != self.actual_ranks[var]:
+            value = world[var]
+            if var in self.initial:
+                if value != defaults[var] and value != self.actual[var]:
+                    return False
+            elif model.lookup(var, values) != value:
                 return False
         return True
 
@@ -318,8 +319,8 @@ def _plan_abnormality(
             if lone is None or lone in single:
                 continue
         for combo in itertools.product(*backgrounds):
-            background = dict(zip(roaming, combo))
-            overrides = {**contrast, **background}
+            overrides = dict(contrast)
+            overrides.update(zip(roaming, combo))
             world = solve(scenario, overrides)
             if world[effect.var] == effect.value:
                 continue
@@ -328,8 +329,8 @@ def _plan_abnormality(
             flipped.update(delta)
             if first_witness is None or (lone is not None and lone not in single):
                 witness = AbnormalityWitness(
-                    contrast=frozenset(Event(v, contrast[v]) for v in ordered_pins),
-                    background=frozenset(Event(v, background[v]) for v in roaming),
+                    contrast=frozenset(map(Event, ordered_pins, vector)),
+                    background=frozenset(map(Event, roaming, combo)),
                     outcome=tuple(sorted(world.items())),
                 )
                 if first_witness is None:

@@ -149,15 +149,16 @@ def make_scenario(
 
 
 def counting_calls(monkeypatch, module, name: str) -> list[tuple]:
-    """Every call to `module.<name>`, recorded from now on.  The searches
-    call `solve` and the other kernels by module-level name, so rebinding
-    the name in the calling module sees every call it makes."""
+    """Every call to `module.<name>`, its positional arguments recorded from
+    now on; `module` may also be a class, to count a method's calls.  The
+    searches call `solve` and the other kernels by module-level name, so
+    rebinding the name in the calling module sees every call it makes."""
     calls: list[tuple] = []
     original = getattr(module, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
     return calls

@@ -113,6 +113,18 @@ def test_renaming_and_reordering_random_models(mode):
         assert_maps_over_a_renaming(scenario, effect, rng)
 
 
+@pytest.mark.parametrize("mode", ["reliable", "general"])
+def test_renaming_and_reordering_random_models_of_11_and_12_variables(mode):
+    rng = random.Random(3)
+    stream = scenario_stream(seed=37, count=1800, max_vars=12, mode=mode)
+    large = [scenario for _, scenario in stream if len(scenario.model.variables) > 10]
+    for scenario in large[:300]:
+        model = scenario.model
+        effect = Event(model.variables[-1], scenario.actual_value(model.variables[-1]))
+        assert_maps_over_a_renaming(scenario, effect, rng)
+    assert len(large) >= 300
+
+
 def corpus_and_random_queries(seed: int) -> list[tuple[Scenario, Event]]:
     """The 66 corpus cases, then 300 random reliable-mode models of up to 12
     variables, each asked about its deepest variable."""

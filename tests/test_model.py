@@ -583,6 +583,19 @@ class TestMinimalPassingSets:
         assert set(helper_calls) <= set(plain_calls)
         assert helper_calls == sorted(helper_calls, key=walk_order)
 
+    def test_every_level_is_sorted_by_positions(self):
+        # each level of every n <= 10 passes whole, so the result is all of
+        # its masks, which must come in the order of their position lists
+        for n in range(11):
+            for size in range(n + 1):
+                test = above_highest(n, lambda mask: mask.bit_count() == size)
+                found = minimal_passing_sets(n, test, lambda: "test walk", "masks")
+                level = [mask for mask in range(1 << n) if mask.bit_count() == size]
+                assert found == sorted(
+                    level,
+                    key=lambda mask: (mask.bit_count(), [i for i in range(n) if mask >> i & 1]),
+                )
+
     def test_singletons_pass_after_n_plus_one_tests(self):
         # at the real cap: 2**20 masks, of which only 21 are built
         test, calls = recorded(above_highest(20, lambda mask: mask.bit_count() == 1))

@@ -272,28 +272,35 @@ def comparator_pin_rank(value, actual, default):
     return normality.TOP if value == default else MID
 
 
-def ranked_pinnable(reduction, var, pin_rank):
-    """The values of `var`, in domain order, at which its pin ranks no lower
-    than actuality; a removed variable is never ranked and keeps them all."""
-    values = reduction.scenario.model.domains[var].values
-    if var not in reduction.actual_ranks:
-        return list(values)
-    actual = reduction.actual[var]
-    default = reduction.scenario.defaults[var]
-    actual_rank = reduction.actual_ranks[var]
-    return [
-        value
-        for value in values
-        if (pin := pin_rank(value, actual, default)) == actual_rank
-        or pin.level > actual_rank.level
-    ]
+def ranked_pinnable(reduction, pin_rank):
+    """Each variable's values, in domain order, at which its pin ranks no
+    lower than actuality, the actual rank read from the built reduced model;
+    a removed variable is never ranked and keeps them all."""
+    scenario = reduction.scenario
+    reduced = reduced_model(scenario.model, reduction.removed)
+    allowed = {}
+    for var, domain in scenario.model.domains.items():
+        if var in reduction.removed:
+            allowed[var] = list(domain.values)
+            continue
+        top, *deviation = reference_rank(reduced, scenario.defaults, var, reduction.actual)
+        actual_rank = normality.TOP if top else normality.Rank(0, *deviation)
+        actual = reduction.actual[var]
+        default = scenario.defaults[var]
+        allowed[var] = [
+            value
+            for value in domain.values
+            if (pin := pin_rank(value, actual, default)) == actual_rank
+            or pin.level > actual_rank.level
+        ]
+    return allowed
 
 
-def pins_rank_no_lower(reduction, world, pinned):
-    """Whether every pin ranks, by `screen_pin_rank`, no lower than it does
-    in actuality: the per-world pin check that `no_less_normal` leaves to
-    `Reduction.pinnable`."""
-    return all(world[v] in ranked_pinnable(reduction, v, screen_pin_rank) for v in pinned)
+def pins_rank_no_lower(allowed, world, pinned):
+    """Whether every pin ranks no lower than it does in actuality, `allowed`
+    being `ranked_pinnable`'s values: the per-world pin check that
+    `no_less_normal` leaves to `Reduction.pinnable`."""
+    return all(world[v] in allowed[v] for v in pinned)
 
 
 def single_event_witnesses(scenario, pins, effect):
@@ -303,6 +310,7 @@ def single_event_witnesses(scenario, pins, effect):
     actual = scenario.actual()
     ordered = [v for v in model.variables if v in pins]
     reduction = Reduction(scenario, frozenset(pins))
+    allowed = ranked_pinnable(reduction, screen_pin_rank)
     roaming = scenario.roaming_vars(frozenset(pins), effect.var)
 
     def first_witness(focus):
@@ -314,7 +322,7 @@ def single_event_witnesses(scenario, pins, effect):
                 world = solve(scenario, overrides)
                 if (
                     world[effect.var] != effect.value
-                    and pins_rank_no_lower(reduction, world, overrides)
+                    and pins_rank_no_lower(allowed, world, overrides)
                     and reduction.no_less_normal(world, overrides)
                 ):
                     return normality.AbnormalityWitness(
@@ -357,12 +365,6 @@ def reference_rank(model, defaults, var, world):
     return (True, None, ()) if top else (False, value, context)
 
 
-def rank_key(found):
-    if found is normality.TOP:
-        return (True, None, ())
-    return (False, found.value, found.context)
-
-
 def pin_sets(scenario):
     """(effect, pins) for every set of one or two ancestors of a variable,
     the effect being that variable at its actual value."""
@@ -374,8 +376,9 @@ def pin_sets(scenario):
 
 
 class TestReduction:
-    """The read-only reduction ranks exactly as the built reduced model
-    does, on the actual world and on every world the abnormality screen
+    """The read-only reduction's value rule decides, for each kept variable,
+    what ranking it in the built reduced model against the actual world
+    would, on the actual world and on every world the abnormality screen
     would solve without its pin pruning.  The pin sets need not be
     sufficient, as the comparator's contrast sets need not be."""
 
@@ -393,10 +396,7 @@ class TestReduction:
                     reduced = reduced_model(model, removed)
                     reduction = Reduction(scenario, frozenset(pins))
                     assert tuple(reduction.kept) == reduced.variables
-                    # the same kept parents, so the same initial variables
-                    assert reduction.kept_parents == {
-                        v: list(reduced.parents(v)) for v in reduced.variables
-                    }
+                    assert reduction.initial == reduced.initial_variables()
                     # every world the unpruned abnormality search solves
                     roaming = scenario.roaming_vars(frozenset(pins), effect.var)
                     worlds = [
@@ -405,12 +405,14 @@ class TestReduction:
                         if any(contrast[v] != actual[v] for v in pins)
                         for background in enumerate_settings(model, roaming)
                     ]
-                    for world in [actual, *worlds]:
-                        for var in reduction.kept:
-                            found = rank_key(reduction.free_rank(var, world))
-                            assert found == reference_rank(
-                                reduced, scenario.defaults, var, world
-                            )
+                    for var in reduction.kept:
+                        actual_rank = reference_rank(reduced, scenario.defaults, var, actual)
+                        # every other kept variable pinned, so only `var` is ranked
+                        others = set(reduction.kept) - {var}
+                        for world in [actual, *worlds]:
+                            found = reference_rank(reduced, scenario.defaults, var, world)
+                            expected = found[0] or found == actual_rank
+                            assert reduction.no_less_normal(world, others) == expected
                             checked += 1
         assert checked > 10_000
 
@@ -437,6 +439,7 @@ def unpruned_plan_abnormality(scenario, pins, effect):
     actual = scenario.actual()
     ordered_pins = [v for v in model.variables if v in pins]
     reduction = Reduction(scenario, pins)
+    allowed = ranked_pinnable(reduction, screen_pin_rank)
     roaming = scenario.roaming_vars(pins, effect.var)
 
     first_witness = None
@@ -454,7 +457,7 @@ def unpruned_plan_abnormality(scenario, pins, effect):
             if world[effect.var] == effect.value:
                 continue
             if not (
-                pins_rank_no_lower(reduction, world, overrides)
+                pins_rank_no_lower(allowed, world, overrides)
                 and reduction.no_less_normal(world, overrides)
             ):
                 continue
@@ -498,12 +501,9 @@ def plan_queries(scenario):
 
 def pruned_somewhere(scenario, pins, effect):
     """Whether some pin or roaming variable loses a value to the pruning."""
-    reduction = Reduction(scenario, pins)
+    allowed = ranked_pinnable(Reduction(scenario, pins), screen_pin_rank)
     pool = pins | scenario.roaming_vars(pins, effect.var)
-    return any(
-        len(ranked_pinnable(reduction, v, screen_pin_rank)) < len(scenario.model.domains[v])
-        for v in pool
-    )
+    return any(len(allowed[v]) < len(scenario.model.domains[v]) for v in pool)
 
 
 class TestPinPruning:
@@ -567,13 +567,13 @@ class TestPinPruning:
                 defaults = scenario.defaults
                 for _, pins in pin_sets(scenario):
                     reduction = Reduction(scenario, frozenset(pins))
+                    screen_rule = ranked_pinnable(reduction, screen_pin_rank)
+                    comparator_rule = ranked_pinnable(reduction, comparator_pin_rank)
                     for var in scenario.model.variables:
                         screen = reduction.pinnable(var, (actual[var], defaults[var]))
-                        assert screen == ranked_pinnable(reduction, var, screen_pin_rank)
+                        assert screen == screen_rule[var]
                         comparator = reduction.pinnable(var, (defaults[var],))
-                        assert comparator == ranked_pinnable(
-                            reduction, var, comparator_pin_rank
-                        )
+                        assert comparator == comparator_rule[var]
                         checked["removed" if var in reduction.removed else "kept"] += 1
                         checked["pruned"] += len(comparator) < len(
                             scenario.model.domains[var]
@@ -616,13 +616,13 @@ class TestAbnormalityWork:
         assert len(solved) == 587
 
     def test_rank_count_over_the_corpus(self, monkeypatch):
-        # No pin is ranked: `Reduction.pinnable` reads each pin's values off
-        # the actual rank, up front.  Free ranks are the actual and solved
-        # worlds' own.  A contrast set under which the effect cannot change
-        # ranks nothing, and direct causes rank nothing either.  Worlds the
-        # search no longer solves (see the solve count) are not ranked: the
-        # count was 6 081 when every background of every contrast was.
-        ranked = counting_calls(monkeypatch, Reduction, "_rank")
+        # The worlds `no_less_normal` ranks: 418 from the abnormality screen
+        # and 131 from the comparator.  Only worlds that break the effect are
+        # ranked.  A contrast set under which the effect cannot change ranks
+        # nothing, and direct causes rank nothing either.  Counted as
+        # variable ranks, the actual world's included, this gate read 3 262,
+        # and 6 081 when every background of every contrast was solved.
+        ranked = counting_calls(monkeypatch, Reduction, "no_less_normal")
         cases = 0
         for path in sorted(corpus_dir().glob("*.case")):
             case = parse_case(path.read_text(encoding="utf-8"))
@@ -630,7 +630,7 @@ class TestAbnormalityWork:
             hph_causes(case.scenario, case.effect)
             cases += 1
         assert cases == 66
-        assert len(ranked) == 3262
+        assert len(ranked) == 549
 
     def test_solve_count_over_the_random_nets_pool(self, monkeypatch):
         # The benchmark's random-nets pool, each model with its deepest
