@@ -3,8 +3,9 @@
 
 1. the intention rule on each case that declares intentions (raw causes,
    then the causes the rule reports),
-2. the continuity diff: the cases whose primary causes differ between the
-   plan-membership reading (the default) and the chain-certified ablation.
+2. the continuity diff: the cases whose raw causes differ between the
+   engine's plan-membership reading and the chain-certified ablation, which
+   the oracle spells out (`oracle_causes_of(..., continuity=...)`).
 
 Run with `PYTHONPATH=src python scripts/calibrate.py`.
 """
@@ -13,11 +14,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from actualcause import (EngineOptions, causes_of, intentional_causes, parse_case,
-                         render_events)
+from actualcause import causes_of, intentional_causes, parse_case, render_events
+from actualcause.oracle import oracle_causes_of
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "actualcause" / "corpus"
-CHAIN_CERTIFIED = EngineOptions(continuity="chain-certified")
 
 
 def main() -> None:
@@ -34,8 +34,8 @@ def main() -> None:
     print("\n== continuity diff (plan-membership vs chain-certified) ==")
     diffs = 0
     for case in cases:
-        plan = intentional_causes(case.scenario, case.effect)
-        chain = intentional_causes(case.scenario, case.effect, CHAIN_CERTIFIED)
+        plan = causes_of(case.scenario, case.effect)
+        chain = oracle_causes_of(case.scenario, case.effect, continuity="chain-certified")
         if plan != chain:
             diffs += 1
             print(f"case {case.id}: plan-membership {render_events(plan)} "

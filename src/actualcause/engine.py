@@ -1,4 +1,4 @@
-"""The actual-cause engine: certification plus causal-chain continuity.
+"""The actual-cause engine: certification plus a causal chain.
 
 An event C=c is reported as an actual cause of E=e when
 
@@ -6,8 +6,8 @@ An event C=c is reported as an actual cause of E=e when
 2. that plan admits an abnormality witness breaking E=e, certifying C
    (either a witness flips C, or C sits at its default value while the plan
    has some passing witness), and
-3. some direct-cause chain from C to E has every intermediate vertex
-   certified the same way.
+3. some direct-cause chain from C to E has C in a minimal sufficient,
+   abnormality-passing plan for each intermediate vertex.
 
 The variant screen ("3prime") restricts witnesses to those flipping exactly
 the candidate, with no default clause; it reads the single-flip witnesses
@@ -36,18 +36,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EngineOptions:
-    """Engine configuration.  The defaults are the shipped semantics."""
+    """Engine configuration.  The default is the shipped semantics."""
 
     abnormality_variant: str = "3"  # "3" | "3prime"
-    continuity: str = "plan-membership"  # | "chain-certified"
 
     def __post_init__(self) -> None:
         if self.abnormality_variant not in ("3", "3prime"):
             raise ModelError(
                 f"unknown abnormality variant {self.abnormality_variant!r}"
             )
-        if self.continuity not in ("chain-certified", "plan-membership"):
-            raise ModelError(f"unknown continuity rule {self.continuity!r}")
 
 
 DEFAULT_OPTIONS = EngineOptions()
@@ -65,8 +62,9 @@ class CauseVerdict:
 
 
 class ScenarioAnalysis:
-    """The verdicts for one (scenario, effect, options) triple; the searches
-    behind them are memoized on the scenario and shared across options."""
+    """The verdicts for one (scenario, effect) pair under one abnormality
+    variant; the searches behind them are memoized on the scenario and
+    shared across variants."""
 
     def __init__(
         self,
@@ -76,7 +74,6 @@ class ScenarioAnalysis:
     ) -> None:
         self.scenario = scenario
         self.effect = effect
-        self.options = options
         # each variable the active variant certifies -> its first certifying
         # plan and that plan's witness for it
         self.certified: dict[str, tuple[frozenset[Event], AbnormalityWitness]] = {}
@@ -93,8 +90,8 @@ class ScenarioAnalysis:
 
     def chain_for(self, var: str) -> tuple[str, ...] | None:
         """Shortest (then lexicographically first) direct-cause chain from
-        var to the effect whose intermediate vertices all satisfy the active
-        continuity rule.
+        var to the effect whose intermediate vertices all have var in some
+        passing plan (`_member_of_passing_plan`).
 
         A breadth-first search backward from the effect gives each vertex its
         edge count to the effect over admissible vertices; the chain then
@@ -103,12 +100,6 @@ class ScenarioAnalysis:
         goal = self.effect.var
         if var == goal:
             return (var,)
-
-        def admissible(vertex: str) -> bool:
-            if self.options.continuity == "chain-certified":
-                return vertex in self.certified
-            return self._member_of_passing_plan(var, vertex)
-
         dist: dict[str, int] = {goal: 0}
         onward: dict[str, str] = {}  # each vertex's smallest neighbour one edge closer
         frontier = [goal]
@@ -116,7 +107,9 @@ class ScenarioAnalysis:
             layer: list[str] = []
             for vertex in frontier:
                 for parent in direct_cause_parents(self.scenario, vertex):
-                    if parent not in dist and (parent == var or admissible(parent)):
+                    if parent not in dist and (
+                        parent == var or self._member_of_passing_plan(var, parent)
+                    ):
                         dist[parent] = dist[vertex] + 1
                         layer.append(parent)
                     if dist.get(parent) == dist[vertex] + 1:
@@ -130,11 +123,10 @@ class ScenarioAnalysis:
         return tuple(path)
 
     def _member_of_passing_plan(self, cause_var: str, vertex: str) -> bool:
-        """Plan-membership continuity: the cause belongs to some minimal
-        sufficient, abnormality-passing plan for the intermediate vertex.
-        Every plan member is an ancestor of the vertex, so a vertex that
-        does not descend from the cause is rejected before its plans are
-        computed."""
+        """The chain rule: the cause belongs to some minimal sufficient,
+        abnormality-passing plan for the intermediate vertex.  Every plan
+        member is an ancestor of the vertex, so a vertex that does not
+        descend from the cause is rejected before its plans are computed."""
         if cause_var not in self.scenario.model.ancestors(vertex):
             return False
         target = Event(vertex, self.scenario.actual_value(vertex))

@@ -241,8 +241,7 @@ class Model:
             if index.keys() >= values:
                 return table
             # Re-evaluate the first failing setting alone, for its error.
-            code = next(i for i, value in enumerate(table) if value not in index)
-            combo = next(itertools.islice(itertools.product(*pools), code, None))
+            combo = next(c for c, v in zip(itertools.product(*pools), table) if v not in index)
             env = dict(zip(parents, combo))
         else:
             # a one-row table is that one evaluation

@@ -5,6 +5,10 @@ powerset enumeration, no search collapse, no caching across calls.  The test
 suites compare these against the engine on small random models.  The code
 here intentionally repeats definitions implemented elsewhere; do not
 refactor the two into sharing search logic.
+
+`oracle_causes_of(..., continuity="chain-certified")` alone holds the looser
+chain reading (each intermediate vertex certified toward the effect);
+`scripts/calibrate.py` lists the corpus cases where it differs from the engine.
 """
 
 from __future__ import annotations

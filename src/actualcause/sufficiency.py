@@ -128,12 +128,13 @@ def _rows(scenario: Scenario, target: Event) -> tuple[tuple[str, ...], Probe]:
 def _falsifier(scenario: Scenario, target: Event) -> tuple[tuple[str, ...], Probe]:
     """The sorted ancestors of a reliable-mode target with a derived parent,
     and `falsify(mask)` over them: it pins the masked candidates at their
-    actual values, tries the other initial candidates in the order of
-    `enumerate_settings`, and solves the world each background gives.  It
-    returns the first falsifying world's (D(w), B(w)) (see `_sets`), or
-    None.  While the target's value is actual, the background that keeps
-    every roaming candidate actual reproduces the actual world, so it is
-    skipped unsolved."""
+    actual values, tries every setting of the other initial candidates,
+    taken in model order with each variable's values in domain order (the
+    last variable varying fastest), and solves the world each background
+    gives.  It returns the first falsifying world's (D(w), B(w)) (see
+    `_sets`), or None.  While the target's value is actual, the background
+    that keeps every roaming candidate actual reproduces the actual world,
+    so it is skipped unsolved."""
     model = scenario.model
     candidates = tuple(sorted(model.ancestors(target.var)))
     actual = scenario.actual()

@@ -95,9 +95,10 @@ def run_verify(
     max_vars: int = 6,
 ) -> VerifyReport:
     report = VerifyReport(seed=seed, models=models, max_vars=max_vars)
-    report.sections.append(_oracle_section(models, seed, max_vars))
+    oracle, comparator = _stream_sections(models, seed, max_vars)
+    report.sections.append(oracle)
     report.sections.append(_general_sufficiency_section(models, seed, max_vars))
-    report.sections.append(_comparator_section(models, seed, max_vars))
+    report.sections.append(comparator)
     report.sections.append(_variant_section(max(models // 2, 0), seed, max_vars))
     ops_total = max(models // 2, 0)
     report.sections.extend(_operations_sections(ops_total, seed, max_vars))
@@ -106,17 +107,29 @@ def run_verify(
     return report
 
 
-def _oracle_section(models: int, seed: int, max_vars: int) -> Section:
-    section = Section("engine vs oracle (sufficient sets, direct causes, causes)")
-    options = EngineOptions()
+def _stream_sections(models: int, seed: int, max_vars: int) -> tuple[Section, Section]:
+    """The engine-vs-oracle and comparator sections, filled from one walk of
+    the stream.  The comparator is checked first, so that the oracle
+    section's early exits skip nothing of it."""
+    oracle = Section("engine vs oracle (sufficient sets, direct causes, causes)")
+    comparator = Section("engine vs oracle (contrastive comparator)")
     for index, scenario in scenario_stream(seed, models, max_vars):
         tag = f"seed={seed}/{index}"
         effect = random_effect(scenario)
+        comparator.checked += 1
+        contrastive = hph_causes(scenario, effect).vars()
+        expected = oracle_hph_vars(scenario, effect)
+        if contrastive != expected:
+            comparator.failures.append(
+                f"{tag} contrastive causes {sorted(contrastive)} != "
+                f"{sorted(expected)} for {effect.render()} on "
+                f"{_describe(scenario)}"
+            )
         mine = minimal_sufficient_sets(scenario, effect)
         reference = oracle_minimal_sufficient_sets(scenario, effect)
-        section.checked += 1
+        oracle.checked += 1
         if mine != reference:
-            section.failures.append(
+            oracle.failures.append(
                 f"{tag} minimal sufficient sets differ for {effect.render()} "
                 f"on {_describe(scenario)}"
             )
@@ -127,11 +140,11 @@ def _oracle_section(models: int, seed: int, max_vars: int) -> Section:
             if model.is_initial(var):
                 continue
             target = Event(var, scenario.actual_value(var))
-            section.checked += 1
+            oracle.checked += 1
             if direct_cause_sets(scenario, target) != oracle_direct_cause_sets(
                 scenario, target
             ):
-                section.failures.append(
+                oracle.failures.append(
                     f"{tag} direct-cause sets differ for {target.render()} "
                     f"on {_describe(scenario)}"
                 )
@@ -139,13 +152,13 @@ def _oracle_section(models: int, seed: int, max_vars: int) -> Section:
                 break
         if not ok:
             continue
-        section.checked += 1
-        if causes_of(scenario, effect, options) != oracle_causes_of(scenario, effect):
-            section.failures.append(
+        oracle.checked += 1
+        if causes_of(scenario, effect) != oracle_causes_of(scenario, effect):
+            oracle.failures.append(
                 f"{tag} causes differ for {effect.render()} on "
                 f"{_describe(scenario)}"
             )
-    return section
+    return oracle, comparator
 
 
 def _general_sufficiency_section(models: int, seed: int, max_vars: int) -> Section:
@@ -162,22 +175,6 @@ def _general_sufficiency_section(models: int, seed: int, max_vars: int) -> Secti
             section.failures.append(
                 f"seed={seed + 404}/{index} minimal sufficient sets differ for "
                 f"{effect.render()} on {_describe(scenario)}"
-            )
-    return section
-
-
-def _comparator_section(models: int, seed: int, max_vars: int) -> Section:
-    section = Section("engine vs oracle (contrastive comparator)")
-    for index, scenario in scenario_stream(seed, models, max_vars):
-        effect = random_effect(scenario)
-        section.checked += 1
-        mine = hph_causes(scenario, effect).vars()
-        reference = oracle_hph_vars(scenario, effect)
-        if mine != reference:
-            section.failures.append(
-                f"seed={seed}/{index} contrastive causes {sorted(mine)} != "
-                f"{sorted(reference)} for {effect.render()} on "
-                f"{_describe(scenario)}"
             )
     return section
 

@@ -19,6 +19,7 @@ from actualcause import (
     analyze,
     cause_nets,
     causes_of,
+    direct_cause_sets,
     distance,
     extrapolate,
     flank,
@@ -29,7 +30,7 @@ from actualcause import (
     parse_case,
 )
 from actualcause import engine, normality
-from actualcause.oracle import oracle_causes_of
+from actualcause.oracle import oracle_causes_of, oracle_direct_cause_sets
 from actualcause.randmodel import random_effect, scenario_stream
 
 from conftest import corpus_dir, counting_calls, make_scenario
@@ -44,7 +45,7 @@ class TestEngineOptions:
         "kwargs",
         [
             {"abnormality_variant": "4"},
-            {"continuity": "none"},
+            {"abnormality_variant": "3PRIME"},
             {"abnormality_variant": "single-event"},
         ],
     )
@@ -54,7 +55,6 @@ class TestEngineOptions:
 
     def test_defaults(self):
         assert DEFAULT_OPTIONS.abnormality_variant == "3"
-        assert DEFAULT_OPTIONS.continuity == "plan-membership"
 
 
 class TestChainModel:
@@ -135,10 +135,11 @@ class TestCorpusAnchors:
             "d=1",
             "f=0",
         ]
-        assert cause_strings(
-            case.scenario, case.effect, EngineOptions(continuity="chain-certified")
-        ) == ["a=1", "c=1", "d=1", "f=0"]
-        # Under the default reading c is certified toward the effect but no
+        # The looser reading, that every intermediate vertex is certified
+        # toward the effect, is the oracle's alone; it adds c.
+        chained = oracle_causes_of(case.scenario, case.effect, continuity="chain-certified")
+        assert sorted(ev.render() for ev in chained) == ["a=1", "c=1", "d=1", "f=0"]
+        # Under the engine's reading c is certified toward the effect but no
         # chain of passing plan members reaches it.
         verdict = is_actual_cause(case.scenario, Event("c", 1), case.effect)
         assert not verdict.is_cause
@@ -167,6 +168,28 @@ def test_single_event_variant_matches_the_oracle(mode):
             assert causes_of(scenario, effect, strict) == expected, (index, var)
             queries += 1
     assert queries == 145
+
+
+def test_default_variant_matches_the_oracle_in_general_mode():
+    # verify's general-mode section compares sufficient sets only; here the
+    # causes of each random effect and every derived variable's direct
+    # causes meet the oracle too
+    effects = targets = found = 0
+    for index, scenario in scenario_stream(61, 200, max_vars=7, mode="general"):
+        effect = random_effect(scenario)
+        causes = causes_of(scenario, effect)
+        assert causes == oracle_causes_of(scenario, effect), index
+        effects += 1
+        found += bool(causes)
+        for var in scenario.model.variables:
+            if scenario.model.is_initial(var):
+                continue
+            target = Event(var, scenario.actual_value(var))
+            assert direct_cause_sets(scenario, target) == oracle_direct_cause_sets(
+                scenario, target
+            ), (index, var)
+            targets += 1
+    assert (effects, targets, found) == (200, 531, 54)
 
 
 class TestIntentionRule:
@@ -221,11 +244,7 @@ class TestAnalyze:
         assert (verdict.plan, verdict.witness) == analysis.certified["a"]
 
 
-ALL_OPTIONS = [
-    EngineOptions(variant, continuity)
-    for variant in ("3", "3prime")
-    for continuity in ("plan-membership", "chain-certified")
-]
+ALL_OPTIONS = [EngineOptions(variant) for variant in ("3", "3prime")]
 
 
 def corpus_queries():
@@ -250,9 +269,7 @@ def split_path_queries():
     return queries
 
 
-@pytest.mark.parametrize(
-    "options", ALL_OPTIONS, ids=lambda o: f"{o.abnormality_variant}-{o.continuity}"
-)
+@pytest.mark.parametrize("options", ALL_OPTIONS, ids=lambda o: o.abnormality_variant)
 def test_causes_of_agrees_with_verdict_for(options):
     # causes_of reads the certification map and the chains directly;
     # verdict_for builds the receipts.  Both must name the same causes.
@@ -289,9 +306,9 @@ def test_causes_of_builds_no_verdicts(monkeypatch, corpus_cases):
 
 def test_chains_compute_plans_only_for_descendants_of_the_cause(monkeypatch):
     # A work-count regression gate on the bench's two queries, on fresh
-    # scenarios.  Plan-membership continuity rejects a vertex that does not
-    # descend from the cause before computing its minimal sufficient sets;
-    # each distinct (scenario, effect) question the engine asks counts once.
+    # scenarios.  The chain rule rejects a vertex that does not descend from
+    # the cause before computing its minimal sufficient sets; each distinct
+    # (scenario, effect) question the engine asks counts once.
     asked = counting_calls(monkeypatch, engine, "minimal_sufficient_sets")
     searched = counting_calls(monkeypatch, normality, "_plan_abnormality")
     for scenario, effect in corpus_queries():

@@ -3,17 +3,20 @@ inside functions, read from the source with `ast`.  The graph stays acyclic,
 and the oracle stays independent of the engine it checks.  The model's
 private state is read in `model.py` alone, and a name imported from a
 sibling module is read or re-exported where it is imported.  No private
-module-level helper outlives its last reader."""
+module-level helper outlives its last reader, and no `EngineOptions` field
+is set by tests and scripts alone."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import graphlib
 from pathlib import Path
 
 import actualcause
 
 PACKAGE_DIR = Path(actualcause.__file__).parent
+ROOT = PACKAGE_DIR.parents[1]
 
 
 def _imported_modules(tree: ast.AST) -> set[str]:
@@ -183,3 +186,35 @@ def test_no_private_helper_is_dead():
     ) == {"a._f"}
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
     assert _dead_private_names(sources) == set()
+
+
+def _option_keywords(source: str) -> set[str]:
+    """The keywords passed in each `EngineOptions(...)` or
+    `module.EngineOptions(...)` call of the source."""
+    return {
+        keyword.arg
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name)
+            and node.func.id == "EngineOptions"
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr == "EngineOptions"
+        )
+        for keyword in node.keywords
+    }
+
+
+def test_every_engine_option_is_set_by_the_program():
+    # An option that only tests and scripts set is a knob the program does
+    # not need; the check does see both call forms.
+    assert _option_keywords("EngineOptions(a=1)\nac.EngineOptions(b=2)") == {"a", "b"}
+    paths = [
+        path
+        for directory in (ROOT / "src", ROOT / "perfbench")
+        for path in sorted(directory.rglob("*.py"))
+        if not path.name.startswith("test_")
+    ]
+    keywords = set().union(*(_option_keywords(path.read_text()) for path in paths))
+    fields = {field.name for field in dataclasses.fields(actualcause.EngineOptions)}
+    assert fields <= keywords

@@ -50,10 +50,7 @@ from actualcause.randmodel import random_effect, random_scenario, scenario_strea
 from conftest import WIDE_FORMULAS, corpus_dir, make_scenario
 
 NETS_KEPT = 20
-OPTION_SETS = (
-    EngineOptions(abnormality_variant="3prime"),
-    EngineOptions(continuity="chain-certified"),
-)
+PRIME = EngineOptions(abnormality_variant="3prime")
 
 
 def _attempt(operation, *args):
@@ -64,10 +61,10 @@ def _attempt(operation, *args):
 
 
 def net_queries(scenario_for, effect) -> list:
-    """The random-nets benchmark query, plus the engine's alternative
-    options; `scenario_for()` supplies the scenario of each call."""
+    """The random-nets benchmark query, plus the engine's other abnormality
+    variant; `scenario_for()` supplies the scenario of each call."""
     out: list = [intentional_causes(scenario_for(), effect)]
-    out += [causes_of(scenario_for(), effect, options) for options in OPTION_SETS]
+    out.append(causes_of(scenario_for(), effect, PRIME))
     out.append(hph_causes(scenario_for(), effect))
     try:
         nets = cause_nets(scenario_for(), effect)[:NETS_KEPT]
@@ -319,21 +316,12 @@ def test_chain_counts_match_enumeration_on_a_lattice():
     check_against_brute_force(scenario, random_effect(scenario))
 
 
-CHAIN_OPTIONS = tuple(
-    EngineOptions(continuity=continuity, abnormality_variant=variant)
-    for continuity in ("plan-membership", "chain-certified")
-    for variant in ("3", "3prime")
-)
-
-
 def brute_chain(analysis, successors, var: str) -> tuple[str, ...] | None:
     """The shortest, then lexicographically smallest, chain from var to the
-    effect whose intermediate vertices all pass the continuity rule."""
+    effect whose intermediate vertices all pass the chain rule."""
     scenario = analysis.scenario
 
     def admissible(vertex: str) -> bool:
-        if analysis.options.continuity == "chain-certified":
-            return vertex in analysis.certified
         target = Event(vertex, scenario.actual_value(vertex))
         return any(
             var in {ev.var for ev in events}
@@ -350,12 +338,11 @@ def brute_chain(analysis, successors, var: str) -> tuple[str, ...] | None:
 
 
 def check_chains_against_brute_force(scenario, effect) -> None:
+    # the chain rule reads no engine option, so one analysis covers both variants
     successors = brute_successors(scenario)
-    for options in CHAIN_OPTIONS:
-        analysis = analyze(scenario, effect, options)
-        for var in scenario.model.variables:
-            expected = brute_chain(analysis, successors, var)
-            assert analysis.chain_for(var) == expected, (options, var)
+    analysis = analyze(scenario, effect)
+    for var in scenario.model.variables:
+        assert analysis.chain_for(var) == brute_chain(analysis, successors, var), var
 
 
 def test_chains_match_enumeration_on_random_models():

@@ -32,11 +32,7 @@ from actualcause.randmodel import random_effect, scenario_stream
 
 from conftest import corpus_dir, grouped_conjunction, lattice, make_scenario, tree
 
-OPTION_SETS = (
-    EngineOptions(),
-    EngineOptions(abnormality_variant="3prime"),
-    EngineOptions(continuity="chain-certified"),
-)
+OPTION_SETS = (EngineOptions(), EngineOptions(abnormality_variant="3prime"))
 
 
 def rename_expr(expr, names):
