@@ -2,7 +2,7 @@
 """Write the golden outputs that tests/test_acceptance.py compares against.
 
 `tests/data/bench.<format>` holds `actualcause bench` over the shipped corpus
-in each report format, `tests/data/verify.txt` the report of
+in each report format of `bench.FORMATS`, `tests/data/verify.txt` the report of
 `run_verify(1000)`, and `tests/data/check.txt` the stdout and exit code of
 `actualcause check --definition all --verbose` on each corpus case.
 Regenerate them only when a change means to alter these outputs, and say why
@@ -18,12 +18,11 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
-from actualcause.bench import render_report, run_bench
+from actualcause.bench import FORMATS, render_report, run_bench
 from actualcause.cli import main as cli
 from actualcause.verification import run_verify
 
 DATA = Path(__file__).resolve().parents[1] / "tests" / "data"
-FORMATS = ("plain", "json", "csv", "md")
 CORPUS = Path(str(importlib.resources.files("actualcause"))) / "corpus"
 
 

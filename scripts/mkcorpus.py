@@ -14,12 +14,12 @@ cross-checks the nonzero ones).  Repairs to garbled source rows carry a
 
 from __future__ import annotations
 
-import itertools
-import sys
+import graphlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from actualcause.dsl import parse_case, parse_expression, serialize_case
+from actualcause.expr import value_table
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "src" / "actualcause" / "corpus"
 
@@ -263,26 +263,12 @@ def _equations(formulas: str) -> dict[str, object]:
     return equations
 
 
-def _topo_order(equations: dict[str, object]) -> list[str]:
-    order: list[str] = []
-    placed: set[str] = set()
-    pending = dict(equations)
-    while pending:
-        ready = [v for v, expr in pending.items() if expr.variables() <= placed]
-        if not ready:
-            raise SystemExit(f"cycle among {sorted(pending)}")
-        for var in ready:
-            order.append(var)
-            placed.add(var)
-            del pending[var]
-    return order
-
-
 def _domains_and_defaults(row: Row) -> tuple[dict[str, tuple[int, ...]], dict[str, int]]:
     equations = _equations(row.formulas)
     domains: dict[str, tuple[int, ...]] = {}
     defaults: dict[str, int] = {}
-    for var in _topo_order(equations):
+    graph = {var: expr.variables() for var, expr in equations.items()}
+    for var in graphlib.TopologicalSorter(graph).static_order():
         expr = equations[var]
         parents = sorted(expr.variables())
         if not parents:
@@ -300,12 +286,10 @@ def _domains_and_defaults(row: Row) -> tuple[dict[str, tuple[int, ...]], dict[st
             domains[var] = domain
             defaults[var] = 0
             continue
-        image = sorted(
-            {
-                expr.evaluate(dict(zip(parents, combo)))
-                for combo in itertools.product(*(domains[p] for p in parents))
-            }
-        )
+        _, values = value_table(expr, parents, [domains[p] for p in parents])
+        if None in values:
+            raise SystemExit(f"row {row.num}: equation for {var} fails on some setting")
+        image = sorted(values)
         expected = row.check.get(var)
         if expected is not None and tuple(image) != tuple(sorted(expected)):
             raise SystemExit(

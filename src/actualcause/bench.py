@@ -18,7 +18,7 @@ from .dsl import BenchCase, read_case
 from .engine import intentional_causes
 from .model import Event, SearchTooLargeError
 
-__all__ = ["BenchReport", "CaseResult", "render_report", "run_bench"]
+__all__ = ["BenchReport", "CaseResult", "FORMATS", "render_report", "run_bench"]
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,12 @@ def run_bench(directory: str | Path) -> BenchReport:
     return BenchReport(results=tuple(results))
 
 
-def _set_text(events: frozenset[Event] | None) -> str:
+def _set_text(events: frozenset[Event] | None, sep: str = ",") -> str:
     if events is None:
         return "-"
     if not events:
         return "{}"
-    return ",".join(ev.render() for ev in sorted(events))
+    return sep.join(ev.render() for ev in sorted(events))
 
 
 def _flag(value: bool | None) -> str:
@@ -127,15 +127,9 @@ def _flag(value: bool | None) -> str:
 
 
 def render_report(report: BenchReport, fmt: str = "plain") -> str:
-    if fmt == "json":
-        return _render_json(report)
-    if fmt == "csv":
-        return _render_csv(report)
-    if fmt == "md":
-        return _render_markdown(report)
-    if fmt == "plain":
-        return _render_plain(report)
-    raise ValueError(f"unknown report format {fmt!r}")
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return FORMATS[fmt](report)
 
 
 def _rows(report: BenchReport) -> list[dict[str, str]]:
@@ -285,3 +279,12 @@ def _render_plain(report: BenchReport) -> str:
         )
     )
     return "\n".join(lines) + "\n"
+
+
+# each report format, in the order `bench --format` lists them
+FORMATS = {
+    "plain": _render_plain,
+    "json": _render_json,
+    "csv": _render_csv,
+    "md": _render_markdown,
+}

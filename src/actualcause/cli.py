@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes for ``check``: 0 when the computed causes match the recorded
-intuition (or no intuition is recorded), 1 on a mismatch, 2 on a parse
-error, 3 when a search exceeds ENUMERATION_CAP.  ``bench`` exits the same
-way over its cases, and also 2 when the ``--out`` file cannot be written.
+intuition (or no intuition is recorded), 1 on a mismatch.  ``bench`` exits
+the same way over its cases, and 2 when the ``--out`` file cannot be written.
+Every command exits 2 on a parse error and 3 when a search exceeds
+ENUMERATION_CAP.
 """
 
 from __future__ import annotations
@@ -15,25 +16,31 @@ from pathlib import Path
 
 import click
 
-from .bench import render_report, run_bench
+from .bench import FORMATS, _set_text, render_report, run_bench
 from .comparators import hph_causes
 from .dsl import ParseError, read_case
 from .engine import EngineOptions, analyze, intentional_causes
-from .model import Event, SearchTooLargeError
+from .model import Event, Scenario, SearchTooLargeError
 from .verification import run_verify
 
 __all__ = ["main"]
 
 
-def _fmt(events: frozenset[Event] | None) -> str:
-    if events is None:
-        return "-"
-    if not events:
-        return "{}"
-    return ", ".join(ev.render() for ev in sorted(events))
+class _Main(click.Group):
+    """The command group: the one place an input error gets its exit code."""
+
+    def invoke(self, ctx: click.Context) -> object:
+        try:
+            return super().invoke(ctx)
+        except ParseError as err:
+            click.echo(f"parse error: {err}", err=True)
+            sys.exit(2)
+        except SearchTooLargeError as err:
+            click.echo(f"search too large: {err}", err=True)
+            sys.exit(3)
 
 
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Actual-causation analysis over deterministic structural models."""
 
@@ -49,68 +56,54 @@ def main() -> None:
 )
 @click.option(
     "--variant",
-    type=click.Choice(["3", "3prime"]),
+    type=click.Choice(EngineOptions.VARIANTS),
     default="3",
     show_default=True,
     help="Abnormality clause variant (3prime contrasts one event at a time).",
 )
 @click.option(
     "--mode",
-    type=click.Choice(["reliable", "general"]),
+    type=click.Choice(Scenario.MODES),
     default=None,
-    help="Override the scenario's declared mode (primary definition only).",
+    help="Override the scenario's declared mode.",
 )
 @click.option("--verbose", is_flag=True, help="Show plans, chains, reasons and contrast sets.")
 def check(case_file: str, definition: str, variant: str, mode: str | None, verbose: bool) -> None:
     """Analyze a single case file and compare against its intuition."""
     mismatch = False
-    try:
-        case = read_case(case_file)
-        options = EngineOptions(abnormality_variant=variant)
-        # the mode override applies to the primary definition only
-        scenario = case.scenario if mode is None else replace(case.scenario, mode=mode)
-        if definition in ("primary", "all"):
-            causes = intentional_causes(scenario, case.effect, options)
-            click.echo(f"causes: {_fmt(causes)}")
-            if verbose:
-                analysis = analyze(scenario, case.effect, options)
-                for var in sorted(analysis.scenario.model.variables):
-                    if var == case.effect.var:
-                        continue
-                    event = Event(var, analysis.scenario.actual_value(var))
-                    verdict = analysis.verdict_for(event)
-                    chain = (
-                        " -> ".join(verdict.chain) if verdict.chain else "-"
-                    )
-                    click.echo(
-                        f"  {event.render()}: cause={verdict.is_cause} "
-                        f"plan={_fmt(verdict.plan)} chain={chain} "
-                        f"({verdict.reason})"
-                    )
-            if case.intuition is not None and causes != case.intuition:
+    case = read_case(case_file)
+    options = EngineOptions(abnormality_variant=variant)
+    scenario = case.scenario if mode is None else replace(case.scenario, mode=mode)
+    if definition in ("primary", "all"):
+        causes = intentional_causes(scenario, case.effect, options)
+        click.echo(f"causes: {_set_text(causes, ', ')}")
+        if verbose:
+            analysis = analyze(scenario, case.effect, options)
+            for var in sorted(scenario.model.variables):
+                if var == case.effect.var:
+                    continue
+                event = Event(var, scenario.actual_value(var))
+                verdict = analysis.verdict_for(event)
+                chain = " -> ".join(verdict.chain) if verdict.chain else "-"
+                click.echo(
+                    f"  {event.render()}: cause={verdict.is_cause} "
+                    f"plan={_set_text(verdict.plan, ', ')} chain={chain} "
+                    f"({verdict.reason})"
+                )
+        if case.intuition is not None and causes != case.intuition:
+            mismatch = True
+    if definition in ("hph", "all"):
+        result = hph_causes(scenario, case.effect)
+        click.echo(f"contrastive causes: {_set_text(result.events, ', ')}")
+        if verbose:
+            for verdict in result.verdicts:
+                names = ", ".join(sorted(verdict.contrast_set))
+                click.echo(f"  {verdict.event.render()}: contrast set {{{names}}}")
+        if definition == "hph" and case.intuition is not None:
+            if result.events != case.intuition:
                 mismatch = True
-        if definition in ("hph", "all"):
-            result = hph_causes(case.scenario, case.effect)
-            click.echo(f"contrastive causes: {_fmt(result.events)}")
-            if verbose:
-                for verdict in result.verdicts:
-                    names = ", ".join(sorted(verdict.contrast_set))
-                    click.echo(
-                        f"  {verdict.event.render()}: contrast set "
-                        f"{{{names}}}"
-                    )
-            if definition == "hph" and case.intuition is not None:
-                if result.events != case.intuition:
-                    mismatch = True
-    except ParseError as err:
-        click.echo(f"parse error: {err}", err=True)
-        sys.exit(2)
-    except SearchTooLargeError as err:
-        click.echo(f"search too large: {err}", err=True)
-        sys.exit(3)
-
     if case.intuition is not None:
-        click.echo(f"intuition: {_fmt(case.intuition)}")
+        click.echo(f"intuition: {_set_text(case.intuition, ', ')}")
     sys.exit(1 if mismatch else 0)
 
 
@@ -119,7 +112,7 @@ def check(case_file: str, definition: str, variant: str, mode: str | None, verbo
 @click.option(
     "--format",
     "fmt",
-    type=click.Choice(["plain", "json", "csv", "md"]),
+    type=click.Choice(list(FORMATS)),
     default="plain",
     show_default=True,
 )
@@ -132,14 +125,7 @@ def check(case_file: str, definition: str, variant: str, mode: str | None, verbo
 def bench(directory: str, fmt: str, out: str | None) -> None:
     """Run every case file in a directory and summarize the results."""
     start = time.perf_counter()
-    try:
-        report = run_bench(directory)
-    except ParseError as err:
-        click.echo(f"parse error: {err}", err=True)
-        sys.exit(2)
-    except SearchTooLargeError as err:
-        click.echo(f"search too large: {err}", err=True)
-        sys.exit(3)
+    report = run_bench(directory)
     elapsed = time.perf_counter() - start
     text = render_report(report, fmt)
     if out is None:

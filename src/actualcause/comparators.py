@@ -14,7 +14,9 @@ actuality, and otherwise only its top value, its default; unpinned variables
 rank Top when they are initial-in-the-reduction at their default or derived
 and obeying their reduced equation, and otherwise carry their value (and
 their kept parents' values) as a deviation, distinct deviations being
-incomparable.  The actual world ranks by the same unpinned rule.
+incomparable.  The actual world ranks by the same unpinned rule.  Nothing
+here reads the scenario's solve mode: a scenario gets the same verdicts in
+either mode.
 
 Only the values `Reduction.pinnable` lists are pinned: contrast members at
 those other than their actual value, freezes where the actual value is one

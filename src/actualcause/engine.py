@@ -17,6 +17,7 @@ recorded by the same per-plan search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .model import Event, ModelError, Scenario
 from .normality import AbnormalityWitness, plan_abnormality
@@ -38,10 +39,12 @@ __all__ = [
 class EngineOptions:
     """Engine configuration.  The default is the shipped semantics."""
 
-    abnormality_variant: str = "3"  # "3" | "3prime"
+    VARIANTS: ClassVar[tuple[str, ...]] = ("3", "3prime")
+
+    abnormality_variant: str = "3"
 
     def __post_init__(self) -> None:
-        if self.abnormality_variant not in ("3", "3prime"):
+        if self.abnormality_variant not in self.VARIANTS:
             raise ModelError(
                 f"unknown abnormality variant {self.abnormality_variant!r}"
             )
@@ -98,8 +101,6 @@ class ScenarioAnalysis:
         walks from var, each step taking the smallest vertex one edge closer.
         Only the effect and its ancestors are visited."""
         goal = self.effect.var
-        if var == goal:
-            return (var,)
         dist: dict[str, int] = {goal: 0}
         onward: dict[str, str] = {}  # each vertex's smallest neighbour one edge closer
         frontier = [goal]

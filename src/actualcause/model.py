@@ -13,7 +13,7 @@ import math
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TypeVar
+from typing import ClassVar, TypeVar
 
 from .expr import EvaluationError, Expr, substitute, value_table
 
@@ -342,13 +342,15 @@ class Scenario:
     Neither it nor its model may be mutated after construction: the actual
     world and the memoized search results are kept for its lifetime."""
 
+    MODES: ClassVar[tuple[str, ...]] = ("reliable", "general")
+
     model: Model
     mode: str = "reliable"
     defaults: Mapping[str, int] = field(default_factory=dict)
     intentions: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.mode not in ("reliable", "general"):
+        if self.mode not in self.MODES:
             raise ModelError(f"unknown mode {self.mode!r}")
         full = {v: 0 for v in self.model.variables}
         for var, value in dict(self.defaults).items():

@@ -6,12 +6,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from actualcause import hph_causes, intentional_causes
 from actualcause.cli import main
+from actualcause.dsl import read_case
+from actualcause.verification import Section, VerifyReport
 
 from conftest import WIDE_FORMULAS, copy_chain, grouped_conjunction
 
@@ -58,6 +62,23 @@ class TestCheck:
         )
         assert result.exit_code == 0
         assert "cause=" in result.output and "chain=" in result.output
+
+    def test_mode_override_reaches_both_definitions(self, runner, corpus_path):
+        # In general mode c=1 is no longer a cause of case 01's effect; the
+        # comparator reads no mode, so its line is the declared-mode one.
+        path = case_file(corpus_path, "01")
+        case = read_case(path)
+        general = replace(case.scenario, mode="general")
+        causes = intentional_causes(general, case.effect)
+        contrastive = hph_causes(case.scenario, case.effect).events
+        assert causes != intentional_causes(case.scenario, case.effect)
+        result = runner.invoke(main, ["check", path, "--definition", "all", "--mode", "general"])
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        assert lines[0] == f"causes: {', '.join(ev.render() for ev in sorted(causes))}"
+        assert lines[1] == (
+            f"contrastive causes: {', '.join(ev.render() for ev in sorted(contrastive))}"
+        )
 
     def test_variant_mismatch_exits_one(self, runner, corpus_path):
         # The single-event variant drops the omission cause recorded in the
@@ -236,6 +257,13 @@ class TestVerify:
         assert result.exit_code == 0
         assert "verification:" in result.output
         assert "result:" in result.output
+
+    def test_report_lists_twenty_failures_then_counts_the_rest(self):
+        failures = [f"failure {i}" for i in range(23)]
+        report = VerifyReport(seed=0, models=1, max_vars=2, sections=[Section("s", 23, failures)])
+        lines = report.render().splitlines()
+        assert lines[2] == "[FAIL] s: 23 checks, 23 failures"
+        assert lines[3:24] == [f"    failure {i}" for i in range(20)] + ["    ... 3 more"]
 
     @pytest.mark.parametrize(
         "args",

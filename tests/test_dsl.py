@@ -90,6 +90,7 @@ def test_cells_are_bare_names_at_actual_values():
         ("case 1\nmode reliable\nformulas: a=1; e=a\nintuition: z\n", "z"),
         ("case 1\nmode reliable\n", "formulas"),
         ("case 1\nmode sometimes\nformulas: a=1; e=a\n", "mode"),
+        ("case 1\nformulas: a=1; e=a\ndomains: z:{0,1}\n", "unknown variable(s): ['z']"),
         pytest.param(
             "case 1\nformulas: e=1\ndomains: e:{0,1,1}\n",
             "domain for 'e'",

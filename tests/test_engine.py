@@ -214,6 +214,13 @@ class TestIntentionRule:
         assert causes_of(scenario, Event("e", 1)) == expected
         assert intentional_causes(scenario, Event("e", 1)) == expected
 
+    def test_pair_holding_the_effect_is_not_applied(self):
+        # The action a is itself the effect, so it cannot be a cause of it:
+        # applied, the rule would drop the intention f with it.
+        scenario = make_scenario("f=1; a=f; e=a", intentions=(("f", "a"),))
+        effect = Event("a", 1)
+        assert intentional_causes(scenario, effect) == frozenset({Event("f", 1)})
+
     def test_rule_filters_unintended_action(self, corpus_cases):
         case = corpus_cases["38"]
         raw = {ev.var for ev in causes_of(case.scenario, case.effect)}

@@ -4,7 +4,8 @@ and the oracle stays independent of the engine it checks.  The model's
 private state is read in `model.py` alone, and a name imported from a
 sibling module is read or re-exported where it is imported.  No private
 module-level helper outlives its last reader, and no `EngineOptions` field
-is set by tests and scripts alone."""
+is set by tests and scripts alone.  The CLI maps each input error to its exit
+code once and reads its choice lists from the package."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import graphlib
 from pathlib import Path
 
 import actualcause
+import actualcause.bench
 
 PACKAGE_DIR = Path(actualcause.__file__).parent
 ROOT = PACKAGE_DIR.parents[1]
@@ -218,3 +220,53 @@ def test_every_engine_option_is_set_by_the_program():
     keywords = set().union(*(_option_keywords(path.read_text()) for path in paths))
     fields = {field.name for field in dataclasses.fields(actualcause.EngineOptions)}
     assert fields <= keywords
+
+
+def _except_clauses(source: str) -> dict[str, int]:
+    """How many `except` clauses of the source name each exception, alone
+    or in a tuple."""
+    counts: dict[str, int] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for name in caught:
+                counts[ast.unparse(name)] = counts.get(ast.unparse(name), 0) + 1
+    return counts
+
+
+def _literal_choices(source: str) -> list[list[object]]:
+    """The literal list or tuple passed to each `click.Choice(...)` call."""
+    return [
+        list(ast.literal_eval(node.args[0]))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "click.Choice"
+        and node.args
+        and isinstance(node.args[0], (ast.List, ast.Tuple))
+    ]
+
+
+def test_cli_maps_each_input_error_once():
+    # the check does see a handler in a tuple and one on its own
+    assert _except_clauses(
+        "try:\n    f()\nexcept (A, B):\n    pass\nexcept A:\n    pass\n"
+    ) == {"A": 2, "B": 1}
+    counts = _except_clauses((PACKAGE_DIR / "cli.py").read_text())
+    assert counts.get("ParseError") == 1
+    assert counts.get("SearchTooLargeError") == 1
+
+
+def test_cli_reads_its_choice_lists_from_the_package():
+    # the check does see a literal list and a literal tuple
+    assert _literal_choices('click.Choice(["a"])\nclick.Choice(("b",))\nclick.Choice(X)') == [
+        ["a"],
+        ["b"],
+    ]
+    owned = [
+        list(actualcause.bench.FORMATS),
+        list(actualcause.EngineOptions.VARIANTS),
+        list(actualcause.Scenario.MODES),
+    ]
+    literals = _literal_choices((PACKAGE_DIR / "cli.py").read_text())
+    assert literals  # the CLI's own `--definition` list
+    assert not [choices for choices in literals if choices in owned]

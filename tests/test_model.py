@@ -94,6 +94,18 @@ class TestModelValidation:
         with pytest.raises(UnknownVariableError):
             make_scenario("a=1; e=a & z")
 
+    def test_duplicate_variable_names(self):
+        with pytest.raises(ModelError, match="duplicate variable names"):
+            Model(("a", "a"), {"a": Const(1)})
+
+    def test_equations_must_match_the_variables(self):
+        with pytest.raises(ModelError, match=r"missing \['b'\], extra \['z'\]"):
+            Model(("a", "b"), {"a": Const(1), "z": Const(0)})
+
+    def test_domain_for_unknown_variable(self):
+        with pytest.raises(UnknownVariableError, match=r"unknown variable\(s\): \['z'\]"):
+            Model(("a",), {"a": Const(1)}, {"z": BINARY})
+
     def test_cycle(self):
         with pytest.raises(CycleError):
             make_scenario("a=e; e=a")

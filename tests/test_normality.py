@@ -56,6 +56,11 @@ class TestRank:
         # A deviant value is indexed by the parent context it deviates in.
         assert deviant.value == 0 and deviant.context == (1, 0)
 
+    def test_derived_variable_missing_a_parent_value(self):
+        scenario = make_scenario("a=1; d=0; e=a & ~d")
+        with pytest.raises(UnknownVariableError, match=r"missing parent value\(s\) \['d'\]"):
+            rank(scenario, "e", 1, {"a": 1})
+
     def test_parent_value_outside_domain(self):
         scenario = make_scenario("a=1; d=0; e=a & ~d")
         with pytest.raises(DomainError):
@@ -225,6 +230,11 @@ class TestPlanAbnormality:
         scenario = make_scenario("a=1; e=a")
         with pytest.raises(error):
             plan_abnormality(scenario, ("a",), effect)
+
+    def test_unknown_plan_variable(self):
+        scenario = make_scenario("a=1; e=a")
+        with pytest.raises(UnknownVariableError, match=r"unknown plan variable\(s\) \['z'\]"):
+            plan_abnormality(scenario, ("a", "z"), Event("e", 1))
 
 
 class TestAbnormalityExits:

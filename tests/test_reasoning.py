@@ -95,6 +95,13 @@ class TestInterpolate:
         with pytest.raises(ReasoningError):
             interpolate(fork, frozenset({Event("b", 1)}), Event("c", 1), EFFECT)
 
+    def test_member_without_a_chain_rejected(self):
+        # a does not feed e, so no direct-cause chain leaves it
+        scenario = make_scenario("a=0; b=1; e=b")
+        net = frozenset({Event("a", 0), Event("b", 1)})
+        with pytest.raises(NoChainError, match="a=0 has no direct-cause chain to e=1"):
+            interpolate(scenario, net, Event("a", 0), EFFECT)
+
     def test_never_increases_distance(self, fork):
         for net in cause_nets(fork, EFFECT):
             before = distance(fork, net, EFFECT)
