@@ -18,7 +18,7 @@ import graphlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from actualcause.dsl import parse_case, parse_expression, serialize_case
+from actualcause.dsl import parse_case, parse_expression, render_case, serialize_case
 from actualcause.expr import value_table
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "src" / "actualcause" / "corpus"
@@ -315,32 +315,20 @@ def _domains_and_defaults(row: Row) -> tuple[dict[str, tuple[int, ...]], dict[st
 def _case_text(row: Row) -> str:
     domains, defaults = _domains_and_defaults(row)
     order = [item.split("=", 1)[0].strip() for item in row.formulas.split(";")]
-    lines = [f"# {note}" for note in row.notes]
-    lines.append(f"case {row.num:02d}")
-    if row.source:
-        lines.append(f"source {row.source}")
-    lines.append("mode reliable")
-    lines.append(f"formulas: {row.formulas}")
-    domain_items = [
-        f"{var}:{{{','.join(str(v) for v in domains[var])}}}"
-        for var in order
-        if domains[var] != (0, 1)
-    ]
-    if domain_items:
-        lines.append(f"domains: {'; '.join(domain_items)}")
-    default_items = [f"{var}={defaults[var]}" for var in order if defaults[var] != 0]
-    if default_items:
-        lines.append(f"defaults: {'; '.join(default_items)}")
-    lines.append(f"intuition: {row.intuition}")
-    if row.hph is not None:
-        lines.append(f"hph: {row.hph}")
-    if row.weslake is not None:
-        lines.append(f"weslake: {row.weslake}")
-    if row.omission:
-        lines.append("omission-flag: true")
-    if row.intentions:
-        lines.append(f"intentions: {row.intentions}")
-    return "\n".join(lines) + "\n"
+    fields = {
+        "case": f"{row.num:02d}", "source": row.source, "mode": "reliable",
+        "formulas": row.formulas,
+        "domains": "; ".join(
+            f"{var}:{{{','.join(str(v) for v in domains[var])}}}"
+            for var in order
+            if domains[var] != (0, 1)
+        ),
+        "defaults": "; ".join(f"{var}={defaults[var]}" for var in order if defaults[var] != 0),
+        "intuition": row.intuition, "hph": row.hph or "", "weslake": row.weslake or "",
+        "omission-flag": "true" if row.omission else "",
+        "intentions": row.intentions,
+    }
+    return render_case(fields, row.notes)
 
 
 def main() -> None:

@@ -2,14 +2,17 @@
 
 Case files are line oriented UTF-8.  ``#`` starts a full-line comment.  The
 ``case``/``source``/``mode`` headers are space separated; every other key
-uses a colon.  Unknown keys are rejected.
+uses a colon.  Each key of ``_KEYS`` appears at most once, in any order;
+unknown keys are rejected.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TypeVar
 
 from .expr import (
     BINARY_PREC,
@@ -31,6 +34,7 @@ __all__ = [
     "parse_case",
     "parse_expression",
     "read_case",
+    "render_case",
     "render_model",
     "serialize_case",
 ]
@@ -47,9 +51,10 @@ class ParseError(Exception):
 # One match per token, each a tuple of the four groups below, of which the
 # token's own is the only one not empty: an integer, a name, an operator, or
 # (last, and only on the last match) the untokenizable rest of the text.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(
     r"\s*(?:(\d+)"
-    r"|([A-Za-z_][A-Za-z0-9_]*)"
+    rf"|({_NAME})"
     r"|(==|!=|>=|<=|>|<|[~&|+\-*/%(){},])"
     r"|(\S.*))",
     re.DOTALL,
@@ -211,20 +216,17 @@ class BenchCase:
 
 
 _INT_RE = re.compile(r"-?\d+")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_INTENTION_RE = re.compile(r"\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*->\s*([A-Za-z_][A-Za-z0-9_]*)\s*\)")
+_NAME_RE = re.compile(_NAME)
+_INTENTION_RE = re.compile(rf"\(\s*({_NAME})\s*->\s*({_NAME})\s*\)")
 
-_COLON_KEYS = (
-    "formulas",
-    "domains",
-    "defaults",
-    "effect",
-    "intuition",
-    "hph",
-    "weslake",
-    "omission-flag",
-    "intentions",
+# The case-file keys in canonical order, the whitespace-separated headers first.
+_KEYS = (
+    "case", "source", "mode", "formulas", "domains", "defaults", "effect",
+    "intuition", "hph", "weslake", "omission-flag", "intentions",
 )
+_HEADERS = _KEYS[:3]
+
+_T = TypeVar("_T")
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -236,7 +238,7 @@ def _parse_int(text: str, what: str) -> int:
 
 def _parse_name(text: str, what: str) -> str:
     text = text.strip()
-    if not _NAME_RE.match(text) or text in _RESERVED:
+    if not _NAME_RE.fullmatch(text) or text in _RESERVED:
         raise ParseError(f"expected variable name for {what}, found {text!r}")
     return text
 
@@ -249,17 +251,30 @@ def _split_named(item: str, sep: str, what: str) -> tuple[str, str]:
     return _parse_name(name, what), body
 
 
-def _split_items(body: str) -> list[str]:
-    return [piece for piece in map(str.strip, body.split(";")) if piece]
+def _named_items(body: str, sep: str, what: str, parse: Callable[[str, str], _T]) -> dict[str, _T]:
+    """The ``name<sep>value`` items of a `;`-separated list, in order, each
+    name at most once and each value read by ``parse(name, value)``."""
+    items: dict[str, _T] = {}
+    for item in filter(None, map(str.strip, body.split(";"))):
+        name, value = _split_named(item, sep, what)
+        if name in items:
+            raise ParseError(f"duplicate {what} for {name!r}")
+        items[name] = parse(name, value)
+    return items
 
 
-def _parse_name_list(body: str, what: str) -> list[str] | None:
+def _parse_domain(name: str, body: str) -> Domain:
     body = body.strip()
-    if body in ("{}", "[]"):
-        return []
-    if not body:
-        return None
-    return [_parse_name(piece, what) for piece in body.split(",")]
+    if body[:1] + body[-1:] not in ("{}", "[]"):
+        raise ParseError(f"domain for {name!r} must be braced: {body!r}")
+    inner = body[1:-1].strip()
+    if not inner:
+        raise ParseError(f"empty domain for {name!r}")
+    values = tuple(_parse_int(v, f"domain of {name}") for v in inner.split(","))
+    try:
+        return Domain(values)
+    except ModelError as err:
+        raise ParseError(f"domain for {name!r}: {err}") from err
 
 
 def parse_case(text: str) -> BenchCase:
@@ -276,82 +291,43 @@ def parse_case(text: str) -> BenchCase:
             notes.append(line[1:].strip())
             continue
         head = line.split(None, 1)[0]
-        if head in ("case", "source", "mode"):
-            parts = line.split(None, 1)
-            if len(parts) != 2 or not parts[1].strip():
-                raise ParseError(f"'{head}' line needs a value: {line!r}")
-            if head in fields:
-                raise ParseError(f"duplicate {head!r} line")
-            fields[head] = parts[1].strip()
-            continue
-        if ":" in line:
-            key, body = line.split(":", 1)
+        if head in _HEADERS:
+            key, body = head, line[len(head):]
+            if not body:
+                raise ParseError(f"'{key}' line needs a value: {line!r}")
+        else:
+            key, colon, body = line.partition(":")
             key = key.strip()
-            if key in _COLON_KEYS:
-                if key in fields:
-                    raise ParseError(f"duplicate {key!r} line")
-                fields[key] = body.strip()
-                continue
-        raise ParseError(f"unrecognized line: {line!r}")
+            if not colon or key not in _KEYS or key in _HEADERS:
+                raise ParseError(f"unrecognized line: {line!r}")
+        if key in fields:
+            raise ParseError(f"duplicate {key!r} line")
+        fields[key] = body.strip()
 
     if "case" not in fields:
         raise ParseError("missing 'case' header")
     if "formulas" not in fields:
         raise ParseError("missing 'formulas' line")
-
     case_id = fields["case"]
-    source = fields.get("source", "")
-    mode = fields.get("mode", "reliable")
 
-    variables: list[str] = []
-    equations: dict[str, Expr] = {}
-    for item in _split_items(fields["formulas"]):
-        name, rhs = _split_named(item, "=", "formula")
-        if name in equations:
-            raise ParseError(f"duplicate formula for {name!r}")
-        variables.append(name)
-        equations[name] = parse_expression(rhs)
+    equations = _named_items(
+        fields["formulas"], "=", "formula", lambda _, rhs: parse_expression(rhs)
+    )
+    domains = _named_items(fields.get("domains", ""), ":", "domain", _parse_domain)
+    defaults = _named_items(
+        fields.get("defaults", ""), "=", "default",
+        lambda name, value: _parse_int(value, f"default of {name}"),
+    )
 
-    domains: dict[str, Domain] = {}
-    for item in _split_items(fields.get("domains", "")):
-        name, body = _split_named(item, ":", "domain")
-        body = body.strip()
-        if not (body.startswith("{") and body.endswith("}")) and not (
-            body.startswith("[") and body.endswith("]")
-        ):
-            raise ParseError(f"domain for {name!r} must be braced: {body!r}")
-        inner = body[1:-1].strip()
-        if not inner:
-            raise ParseError(f"empty domain for {name!r}")
-        values = tuple(_parse_int(v, f"domain of {name}") for v in inner.split(","))
-        if name in domains:
-            raise ParseError(f"duplicate domain for {name!r}")
-        try:
-            domains[name] = Domain(values)
-        except ModelError as err:
-            raise ParseError(f"domain for {name!r}: {err}") from err
-
-    defaults: dict[str, int] = {}
-    for item in _split_items(fields.get("defaults", "")):
-        name, body = _split_named(item, "=", "default")
-        if name in defaults:
-            raise ParseError(f"duplicate default for {name!r}")
-        defaults[name] = _parse_int(body, f"default of {name}")
-
-    intentions: list[tuple[str, str]] = []
     intent_body = fields.get("intentions", "")
-    if intent_body:
-        matched = _INTENTION_RE.findall(intent_body)
-        stripped = _INTENTION_RE.sub("", intent_body).strip()
-        if not matched or stripped:
-            raise ParseError(f"malformed intentions: {intent_body!r}")
-        intentions = [(i, a) for i, a in matched]
+    intentions = _INTENTION_RE.findall(intent_body)
+    if intent_body and (not intentions or _INTENTION_RE.sub("", intent_body).strip()):
+        raise ParseError(f"malformed intentions: {intent_body!r}")
 
     try:
-        model = Model(variables, equations, domains)
         scenario = Scenario(
-            model=model,
-            mode=mode,
+            model=Model(list(equations), equations, domains),
+            mode=fields.get("mode", "reliable"),
             defaults=defaults,
             intentions=tuple(intentions),
         )
@@ -379,23 +355,24 @@ def parse_case(text: str) -> BenchCase:
         effect = Event("e", actual["e"])
 
     def cell(key: str) -> frozenset[Event] | None:
-        names = _parse_name_list(fields.get(key, ""), key)
-        if names is None:
+        body = fields.get(key, "")
+        if not body:
             return None
-        events = set()
+        if body in ("{}", "[]"):
+            return frozenset()
+        names = [_parse_name(piece, key) for piece in body.split(",")]
         for name in names:
             if name not in actual:
                 raise ParseError(f"{key} names unknown variable {name!r}")
-            events.add(Event(name, actual[name]))
-        return frozenset(events)
+        return frozenset(Event(name, actual[name]) for name in names)
 
-    omission_body = fields.get("omission-flag", "").strip().lower()
+    omission_body = fields.get("omission-flag", "").lower()
     if omission_body not in ("", "true", "false"):
         raise ParseError(f"omission-flag must be true or false: {omission_body!r}")
 
     return BenchCase(
         id=case_id,
-        source=source,
+        source=fields.get("source", ""),
         scenario=scenario,
         effect=effect,
         intuition=cell("intuition"),
@@ -424,10 +401,10 @@ def read_case(path: str | Path) -> BenchCase:
         raise SearchTooLargeError(f"{path.name}: {err}") from err
 
 
-def _format_cell(events: frozenset[Event]) -> str:
-    if not events:
-        return "{}"
-    return ",".join(sorted(ev.var for ev in events))
+def _format_cell(events: frozenset[Event] | None) -> str:
+    if events is None:
+        return ""
+    return ",".join(sorted(ev.var for ev in events)) or "{}"
 
 
 def render_model(model: Model) -> tuple[str, str]:
@@ -441,36 +418,29 @@ def render_model(model: Model) -> tuple[str, str]:
     return formulas, domains
 
 
+def render_case(fields: Mapping[str, str], notes: Iterable[str] = ()) -> str:
+    """Case-file text: each note as a ``#`` line, then each key of `fields`
+    whose text is not empty, in the case format's key order."""
+    lines = [f"# {note}" if note else "#" for note in notes]
+    for key in _KEYS:
+        text = fields.get(key)
+        if text:
+            lines.append(f"{key} {text}" if key in _HEADERS else f"{key}: {text}")
+    return "\n".join(lines) + "\n"
+
+
 def serialize_case(case: BenchCase) -> str:
     """Render a case in canonical form.  parse(serialize(parse(t))) is
     parse(t) for every valid case text t."""
-    model = case.scenario.model
-    lines: list[str] = [f"# {note}" if note else "#" for note in case.notes]
-    lines.append(f"case {case.id}")
-    if case.source:
-        lines.append(f"source {case.source}")
-    lines.append(f"mode {case.scenario.mode}")
-    formulas, domains = render_model(model)
-    lines.append(f"formulas: {formulas}")
-    if domains:
-        lines.append(f"domains: {domains}")
-    default_items = [
-        f"{var}={case.scenario.defaults[var]}"
-        for var in model.variables
-        if case.scenario.defaults[var] != 0
-    ]
-    if default_items:
-        lines.append(f"defaults: {'; '.join(default_items)}")
-    lines.append(f"effect: {case.effect.render()}")
-    if case.intuition is not None:
-        lines.append(f"intuition: {_format_cell(case.intuition)}")
-    if case.expected_hph is not None:
-        lines.append(f"hph: {_format_cell(case.expected_hph)}")
-    if case.expected_weslake is not None:
-        lines.append(f"weslake: {_format_cell(case.expected_weslake)}")
-    if case.omission_flag:
-        lines.append("omission-flag: true")
-    if case.scenario.intentions:
-        rendered = "".join(f"({i}->{a})" for i, a in case.scenario.intentions)
-        lines.append(f"intentions: {rendered}")
-    return "\n".join(lines) + "\n"
+    scenario = case.scenario
+    formulas, domains = render_model(scenario.model)
+    fields = {
+        "case": case.id, "source": case.source, "mode": scenario.mode,
+        "formulas": formulas, "domains": domains,
+        "defaults": "; ".join(f"{v}={d}" for v, d in scenario.defaults.items() if d),
+        "effect": case.effect.render(), "intuition": _format_cell(case.intuition),
+        "hph": _format_cell(case.expected_hph), "weslake": _format_cell(case.expected_weslake),
+        "omission-flag": "true" if case.omission_flag else "",
+        "intentions": "".join(f"({i}->{a})" for i, a in scenario.intentions),
+    }
+    return render_case(fields, case.notes)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +104,24 @@ def test_cells_are_bare_names_at_actual_values():
             "nests deeper",
             id="deep-disjunction",
         ),
+        ("case\nformulas: a=1; e=a\n", "'case' line needs a value: 'case'"),
+        ("case 1\nformulas: a=1; e\n", "formula without '=': 'e'"),
+        ("case 1\nformulas: a=1; e=a\ndomains: a:0,1\n", "domain for 'a' must be braced: '0,1'"),
+        ("case 1\nformulas: a=1; e=a\ndomains: a:{}\n", "empty domain for 'a'"),
+        (
+            "case 1\nformulas: a=1; e=a\ndomains: a:{0,x}\n",
+            "expected integer for domain of a, found 'x'",
+        ),
+        ("case 1\nformulas: a=1; a=0; e=a\n", "duplicate formula for 'a'"),
+        ("case 1\nformulas: a=1; e=a\ndefaults: a=1; a=0\n", "duplicate default for 'a'"),
+        ("case 1\nformulas: a=1; e=a\nintentions: (a>e)\n", "malformed intentions: '(a>e)'"),
+        ("case 1\nformulas: a=1; e=a\neffect: z=1\n", "effect names unknown variable 'z'"),
+        ("case 1\nformulas: a=1; b=a\n", "no effect line and no variable named 'e'"),
+        (
+            "case 1\nformulas: a=1; e=a\nomission-flag: yes\n",
+            "omission-flag must be true or false: 'yes'",
+        ),
+        ("case 1\nformulas: if=1; e=1\n", "expected variable name for formula, found 'if'"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -137,6 +158,30 @@ def test_corpus_identity(corpus_path):
         assert parse_case(text) == case, f"round-trip mismatch in {case_file.name}"
         # The shipped files are canonical: serialize reproduces them byte-for-byte.
         assert text == original, f"{case_file.name} is not in canonical form"
+
+
+def test_corpus_lines_in_any_order(corpus_path):
+    """Notes keep their places; every other line may move."""
+    rng = random.Random(38)
+    for case_file in sorted(corpus_path.glob("*.case")):
+        original = case_file.read_text(encoding="utf-8")
+        lines = original.splitlines()
+        slots = [i for i, line in enumerate(lines) if not line.startswith("#")]
+        moved = [lines[i] for i in slots]
+        rng.shuffle(moved)
+        for i, line in zip(slots, moved):
+            lines[i] = line
+        shuffled = "\n".join(lines) + "\n"
+        assert shuffled != original, case_file.name
+        case = parse_case(shuffled)
+        assert case == parse_case(original), case_file.name
+        assert serialize_case(case) == original, case_file.name
+
+
+def test_readme_example_is_canonical():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## The case DSL", 1)[1].split("```")[1].lstrip("\n")
+    assert serialize_case(parse_case(example)) == example
 
 
 _EXPRESSION_TEXT = st.one_of(
