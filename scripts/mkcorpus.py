@@ -286,7 +286,7 @@ def _domains_and_defaults(row: Row) -> tuple[dict[str, tuple[int, ...]], dict[st
             domains[var] = domain
             defaults[var] = 0
             continue
-        _, values = value_table(expr, parents, [domains[p] for p in parents])
+        _, values, _ = value_table(expr, parents, [domains[p] for p in parents])
         if None in values:
             raise SystemExit(f"row {row.num}: equation for {var} fails on some setting")
         image = sorted(values)

@@ -146,7 +146,7 @@ def _reach(
             moved.add(var)
             if var in ancestors or var == effect_var:
                 # the table codes of every parent combination, parent by parent
-                slots, table = model.table(var)
+                slots, table, _ = model.table(var)
                 codes = [0]
                 for parent, index, radix in slots:
                     pool = [index[x] for x in possible.get(parent, (actual[parent],))]

@@ -14,8 +14,9 @@ variables whose values are all 0 or 1), `value_table` evaluates each node
 once over all settings, as one int with a bit per setting, so that each
 node costs a few int operations however many settings there are, and turns
 the root's int into the table once, at the end; which of 0 and 1 the table
-holds is read off that int too.  Every other tree, for which `Expr.bits`
-gives None, is evaluated one setting at a time.
+holds is read off that int too, and the int is returned with the table.
+Every other tree, for which `Expr.bits` gives None, is evaluated one
+setting at a time.
 """
 
 from __future__ import annotations
@@ -327,12 +328,12 @@ def substitute(expr: Expr, values: Mapping[str, int]) -> Expr:
 
 def value_table(
     expr: Expr, names: Sequence[str], pools: Sequence[Sequence[int]]
-) -> tuple[Column, set[int | None]]:
+) -> tuple[Column, set[int | None], int | None]:
     """`expr` evaluated at every setting of `names`, each drawing its value
     from the matching pool: one entry per setting in mixed-radix order (the
     last name varies fastest, as in `itertools.product`), None where
-    `expr.evaluate` raises on that setting; and the set of the table's
-    entries."""
+    `expr.evaluate` raises on that setting; the set of the table's entries;
+    and its bit column (`Expr.bits`) where the tree has one, else None."""
     layout: Layout = {}
     size = 1
     for name, pool in zip(reversed(names), reversed(pools)):
@@ -350,11 +351,11 @@ def value_table(
             values.add(0)
         if bits:
             values.add(1)
-        return table, values
+        return table, values, bits
     table: Column = []
     for combo in itertools.product(*pools):
         try:
             table.append(expr.evaluate(dict(zip(names, combo))))
         except EvaluationError:
             table.append(None)
-    return table, set(table)
+    return table, set(table), None

@@ -39,6 +39,7 @@ __all__ = [
     "minimal_passing_sets",
     "render_events",
     "solve",
+    "sort_masks",
 ]
 
 # Hard ceiling on any enumerated assignment space.
@@ -47,6 +48,9 @@ ENUMERATION_CAP = 1 << 20
 Assignment = dict[str, int]
 # a parent slot of a value table: the parent, its `Domain.positions`, its domain size
 Slot = tuple[str, dict[int, int], int]
+# a variable's plan entry: its parent slots, its value table, and the table's
+# bit column (`value_table`) where it has one, else None
+Plan = tuple[tuple[Slot, ...], list[int], int | None]
 
 T = TypeVar("T")
 
@@ -147,8 +151,9 @@ class Model:
     Construction also builds the evaluation plan that `solve`, `lookup` and
     `table` read, so that none recomputes it per call: per variable, its
     parent slots in `parents` order (the parent, its domain's
-    `Domain.positions` map, its domain size) and its table, and those
-    entries again in topological order.
+    `Domain.positions` map, its domain size), its table and the table's bit
+    column where `value_table` made one, and the slots and tables again in
+    topological order.
     """
 
     def __init__(
@@ -188,11 +193,11 @@ class Model:
         slot: dict[str, Slot] = {
             v: (v, domain.positions, len(domain.values)) for v, domain in full.items()
         }
-        self._plan: dict[str, tuple[tuple[Slot, ...], list[int]]] = {
-            v: (tuple(map(slot.__getitem__, self._parents[v])), self._compile(v))
+        self._plan: dict[str, Plan] = {
+            v: (tuple(map(slot.__getitem__, self._parents[v])), *self._compile(v))
             for v in self.variables
         }
-        self._steps = tuple([(v, *self._plan[v]) for v in self._order])
+        self._steps = tuple([(v, *self._plan[v][:2]) for v in self._order])
         self._declared_order = self._order == self.variables
         # each variable's strict ancestors, filled as asked for; an initial
         # variable has none, and a plan's many initial pins need no walk each
@@ -227,8 +232,9 @@ class Model:
                 del remaining[var]
         return tuple(order)
 
-    def _compile(self, var: str) -> list[int]:
-        """The value table of one equation, validated for totality."""
+    def _compile(self, var: str) -> tuple[list[int], int | None]:
+        """The value table of one equation, validated for totality, and its
+        bit column or None."""
         expr = self.equations[var]
         parents = self._parents[var]
         index = self.domains[var].positions
@@ -237,9 +243,9 @@ class Model:
             check_search_size(
                 math.prod(map(len, pools)), lambda: f"equation for {var!r}", "parent settings"
             )
-            table, values = value_table(expr, parents, pools)
+            table, values, bits = value_table(expr, parents, pools)
             if index.keys() >= values:
-                return table
+                return table, bits
             # Re-evaluate the first failing setting alone, for its error.
             combo = next(c for c, v in zip(itertools.product(*pools), table) if v not in index)
             env = dict(zip(parents, combo))
@@ -257,7 +263,7 @@ class Model:
                 f"equation for {var!r} fails at {env}: {err}"
             ) from err
         if not parents and value in index:
-            return [value]
+            return [value], None
         raise DomainError(
             f"equation for {var!r} yields {value} outside domain "
             f"{self.domains[var].values} at {env}"
@@ -305,16 +311,17 @@ class Model:
         if value not in domain.positions:
             raise DomainError(f"value {value} outside domain {domain.values} of {var!r}")
 
-    def table(self, var: str) -> tuple[tuple[Slot, ...], list[int]]:
-        """The plan entry of `var`: its parent slots, in `parents` order,
-        and its value table, indexed by the code they give."""
+    def table(self, var: str) -> Plan:
+        """The plan entry of `var`: its parent slots, in `parents` order, its
+        value table, indexed by the code they give, and the table's bit
+        column (bit k set where row k holds 1) or None."""
         return self._plan[var]
 
     def lookup(self, var: str, values: Mapping[str, int]) -> int:
         """The equation of `var` at the parent values found in `values`, which
         must hold an in-domain value for every parent: its table read at the
         code its plan's parent slots give those values."""
-        slots, table = self._plan[var]
+        slots, table, _ = self._plan[var]
         code = 0
         for parent, index, radix in slots:
             code = code * radix + index[values[parent]]
@@ -417,9 +424,10 @@ def memoized(scenario: Scenario, compute: Callable[..., T], *args: Hashable) -> 
     for itself; the complete answers of the calls inside it stay."""
     key = (compute, *args)
     memo = scenario._memo
-    if key not in memo:
-        memo[key] = compute(scenario, *args)
-    return memo[key]
+    found = memo.get(key, memo)  # the memo itself is never an answer
+    if found is memo:
+        found = memo[key] = compute(scenario, *args)
+    return found
 
 
 def checked_solve(
@@ -497,10 +505,15 @@ def minimal_passing_sets(
                     found.append(mask)
                 else:
                     growing[mask] = grow
+    return sort_masks(found, n)
+
+
+def sort_masks(masks: Iterable[int], n: int) -> list[int]:
+    """Masks over n positions, sorted by size then positions."""
     # of two masks of one size, the one holding their lowest differing position
     # comes first: there its complement's bits, read lowest first, show a "0"
     full = (1 << n) - 1
-    return sorted(found, key=lambda mask: (mask.bit_count(), f"{full ^ mask:0{n}b}"[::-1]))
+    return sorted(masks, key=lambda mask: (mask.bit_count(), f"{full ^ mask:0{n}b}"[::-1]))
 
 
 # no engine caller: perfbench's tracer wraps it by name, and tests enumerate with it

@@ -94,7 +94,7 @@ def _equation(
     for _attempt in range(24):
         candidate = _tree(rng, parents, depth=2)
         used = sorted(candidate.variables())
-        _, values = value_table(candidate, used, [domains[p].values for p in used])
+        _, values, _ = value_table(candidate, used, [domains[p].values for p in used])
         # None, where evaluation fails, is outside every domain
         if domain.positions.keys() >= values:
             return candidate

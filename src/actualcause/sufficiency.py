@@ -9,23 +9,23 @@ pins roams.
 Sufficiency is monotone in general mode, and in reliable mode when every
 parent of the target is initial.  Then every parent roams unless pinned,
 and a pinned non-parent constrains nothing the target reads, so a set is
-sufficient exactly when every row of the target's value table that keeps
-its pinned parents actual gives the target's value.  Those questions are
-read from the table (`_rows`) without a solve.  The other
-reliable-mode questions, where a pinned derived ancestor can break its
-equation, solve one world per background over the target's ancestors
-(`_falsifier`).  `_kernel` picks one of the two for a target.  Each kernel
-returns the target's candidates and a probe, built afresh for each
-question, and both probes answer a failing set with the first falsifying
-world they meet.  `_sets` is the one minimal-set search, over the kernel it
-is given: a walk by size over `model.minimal_passing_sets` that grows a
-failing set only by the candidates that world moves.  Direct causes are
-`_sets` over `_rows`, screened (`direct_cause_sets`), so a monotone target
-asked both questions is searched once.
+insufficient exactly when some row of the target's value table that keeps
+its pinned parents actual misses the target's value.  Those questions are
+answered from one up-closure of the table's missing rows (`_closure`), set
+algebra on ints of one bit per row, with no solve and no walk: the minimal
+sufficient sets are the prime implicants of the table that cover the actual
+point.  The other reliable-mode questions, where a pinned derived ancestor
+can break its equation, solve one world per background over the target's
+ancestors (`_falsifier`), in a walk by size over
+`model.minimal_passing_sets` that grows a failing set only by the
+candidates its falsifying world moves (`_sets`).  Direct causes screen the
+closure's minimal sets (`direct_cause_sets`), so a monotone target asked
+both questions builds one closure.
 
-Sufficient sets, direct causes and `is_sufficient` answers are memoized per
-scenario and arguments; the kernels are not.  Each call returns a fresh
-copy.
+Sufficient sets, closures, direct causes and `is_sufficient` answers are
+memoized per scenario and arguments, each check of an argument inside the
+memoized computation where the key holds the argument; the falsifier is
+built afresh for each question.  Each call returns a fresh copy.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable
+from typing import NamedTuple
 
 from .model import (
     Event,
@@ -42,15 +43,14 @@ from .model import (
     memoized,
     minimal_passing_sets,
     solve,
+    sort_masks,
 )
 # not called here; perfbench's test_tracer_wraps_names_in_every_importing_module reads it
 from .normality import plan_abnormality  # noqa: F401
 
-# `probe(mask)`: None when pinning the masked candidates at their actual
+# `falsify(mask)`: None when pinning the masked candidates at their actual
 # values forces the target, else the first falsifying world's (D(w), B(w))
 Probe = Callable[[int], tuple[int, int] | None]
-# `kernel(scenario, target)`: the target's candidates and their probe
-Kernel = Callable[[Scenario, Event], tuple[tuple[str, ...], Probe]]
 
 __all__ = [
     "NoParentsError",
@@ -66,63 +66,121 @@ class NoParentsError(ModelError):
     """Direct causes were requested for an initial variable."""
 
 
-def _kernel(scenario: Scenario, var: str) -> Kernel:
-    """The kernel that answers sufficiency for var: its own value table
-    (`_rows`) where sufficiency is monotone, else solved worlds
-    (`_falsifier`)."""
+def _monotone(scenario: Scenario, var: str) -> bool:
+    """Is sufficiency for var read from its own value table (`_closure`)
+    rather than from solved worlds (`_falsifier`)?"""
     model = scenario.model
-    if scenario.mode == "general" or model.initial_variables().issuperset(model.parents(var)):
-        return _rows
-    return _falsifier
+    return scenario.mode == "general" or model.initial_variables().issuperset(model.parents(var))
 
 
-def _rows(scenario: Scenario, target: Event) -> tuple[tuple[str, ...], Probe]:
-    """The table kernel: the target's candidates, its parents with more than
-    one value in `Model.parents` order, and `probe(mask)` over them, read
-    from the target's value table with every unmasked parent roaming.  Each
-    parent's row offsets (its code weight times each value's position) and
-    its actual offset are computed once.  A probe adds the masked
-    candidates' actual offsets, walks the other candidates' offsets with the
-    parents in declaration order and each one's values in domain order, and
-    reads the table at each code.  It returns (D(w), 0) for the first row w
-    that misses the target, D(w) being the candidates it sets off their
-    actual values, or None.  While the target's value is actual, the
-    all-actual row gives it, so it is skipped unread.  A one-value parent's
-    only offset is 0 and it is in no D(w), so it is left out: every
-    candidate doubles the table's rows at least, and as the table has at
-    most ENUMERATION_CAP rows, no search over the candidates is past the
-    cap."""
-    model = scenario.model
-    slots, table = model.table(target.var)
-    candidates: list[str] = []
-    offsets: list[range] = []
-    actual: list[int] = []
-    weight = 1
-    for parent, index, radix in reversed(slots):
-        if radix > 1:
-            candidates.insert(0, parent)
-            offsets.insert(0, range(0, radix * weight, weight))
-            actual.insert(0, offsets[0][index[scenario.actual_value(parent)]])
-        weight *= radix
-    declared = sorted(range(len(candidates)), key=lambda i: model.variables.index(candidates[i]))
-    skip = sum(actual) if scenario.actual_value(target.var) == target.value else -1
+class _Closure(NamedTuple):
+    """What a table target's closure answers: its minimal sufficient sets,
+    the closure U, the row that moves every candidate to its stand-in
+    value, and what pinning each candidate adds to that row's code."""
+
+    sets: list[frozenset[Event]]
+    up: int
+    moved: int
+    pins: dict[str, int]
+
+
+def _misses(table: list[int], value: int) -> int:
+    """The rows of a table that miss value, one bit per row, read through
+    `bytes` where every entry lies in 0..255."""
+    try:
+        row_bytes = bytes(table)
+    except ValueError:
+        return sum(1 << code for code, got in enumerate(table) if got != value)
+    if not 0 <= value <= 255:
+        return (1 << len(table)) - 1
+    # each byte to the digit "0" where it is value, "1" elsewhere
+    digits = b"1" * value + b"0" + b"1" * (255 - value)
+    return int(row_bytes[::-1].translate(digits), 2)
+
+
+def _closure(scenario: Scenario, target: Event) -> _Closure:
+    """The target's value table, as set algebra on ints with one bit per row.
+
+    The candidates are the target's parents with more than one value, in
+    `Model.parents` order; a one-value parent is in no set a row moves, and
+    as every candidate doubles the rows at least, their 2**n sets never pass
+    ENUMERATION_CAP.  F holds the rows that miss the target, from the
+    table's bit column or its bytes.  A set S is insufficient exactly when
+    some row of F keeps every member of S actual.  So F is up-closed one
+    candidate axis at a time: onto each candidate's stand-in value (its
+    first value that is not actual) goes the OR of all its slices, its
+    actual slice keeps its own rows, and its other values' slices are
+    filled, so that no set is read twice.  In the closure U, the row that
+    holds S actual and every other candidate at its stand-in is set exactly
+    when S is insufficient.  The minimal sufficient sets are the rows outside
+    U that no step to a stand-in keeps outside U, each read back as a mask
+    and sorted by `sort_masks`.  When the empty set is insufficient, 2**n is
+    checked against the cap, as the walk over candidate sets does."""
+    slots, table, ones = scenario.model.table(target.var)
+    size = len(table)
+    full = (1 << size) - 1
     value = target.value
-
-    def probe(mask: int) -> tuple[int, int] | None:
-        base = 0
-        free = []
-        for i in declared:
-            if mask >> i & 1:
-                base += actual[i]
-            else:
-                free.append(i)
-        for row in itertools.product(*[offsets[i] for i in free]):
-            code = base + sum(row)
-            if code != skip and table[code] != value:
-                return sum(1 << i for i, offset in zip(free, row) if offset != actual[i]), 0
-        return None
-
-    return tuple(candidates), probe
+    if ones is None:
+        miss = _misses(table, value)
+    else:
+        miss = full ^ ones if value == 1 else ones if value == 0 else full
+    up = miss
+    # per candidate, in slot order: its weight, radix, actual value's
+    # position, and `stripe`, the rows where it takes its first value: a
+    # run of `weight` ones from each bit of `starts`, which marks the first
+    # row of each block of the slots before it
+    axes = []
+    events = []
+    moved = 0
+    pins = {}
+    weight = size
+    starts = 1
+    for parent, index, radix in slots:
+        weight //= radix
+        if radix > 1:
+            event = Event(parent, scenario.actual_value(parent))
+            events.append(event)
+            actual = index[event.value]
+            stand_in = 0 if actual else 1
+            stripe = (starts << weight) - starts
+            block = starts
+            fold = up
+            for p in range(1, radix):
+                starts |= block << p * weight
+                fold |= up >> p * weight
+            up = up & stripe << actual * weight | (fold & stripe) << stand_in * weight
+            for p in range(2, radix):
+                up |= stripe << (p if p > actual else p - 1) * weight
+            axes.append((weight, radix, actual, stripe))
+            moved += stand_in * weight
+            pins[parent] = (actual - stand_in) * weight
+    n = len(axes)
+    if miss:
+        check_search_size(
+            1 << n, lambda: f"sufficient-set walk for {target.render()}", "candidate sets"
+        )
+    good = full ^ up
+    spare = 0  # good rows whose step to some stand-in stays good
+    for weight, _, actual, stripe in axes:
+        if actual:
+            spare |= (good & stripe) << actual * weight
+        else:
+            spare |= good >> weight & stripe
+    masks = []
+    digits = bin(good & ~spare)[:1:-1]
+    code = digits.find("1")
+    while code >= 0:
+        mask = 0
+        for i, (weight, radix, actual, _) in enumerate(axes):
+            if code // weight % radix == actual:
+                mask |= 1 << i
+        masks.append(mask)
+        code = digits.find("1", code + 1)
+    sets = [
+        frozenset(ev for i, ev in enumerate(events) if mask >> i & 1)
+        for mask in sort_masks(masks, n)
+    ]
+    return _Closure(sets, up, moved, pins)
 
 
 def _falsifier(scenario: Scenario, target: Event) -> tuple[tuple[str, ...], Probe]:
@@ -132,7 +190,7 @@ def _falsifier(scenario: Scenario, target: Event) -> tuple[tuple[str, ...], Prob
     taken in model order with each variable's values in domain order (the
     last variable varying fastest), and solves the world each background
     gives.  It returns the first falsifying world's (D(w), B(w)) (see
-    `_sets`), or None.  While the target's value is actual, the background
+    `_walk`), or None.  While the target's value is actual, the background
     that keeps every roaming candidate actual reproduces the actual world,
     so it is skipped unsolved."""
     model = scenario.model
@@ -179,7 +237,8 @@ def is_sufficient(scenario: Scenario, events: Iterable[Event], effect: Event) ->
     """Does pinning the events force the effect under every roaming
     background?  Each event must be actual, so no variable is pinned twice.
     Once they are checked, the answer is memoized per scenario on the pinned
-    variables and the effect."""
+    variables and the effect.  A table target's answer is one bit of its
+    closure: the row with the pins actual and every other candidate moved."""
     scenario.model.check_value(effect.var, effect.value)
     pinned: set[str] = set()
     for ev in events:
@@ -191,8 +250,14 @@ def is_sufficient(scenario: Scenario, events: Iterable[Event], effect: Event) ->
 
 
 def _is_sufficient(scenario: Scenario, pinned: frozenset[str], effect: Event) -> bool:
-    candidates, probe = _kernel(scenario, effect.var)(scenario, effect)
-    return probe(sum(1 << i for i, v in enumerate(candidates) if v in pinned)) is None
+    if _monotone(scenario, effect.var):
+        closure = memoized(scenario, _closure, effect)
+        code = closure.moved + sum(
+            shift for parent, shift in closure.pins.items() if parent in pinned
+        )
+        return not closure.up >> code & 1
+    candidates, falsify = _falsifier(scenario, effect)
+    return falsify(sum(1 << i for i, v in enumerate(candidates) if v in pinned)) is None
 
 
 def minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozenset[Event]]:
@@ -205,17 +270,24 @@ def minimal_sufficient_sets(scenario: Scenario, effect: Event) -> list[frozenset
     are: the effect's value depends on its ancestors alone, so adding a
     non-ancestor to a set never changes whether it is sufficient.
     """
-    scenario.model.check_value(effect.var, effect.value)
-    return list(memoized(scenario, _sets, effect, _kernel(scenario, effect.var)))
+    return list(memoized(scenario, _sets, effect))
 
 
-def _sets(scenario: Scenario, target: Event, kernel: Kernel) -> list[frozenset[Event]]:
+def _sets(scenario: Scenario, target: Event) -> list[frozenset[Event]]:
     """The minimal sets of candidates that force the target when pinned at
-    their actual values, by size then positions (`minimal_passing_sets`).
-    The candidates and their probe come from `kernel`, `_rows` or
-    `_falsifier`, built once for this search.  Over `_rows` the sets are the
-    minimal robust parent sets, which minimal sufficient sets and direct
-    causes share.
+    their actual values, by size then positions: a table target's closure's
+    (`_closure`), or else the walk's (`_walk`).  The target's value is
+    checked here, so a memo hit checks nothing again and a bad value stores
+    nothing."""
+    scenario.model.check_value(target.var, target.value)
+    if _monotone(scenario, target.var):
+        return memoized(scenario, _closure, target).sets
+    return _walk(scenario, target)
+
+
+def _walk(scenario: Scenario, target: Event) -> list[frozenset[Event]]:
+    """The minimal sufficient sets of the target's ancestors, found by a walk
+    by size over `minimal_passing_sets` whose tests `_falsifier` answers.
 
     Each falsifying world w met is kept as D(w), the candidates where w
     differs from the actual world, and B(w), the pinned derived candidates
@@ -224,14 +296,11 @@ def _sets(scenario: Scenario, target: Event, kernel: Kernel) -> list[frozenset[E
     setting its roaming ancestors as in w reproduces w on every ancestor, so
     the target misses its value again.  A set a stored world refutes fails
     untested.  A failing set holds B(w), so a sufficient superset of it must
-    meet D(w), and the set grows by D(w) alone.  Only a pin can break its
-    equation, and only a derived one: an initial variable's actual value is
-    its equation's, and in a table read every parent roams or sits at its
-    actual value, so B(w) is 0.  An empty D(w) (the target misses its value
-    with every candidate actual) leaves nothing to grow, and the answer is
-    [].  The empty set roams widest, so a background past the cap raises for
-    it first."""
-    candidates, falsify = kernel(scenario, target)
+    meet D(w), and the set grows by D(w) alone.  An empty D(w) (the target
+    misses its value with every candidate actual) leaves nothing to grow,
+    and the answer is [].  The empty set roams widest, so a background past
+    the cap raises for it first."""
+    candidates, falsify = _falsifier(scenario, target)
     refuting: list[tuple[int, int]] = []
 
     def test(mask: int) -> int | None:
@@ -255,9 +324,8 @@ def direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Event
     """Minimal robust parent sets of the target that pass the abnormality
     screen, in canonical order.  A parent set is robust when every row of the
     target's value table that keeps it at its actual values gives the
-    target's value: the sets are `_sets` over the table kernel `_rows`, the
-    search that a monotone target's minimal sufficient sets share; no model
-    is built.
+    target's value: the sets are the target's closure's (`_closure`), which
+    a monotone target's minimal sufficient sets share; no model is built.
 
     The screen wants a world that moves some members and misses the target
     no less normally than actuality.  Such a world pins every parent, so only
@@ -273,7 +341,7 @@ def _direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Even
     scenario.check_actual(target, "target")
     if scenario.model.is_initial(target.var):
         raise NoParentsError(f"{target.var!r} has no parents")
-    found = memoized(scenario, _sets, target, _rows)
+    found = memoized(scenario, _closure, target).sets
     if any(all(scenario.defaults[ev.var] == ev.value for ev in events) for events in found):
         return []
     return found

@@ -74,6 +74,15 @@ def tree(k: int) -> str:
     return "; ".join(formulas + [f"e={level[0]}"])
 
 
+def or_of_ands(groups: int, width: int) -> str:
+    """`groups` conjunctions of `width` initial xNN=1 each, joined by `|`
+    straight into e, so e's table has all groups * width of them as
+    parents; e's minimal sufficient sets are the groups."""
+    names = [[f"x{g * width + i:02d}" for i in range(width)] for g in range(groups)]
+    terms = ["(" + " & ".join(group) + ")" for group in names]
+    return "; ".join([f"{x}=1" for group in names for x in group] + ["e=" + " | ".join(terms)])
+
+
 def lattice(width: int, depth: int) -> str:
     """`depth` rows of `width` columns: ai_j for row i and column j.  Row 0
     is a0_j=1; each later ai_j joins a(i-1)_j to a(i-1)_(j+1 mod width), by
@@ -148,12 +157,13 @@ def make_scenario(
     return Scenario(model, mode=mode, defaults=defaults or {}, intentions=intentions)
 
 
-def counting_calls(monkeypatch, module, name: str) -> list[tuple]:
+def counting_calls(monkeypatch, module, name: str, calls: list | None = None) -> list:
     """Every call to `module.<name>`, its positional arguments recorded from
-    now on; `module` may also be a class, to count a method's calls.  The
-    searches call `solve` and the other kernels by module-level name, so
-    rebinding the name in the calling module sees every call it makes."""
-    calls: list[tuple] = []
+    now on, in `calls` if given; `module` may also be a class, to count a
+    method's calls.  The searches call `solve` and the other kernels by
+    module-level name, so rebinding the name in the calling module sees
+    every call it makes."""
+    calls = [] if calls is None else calls
     original = getattr(module, name)
 
     def counting(*args, **kwargs):
@@ -166,12 +176,15 @@ def counting_calls(monkeypatch, module, name: str) -> list[tuple]:
 
 def counting_work(monkeypatch) -> list:
     """The work the sufficiency searches do from now on: an entry for each
-    world solve (`sufficiency.solve`) and one for each value-table row that
-    `sufficiency` reads itself.  Rows are seen on models built from now on,
-    whose tables of variables with parents record each read made from a
-    frame of `actualcause.sufficiency`; the reads inside `solve` and
-    `Model.lookup` are not counted."""
+    world solve (`sufficiency.solve`), one for each table read whole
+    (`sufficiency._closure`, computed once per scenario and target), and one
+    for each value-table row that `sufficiency` reads itself.  Rows are seen
+    on models built from now on, whose tables of variables with parents
+    record each read made from a frame of `actualcause.sufficiency`; the
+    reads inside `solve` and `Model.lookup` are not counted, and neither is
+    a table's whole read by `bytes` or through its bit column."""
     work = counting_calls(monkeypatch, sufficiency, "solve")
+    counting_calls(monkeypatch, sufficiency, "_closure", work)
     searches = vars(sufficiency)
 
     class Rows(list):
@@ -183,8 +196,8 @@ def counting_work(monkeypatch) -> list:
     tabulate = model.value_table
 
     def counting(*args):
-        table, values = tabulate(*args)
-        return Rows(table), values
+        table, values, bits = tabulate(*args)
+        return Rows(table), values, bits
 
     monkeypatch.setattr(model, "value_table", counting)
     return work

@@ -250,7 +250,7 @@ def rowwise_table(expr, names, pools):
 )
 def test_value_table_matches_rowwise_evaluation(expr, names, data):
     pools = [data.draw(POOLS) for _ in names]
-    table, values = value_table(expr, names, pools)
+    table, values, _ = value_table(expr, names, pools)
     assert table == rowwise_table(expr, names, pools)
     assert values == set(table)
 
@@ -261,12 +261,12 @@ def test_value_table_marks_only_rows_that_raise():
     pools = [(0, 2), (0, 1), (1,)]
     # a=0,b=0: the last guard reaches c % 0; a=2,b=0: the first guard's
     # branch divides by zero; a=0,b=1 takes 7 without reaching a / b
-    table, values = value_table(expr, names, pools)
+    table, values, _ = value_table(expr, names, pools)
     assert table == [None, 7, None, 2] == rowwise_table(expr, names, pools)
     assert values == {None, 7, 2}
     # a guard that raises ends the search even where a later guard holds
     guarded = parse_expression("{1 if 2 / a, 3 if 1}")
-    assert value_table(guarded, ["a"], [(0, 1)]) == ([None, 1], {None, 1})
+    assert value_table(guarded, ["a"], [(0, 1)]) == ([None, 1], {None, 1}, None)
 
 
 def bit_column(expr, names, pools):
@@ -283,7 +283,7 @@ def bit_column(expr, names, pools):
 @given(NESTED_BIT_EXPRESSIONS, st.lists(BINARY_POOLS, min_size=5, max_size=5))
 def test_bit_path_matches_rowwise_evaluation(expr, pools):
     names = list(BIT_NAMES)
-    table, values = value_table(expr, names, pools)
+    table, values, _ = value_table(expr, names, pools)
     assert table == rowwise_table(expr, names, pools)
     assert values == set(table)
 
@@ -294,9 +294,12 @@ def test_the_bit_path_reads_its_values_off_the_root(expr, pools):
     # every tree here takes the bit path, which reads which of 0 and 1 the
     # table holds off the root's int instead of scanning the table
     names = list(BIT_NAMES)
-    assert bit_column(expr, names, pools) is not None
-    table, values = value_table(expr, names, pools)
+    bits = bit_column(expr, names, pools)
+    assert bits is not None
+    table, values, column = value_table(expr, names, pools)
     assert values == set(table)
+    # and it hands the root's int out with the table
+    assert column == bits == sum(1 << code for code, got in enumerate(table) if got)
 
 
 # Eight settings of a, b and c, each from (0, 1): enough for the bit path.
@@ -321,9 +324,10 @@ def test_trees_without_a_bitwise_form_take_the_row_path(source):
     expr = parse_expression(source)
     names, pools = ABC
     assert bit_column(expr, names, pools) is None
-    table, values = value_table(expr, names, pools)
+    table, values, column = value_table(expr, names, pools)
     assert table == rowwise_table(expr, names, pools)
     assert values == set(table)
+    assert column is None
 
 
 def test_bit_path_needs_every_variable_in_zero_one():
@@ -339,19 +343,19 @@ def test_bit_path_keeps_the_mixed_radix_order():
     expr = parse_expression("a > b | c")
     names, pools = ["a", "b", "c"], [(1, 0), (0, 1), (1, 0)]
     assert bit_column(expr, names, pools) is not None
-    table, values = value_table(expr, names, pools)
+    table, values, _ = value_table(expr, names, pools)
     assert table == [1, 1, 1, 0, 1, 0, 1, 0] == rowwise_table(expr, names, pools)
     assert values == {0, 1}
     # a one-value pool and a name the tree does not read, whose three values
     # make the table no power of two long
     names, pools = ["a", "d", "b", "c"], [(1, 0), (0, 1, 2), (1,), (0, 1)]
-    table, values = value_table(expr, names, pools)
+    table, values, _ = value_table(expr, names, pools)
     assert table == rowwise_table(expr, names, pools)
     assert values == set(table)
     # tables of one and of two settings take the bit path too
     names = ["a", "b", "c"]
     for pools, expected in ([(1,), (0,), (1,)], [1]), ([(1,), (0, 1), (0,)], [1, 0]):
         assert bit_column(expr, names, pools) is not None
-        table, values = value_table(expr, names, pools)
+        table, values, _ = value_table(expr, names, pools)
         assert table == expected == rowwise_table(expr, names, pools)
         assert values == set(expected)

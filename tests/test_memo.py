@@ -176,8 +176,8 @@ def test_the_memo_holds_answers_only():
 # e's minimal sufficient sets are stored; then the abnormality search over
 # the plan {a} roams the ten off-default zi, (2 - 1) * 2**10 = 1024 worlds.
 ROAMING_WIDE = "; ".join(["a=1", "b=a", "e=b & a"] + [f"z{i}=1" for i in range(10)])
-# counting e's chains stores e's direct-cause sets, then walks p's 2**10
-# parent sets
+# counting e's chains stores e's closure and direct-cause sets, then p's
+# closure checks its 2**10 parent sets against the cap
 PARENT_WIDE = "; ".join(
     [f"x{i}=1" for i in range(10)]
     + ["p=" + " & ".join(f"x{i}" for i in range(10)), "q=1", "e=p & q"]
@@ -191,7 +191,7 @@ PARENT_WIDE = "; ".join(
         (
             PARENT_WIDE,
             lambda scenario, effect: distance(scenario, frozenset({Event("q", 1)}), effect),
-            {"_sets", "_direct_cause_sets"},
+            {"_closure", "_direct_cause_sets"},
         ),
     ],
     ids=["causes_of", "distance"],
@@ -362,6 +362,7 @@ def test_chains_match_enumeration_on_the_corpus():
 
 UNCACHED = (
     (sufficiency, "_sets"),
+    (sufficiency, "_closure"),
     (sufficiency, "_is_sufficient"),
     (sufficiency, "_direct_cause_sets"),
     (normality, "_plan_abnormality"),

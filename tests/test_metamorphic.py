@@ -30,7 +30,7 @@ from actualcause import (
 )
 from actualcause.randmodel import random_effect, scenario_stream
 
-from conftest import corpus_dir, grouped_conjunction, lattice, make_scenario, tree
+from conftest import corpus_dir, grouped_conjunction, lattice, make_scenario, or_of_ands, tree
 
 OPTION_SETS = (EngineOptions(), EngineOptions(abnormality_variant="3prime"))
 
@@ -206,3 +206,30 @@ def test_each_minimal_sufficient_set_is_sufficient_and_minimal(formulas, mode):
             assert is_sufficient(scenario, events, effect), (var, events)
             for member in events:
                 assert not is_sufficient(scenario, events - {member}, effect), (var, member)
+
+
+@pytest.mark.parametrize("mode", ["reliable", "general"])
+@pytest.mark.parametrize(
+    "formulas",
+    [tree(3), grouped_conjunction(5, 5), lattice(4, 4), or_of_ands(4, 3)],
+    ids=["tree(2^3)", "grouped_conjunction(5, 5)", "lattice 4x4", "OR of 4 ANDs of 3"],
+)
+def test_the_families_map_over_a_renaming_and_ignore_irrelevant_variables(formulas, mode):
+    # every variable's minimal sufficient and direct-cause sets: a renamed,
+    # reordered copy maps them over, and an idle and a copied variable that
+    # nothing reads change none of them
+    rng = random.Random(5)
+    scenario = make_scenario(formulas, mode=mode)
+    other, names = renamed(scenario, rng)
+    extended = with_irrelevant_variables(scenario, rng)
+    for var in scenario.model.variables:
+        target = Event(var, scenario.actual_value(var))
+        theirs = Event(names[var], target.value)
+        questions = [minimal_sufficient_sets]
+        if not scenario.model.is_initial(var):
+            questions.append(direct_cause_sets)
+        for question in questions:
+            sets = question(scenario, target)
+            mapped = {frozenset(Event(names[ev.var], ev.value) for ev in group) for group in sets}
+            assert set(question(other, theirs)) == mapped, (question.__name__, var)
+            assert question(extended, target) == sets, (question.__name__, var)

@@ -68,7 +68,7 @@ class TestDomain:
     def test_models_read_their_domains_maps(self):
         # every binary variable shares BINARY's one map
         model = make_scenario("a=1; b=a; e=a | b", domains={"b": (0, 1, 2)}).model
-        maps = {parent: index for slots, _ in model._plan.values() for parent, index, _ in slots}
+        maps = {parent: index for slots, *_ in model._plan.values() for parent, index, _ in slots}
         assert maps["a"] is BINARY.positions
         assert maps["b"] is model.domains["b"].positions
 
@@ -133,7 +133,7 @@ class TestModelValidation:
         assert model.initial_variables() == frozenset({"a", "c"})
         assert model.is_initial("a") and not model.is_initial("b")
         assert model.parents("e") == ("b", "c")
-        slots, _ = model.table("e")
+        slots, _, _ = model.table("e")
         assert tuple(parent for parent, _, _ in slots) == model.parents("e")
         assert model.ancestors("e") == frozenset({"a", "b", "c"})
         assert model.ancestors("e") is model.ancestors("e")  # kept once computed

@@ -45,6 +45,7 @@ from conftest import (
     grouped_conjunction,
     lattice,
     make_scenario,
+    or_of_ands,
     tree,
 )
 
@@ -73,9 +74,29 @@ def plain_minimal_sufficient_sets(scenario, effect) -> list[frozenset[Event]]:
     return found
 
 
-def table_searches(calls) -> int:
-    """How many of the recorded `_sets` calls searched a value table."""
-    return sum(1 for _, _, kernel in calls if kernel is sufficiency._rows)
+def rows_minimal_sets(scenario, target) -> list[frozenset[Event]]:
+    """The minimal sets of parents whose actual values force the target on
+    every row of its value table that keeps them, by size then sorted
+    names: a brute force over parent sets and rows (`Model.lookup`), which
+    is sufficiency wherever it is monotone."""
+    model = scenario.model
+    parents = model.parents(target.var)
+    found: list[frozenset[Event]] = []
+    for size in range(len(parents) + 1):
+        for combo in itertools.combinations(parents, size):
+            events = frozenset(Event(p, scenario.actual_value(p)) for p in combo)
+            if any(small <= events for small in found):
+                continue
+            pools = [
+                (scenario.actual_value(p),) if p in combo else model.domains[p].values
+                for p in parents
+            ]
+            if all(
+                model.lookup(target.var, dict(zip(parents, row))) == target.value
+                for row in itertools.product(*pools)
+            ):
+                found.append(events)
+    return found
 
 
 def restricted_direct_cause_sets(scenario, target) -> list[frozenset[Event]]:
@@ -158,7 +179,7 @@ class TestIsSufficient:
         assert not is_sufficient(general, plan, Event("e", 1))
 
     def test_answers_are_memoized_after_the_checks(self, monkeypatch):
-        # b=0 is the one table row read, and the repeat reads nothing; a
+        # e's table is read whole once, and the repeat reads nothing; a
         # non-actual pin on the same variable still raises.
         work = counting_work(monkeypatch)
         scenario = make_scenario("a=1; b=1; e=a | b")
@@ -402,9 +423,10 @@ class TestFalsifyingWorldReuse:
         # effects are covered; domains up to {0, 1, 2}.  The reliable stream
         # holds a target whose answer changes if a broken equation is
         # ignored.  In reliable mode the 852 queries whose ancestors are all
-        # initial read the table (`_sets` over `_rows`) and the rest
+        # initial each build one closure of their table, which the plain
+        # walk's `is_sufficient` calls and the search share, and the rest
         # solve worlds.
-        searched = counting_calls(monkeypatch, sufficiency, "_sets")
+        closures = counting_calls(monkeypatch, sufficiency, "_closure")
         queries = 0
         for index, scenario in scenario_stream(seed=4, count=100, max_vars=8, mode=mode):
             for var in scenario.model.variables:
@@ -414,13 +436,12 @@ class TestFalsifyingWorldReuse:
                     assert minimal_sufficient_sets(scenario, effect) == expected, (index, effect)
                     queries += 1
         assert queries == 1233
-        assert table_searches(searched) == {"reliable": 852, "general": 1233}[mode]
+        assert len(closures) == {"reliable": 852, "general": 1233}[mode]
 
     def test_solve_count_or_of_eleven(self, monkeypatch):
         # A work-count regression gate: a plain walk solves 4 095 worlds
-        # here, but stored worlds that each raise one xi refute every set
-        # short of all eleven.  Each of the eleven failing sets reads one
-        # table row, its all-actual row skipped; the passing set reads none.
+        # here.  e's parents are all initial, so its table is read whole,
+        # once, and nothing is solved.
         work = counting_work(monkeypatch)
         scenario = make_scenario(
             "; ".join([f"x{i}=0" for i in range(11)])
@@ -428,11 +449,11 @@ class TestFalsifyingWorldReuse:
         )
         sets = minimal_sufficient_sets(scenario, Event("e", 1))
         assert var_sets(sets) == [sorted(f"x{i}" for i in range(11))]
-        assert len(work) == 11
+        assert len(work) == 1
 
     def test_solve_count_over_the_corpus(self, monkeypatch):
         # Fresh scenarios, so no memo entry is shared with other tests; a
-        # plain walk solves 1 355 worlds.  World solves plus table rows read.
+        # plain walk solves 1 355 worlds.  World solves plus tables read whole.
         work = counting_work(monkeypatch)
         cases = 0
         for path in sorted(corpus_dir().glob("*.case")):
@@ -440,12 +461,12 @@ class TestFalsifyingWorldReuse:
             minimal_sufficient_sets(case.scenario, case.effect)
             cases += 1
         assert cases == 66
-        assert len(work) == 751
+        assert len(work) == 650
 
     def test_sufficiency_solve_count_for_the_bench_queries(self, monkeypatch):
-        # A work-count regression gate on the world solves and table rows the
-        # sufficiency checks make for the bench's two queries, on fresh
-        # scenarios.
+        # A work-count regression gate on the world solves and whole-table
+        # reads the sufficiency checks make for the bench's two queries, on
+        # fresh scenarios.
         work = counting_work(monkeypatch)
         cases = 0
         for path in sorted(corpus_dir().glob("*.case")):
@@ -454,46 +475,45 @@ class TestFalsifyingWorldReuse:
             hph_causes(case.scenario, case.effect)
             cases += 1
         assert cases == 66
-        assert len(work) == 1229
+        assert len(work) == 977
 
 
 class TestTransversalSearch:
     """Where sufficiency is monotone, the minimal sufficient sets are the
-    minimal transversals of the falsifying worlds' D masks, and the walk
-    grows each failing set by its D mask alone."""
+    minimal transversals of the missing rows' D masks: the prime implicants
+    of the target's table that cover the actual point, which its closure
+    reads off as the rows outside it that no step to a stand-in keeps
+    outside it."""
 
     @pytest.mark.parametrize("mode", ["reliable", "general"])
     def test_two_disjunctions(self, mode, monkeypatch):
-        # The empty set fails with every variable at 0, adding the D mask
-        # {a,b,c,d}, so level 1 is {a}, {b}, {c} and {d}.  Each fails with
-        # every other variable at 0, adding {b,c,d}, {a,c,d}, {a,b,d} and
-        # {a,b,c}, which grow them to the six pairs.  {a,b} and {c,d} fail,
-        # adding {c,d} and {a,b}, and the four pairs below pass, so every
-        # set the two failing pairs grow to holds a passing pair.
+        # e misses exactly where a and b are both 0 or c and d are both 0,
+        # so a set is insufficient when it leaves {a,b} or {c,d} unpinned,
+        # and the minimal sufficient sets are the four pairs that meet both.
+        # In either mode e's parents all roam unless pinned, so its table is
+        # read whole once, nothing is solved, and the plain walk's
+        # `is_sufficient` calls read the same closure.
         work = counting_work(monkeypatch)
         scenario = make_scenario("a=1; b=1; c=1; d=1; e=(a|b)&(c|d)", mode=mode)
         effect = Event("e", 1)
-        searched = counting_calls(monkeypatch, sufficiency, "_sets")
         sets = minimal_sufficient_sets(scenario, effect)
         assert var_sets(sets) == [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]]
-        assert table_searches(searched) == 1
-        # one table row for each of the seven failing sets, and the four
-        # rows of each passing pair but its all-actual one
-        assert len(work) == 7 + 4 * 3
+        assert len(work) == 1
         assert sets == plain_minimal_sufficient_sets(scenario, effect)
+        assert len(work) == 1
 
     def test_one_search_answers_both_questions(self, monkeypatch):
         # c's parents are initial, so its minimal sufficient sets are its
         # minimal robust parent sets, and its direct causes screen the same
-        # search.  e has a derived parent: its sufficient sets solve worlds.
-        searched = counting_calls(monkeypatch, sufficiency, "_sets")
+        # closure.  e has a derived parent: its sufficient sets solve worlds.
+        closures = counting_calls(monkeypatch, sufficiency, "_closure")
         scenario = make_scenario("a=1; b=1; c=a | b; e=c & a")
         target = Event("c", 1)
         assert var_sets(minimal_sufficient_sets(scenario, target)) == [["a"], ["b"]]
         assert var_sets(direct_cause_sets(scenario, target)) == [["a"], ["b"]]
-        assert table_searches(searched) == 1
+        assert len(closures) == 1
         assert var_sets(minimal_sufficient_sets(scenario, Event("e", 1))) == [["a"]]
-        assert table_searches(searched) == 1
+        assert len(closures) == 1
 
     @pytest.mark.parametrize("mode", ["reliable", "general"])
     def test_effect_that_misses_with_every_ancestor_actual(self, mode):
@@ -503,40 +523,127 @@ class TestTransversalSearch:
 
     def test_the_two_kernels_agree(self):
         # A reliable-mode target whose parents are all initial can be asked
-        # of its value table or of solved worlds: both give the same sets,
-        # and the same verdict on every mask.  Each kernel runs on its own
-        # scenario, so neither reads what the other stored.  The world
-        # kernel's candidates are all the parents; the table's leave out
-        # those with one value, so masks are matched by name.
+        # of its value table or of solved worlds: the closure and the walk
+        # give the same sets, and the same verdict on every mask.  Each runs
+        # on its own scenario, so neither reads what the other stored.  The
+        # world kernel's candidates are all the parents; the closure leaves
+        # out those with one value, so masks are matched by name.
         def scenarios():
             for path in sorted(corpus_dir().glob("*.case")):
                 yield parse_case(path.read_text(encoding="utf-8")).scenario
             for _, scenario in scenario_stream(seed=41, count=300, max_vars=12):
                 yield scenario
 
-        rows, worlds = sufficiency._rows, sufficiency._falsifier
         targets = masks = 0
         for scenario in scenarios():
             scenario = dataclasses.replace(scenario, mode="reliable")
             model = scenario.model
             for var in model.variables:
-                if model.is_initial(var) or sufficiency._kernel(scenario, var) is not rows:
+                if model.is_initial(var) or not sufficiency._monotone(scenario, var):
                     continue
                 for value in model.domains[var].values:
                     target = Event(var, value)
                     other = dataclasses.replace(scenario)
-                    by_table = sufficiency._sets(scenario, target, rows)
-                    assert by_table == sufficiency._sets(other, target, worlds), target
-                    candidates, probe = rows(scenario, target)
-                    names, falsify = worlds(other, target)
+                    by_table = sufficiency._closure(scenario, target).sets
+                    assert by_table == sufficiency._walk(other, target), target
+                    names, falsify = sufficiency._falsifier(other, target)
                     for mask in range(1 << len(names)):
-                        pinned = {v for i, v in enumerate(names) if mask >> i & 1}
-                        row_mask = sum(1 << i for i, v in enumerate(candidates) if v in pinned)
-                        passes = probe(row_mask) is None
+                        pinned = frozenset(v for i, v in enumerate(names) if mask >> i & 1)
+                        passes = sufficiency._is_sufficient(scenario, pinned, target)
                         assert passes == (falsify(mask) is None), (target, pinned)
                         masks += 1
                     targets += 1
         assert (targets, masks) == (1593, 3902)
+
+
+FAMILIES = [tree(3), grouped_conjunction(5, 5), lattice(4, 4), or_of_ands(4, 3)]
+FAMILY_IDS = ["tree(2^3)", "grouped_conjunction(5, 5)", "lattice 4x4", "OR of 4 ANDs of 3"]
+
+
+class TestClosure:
+    """A table target's closure, against the plain walk and a row-by-row
+    read of its table, over every way its missing rows are read: a bit
+    column, the table's bytes, and a plain loop for values outside 0..255."""
+
+    @pytest.mark.parametrize("mode", ["reliable", "general"])
+    @pytest.mark.parametrize("formulas", FAMILIES, ids=FAMILY_IDS)
+    def test_matches_the_plain_walk_on_the_families(self, formulas, mode):
+        # every target the closure answers: in general mode every variable,
+        # in reliable mode those whose parents are all initial
+        scenario = make_scenario(formulas, mode=mode)
+        model = scenario.model
+        targets = 0
+        for var in model.variables:
+            if not sufficiency._monotone(scenario, var):
+                continue
+            target = Event(var, scenario.actual_value(var))
+            sets = minimal_sufficient_sets(scenario, target)
+            assert sets == plain_minimal_sufficient_sets(scenario, target), var
+            assert sets == rows_minimal_sets(scenario, target), var
+            targets += 1
+        expected = {"reliable": [12, 12, 8, 13], "general": [16, 13, 17, 13]}[mode]
+        assert targets == expected[FAMILIES.index(formulas)]
+
+    @pytest.mark.parametrize("mode", ["reliable", "general"])
+    @pytest.mark.parametrize(
+        ("formulas", "domains", "path"),
+        [
+            ("a=1; b=0; c=1; e=(a & ~b) | c", {}, "column"),
+            (
+                "a=2; b=1; c=0; e=(a + b + c) % 3",
+                {"a": (0, 1, 2), "c": (0, 1, 2, 3), "e": (0, 1, 2, 300)},
+                "bytes",
+            ),
+            (
+                "a=300; b=0; e={a if b == 0, 0 - 1 if 1}",
+                {"a": (-1, 0, 300), "e": (-1, 0, 300)},
+                "loop",
+            ),
+        ],
+        ids=["bit column", "mixed radix", "outside 0..255"],
+    )
+    def test_every_way_to_read_the_missing_rows(self, formulas, domains, path, mode):
+        # every value of e, and every set of its parents asked directly
+        scenario = make_scenario(formulas, domains=domains, mode=mode)
+        model = scenario.model
+        _, table, column = model.table("e")
+        if path == "column":
+            assert column is not None
+        else:
+            assert column is None
+            if path == "bytes":
+                assert bytes(table)
+            else:
+                with pytest.raises(ValueError):
+                    bytes(table)
+        parents = model.parents("e")
+        for value in model.domains["e"].values:
+            target = Event("e", value)
+            expected = oracle_minimal_sufficient_sets(scenario, target)
+            assert minimal_sufficient_sets(scenario, target) == expected, value
+            assert rows_minimal_sets(scenario, target) == expected, value
+            for size in range(len(parents) + 1):
+                for combo in itertools.combinations(parents, size):
+                    pins = {p: scenario.actual_value(p) for p in combo}
+                    verdict = is_sufficient(scenario, event_set(pins), target)
+                    assert verdict == oracle_is_sufficient(scenario, pins, target), (value, combo)
+
+    @pytest.mark.parametrize("mode", ["reliable", "general"])
+    @pytest.mark.parametrize(("groups", "width"), [(5, 4), (10, 2)])
+    def test_wide_disjunctions_of_conjunctions(self, groups, width, mode):
+        # e reads 20 parents, so its table has 2**20 rows, at the cap.  A
+        # walk that grows each failing set by the parents its first missing
+        # row moves visits up to (2**width - 1)**groups sets here, and ran
+        # for over 10 minutes on 5 groups of 4; the closure answers at once.
+        scenario = make_scenario(or_of_ands(groups, width), mode=mode)
+        effect = Event("e", 1)
+        names = [[f"x{g * width + i:02d}" for i in range(width)] for g in range(groups)]
+        sets = minimal_sufficient_sets(scenario, effect)
+        assert var_sets(sets) == names
+        for events in sets:
+            assert is_sufficient(scenario, events, effect)
+            for member in events:
+                assert not is_sufficient(scenario, events - {member}, effect)
 
 
 class TestWalkBound:
@@ -624,15 +731,14 @@ class TestStructuredFamilies:
 
     @pytest.mark.parametrize(
         ("formulas", "causes", "work"),
-        [(tree(3), ["t6"], 1), (grouped_conjunction(6, 6), ["y0", "y1"], 3)],
+        [(tree(3), ["t6"], 1), (grouped_conjunction(6, 6), ["y0", "y1"], 1)],
         ids=["tree(2^3)", "grouped_conjunction(6, 6)"],
     )
     def test_causes_of_reads_only_the_effects_table(self, formulas, causes, work, monkeypatch):
-        # A work-count regression gate, in world solves plus table rows read;
-        # a search over every ancestor would make 32 768 and 16 512 world
-        # solves.  tree(2^3) reads one row, the one that misses e
-        # with t6 free; grouped_conjunction(6, 6) reads the rows that refute
-        # {}, {y0} and {y1}, and {y0, y1} has no row left to read.
+        # A work-count regression gate, in world solves plus tables read
+        # whole; a search over every ancestor would make 32 768 and 16 512
+        # world solves.  In general mode e's parents all roam unless pinned,
+        # so reading e's table whole, once, is all the sufficiency work.
         counted = counting_work(monkeypatch)
         scenario = make_scenario(formulas, mode="general")
         assert sorted(ev.var for ev in causes_of(scenario, Event("e", 1))) == causes
