@@ -10,15 +10,17 @@ Sufficiency is monotone in general mode, and in reliable mode when every
 parent of the target is initial.  Then every parent roams unless pinned,
 and a pinned non-parent constrains nothing the target reads, so a set is
 insufficient exactly when some row of the target's value table that keeps
-its pinned parents actual misses the target's value.  Those questions are
-answered from one up-closure of the table's missing rows (`_closure`), set
-algebra on ints of one bit per row, with no solve and no walk: the minimal
-sufficient sets are the prime implicants of the table that cover the actual
-point.  The other reliable-mode questions, where a pinned derived ancestor
-can break its equation, solve one world per background over the target's
-ancestors (`_falsifier`), in a walk by size over
-`model.minimal_passing_sets` that grows a failing set only by the
-candidates its falsifying world moves (`_sets`).  Direct causes screen the
+its pinned parents actual misses the target's value.  Its minimal
+sufficient sets come from one up-closure of the table's missing rows
+(`_closure`), set algebra on ints of one bit per row, with no solve and no
+walk: they are the prime implicants of the table that cover the actual
+point.  As sufficiency is upward closed there, they answer every other
+question too: a set is sufficient exactly when it holds one of them.  The
+other reliable-mode questions, where a pinned derived ancestor can break
+its equation, solve one world per background over the target's ancestors
+(`_falsifier`), in a walk by size over `model.minimal_passing_sets` that
+grows a failing set only by the candidates its falsifying world moves
+(`_sets`).  Direct causes screen the
 closure's minimal sets (`direct_cause_sets`), so a monotone target asked
 both questions builds one closure.
 
@@ -33,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterable
-from typing import NamedTuple
 
 from .model import (
     Event,
@@ -73,55 +74,34 @@ def _monotone(scenario: Scenario, var: str) -> bool:
     return scenario.mode == "general" or model.initial_variables().issuperset(model.parents(var))
 
 
-class _Closure(NamedTuple):
-    """What a table target's closure answers: its minimal sufficient sets,
-    the closure U, the row that moves every candidate to its stand-in
-    value, and what pinning each candidate adds to that row's code."""
-
-    sets: list[frozenset[Event]]
-    up: int
-    moved: int
-    pins: dict[str, int]
-
-
-def _misses(table: list[int], value: int) -> int:
-    """The rows of a table that miss value, one bit per row, read through
-    `bytes` where every entry lies in 0..255."""
-    try:
-        row_bytes = bytes(table)
-    except ValueError:
-        return sum(1 << code for code, got in enumerate(table) if got != value)
-    if not 0 <= value <= 255:
-        return (1 << len(table)) - 1
-    # each byte to the digit "0" where it is value, "1" elsewhere
-    digits = b"1" * value + b"0" + b"1" * (255 - value)
-    return int(row_bytes[::-1].translate(digits), 2)
-
-
-def _closure(scenario: Scenario, target: Event) -> _Closure:
-    """The target's value table, as set algebra on ints with one bit per row.
+def _closure(scenario: Scenario, target: Event) -> list[frozenset[Event]]:
+    """The minimal sufficient sets of a table target, read off its value
+    table as set algebra on ints with one bit per row.
 
     The candidates are the target's parents with more than one value, in
-    `Model.parents` order; a one-value parent is in no set a row moves, and
-    as every candidate doubles the rows at least, their 2**n sets never pass
-    ENUMERATION_CAP.  F holds the rows that miss the target, from the
-    table's bit column or its bytes.  A set S is insufficient exactly when
-    some row of F keeps every member of S actual.  So F is up-closed one
-    candidate axis at a time: onto each candidate's stand-in value (its
-    first value that is not actual) goes the OR of all its slices, its
-    actual slice keeps its own rows, and its other values' slices are
-    filled, so that no set is read twice.  In the closure U, the row that
-    holds S actual and every other candidate at its stand-in is set exactly
-    when S is insufficient.  The minimal sufficient sets are the rows outside
-    U that no step to a stand-in keeps outside U, each read back as a mask
-    and sorted by `sort_masks`.  When the empty set is insufficient, 2**n is
-    checked against the cap, as the walk over candidate sets does."""
+    `Model.parents` order; a one-value parent is in no set a row moves.  F
+    holds the rows that miss the target, read from the table's bit column
+    where it has one, else in one pass over its rows.  A set S is
+    insufficient exactly when some row of F keeps every member of S actual.
+    So F is up-closed one candidate axis at a time: onto each candidate's
+    stand-in value (its first value that is not actual) goes the OR of all
+    its slices, its actual slice keeps its own rows, and its other values'
+    slices are filled, so that no set is read twice.  In the closure U, the
+    row that holds S actual and every other candidate at its stand-in is
+    set exactly when S is insufficient.  The minimal sufficient sets are the
+    rows outside U that no step to a stand-in keeps outside U, each read
+    back as a mask and sorted by `sort_masks`.  When the empty set is insufficient, 2**n is
+    checked against ENUMERATION_CAP, as the walk over candidate sets does.
+    Every candidate doubles the rows at least, so 2**n <= rows <= the cap
+    the table was compiled under: the check fires only when the cap is
+    lowered after the tables were compiled."""
     slots, table, ones = scenario.model.table(target.var)
     size = len(table)
     full = (1 << size) - 1
     value = target.value
     if ones is None:
-        miss = _misses(table, value)
+        # one digit per row, the last row first: "1" where it misses value
+        miss = int("".join(["0" if got == value else "1" for got in reversed(table)]), 2)
     else:
         miss = full ^ ones if value == 1 else ones if value == 0 else full
     up = miss
@@ -131,8 +111,6 @@ def _closure(scenario: Scenario, target: Event) -> _Closure:
     # row of each block of the slots before it
     axes = []
     events = []
-    moved = 0
-    pins = {}
     weight = size
     starts = 1
     for parent, index, radix in slots:
@@ -152,8 +130,6 @@ def _closure(scenario: Scenario, target: Event) -> _Closure:
             for p in range(2, radix):
                 up |= stripe << (p if p > actual else p - 1) * weight
             axes.append((weight, radix, actual, stripe))
-            moved += stand_in * weight
-            pins[parent] = (actual - stand_in) * weight
     n = len(axes)
     if miss:
         check_search_size(
@@ -176,11 +152,10 @@ def _closure(scenario: Scenario, target: Event) -> _Closure:
                 mask |= 1 << i
         masks.append(mask)
         code = digits.find("1", code + 1)
-    sets = [
+    return [
         frozenset(ev for i, ev in enumerate(events) if mask >> i & 1)
         for mask in sort_masks(masks, n)
     ]
-    return _Closure(sets, up, moved, pins)
 
 
 def _falsifier(scenario: Scenario, target: Event) -> tuple[tuple[str, ...], Probe]:
@@ -237,8 +212,9 @@ def is_sufficient(scenario: Scenario, events: Iterable[Event], effect: Event) ->
     """Does pinning the events force the effect under every roaming
     background?  Each event must be actual, so no variable is pinned twice.
     Once they are checked, the answer is memoized per scenario on the pinned
-    variables and the effect.  A table target's answer is one bit of its
-    closure: the row with the pins actual and every other candidate moved."""
+    variables and the effect.  A table target's set is sufficient exactly
+    when it holds one of its minimal sets (`_closure`): pinned variables
+    outside the candidates change no row of its table."""
     scenario.model.check_value(effect.var, effect.value)
     pinned: set[str] = set()
     for ev in events:
@@ -251,11 +227,8 @@ def is_sufficient(scenario: Scenario, events: Iterable[Event], effect: Event) ->
 
 def _is_sufficient(scenario: Scenario, pinned: frozenset[str], effect: Event) -> bool:
     if _monotone(scenario, effect.var):
-        closure = memoized(scenario, _closure, effect)
-        code = closure.moved + sum(
-            shift for parent, shift in closure.pins.items() if parent in pinned
-        )
-        return not closure.up >> code & 1
+        found = memoized(scenario, _closure, effect)
+        return any(all(ev.var in pinned for ev in events) for events in found)
     candidates, falsify = _falsifier(scenario, effect)
     return falsify(sum(1 << i for i, v in enumerate(candidates) if v in pinned)) is None
 
@@ -281,7 +254,7 @@ def _sets(scenario: Scenario, target: Event) -> list[frozenset[Event]]:
     nothing."""
     scenario.model.check_value(target.var, target.value)
     if _monotone(scenario, target.var):
-        return memoized(scenario, _closure, target).sets
+        return memoized(scenario, _closure, target)
     return _walk(scenario, target)
 
 
@@ -324,8 +297,9 @@ def direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Event
     """Minimal robust parent sets of the target that pass the abnormality
     screen, in canonical order.  A parent set is robust when every row of the
     target's value table that keeps it at its actual values gives the
-    target's value: the sets are the target's closure's (`_closure`), which
-    a monotone target's minimal sufficient sets share; no model is built.
+    target's value: the sets are the minimal sets of the target's closure
+    (`_closure`), which a monotone target's minimal sufficient sets and
+    `is_sufficient` answers share; no model is built.
 
     The screen wants a world that moves some members and misses the target
     no less normally than actuality.  Such a world pins every parent, so only
@@ -341,7 +315,7 @@ def _direct_cause_sets(scenario: Scenario, target: Event) -> list[frozenset[Even
     scenario.check_actual(target, "target")
     if scenario.model.is_initial(target.var):
         raise NoParentsError(f"{target.var!r} has no parents")
-    found = memoized(scenario, _closure, target).sets
+    found = memoized(scenario, _closure, target)
     if any(all(scenario.defaults[ev.var] == ev.value for ev in events) for events in found):
         return []
     return found

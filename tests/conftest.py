@@ -182,7 +182,8 @@ def counting_work(monkeypatch) -> list:
     on models built from now on, whose tables of variables with parents
     record each read made from a frame of `actualcause.sufficiency`; the
     reads inside `solve` and `Model.lookup` are not counted, and neither is
-    a table's whole read by `bytes` or through its bit column."""
+    a table's whole read in one join over its rows or through its bit
+    column."""
     work = counting_calls(monkeypatch, sufficiency, "solve")
     counting_calls(monkeypatch, sufficiency, "_closure", work)
     searches = vars(sufficiency)
